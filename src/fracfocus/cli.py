@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -26,8 +25,6 @@ from .kernel2d import build_kernel, kernel_frequency_response
 from .synth import BlurSpec, SceneSpec, ground_truth, render_stack
 
 __all__ = ["main"]
-
-_THREADS_ENV = "FRACFOCUS_THREADS"
 
 
 def _log(message: str) -> None:
@@ -53,29 +50,6 @@ def _int_list(text: str) -> tuple[int, ...]:
     if not values:
         raise argparse.ArgumentTypeError("expected a comma-separated list")
     return values
-
-
-def resolve_threads(requested: int | None) -> int:
-    """Worker count: FRACFOCUS_THREADS beats --threads beats cpu count.
-
-    The pipelines are sequential and scheduling-independent, so this only
-    validates the request; results never depend on it.
-    """
-    env = os.environ.get(_THREADS_ENV)
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(f"{_THREADS_ENV}={env!r} is not an integer"
-                             ) from None
-        if value < 1:
-            raise ValueError(f"{_THREADS_ENV} must be >= 1, got {value}")
-        return value
-    if requested is not None:
-        if requested < 1:
-            raise ValueError(f"--threads must be >= 1, got {requested}")
-        return requested
-    return os.cpu_count() or 1
 
 
 def cmd_kernel(args: argparse.Namespace) -> int:
@@ -260,10 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fracfocus",
         description="Depth-from-focus reconstruction with a nonlocal "
                     "(fractional-order) modified Laplacian focus measure.")
-    parser.add_argument("--threads", type=_positive_int, default=None,
-                        help="worker threads (FRACFOCUS_THREADS overrides; "
-                             "accepted for compatibility, results never "
-                             "depend on it)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("kernel", help="print a nonlocalization kernel")
@@ -352,7 +322,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        resolve_threads(args.threads)
         return args.func(args)
     except (ValueError, OSError, QuadratureError, StackFormatError) as exc:
         print(f"fracfocus: error: {exc}", file=sys.stderr)

@@ -2,10 +2,11 @@
 
 The local measure at step q is the sum of absolute second differences at
 stride q in x and y, scaled by 1/(q h)^2, zero on a border frame of width
-q.  The nonlocal measure applies the 2D nonlocalization kernel to every
-layer of the local measure and re-imposes the zero frame, so local and
-nonlocal volumes share the same support and order 0 reduces bit-exactly to
-the local measure.
+q.  A focus volume is one (n_slides, height, width) array: the local
+measure is written into it slide by slide, and the nonlocal measure is one
+kernel pass over the whole volume (``kernel2d.correlate_layers``) followed
+by re-imposing the zero frame, so local and nonlocal volumes share the same
+support and order 0 reduces bit-exactly to the local measure.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 import numpy as np
 
 from .grids import FocalStack, FocusVolume, ScalarField
-from .kernel2d import Kernel, apply_kernel, build_kernel
+from .kernel2d import Kernel, build_kernel, correlate_layers
 
 __all__ = [
     "local_focus_volume",
@@ -26,6 +27,26 @@ __all__ = [
 ]
 
 
+def _check_step(shape: tuple[int, ...], q: int) -> None:
+    """Reject a step q < 1 or slides with no pixel inside the q-frame."""
+    if q < 1:
+        raise ValueError(f"step q must be >= 1, got {q}")
+    height, width = shape[-2:]
+    if width <= 2 * q or height <= 2 * q:
+        raise ValueError(
+            f"slide of shape {(height, width)} too small for step q={q}"
+        )
+
+
+def _modified_laplacian_into(out: np.ndarray, f: np.ndarray, q: int,
+                             h: float) -> None:
+    """Write the stride-q measure of slide ``f`` inside ``out``'s q-frame."""
+    scale = 1.0 / (q * h) ** 2
+    d2x = f[q:-q, 2 * q:] - 2.0 * f[q:-q, q:-q] + f[q:-q, :-2 * q]
+    d2y = f[2 * q:, q:-q] - 2.0 * f[q:-q, q:-q] + f[:-2 * q, q:-q]
+    out[q:-q, q:-q] = (np.abs(d2x) + np.abs(d2y)) * scale
+
+
 def local_modified_laplacian(slide: ScalarField, q: int) -> ScalarField:
     """Modified Laplacian |d2x| + |d2y| at stride q, zero on the q-frame.
 
@@ -33,35 +54,22 @@ def local_modified_laplacian(slide: ScalarField, q: int) -> ScalarField:
     the same expression along rows; the frame of width q where the stencil
     would leave the grid is exactly zero.
     """
-    if q < 1:
-        raise ValueError(f"step q must be >= 1, got {q}")
-    height, width = slide.values.shape
-    if width <= 2 * q or height <= 2 * q:
-        raise ValueError(
-            f"slide of shape {slide.values.shape} too small for step q={q}"
-        )
-    f = slide.values
-    scale = 1.0 / (q * slide.h) ** 2
-    d2x = f[q:-q, 2 * q:] - 2.0 * f[q:-q, q:-q] + f[q:-q, :-2 * q]
-    d2y = f[2 * q:, q:-q] - 2.0 * f[q:-q, q:-q] + f[:-2 * q, q:-q]
-    out = np.zeros((height, width))
-    out[q:-q, q:-q] = (np.abs(d2x) + np.abs(d2y)) * scale
+    _check_step(slide.values.shape, q)
+    out = np.zeros(slide.values.shape)
+    _modified_laplacian_into(out, slide.values, q, slide.h)
     return ScalarField(out, slide.h)
-
-
-def _zero_frame(values: np.ndarray, q: int) -> None:
-    values[:q, :] = 0.0
-    values[-q:, :] = 0.0
-    values[:, :q] = 0.0
-    values[:, -q:] = 0.0
 
 
 def local_focus_volume(stack: FocalStack, q: int) -> FocusVolume:
     """Local modified-Laplacian focus measure for every slide of a stack."""
-    layers = [local_modified_laplacian(stack.slide(k), q).values
-              for k in range(stack.n_slides)]
-    return FocusVolume(np.stack(layers), q=q, z_min=stack.z_min,
-                       z_max=stack.z_max, h=stack.h)
+    _check_step(stack.data.shape, q)
+    data = np.zeros(stack.data.shape)
+    # Slide by slide: a whole-stack expression would hold several
+    # volume-sized temporaries at once.
+    for f, out in zip(stack.data, data):
+        _modified_laplacian_into(out, f, q, stack.h)
+    return FocusVolume(data, q=q, z_min=stack.z_min, z_max=stack.z_max,
+                       h=stack.h)
 
 
 def nonlocalize_volume(volume: FocusVolume, kernel: Kernel) -> FocusVolume:
@@ -73,14 +81,14 @@ def nonlocalize_volume(volume: FocusVolume, kernel: Kernel) -> FocusVolume:
     """
     if volume.alpha is not None:
         raise ValueError("volume has already been nonlocalized")
-    layers = []
-    for k in range(volume.n_slides):
-        smeared = apply_kernel(kernel, volume.layer(k)).values
-        _zero_frame(smeared, volume.q)
-        layers.append(smeared)
-    return FocusVolume(np.stack(layers), q=volume.q, z_min=volume.z_min,
-                       z_max=volume.z_max, h=volume.h, alpha=kernel.alpha,
-                       zeta=kernel.zeta)
+    data = correlate_layers(kernel, volume.data)
+    q = volume.q
+    data[:, :q, :] = 0.0
+    data[:, -q:, :] = 0.0
+    data[:, :, :q] = 0.0
+    data[:, :, -q:] = 0.0
+    return FocusVolume(data, q=q, z_min=volume.z_min, z_max=volume.z_max,
+                       h=volume.h, alpha=kernel.alpha, zeta=kernel.zeta)
 
 
 def nonlocal_focus_volume(stack: FocalStack, q: int, alpha: float,

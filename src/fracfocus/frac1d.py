@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from scipy import integrate
+import scipy
 
 __all__ = [
     "Function1D",
@@ -95,9 +95,9 @@ def _weighted_quad(g: Callable[[float], float], alpha: float,
     def integrand(u: float) -> float:
         return g(u ** inv_alpha)
 
-    result = integrate.quad(integrand, 0.0, upper, epsabs=1e-14,
-                            epsrel=quad.rel_tol, limit=quad.max_subdivisions,
-                            full_output=1)
+    result = scipy.integrate.quad(integrand, 0.0, upper, epsabs=1e-14,
+                                  epsrel=quad.rel_tol,
+                                  limit=quad.max_subdivisions, full_output=1)
     if len(result) > 3:
         # Fourth element is quadpack's explanation of the failure.
         raise QuadratureError(str(result[3]).strip())

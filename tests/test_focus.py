@@ -1,7 +1,12 @@
 """Tests for the local modified Laplacian and its nonlocal extension."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fracfocus.focus import (
     local_focus_volume,
@@ -10,8 +15,8 @@ from fracfocus.focus import (
     nonlocalize_volume,
     nyquist_hint,
 )
-from fracfocus.grids import FocalStack, ScalarField
-from fracfocus.kernel2d import build_kernel
+from fracfocus.grids import FocalStack, FocusVolume, ScalarField
+from fracfocus.kernel2d import apply_kernel, build_kernel
 
 
 def _index_grid(height, width):
@@ -189,6 +194,65 @@ class TestNonlocalization:
             a = local.data[k][q + 2:-q - 2, q + 2:-q - 2]
             b = pooled.data[k][q + 2:-q - 2, q + 2:-q - 2]
             assert np.std(b / 25.0) < np.std(a)
+
+
+@functools.lru_cache(maxsize=None)
+def _cached_kernel(alpha, zeta):
+    return build_kernel(alpha, zeta)
+
+
+@st.composite
+def _volumes(draw):
+    """A small local-style focus volume (zero q-frame) and a kernel."""
+    q = draw(st.integers(1, 3))
+    n_slides = draw(st.integers(1, 4))
+    height = draw(st.integers(2 * q + 1, 2 * q + 9))
+    width = draw(st.integers(2 * q + 1, 2 * q + 9))
+    data = draw(arrays(np.float64, (n_slides, height, width),
+                       elements=st.floats(0.0, 1e6)))
+    data[:, :q, :] = data[:, -q:, :] = 0.0
+    data[:, :, :q] = data[:, :, -q:] = 0.0
+    volume = FocusVolume(data, q=q, z_min=0.0, z_max=1.0)
+    # Reaches up to 16 also cover axes shorter than a quarter of zeta.
+    kernel = _cached_kernel(draw(st.sampled_from([0.0, 0.5, 1.5, 2.0])),
+                            draw(st.integers(1, 16)))
+    return volume, kernel
+
+
+class TestWholeVolumePass:
+    @settings(max_examples=60, deadline=None)
+    @given(_volumes())
+    def test_equals_per_layer_apply_kernel(self, case):
+        volume, kernel = case
+        q = volume.q
+        got = nonlocalize_volume(volume, kernel).data
+        for k in range(volume.n_slides):
+            expected = apply_kernel(kernel, volume.layer(k)).values
+            expected[:q, :] = expected[-q:, :] = 0.0
+            expected[:, :q] = expected[:, -q:] = 0.0
+            assert np.array_equal(got[k], expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_volumes())
+    def test_equal_layers_stay_bitwise_equal(self, case):
+        # Exact slide ties decide the peak search (first maximum wins), so
+        # the pass must not let rounding depend on the layer index.
+        volume, kernel = case
+        tied = np.concatenate([volume.data, volume.data[-1:]])
+        tied_volume = FocusVolume(tied, q=volume.q, z_min=0.0, z_max=1.0)
+        out = nonlocalize_volume(tied_volume, kernel).data
+        assert np.array_equal(out[-1], out[-2])
+
+
+class TestNonFiniteMeasure:
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_local_volume_rejects_overflow(self):
+        # Finite +-1e308 stripes whose second differences overflow to inf.
+        stripes = np.where(np.arange(12) % 2 == 0, 1e308, -1e308)
+        stack = FocalStack(np.broadcast_to(stripes, (3, 12, 12)),
+                           z_min=0.0, z_max=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            local_focus_volume(stack, 1)
 
 
 class TestNyquistHint:

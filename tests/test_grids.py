@@ -64,6 +64,13 @@ class TestFocusVolume:
         with pytest.raises(ValueError):
             FocusVolume(data, q=1, z_min=0.0, z_max=1.0)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_measure(self, bad):
+        data = np.ones((3, 4, 4))
+        data[1, 2, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            FocusVolume(data, q=1, z_min=0.0, z_max=1.0)
+
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
             FocusVolume(np.ones((3, 4, 4)), q=0, z_min=0.0, z_max=1.0)

@@ -1,9 +1,13 @@
 """Tests for the 2D nonlocalization kernel, its application and its spectrum."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fracfocus.grids import ScalarField
 from fracfocus.kernel2d import (
@@ -170,6 +174,36 @@ class TestApplyKernel:
         first = apply_kernel(kernels_zeta4[1.0], field)
         second = apply_kernel(kernels_zeta4[1.0], field)
         assert np.array_equal(first.values, second.values)
+
+    @pytest.mark.parametrize("shape,zeta", [((1, 2), 8), ((2, 2), 8),
+                                            ((3, 1), 12), ((2, 9), 16)])
+    def test_reach_far_beyond_a_short_axis(self, shape, zeta):
+        # Mirror padding must reflect back and forth across an axis that is
+        # many times shorter than the kernel reach.
+        rng = np.random.default_rng(13)
+        kernel = build_kernel(1.5, zeta)
+        field = ScalarField(rng.random(shape), h=1.0)
+        expected = _brute_force_apply(kernel, field)
+        got = apply_kernel(kernel, field)
+        assert np.allclose(got.values, expected, rtol=0, atol=1e-12)
+
+
+@functools.lru_cache(maxsize=None)
+def _cached_kernel(alpha, zeta):
+    return build_kernel(alpha, zeta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10), st.integers(1, 10), st.integers(1, 16),
+       st.sampled_from([0.0, 0.5, 1.5, 2.0]), st.data())
+def test_apply_kernel_matches_brute_force(height, width, zeta, alpha, data):
+    values = data.draw(arrays(np.float64, (height, width),
+                              elements=st.floats(0.0, 1.0)))
+    field = ScalarField(values, h=1.0)
+    kernel = _cached_kernel(alpha, zeta)
+    expected = _brute_force_apply(kernel, field)
+    got = apply_kernel(kernel, field)
+    assert np.allclose(got.values, expected, rtol=0, atol=1e-12)
 
 
 class TestFrequencyResponse:
