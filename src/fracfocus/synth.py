@@ -4,8 +4,12 @@ Scenes are height fields Z(x, y) over a centered grid: a sphere cap
 (radius r, apex at z = r), a constant-height plane, or a ramp linear in y.
 A textured version of the scene is imaged at each focal distance z_k by a
 per-pixel gather with a normalized Gaussian point-spread function whose
-width grows linearly with the defocus |z_k - Z(x, y)|.  Everything is
-deterministic given the scene seed.
+width grows linearly with the defocus |z_k - Z(x, y)|.  One gather renders
+every slide, blurred or in focus, constant or varying defocus: it sums the
+taps in eight-fold symmetric groups, evaluates the Gaussian once per
+distinct height, crops each ring of taps to the pixels it reaches and
+copies in-focus pixels through exactly.  Everything is deterministic given
+the scene seed.
 """
 
 from __future__ import annotations
@@ -63,9 +67,12 @@ class SceneSpec:
 class BlurSpec:
     """Defocus model: Gaussian PSF with sigma = sigma0 * |z - Z| pixels.
 
-    The PSF support is a square truncated at ceil(4 sigma) pixels, bounded
-    by ``max_radius``, and renormalized; sigma = 0 copies the texture
-    through exactly.
+    The PSF support is the square max(|dx|, |dy|) <= ceil(4 sigma) pixels,
+    bounded by ``max_radius``, and renormalized per pixel; sigma = 0 copies
+    the texture through exactly.  Every slide goes through the same
+    symmetric-tap gather, whose summation order differs from a plain
+    tap-by-tap loop by at most a few units in the last place (4e-15 on the
+    standard 256x256x32 scenes).
     """
 
     sigma0: float = 3.0
@@ -156,50 +163,82 @@ def _texture(scene: SceneSpec, width: int, height: int, h: float,
     return 0.5 + 0.5 * carrier / amp.sum()
 
 
-def _blur_uniform(tex: np.ndarray, margin: int, sigma: float,
-                  radius: int) -> np.ndarray:
-    """Gather with one Gaussian PSF shared by every output pixel."""
-    height = tex.shape[0] - 2 * margin
-    width = tex.shape[1] - 2 * margin
-    num = np.zeros((height, width))
-    den = 0.0
-    inv = 1.0 / (2.0 * sigma * sigma)
-    for dy in range(-radius, radius + 1):
-        for dx in range(-radius, radius + 1):
-            w = math.exp(-(dx * dx + dy * dy) * inv)
-            num += w * tex[margin + dy:margin + dy + height,
-                           margin + dx:margin + dx + width]
-            den += w
-    return num / den
+# Output pixels per row strip in render_stack: 2^15 pixels is 256 KiB per
+# float array, small enough for a strip's working set to stay in cache.
+_STRIP_PIXELS = 1 << 15
 
 
-def _blur_varying(tex: np.ndarray, margin: int, sigma: np.ndarray,
-                  radius: np.ndarray) -> np.ndarray:
-    """Gather with a per-pixel Gaussian PSF of width sigma(x, y).
+def _gather(tex: np.ndarray, margin: int, sigma: np.ndarray,
+            radius: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Gather with a per-pixel Gaussian PSF over a map of sigma levels.
 
-    Each output pixel sums the padded texture over the square of offsets
-    max(|dx|, |dy|) <= radius(x, y) with weights exp(-(dx^2+dy^2)/(2 sigma^2)),
-    then divides by its own weight sum.  Pixels with sigma = 0 keep only
-    the center tap and copy the texture through exactly.
+    Output pixel p has level index[p], PSF width sigma[index[p]] pixels and
+    support radius radius[index[p]].  It sums the padded texture over the
+    square of offsets max(|dx|, |dy|) <= radius with weights
+    exp(-(dx^2+dy^2)/(2 sigma^2)), then divides by its own weight sum.
+    ``tex`` is the texture padded by ``margin >= radius.max()`` on every
+    side.  A per-pixel sigma field is the case of one level per pixel.
+
+    The taps are summed in symmetric groups.  Ring b = max(|dx|, |dy|)
+    holds, for each a <= b, the up to eight taps (+-a, +-b) and (+-b, +-a),
+    which share the weight exp(-a^2/(2 sigma^2)) * exp(-b^2/(2 sigma^2)):
+    their texture values are added first (from sums of +-d column pairs),
+    multiplied by the a-factor once, and each ring's total by the b-factor
+    once.  The factors, and the weight sums, are evaluated once per level
+    (0 past the level's radius) and gathered back to the pixels, so a
+    constant sigma field costs one scalar ``exp`` per factor.  Ring b is
+    cropped to the bounding box of the pixels it reaches.  Pixels with
+    sigma = 0 or radius 0 keep only the center tap and copy the texture
+    through exactly.  The summation order differs from a plain tap-by-tap
+    loop; on the standard scenes the two agree to 4e-15.
     """
-    height, width = sigma.shape
-    r_max = int(radius.max())
-    safe = np.where(sigma > 0.0, sigma, 1.0)
-    inv = np.where(sigma > 0.0, 1.0 / (2.0 * safe * safe), 0.0)
-    reach = [radius >= m for m in range(r_max + 1)]
-    gauss = {}  # exp(-s * inv) per squared offset s; many taps share one s
-    num = np.zeros((height, width))
-    den = np.zeros((height, width))
-    for dy in range(-r_max, r_max + 1):
-        for dx in range(-r_max, r_max + 1):
-            s = dx * dx + dy * dy
-            if s not in gauss:
-                gauss[s] = np.exp(-s * inv)
-            w = gauss[s] * reach[max(abs(dx), abs(dy))]
-            num += w * tex[margin + dy:margin + dy + height,
-                           margin + dx:margin + dx + width]
-            den += w
-    return num / den
+    height, width = index.shape
+    reach = radius[index]
+    r_max = int(reach.max())
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = 1.0 / (2.0 * sigma * sigma)  # inf at sigma = 0
+    # gauss[d] = exp(-d^2 inv) per level, 0 where the radius is below d.
+    gauss = np.ones((r_max + 1, sigma.size))
+    for d in range(1, r_max + 1):
+        gauss[d] = np.where(radius >= d, np.exp(-(d * d) * inv), 0.0)
+    den = np.ones(sigma.size)  # weight sum per level
+    num = tex[margin:margin + height, margin:margin + width].copy()
+    rows = reach.max(axis=1)
+    cols = reach.max(axis=0)
+    # pairs[d][i, j] = tex(i, j + d) + tex(i, j - d) on all padded rows;
+    # factors[d] = gauss[d] per pixel.
+    pairs = [tex[:, margin:margin + width]]
+    factors = [None]
+    for b in range(1, r_max + 1):
+        pairs.append(tex[:, margin + b:margin + b + width]
+                     + tex[:, margin - b:margin - b + width])
+        factors.append(gauss[b][index])
+        ys = np.flatnonzero(rows >= b)
+        xs = np.flatnonzero(cols >= b)
+        y0, y1, x0, x1 = ys[0], ys[-1] + 1, xs[0], xs[-1] + 1
+        box = np.s_[y0:y1, x0:x1]
+
+        def taps(d: int, dy: int) -> np.ndarray:
+            """The pair sums at (dy, +-d) for every pixel of the box."""
+            return pairs[d][margin + y0 + dy:margin + y1 + dy, x0:x1]
+
+        # a = 0: the four taps (0, +-b) and (+-b, 0), a-factor 1.
+        ring = taps(b, 0) + taps(0, -b)
+        ring += taps(0, b)
+        ring_den = np.full(sigma.size, 4.0)
+        group = np.empty_like(ring)
+        for a in range(1, b + 1):
+            np.add(taps(b, -a), taps(b, a), out=group)
+            if a < b:
+                group += taps(a, -b)
+                group += taps(a, b)
+            group *= factors[a][box]
+            ring += group
+            ring_den += (8.0 if a < b else 4.0) * gauss[a]
+        ring *= factors[b][box]
+        num[box] += ring
+        den += gauss[b] * ring_den
+    return num / den[index]
 
 
 def render_stack(scene: SceneSpec, blur: BlurSpec, width: int, height: int,
@@ -237,18 +276,19 @@ def render_stack(scene: SceneSpec, blur: BlurSpec, width: int, height: int,
     margin = min(blur.max_radius, int(math.ceil(4.0 * sigma_cap)))
     tex = _texture(scene, width, height, h, margin)
 
+    # A pixel's PSF depends only on its height: one sigma level per height.
+    heights, index = np.unique(truth, return_inverse=True)
+    index = index.reshape(truth.shape)
     delta_z = (z_max - z_min) / (n_slides - 1)
-    core = tex[margin:margin + height, margin:margin + width]
-    slides = []
+    # Strips of rows keep a gather's pair sums and factors in cache; each
+    # pixel's arithmetic is the same whatever strip it is gathered in.
+    strip = max(1, _STRIP_PIXELS // width)
+    slides = np.empty((n_slides, height, width))
     for k in range(n_slides):
-        z_k = z_min + k * delta_z
-        sigma = blur.sigma0 * np.abs(z_k - truth)
+        sigma = blur.sigma0 * np.abs(z_min + k * delta_z - heights)
         radius = np.minimum(np.ceil(4.0 * sigma), blur.max_radius).astype(int)
-        if radius.max() == 0:
-            slides.append(core.copy())
-        elif sigma.min() == sigma.max():
-            slides.append(_blur_uniform(tex, margin, float(sigma.flat[0]),
-                                        int(radius.flat[0])))
-        else:
-            slides.append(_blur_varying(tex, margin, sigma, radius))
-    return FocalStack(np.stack(slides), z_min=z_min, z_max=z_max, h=h)
+        for y in range(0, height, strip):
+            slides[k, y:y + strip] = _gather(
+                tex[y:y + strip + 2 * margin], margin, sigma, radius,
+                index[y:y + strip])
+    return FocalStack(slides, z_min=z_min, z_max=z_max, h=h)

@@ -5,6 +5,7 @@ the terminal (bypassing capture), then asserts the same conditions, so a
 full run reads as a short scorecard.
 """
 
+import json
 import math
 import time
 
@@ -13,6 +14,7 @@ import pytest
 
 from kernel_reference import REFERENCE_QUADRANTS
 
+from fracfocus.cli import main
 from fracfocus.depth import recover_depth
 from fracfocus.evaluate import comparison_table, rms_error_percent
 from fracfocus.focus import local_focus_volume, nonlocalize_volume
@@ -240,3 +242,52 @@ def test_deterministic_outputs(announce, plane_scene, sphere_scene, tmp_path):
              f"{n_files} output files (stacks, truth, local and nonlocal "
              f"depth maps) byte-identical across a same-seed rerun")
     assert ok
+
+
+def test_sphere_slide_ties_survive_rendering(announce, sphere_scene):
+    """Slides 0 and 1 stay bitwise equal wherever the blur of slide 1 is
+    below rounding, so first-maximum peak selection keeps its exact ties."""
+    data = sphere_scene.stack.data
+    ties = int(np.count_nonzero(data[0] == data[1]))
+    share = ties / data[0].size
+    ok = share >= 0.45
+    announce(ok, "slide ties",
+             f"slides 0 and 1 of the 256x256x32 sphere bitwise equal at "
+             f"{ties} of {data[0].size} pixels ({100.0 * share:.1f}%, "
+             f">= 45%)")
+    assert share >= 0.45
+
+
+def test_default_cli_path_accuracy(announce, tmp_path):
+    """The CLI defaults (256x256 sphere, 8-bit PGM slides, seed 0) through
+    synth, recover and eval: nonlocal within [2.5, 3.8]%, local within
+    [8, 11]%, nonlocal below local."""
+    start = time.monotonic()
+
+    def run(*argv):
+        assert main([str(a) for a in argv]) == 0
+
+    stack = tmp_path / "stack"
+    truth = stack / "truth.csv"
+    run("synth", "--scene", "sphere", "--seed", 0, "--out", stack)
+    rms = {}
+    for method, extra in (("nonlocal", ("--alpha", 1.5, "--zeta", 4)),
+                          ("local", ())):
+        depth = tmp_path / f"{method}.csv"
+        report = tmp_path / f"{method}.json"
+        run("recover", "--stack", stack, "--method", method, "--q", 4, *extra,
+            "--out", depth)
+        run("eval", "--depth", depth, "--truth", truth, "--report", report)
+        rms[method] = json.loads(report.read_text())["rms_percent"]
+    elapsed = time.monotonic() - start
+    ok = (2.5 <= rms["nonlocal"] <= 3.8 and 8.0 <= rms["local"] <= 11.0
+          and rms["nonlocal"] < rms["local"] and elapsed <= 120.0)
+    announce(ok, "default CLI path",
+             f"8-bit PGM sphere: nonlocal(alpha=1.5, zeta=4) rms "
+             f"{rms['nonlocal']:.4f}% (in [2.5, 3.8]%), local rms "
+             f"{rms['local']:.4f}% (in [8, 11]%), q=4; {elapsed:.1f} s "
+             f"(budget 120 s)")
+    assert 2.5 <= rms["nonlocal"] <= 3.8
+    assert 8.0 <= rms["local"] <= 11.0
+    assert rms["nonlocal"] < rms["local"]
+    assert elapsed <= 120.0

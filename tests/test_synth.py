@@ -2,11 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from blur_reference import reference_gather
+
+from fracfocus import synth
 from fracfocus.focus import local_modified_laplacian
 from fracfocus.grids import ScalarField
 from fracfocus.synth import BlurSpec, SceneSpec, ground_truth, render_stack
-from fracfocus.synth import _blur_uniform, _blur_varying, _texture
+from fracfocus.synth import _gather, _texture
 
 
 class TestSceneSpec:
@@ -186,7 +192,7 @@ class TestRenderStack:
     def test_sphere_silhouette_pixels_are_sharp_at_z_zero(self):
         # Outside the sphere the surface height is 0, so slide 0 has
         # sigma = 0 there and must copy the texture exactly even though
-        # the slide as a whole goes through the varying-blur path.
+        # the rest of the slide is blurred in the same gather.
         scene = SceneSpec(kind="sphere", radius=0.8, texture_wavelength=0.3,
                           seed=2)
         geometry = dict(self.SMALL)
@@ -200,19 +206,16 @@ class TestRenderStack:
         inside = truth.values > 0.3
         assert not np.array_equal(stack.data[0][inside], sharp.data[0][inside])
 
-    def test_uniform_and_varying_blur_paths_agree(self):
-        # A constant sigma field must give bit-identical results through
-        # the dedicated uniform path and the general varying path.
-        scene = self._plane()
-        tex = _texture(scene, 24, 24, 0.1, margin=6)
-        sigma_value, radius_value = 1.5, 6
-        uniform = _blur_uniform(tex, 6, sigma_value, radius_value)
-        varying = _blur_varying(
-            tex, 6,
-            np.full((24, 24), sigma_value),
-            np.full((24, 24), radius_value, dtype=int),
-        )
-        assert np.array_equal(uniform, varying)
+    def test_row_strips_do_not_change_a_bit(self, monkeypatch):
+        # render_stack gathers each slide in strips of rows; 7-row strips
+        # must reproduce the single-strip rendering bit for bit.
+        scene = SceneSpec(kind="sphere", radius=0.8, texture_wavelength=0.3,
+                          seed=2)
+        blur = BlurSpec(sigma0=3.0)
+        whole = render_stack(scene, blur, **self.SMALL)
+        monkeypatch.setattr(synth, "_STRIP_PIXELS", 7 * self.SMALL["width"])
+        strips = render_stack(scene, blur, **self.SMALL)
+        assert np.array_equal(strips.data, whole.data)
 
     def test_max_radius_caps_the_psf(self):
         wide = render_stack(self._plane(), BlurSpec(sigma0=3.0, max_radius=16),
@@ -249,3 +252,82 @@ class TestRenderStack:
         scene = self._plane(height=1.5)
         with pytest.raises(ValueError):
             render_stack(scene, BlurSpec(), **self.SMALL)
+
+
+def _psf_radius(sigma, max_radius):
+    return np.minimum(np.ceil(4.0 * sigma), max_radius).astype(int)
+
+
+@st.composite
+def _gather_inputs(draw):
+    """Padded texture, sigma field and the PSF radius it implies."""
+    height = draw(st.integers(1, 12))
+    width = draw(st.integers(1, 12))
+    max_radius = draw(st.integers(1, 6))
+    margin = max_radius + draw(st.integers(0, 2))
+    tex = draw(arrays(np.float64, (height + 2 * margin, width + 2 * margin),
+                      elements=st.floats(0.0, 1.0)))
+    values = st.floats(0.05, 3.0)
+    kind = draw(st.sampled_from(["random", "constant", "zeros"]))
+    if kind == "constant":
+        sigma = np.full((height, width), draw(values))
+    else:
+        sigma = draw(arrays(np.float64, (height, width), elements=values))
+    if kind == "zeros":
+        sigma[draw(arrays(bool, (height, width)))] = 0.0
+    return tex, margin, sigma, _psf_radius(sigma, max_radius), max_radius
+
+
+def _one_level_per_pixel(sigma, radius):
+    return sigma.ravel(), radius.ravel(), np.arange(sigma.size).reshape(
+        sigma.shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_gather_inputs())
+def test_gather_matches_direct_reference(inputs):
+    tex, margin, sigma, radius, max_radius = inputs
+    height, width = sigma.shape
+    expected = reference_gather(tex, margin, sigma, radius)
+    per_pixel = _gather(tex, margin, *_one_level_per_pixel(sigma, radius))
+    assert np.allclose(per_pixel, expected, rtol=0, atol=1e-12)
+    # Sharing one level between the pixels of equal sigma changes no bit.
+    levels, index = np.unique(sigma, return_inverse=True)
+    per_level = _gather(tex, margin, levels, _psf_radius(levels, max_radius),
+                        index.reshape(sigma.shape))
+    assert np.array_equal(per_level, per_pixel)
+    sharp = sigma == 0.0
+    core = tex[margin:margin + height, margin:margin + width]
+    assert np.array_equal(per_pixel[sharp], core[sharp])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_gather_inputs(), st.data())
+def test_gather_of_any_support_matches_reference(inputs, data):
+    # The radius need not follow from sigma: any square support works,
+    # and sigma = 0 keeps only the center tap whatever the radius.
+    tex, margin, sigma, _, _ = inputs
+    radius = data.draw(arrays(np.int64, sigma.shape,
+                              elements=st.integers(0, margin)))
+    expected = reference_gather(tex, margin, sigma, radius)
+    got = _gather(tex, margin, *_one_level_per_pixel(sigma, radius))
+    assert np.allclose(got, expected, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_gather_inputs(), st.data())
+def test_gather_rows_are_independent(inputs, data):
+    # Any block of rows gathered on its own gives the same bits, which is
+    # what lets render_stack work in strips.
+    tex, margin, sigma, radius, _ = inputs
+    height = sigma.shape[0]
+    split = data.draw(st.integers(0, height))
+    levels = _one_level_per_pixel(sigma, radius)
+    whole = _gather(tex, margin, *levels)
+    index = levels[2]
+    for rows in (slice(0, split), slice(split, height)):
+        if rows.start == rows.stop:
+            continue
+        block = _gather(tex[rows.start:rows.stop + 2 * margin], margin,
+                        levels[0], levels[1], index[rows])
+        assert np.array_equal(block, whole[rows])
