@@ -92,7 +92,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_recover(args: argparse.Namespace) -> int:
-    stack, _ = read_stack_dir(args.stack)
+    stack = read_stack_dir(args.stack)
     _log(f"read stack {args.stack} "
          f"({stack.data.shape[0]} slides of {stack.data.shape[2]}x"
          f"{stack.data.shape[1]})")
@@ -133,7 +133,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.table is not None:
         if args.stack is None:
             raise ValueError("--table needs --stack to rerun the pipelines")
-        stack, _ = read_stack_dir(args.stack)
+        stack = read_stack_dir(args.stack)
         table = comparison_table(stack, truth, args.q, args.alphas, args.zetas)
         _write_table_csv(args.table, table)
         payload["table"] = {

@@ -27,6 +27,21 @@ class PeakFit(NamedTuple):
     degenerate: bool
 
 
+def _vertex(rho_minus, rho_0, rho_plus):
+    """Clamped vertex offsets and degeneracy flags of parabolas, elementwise.
+
+    Shared by :func:`parabolic_peak` and :func:`recover_depth`, so the two
+    agree bit for bit.
+    """
+    scale = np.maximum(np.maximum(np.abs(rho_minus), np.abs(rho_plus)),
+                       np.maximum(np.abs(rho_0), _DEGENERATE_ABS))
+    denom = rho_plus - 2.0 * rho_0 + rho_minus
+    degenerate = np.abs(denom) <= _DEGENERATE_REL * scale
+    with np.errstate(divide="ignore", invalid="ignore"):
+        offset = -0.5 * (rho_plus - rho_minus) / denom
+    return np.clip(np.where(degenerate, 0.0, offset), -0.5, 0.5), degenerate
+
+
 def parabolic_peak(rho_minus: float, rho_0: float, rho_plus: float) -> PeakFit:
     """Sub-slice peak offset from three consecutive focus samples.
 
@@ -39,12 +54,9 @@ def parabolic_peak(rho_minus: float, rho_0: float, rho_plus: float) -> PeakFit:
     (flat triple) gives offset 0 with ``degenerate=True`` instead of
     failing.
     """
-    scale = max(abs(rho_minus), abs(rho_0), abs(rho_plus), _DEGENERATE_ABS)
-    denom = rho_plus - 2.0 * rho_0 + rho_minus
-    if abs(denom) <= _DEGENERATE_REL * scale:
-        return PeakFit(0.0, True)
-    offset = -0.5 * (rho_plus - rho_minus) / denom
-    return PeakFit(min(max(offset, -0.5), 0.5), False)
+    offset, degenerate = _vertex(np.float64(rho_minus), np.float64(rho_0),
+                                 np.float64(rho_plus))
+    return PeakFit(float(offset), bool(degenerate))
 
 
 def recover_depth(volume: FocusVolume) -> DepthMap:
@@ -65,15 +77,7 @@ def recover_depth(volume: FocusVolume) -> DepthMap:
     peak = np.take_along_axis(data, k_flat, axis=0)[0]
     rho_minus = np.take_along_axis(data, np.clip(k_flat - 1, 0, n - 1), axis=0)[0]
     rho_plus = np.take_along_axis(data, np.clip(k_flat + 1, 0, n - 1), axis=0)[0]
-
-    scale = np.maximum(np.maximum(np.abs(rho_minus), np.abs(rho_plus)),
-                       np.maximum(np.abs(peak), _DEGENERATE_ABS))
-    denom = rho_plus - 2.0 * peak + rho_minus
-    degenerate = np.abs(denom) <= _DEGENERATE_REL * scale
-    with np.errstate(divide="ignore", invalid="ignore"):
-        offset = -0.5 * (rho_plus - rho_minus) / denom
-    offset = np.where(degenerate, 0.0, offset)
-    offset = np.clip(offset, -0.5, 0.5)
+    offset, _ = _vertex(rho_minus, peak, rho_plus)
 
     interior = (k_hat > 0) & (k_hat < n - 1)
     offset = np.where(interior, offset, 0.0)

@@ -1,17 +1,20 @@
 """File formats: binary PGM images, CSV float fields, stack directories.
 
 Slides travel as 8-bit binary PGM (P5, maxval 255, values mapped linearly
-from [0, 1]) or, in lossless mode, as CSV with 17 significant digits so
-that floats round-trip bit-exactly.  Depth maps are CSV with the literal
-token NaN at invalid pixels plus a small JSON sidecar holding the
-recovery parameters.  A stack directory couples numbered slide files
-with a stack.json carrying all physical metadata.
+from [0, 1]) or, in lossless mode, as CSV.  Every CSV float field, a
+lossless slide or a depth map, goes through one codec: 17 significant
+digits, so that floats round-trip bit-exactly, and the literal token NaN
+where a value is missing.  A depth map marks its invalid pixels that way
+and adds a small JSON sidecar holding the recovery parameters.  A stack
+directory couples numbered slide files with a stack.json carrying all
+physical metadata; the ground truth it may hold is an ordinary depth CSV.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -92,16 +95,35 @@ def read_pgm(path: str | Path) -> np.ndarray:
 
 
 def write_field_csv(path: str | Path, values: np.ndarray) -> None:
-    """Write a 2D float field as CSV that round-trips bit-exactly."""
+    """Write a 2D float field as CSV that round-trips bit-exactly.
+
+    Values go out with 17 significant digits, NaN as the literal token NaN.
+    """
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2D field, got shape {arr.shape}")
-    np.savetxt(path, arr, fmt="%.17g", delimiter=",")
+    buf = StringIO()
+    np.savetxt(buf, arr, fmt="%.17g", delimiter=",")
+    Path(path).write_text(buf.getvalue().replace("nan", "NaN"),
+                          encoding="ascii")
 
 
 def read_field_csv(path: str | Path) -> np.ndarray:
-    """Read a 2D float field written by write_field_csv."""
-    return np.loadtxt(path, delimiter=",", ndmin=2)
+    """Read a 2D float field written by write_field_csv.
+
+    Blank lines are skipped and NaN tokens may be in any case.  Raises
+    ValueError naming the file if it is empty or a row is ragged.
+    """
+    lines = [line for line in Path(path).read_text(encoding="ascii")
+             .splitlines() if line.strip()]
+    if not lines:
+        raise ValueError(f"{path}: empty CSV")
+    try:
+        return np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+    except ValueError as exc:
+        kind = ("ragged row" if "number of columns changed" in str(exc)
+                else "unparseable CSV")
+        raise ValueError(f"{path}: {kind} ({exc})") from exc
 
 
 def write_depth_csv(path: str | Path, depth_map: DepthMap) -> None:
@@ -112,12 +134,7 @@ def write_depth_csv(path: str | Path, depth_map: DepthMap) -> None:
     can be interpreted without the stack it came from.
     """
     path = Path(path)
-    rows = []
-    for vals, ok in zip(depth_map.values, depth_map.valid):
-        rows.append(",".join(format(v, ".17g") if good and np.isfinite(v)
-                             else "NaN"
-                             for v, good in zip(vals, ok)))
-    path.write_text("\n".join(rows) + "\n", encoding="ascii")
+    write_field_csv(path, np.where(depth_map.valid, depth_map.values, np.nan))
     meta = {"method": depth_map.method}
     meta.update((key, getattr(depth_map, key)) for key in _DEPTH_META_KEYS)
     sidecar = path.with_suffix(".json")
@@ -127,32 +144,18 @@ def write_depth_csv(path: str | Path, depth_map: DepthMap) -> None:
 def read_depth_csv(path: str | Path) -> DepthMap:
     """Read a depth map written by write_depth_csv.
 
-    NaN tokens become invalid pixels.  The JSON sidecar is optional; a
-    bare CSV loads with empty metadata.
+    Non-finite values (the NaN tokens) become invalid pixels.  The JSON
+    sidecar is optional; a bare CSV loads with empty metadata.
     """
     path = Path(path)
-    values = []
-    for line_no, line in enumerate(path.read_text(encoding="ascii").splitlines(), 1):
-        if not line.strip():
-            continue
-        row = []
-        for token in line.split(","):
-            token = token.strip()
-            row.append(float("nan") if token.lower() == "nan" else float(token))
-        values.append(row)
-        if len(row) != len(values[0]):
-            raise ValueError(f"{path}: ragged row at line {line_no}")
-    if not values:
-        raise ValueError(f"{path}: empty depth CSV")
-    arr = np.array(values, dtype=float)
+    arr = read_field_csv(path)
     valid = np.isfinite(arr)
-    arr = np.where(valid, arr, np.nan)
     meta = {}
     sidecar = path.with_suffix(".json")
     if sidecar.exists():
         loaded = json.loads(sidecar.read_text(encoding="ascii"))
         meta = {key: loaded[key] for key in _DEPTH_META_KEYS if key in loaded}
-    return DepthMap(values=arr, valid=valid, **meta)
+    return DepthMap(values=np.where(valid, arr, np.nan), valid=valid, **meta)
 
 
 def _slide_name(k: int, lossless: bool) -> str:
@@ -197,13 +200,11 @@ def write_stack_dir(out_dir: str | Path, stack: FocalStack,
         write_depth_csv(out_dir / "truth.csv", truth)
 
 
-def read_stack_dir(stack_dir: str | Path,
-                   ) -> tuple[FocalStack, DepthMap | None]:
-    """Read a stack directory back, validating it against stack.json.
+def read_stack_dir(stack_dir: str | Path) -> FocalStack:
+    """Read the slides of a stack directory, checked against its stack.json.
 
     Raises StackFormatError naming the first missing or inconsistent
-    file.  Returns the stack and the ground-truth map if truth.csv is
-    present.
+    file.  truth.csv is not read; load it with read_depth_csv.
     """
     stack_dir = Path(stack_dir)
     meta_path = stack_dir / "stack.json"
@@ -216,16 +217,14 @@ def read_stack_dir(stack_dir: str | Path,
     try:
         z_min = float(meta["z_min"])
         z_max = float(meta["z_max"])
-        n_slides = int(meta["n_slides"])
         h = float(meta["h"])
-        width = int(meta["width"])
-        height = int(meta["height"])
         lossless = bool(meta.get("lossless", False))
-    except (KeyError, TypeError, ValueError) as exc:
+        data = np.empty((int(meta["n_slides"]), int(meta["height"]),
+                         int(meta["width"])))
+    except (KeyError, TypeError, ValueError, MemoryError) as exc:
         raise StackFormatError(f"{meta_path}: bad or missing field ({exc})"
                                ) from exc
-    slides = []
-    for k in range(n_slides):
+    for k in range(data.shape[0]):
         target = stack_dir / _slide_name(k, lossless)
         if not target.exists():
             raise StackFormatError(f"{target}: missing")
@@ -233,25 +232,12 @@ def read_stack_dir(stack_dir: str | Path,
             slide = read_field_csv(target) if lossless else read_pgm(target)
         except ValueError as exc:
             raise StackFormatError(f"{target}: unreadable ({exc})") from exc
-        if slide.shape != (height, width):
+        if slide.shape != data.shape[1:]:
             raise StackFormatError(
                 f"{target}: shape {slide.shape} does not match stack.json "
-                f"({height}, {width})")
-        slides.append(slide)
+                f"{data.shape[1:]}")
+        data[k] = slide
     try:
-        stack = FocalStack(np.stack(slides), z_min=z_min, z_max=z_max, h=h)
+        return FocalStack(data, z_min=z_min, z_max=z_max, h=h)
     except ValueError as exc:
         raise StackFormatError(f"{meta_path}: {exc}") from exc
-    truth = None
-    truth_path = stack_dir / "truth.csv"
-    if truth_path.exists():
-        try:
-            truth = read_depth_csv(truth_path)
-        except ValueError as exc:
-            raise StackFormatError(f"{truth_path}: unreadable ({exc})"
-                                   ) from exc
-        if truth.values.shape != (height, width):
-            raise StackFormatError(
-                f"{truth_path}: shape {truth.values.shape} does not match "
-                f"stack.json ({height}, {width})")
-    return stack, truth

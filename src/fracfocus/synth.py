@@ -76,14 +76,11 @@ class BlurSpec:
     """
 
     sigma0: float = 3.0
-    psf: str = "gaussian"
     max_radius: int = 16
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.sigma0) and self.sigma0 >= 0):
             raise ValueError(f"sigma0 must be finite and >= 0, got {self.sigma0}")
-        if self.psf != "gaussian":
-            raise ValueError(f"unsupported PSF {self.psf!r}, only 'gaussian'")
         if self.max_radius < 1:
             raise ValueError(f"max_radius must be >= 1, got {self.max_radius}")
 

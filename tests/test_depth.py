@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fracfocus.depth import PeakFit, parabolic_peak, recover_depth
 from fracfocus.focus import local_focus_volume
@@ -167,3 +169,40 @@ class TestRecoverDepth:
         b = recover_depth(volume)
         assert np.array_equal(a.values, b.values, equal_nan=True)
         assert np.array_equal(a.valid, b.valid)
+
+
+_FOCUS = st.one_of(st.sampled_from([0.0, 5e-324, 1.0, 1e300]),
+                   st.floats(0.0, 1e300))
+
+
+@st.composite
+def _middle_peak_triples(draw):
+    """(rho_minus, rho_0, rho_plus) whose first maximum is rho_0.  Half of
+    them are nearly flat, to reach the degeneracy threshold."""
+    if draw(st.booleans()):
+        triple = draw(st.tuples(_FOCUS, _FOCUS, _FOCUS))
+    else:
+        base = draw(st.floats(1e-300, 1e300))
+        triple = [base * (1.0 + 10.0 ** -draw(st.floats(6.0, 17.0)))
+                  for _ in range(3)]
+    assume(max(triple) > min(triple))
+    lo, mid, hi = sorted(triple)
+    if hi > mid and draw(st.booleans()):
+        return mid, hi, lo
+    return lo, hi, mid
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_middle_peak_triples(), min_size=1, max_size=8),
+       st.floats(-10.0, 10.0), st.floats(1e-3, 10.0))
+def test_middle_peak_depth_is_the_parabolic_vertex(columns, z_min, span):
+    # recover_depth and parabolic_peak share one vertex formula, so the
+    # depth of a middle-slide peak is the vertex bit for bit.
+    volume = _column_volume(columns, z_min=z_min, z_max=z_min + span)
+    depth = recover_depth(volume)
+    assert (np.argmax(volume.data, axis=0) == 1).all()
+    assert depth.valid.all()
+    for i, triple in enumerate(columns):
+        offset = parabolic_peak(*triple).offset
+        expected = z_min + (1 + offset) * volume.delta_z
+        assert depth.values[0, i].tobytes() == np.float64(expected).tobytes()

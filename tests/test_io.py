@@ -4,6 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from csv_reference import reference_depth_csv
 
 from fracfocus.grids import DepthMap, FocalStack
 from fracfocus.io import (StackFormatError, read_depth_csv, read_field_csv,
@@ -114,6 +119,36 @@ class TestFieldCsv:
         with pytest.raises(ValueError, match="2D"):
             write_field_csv(tmp_path / "bad.csv", np.zeros((2, 2, 2)))
 
+    def test_nan_goes_out_as_literal_token(self, tmp_path):
+        target = tmp_path / "field.csv"
+        write_field_csv(target, np.array([[0.5, np.nan]]))
+        assert target.read_text() == "0.5,NaN\n"
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "  \n\t\n"])
+    def test_empty_or_blank_file_rejected_by_name(self, tmp_path, text):
+        target = tmp_path / "blank.csv"
+        target.write_text(text)
+        with pytest.raises(ValueError, match="blank.csv: empty"):
+            read_field_csv(target)
+
+    def test_ragged_row_rejected_by_name(self, tmp_path):
+        target = tmp_path / "ragged.csv"
+        target.write_text("1,2\n3,4,5\n")
+        with pytest.raises(ValueError, match="ragged.csv: ragged"):
+            read_field_csv(target)
+
+    def test_unparseable_token_rejected_by_name(self, tmp_path):
+        target = tmp_path / "words.csv"
+        target.write_text("1,two\n")
+        with pytest.raises(ValueError, match="words.csv"):
+            read_field_csv(target)
+
+    def test_whitespace_only_lines_skipped(self, tmp_path):
+        target = tmp_path / "gaps.csv"
+        target.write_text("1,2\n   \n3,4\n")
+        np.testing.assert_array_equal(read_field_csv(target),
+                                      [[1.0, 2.0], [3.0, 4.0]])
+
 
 class TestDepthCsv:
 
@@ -196,6 +231,58 @@ class TestDepthCsv:
         assert read_depth_csv(target).values.shape == (2, 2)
 
 
+# Every float64 bit pattern that can sit at a valid pixel, with the edge
+# cases drawn often: signed zeros, subnormals and values near the range ends.
+_EDGE_VALUES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324,
+                                2.2250738585072009e-308, 1e300, -1e300,
+                                1.7976931348623157e308])
+_FINITE = st.one_of(_EDGE_VALUES, st.floats(allow_nan=False,
+                                            allow_infinity=False))
+
+
+@st.composite
+def _depth_maps(draw):
+    """Finite values under a random mask with some all-invalid rows and
+    columns; invalid pixels hold finite heights that must not be written."""
+    height = draw(st.integers(1, 12))
+    width = draw(st.integers(1, 12))
+    values = draw(arrays(np.float64, (height, width), elements=_FINITE))
+    valid = draw(arrays(bool, (height, width)))
+    valid[draw(arrays(bool, height)), :] = False
+    valid[:, draw(arrays(bool, width))] = False
+    return DepthMap(values=values, valid=valid)
+
+
+def _bits(values):
+    return values.view(np.uint64)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_depth_maps())
+def test_depth_csv_matches_reference_writer_and_roundtrips(tmp_path_factory,
+                                                           depth_map):
+    target = tmp_path_factory.mktemp("depth") / "depth.csv"
+    write_depth_csv(target, depth_map)
+    assert target.read_text(encoding="ascii") == reference_depth_csv(
+        depth_map.values, depth_map.valid)
+    back = read_depth_csv(target)
+    np.testing.assert_array_equal(back.valid, depth_map.valid)
+    assert np.array_equal(_bits(back.values[back.valid]),
+                          _bits(depth_map.values[depth_map.valid]))
+    assert np.all(np.isnan(back.values[~back.valid]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(3, 4), st.integers(1, 6),
+                                    st.integers(1, 6)), elements=_FINITE))
+def test_lossless_stack_dir_roundtrips_every_bit(tmp_path_factory, data):
+    stack_dir = tmp_path_factory.mktemp("stack")
+    stack = FocalStack(data, z_min=0.0, z_max=1.0, h=0.1)
+    write_stack_dir(stack_dir, stack, lossless=True)
+    back = read_stack_dir(stack_dir)
+    assert np.array_equal(_bits(back.data), _bits(data))
+
+
 class TestStackDir:
 
     def _write(self, tmp_path, rng, lossless, with_truth=True):
@@ -209,7 +296,8 @@ class TestStackDir:
     def test_lossless_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(8)
         stack, truth = self._write(tmp_path, rng, lossless=True)
-        back, back_truth = read_stack_dir(tmp_path)
+        back = read_stack_dir(tmp_path)
+        back_truth = read_depth_csv(tmp_path / "truth.csv")
         np.testing.assert_array_equal(back.data, stack.data)
         assert (back.z_min, back.z_max, back.h) == (0.0, 1.0, 0.1)
         np.testing.assert_array_equal(back_truth.valid, truth.valid)
@@ -228,16 +316,26 @@ class TestStackDir:
 
     def test_pgm_mode_quantizes(self, tmp_path):
         rng = np.random.default_rng(10)
-        stack, _ = self._write(tmp_path, rng, lossless=False)
+        stack, truth = self._write(tmp_path, rng, lossless=False)
         assert (tmp_path / "slide_000.pgm").exists()
-        back, _ = read_stack_dir(tmp_path)
+        back = read_stack_dir(tmp_path)
         assert np.max(np.abs(back.data - stack.data)) <= 0.5 * QUANTUM + 1e-12
+        back_truth = read_depth_csv(tmp_path / "truth.csv")
+        np.testing.assert_array_equal(back_truth.valid, truth.valid)
 
     def test_stack_without_truth(self, tmp_path):
         rng = np.random.default_rng(11)
-        self._write(tmp_path, rng, lossless=True, with_truth=False)
-        _, truth = read_stack_dir(tmp_path)
-        assert truth is None
+        stack, _ = self._write(tmp_path, rng, lossless=True, with_truth=False)
+        assert not (tmp_path / "truth.csv").exists()
+        np.testing.assert_array_equal(read_stack_dir(tmp_path).data,
+                                      stack.data)
+
+    def test_truth_csv_is_not_read(self, tmp_path):
+        rng = np.random.default_rng(16)
+        stack, _ = self._write(tmp_path, rng, lossless=True)
+        (tmp_path / "truth.csv").write_text("not a depth map\n")
+        np.testing.assert_array_equal(read_stack_dir(tmp_path).data,
+                                      stack.data)
 
     def test_missing_stack_json(self, tmp_path):
         with pytest.raises(StackFormatError, match="stack.json"):
@@ -287,13 +385,15 @@ class TestStackDir:
         with pytest.raises(StackFormatError):
             read_stack_dir(tmp_path)
 
-    def test_truth_shape_mismatch_rejected(self, tmp_path):
-        rng = np.random.default_rng(16)
-        self._write(tmp_path, rng, lossless=True)
-        small = DepthMap(values=np.zeros((2, 2)),
-                         valid=np.ones((2, 2), dtype=bool))
-        write_depth_csv(tmp_path / "truth.csv", small)
-        with pytest.raises(StackFormatError, match="truth"):
+    @pytest.mark.parametrize("field, value", [("n_slides", -1),
+                                              ("height", -2),
+                                              ("n_slides", 10 ** 15)])
+    def test_unusable_dimensions_rejected(self, tmp_path, field, value):
+        meta = {"z_min": 0.0, "z_max": 1.0, "n_slides": 3, "h": 0.1,
+                "width": 3, "height": 3, "lossless": True}
+        meta[field] = value
+        (tmp_path / "stack.json").write_text(json.dumps(meta))
+        with pytest.raises(StackFormatError, match="stack.json"):
             read_stack_dir(tmp_path)
 
     def test_error_type_is_value_error(self):

@@ -48,7 +48,6 @@ class TestBlurSpec:
     def test_defaults(self):
         blur = BlurSpec()
         assert blur.sigma0 == 3.0
-        assert blur.psf == "gaussian"
         assert blur.max_radius == 16
 
     def test_rejects_negative_or_non_finite_sigma(self):
@@ -56,10 +55,6 @@ class TestBlurSpec:
             BlurSpec(sigma0=-0.5)
         with pytest.raises(ValueError):
             BlurSpec(sigma0=float("nan"))
-
-    def test_rejects_unknown_psf(self):
-        with pytest.raises(ValueError):
-            BlurSpec(psf="disk")
 
     def test_rejects_bad_radius(self):
         with pytest.raises(ValueError):
