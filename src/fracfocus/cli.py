@@ -97,6 +97,9 @@ def cmd_recover(args: argparse.Namespace) -> int:
          f"({stack.data.shape[0]} slides of {stack.data.shape[2]}x"
          f"{stack.data.shape[1]})")
     volume = local_focus_volume(stack, args.q)
+    # Freed before the kernel pass, so the stack, the local volume and the
+    # nonlocal volume are never all alive at once.
+    del stack
     if args.method == "nonlocal":
         volume = nonlocalize_volume(volume, build_kernel(args.alpha, args.zeta))
     depth_map = recover_depth(volume)

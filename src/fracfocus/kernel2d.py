@@ -18,6 +18,7 @@ and the operator acts as a low-pass filter.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,17 +173,35 @@ def apply_kernel(kernel: Kernel, field: ScalarField) -> ScalarField:
 
     Every output sample sums its own window in the same row-major tap
     order, so equal windows give bitwise-equal outputs and exact ties
-    between focus layers survive the pass.
+    between focus layers survive the pass.  One field is one
+    ``scipy.ndimage.correlate`` call; a volume passed to
+    :func:`correlate_layers` runs in blocks of slides on all usable CPUs,
+    with bits that never depend on the CPU count.
     """
     return ScalarField(correlate_layers(kernel, field.values), field.h)
+
+
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on (its affinity mask if any)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def correlate_layers(kernel: Kernel, values: np.ndarray) -> np.ndarray:
     """Apply the kernel to every 2D layer (last two axes) of ``values``.
 
-    One ``scipy.ndimage.correlate`` pass over the whole array, with the
-    borders and tap order described in :func:`apply_kernel`; the delta
-    kernel (alpha = 0) returns an exact copy.
+    The borders and tap order are those described in :func:`apply_kernel`;
+    the delta kernel (alpha = 0) returns an exact copy.  The leading axis
+    (the slides) is cut into contiguous blocks, one per usable CPU and never
+    more than there are slides, and each block is one
+    ``scipy.ndimage.correlate`` call, run on the calling thread or on a
+    thread pool; ndimage releases the GIL while it computes.  A 2D field or
+    a single slide is one direct call.  The kernel spans one slide, so each
+    output sample is the same window summed in the same tap order whatever
+    the blocks: the bits never depend on the CPU count, and there is no
+    setting for it.
     """
     # ndimage's reflect mode stops matching np.pad(mode="symmetric") once
     # the reach zeta is at least four times an axis length of 2 or more;
@@ -194,7 +213,30 @@ def correlate_layers(kernel: Kernel, values: np.ndarray) -> np.ndarray:
     weights = kernel.weights[(np.newaxis,) * (values.ndim - 2)]
     if any(before for before, _ in pad):
         values = np.pad(values, pad, mode="symmetric")
-    out = scipy.ndimage.correlate(values, weights, mode="reflect")
+    layers = values.shape[0] if values.ndim > 2 else 1
+    workers = min(_usable_cpus(), layers)
+    if workers == 1:
+        out = scipy.ndimage.correlate(values, weights, mode="reflect")
+    else:
+        # Imported here: concurrent.futures pulls in logging, which would
+        # otherwise slow every CLI start.
+        from concurrent.futures import ThreadPoolExecutor
+
+        out = np.empty(values.shape, dtype=values.dtype)
+        bounds = [layers * k // workers for k in range(workers + 1)]
+        blocks = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+        def correlate_block(block: slice) -> None:
+            scipy.ndimage.correlate(values[block], weights,
+                                    output=out[block], mode="reflect")
+
+        # The calling thread takes the first block itself, so the pool
+        # starts one thread fewer (each costs some resident memory).
+        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+            done = pool.map(correlate_block, blocks[1:])
+            correlate_block(blocks[0])
+            # Reading every result re-raises a worker's exception here.
+            list(done)
     return out[tuple(slice(before, n - after)
                      for (before, after), n in zip(pad, out.shape))]
 

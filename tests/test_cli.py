@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import fracfocus
+from fracfocus import kernel2d
 from fracfocus.cli import main
 from fracfocus.grids import FocalStack
 from fracfocus.io import read_depth_csv, write_stack_dir
@@ -124,6 +125,23 @@ class TestRecoverCommand:
             == "nonlocal"
         assert json.loads(loc.with_suffix(".json").read_text())["method"] \
             == "local"
+
+    def test_outputs_do_not_depend_on_worker_count(self, plane_dir, tmp_path,
+                                                   monkeypatch):
+        """The kernel pass splits the slides over the usable CPUs; one
+        worker, the default count and three workers write the same bytes."""
+        default_cpus = kernel2d._usable_cpus
+        written = []
+        for name, cpus in (("one", lambda: 1), ("default", default_cpus),
+                           ("three", lambda: 3)):
+            monkeypatch.setattr(kernel2d, "_usable_cpus", cpus)
+            out = tmp_path / f"{name}.csv"
+            assert main(["recover", "--stack", str(plane_dir), "--method",
+                         "nonlocal", "--q", "3", "--alpha", "1.5",
+                         "--zeta", "4", "--out", str(out)]) == 0
+            written.append((out.read_bytes(),
+                            out.with_suffix(".json").read_bytes()))
+        assert written[0] == written[1] == written[2]
 
     def test_missing_stack_fails(self, tmp_path, capsys):
         rc = main(["recover", "--stack", str(tmp_path / "nowhere"),
@@ -242,13 +260,14 @@ class TestSelftest:
 
 
 def test_import_leaves_heavy_scipy_modules_unloaded():
-    """Kernel quadrature and the kernel pass load their scipy submodules on
-    first use, so a bare import (every CLI start) does not pay for them."""
+    """Kernel quadrature and the kernel pass load their scipy submodules and
+    the thread pool on first use, so a bare import (every CLI start) does
+    not pay for them."""
     env = dict(os.environ,
                PYTHONPATH=str(Path(fracfocus.__file__).parents[1]))
     probe = ("import sys, fracfocus; "
-             "print(sorted(m for m in ('scipy.integrate', 'scipy.ndimage') "
-             "if m in sys.modules))")
+             "print(sorted(m for m in ('scipy.integrate', 'scipy.ndimage', "
+             "'concurrent.futures') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"

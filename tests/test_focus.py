@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from fracfocus import kernel2d
 from fracfocus.focus import (
     local_focus_volume,
     local_modified_laplacian,
@@ -202,10 +203,10 @@ def _cached_kernel(alpha, zeta):
 
 
 @st.composite
-def _volumes(draw):
+def _volumes(draw, max_slides=4):
     """A small local-style focus volume (zero q-frame) and a kernel."""
     q = draw(st.integers(1, 3))
-    n_slides = draw(st.integers(1, 4))
+    n_slides = draw(st.integers(1, max_slides))
     height = draw(st.integers(2 * q + 1, 2 * q + 9))
     width = draw(st.integers(2 * q + 1, 2 * q + 9))
     data = draw(arrays(np.float64, (n_slides, height, width),
@@ -242,6 +243,22 @@ class TestWholeVolumePass:
         tied_volume = FocusVolume(tied, q=volume.q, z_min=0.0, z_max=1.0)
         out = nonlocalize_volume(tied_volume, kernel).data
         assert np.array_equal(out[-1], out[-2])
+
+    @settings(max_examples=60, deadline=None)
+    @given(_volumes(max_slides=7), st.integers(2, 4), st.booleans())
+    def test_bits_do_not_depend_on_worker_count(self, case, workers, tied):
+        volume, kernel = case
+        if tied:
+            data = np.repeat(volume.data[:1], volume.n_slides, axis=0)
+            volume = FocusVolume(data, q=volume.q, z_min=0.0, z_max=1.0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernel2d, "_usable_cpus", lambda: 1)
+            expected = nonlocalize_volume(volume, kernel).data
+            mp.setattr(kernel2d, "_usable_cpus", lambda: workers)
+            got = nonlocalize_volume(volume, kernel).data
+        assert np.array_equal(got, expected)
+        if tied:
+            assert all(np.array_equal(layer, got[0]) for layer in got)
 
 
 class TestNonFiniteMeasure:

@@ -5,15 +5,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from fracfocus import kernel2d
 from fracfocus.grids import ScalarField
 from fracfocus.kernel2d import (
     Kernel,
     apply_kernel,
     build_kernel,
+    correlate_layers,
     kernel_frequency_response,
 )
 
@@ -204,6 +206,30 @@ def test_apply_kernel_matches_brute_force(height, width, zeta, alpha, data):
     expected = _brute_force_apply(kernel, field)
     got = apply_kernel(kernel, field)
     assert np.allclose(got.values, expected, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 10), st.integers(1, 10),
+       st.integers(1, 16), st.sampled_from([0.0, 0.5, 1.5, 2.0]),
+       st.integers(2, 4), st.booleans(), st.integers(0, 2**32 - 1))
+# Both axes short enough (zeta >= 4 n) to take the np.pad path.
+@example(7, 2, 3, 16, 1.5, 3, False, 0)
+@example(5, 1, 2, 8, 0.5, 4, True, 1)
+def test_correlate_layers_bits_do_not_depend_on_worker_count(
+        n_slides, height, width, zeta, alpha, workers, tied, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.random((1 if tied else n_slides, height, width))
+    values = np.repeat(values, n_slides, axis=0) if tied else values
+    kernel = _cached_kernel(alpha, zeta)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel2d, "_usable_cpus", lambda: 1)
+        expected = correlate_layers(kernel, values)
+        mp.setattr(kernel2d, "_usable_cpus", lambda: workers)
+        got = correlate_layers(kernel, values)
+    assert np.array_equal(got, expected)
+    if tied:
+        # Exact ties between layers survive whichever block a layer is in.
+        assert all(np.array_equal(layer, got[0]) for layer in got)
 
 
 class TestFrequencyResponse:
