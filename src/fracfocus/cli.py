@@ -18,7 +18,6 @@ import numpy as np
 from .depth import parabolic_peak, recover_depth
 from .evaluate import axis_profile, comparison_table, rms_error_percent
 from .focus import local_focus_volume, nonlocalize_volume
-from .frac1d import QuadratureError
 from .io import (StackFormatError, read_depth_csv, read_stack_dir,
                  write_depth_csv, write_stack_dir)
 from .kernel2d import build_kernel, kernel_frequency_response
@@ -326,7 +325,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, QuadratureError, StackFormatError) as exc:
+    except (ValueError, OSError, StackFormatError) as exc:
         print(f"fracfocus: error: {exc}", file=sys.stderr)
         return 1
 

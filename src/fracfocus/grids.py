@@ -87,9 +87,6 @@ class FocalStack:
     def z_values(self) -> np.ndarray:
         return self.z_min + np.arange(self.n_slides) * self.delta_z
 
-    def slide(self, k: int) -> ScalarField:
-        return ScalarField(self.data[k], self.h)
-
 
 @dataclass(frozen=True)
 class FocusVolume:
@@ -139,9 +136,6 @@ class FocusVolume:
     @property
     def delta_z(self) -> float:
         return (self.z_max - self.z_min) / (self.n_slides - 1)
-
-    def layer(self, k: int) -> ScalarField:
-        return ScalarField(self.data[k], self.h)
 
 
 @dataclass(frozen=True)

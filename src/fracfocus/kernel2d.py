@@ -8,7 +8,10 @@ over the unit cell [i-1/2, i+1/2] x [j-1/2, j+1/2] (in units of the grid
 spacing), divided by the center-cell integral so the middle entry is
 exactly 1.  The cutoff ``zeta`` limits which offsets participate; boundary
 cells are integrated whole, which is what makes the top of the validity
-range (alpha = 2, constant weight) the exact all-ones matrix.
+range (alpha = 2, constant weight) the exact all-ones matrix.  Every cell
+integral comes from one fixed 24-point Gauss-Legendre rule
+(``numpy.polynomial.legendre.leggauss``): a tensor rule on the offset
+cells and a 1D rule on the polar wedge of the center cell.
 
 alpha = 0 is the delta kernel (local limit), alpha = 2 the uniform
 "pinhole" limit; in between the weights fall off monotonically with radius
@@ -17,14 +20,12 @@ and the operator acts as a low-pass filter.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 import scipy
 
-from .frac1d import QuadratureError, QuadratureSpec
 from .grids import ScalarField
 
 __all__ = [
@@ -34,6 +35,11 @@ __all__ = [
     "correlate_layers",
     "kernel_frequency_response",
 ]
+
+# Nodes and weights of the 24-point Gauss-Legendre rule on [-1, 1].  The
+# center wedge and every offset cell are analytic well beyond their
+# intervals, so the rule integrates them to rounding.
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
 @dataclass(frozen=True)
@@ -77,61 +83,19 @@ class Kernel:
         return float(self.weights[self.zeta + i, self.zeta + j])
 
 
-def _center_cell_integral(alpha: float, quad: QuadratureSpec) -> float:
-    """Integral of r^(alpha-2) over the unit square centered on the origin.
-
-    In polar coordinates the integrand is r^(alpha-1), bounded for
-    alpha > 0; by symmetry the square is eight copies of the wedge
-    0 <= theta <= pi/4, r <= 1/(2 cos theta).
-    """
-
-    def wedge(theta: float) -> float:
-        return (0.5 / math.cos(theta)) ** alpha / alpha
-
-    result = scipy.integrate.quad(wedge, 0.0, math.pi / 4.0, epsabs=1e-13,
-                                  epsrel=quad.rel_tol,
-                                  limit=quad.max_subdivisions, full_output=1)
-    if len(result) > 3:
-        raise QuadratureError(f"center cell: {str(result[3]).strip()}")
-    return 8.0 * result[0]
-
-
-def _offset_cell_integral(i: int, j: int, alpha: float,
-                          quad: QuadratureSpec) -> float:
-    """Integral of r^(alpha-2) over the cell [i-1/2, i+1/2] x [j-1/2, j+1/2].
-
-    Away from the origin the integrand is smooth (r >= 1/2 on every
-    non-center cell).
-    """
-    exponent = 0.5 * (alpha - 2.0)
-
-    def integrand(y: float, x: float) -> float:
-        return (x * x + y * y) ** exponent
-
-    value, abserr = scipy.integrate.dblquad(integrand, i - 0.5, i + 0.5,
-                                            j - 0.5, j + 0.5, epsabs=1e-12,
-                                            epsrel=quad.rel_tol)
-    if not math.isfinite(value) or abserr > 1e-6:
-        raise QuadratureError(f"cell ({i}, {j}): estimated error {abserr:g}")
-    return value
-
-
-def build_kernel(alpha: float, zeta: int,
-                 quad: QuadratureSpec = QuadratureSpec()) -> Kernel:
+def build_kernel(alpha: float, zeta: int) -> Kernel:
     """Build the center-normalized nonlocalization kernel for order alpha.
 
-    ``alpha`` must lie in [0, 2] (the 2D validity range) and ``zeta`` is the
-    pixel-offset cutoff.  alpha = 0 yields the exact delta kernel and
-    alpha = 2 the exact all-ones kernel; in between each entry is the cell
-    integral of r^(alpha-2) divided by the center-cell integral.
-
-    Only ``quad.rel_tol`` and ``quad.max_subdivisions`` are used here; the
-    truncation is governed by zeta, not by ``quad.cutoff``.
+    ``alpha`` must lie in [0, 2] (the 2D validity range) and ``zeta``, the
+    pixel-offset cutoff, must be a positive integer.  alpha = 0 yields the
+    exact delta kernel and alpha = 2 the exact all-ones kernel; in between
+    each entry is the cell integral of r^(alpha-2) divided by the
+    center-cell integral.
     """
     if not 0.0 <= alpha <= 2.0:
         raise ValueError(f"2D fractional order must lie in [0, 2], got {alpha}")
-    if zeta < 1:
-        raise ValueError(f"cutoff zeta must be >= 1, got {zeta}")
+    if not (zeta >= 1 and float(zeta).is_integer()):
+        raise ValueError(f"cutoff zeta must be an integer >= 1, got {zeta}")
     zeta = int(zeta)
     size = 2 * zeta + 1
 
@@ -142,22 +106,30 @@ def build_kernel(alpha: float, zeta: int,
     if alpha == 2.0:
         return Kernel(alpha=2.0, zeta=zeta, weights=np.ones((size, size)))
 
-    # One quadrant triangle suffices: the cell integrals inherit the full
-    # eight-fold symmetry of the radial weight.
-    quadrant = np.empty((zeta + 1, zeta + 1))
-    quadrant[0, 0] = _center_cell_integral(alpha, quad)
-    for j in range(zeta + 1):
-        for i in range(j + 1):
-            if i == 0 and j == 0:
-                continue
-            quadrant[i, j] = _offset_cell_integral(i, j, alpha, quad)
-            quadrant[j, i] = quadrant[i, j]
-    quadrant /= quadrant[0, 0]
+    # Center cell: in polar coordinates the integrand is r^(alpha-1), and
+    # the square is eight copies of the wedge 0 <= theta <= pi/4,
+    # r <= 1/(2 cos theta), so the cell integral is
+    # 8 * int_0^(pi/4) (0.5/cos theta)^alpha / alpha dtheta.  Its 1/alpha is
+    # carried as a factor alpha on the offset cells instead, so that no
+    # alpha in (0, 2) overflows.
+    theta = np.pi / 8.0 * (1.0 + _GAUSS_NODES)
+    center = np.pi * (_GAUSS_WEIGHTS @ (0.5 / np.cos(theta)) ** alpha)
 
-    weights = np.empty((size, size))
-    for i in range(-zeta, zeta + 1):
-        for j in range(-zeta, zeta + 1):
-            weights[zeta + i, zeta + j] = quadrant[abs(i), abs(j)]
+    # Offset cells: r >= 1/2 on each, so the integrand is smooth there.
+    # One value per cell (i, j) with i <= j, computed from (min, max) of its
+    # indices, gives the eight-fold symmetry exactly.  The rule's value for
+    # the singular center cell is computed too and then replaced by 1.
+    lo, hi = np.triu_indices(zeta + 1)
+    x = lo[:, np.newaxis, np.newaxis] + 0.5 * _GAUSS_NODES[:, np.newaxis]
+    y = hi[:, np.newaxis, np.newaxis] + 0.5 * _GAUSS_NODES
+    cells = ((x * x + y * y) ** (0.5 * alpha - 1.0) @ _GAUSS_WEIGHTS
+             @ _GAUSS_WEIGHTS)
+    quadrant = np.empty((zeta + 1, zeta + 1))
+    quadrant[lo, hi] = quadrant[hi, lo] = 0.25 * alpha * cells / center
+    quadrant[0, 0] = 1.0
+
+    offsets = np.abs(np.arange(-zeta, zeta + 1))
+    weights = quadrant[offsets[:, np.newaxis], offsets]
     return Kernel(alpha=alpha, zeta=zeta, weights=weights)
 
 

@@ -1,11 +1,21 @@
-"""Frozen reference weights for the nonlocalization kernel at zeta = 4.
+"""Reference weights for the nonlocalization kernel.
 
-Quadrant values to six decimals, from an independent high-precision
+Two references: frozen quadrant values at zeta = 4, and an adaptive-
+quadrature build of the whole kernel for any order and cutoff.
+
+The frozen values have six decimals, from an independent high-precision
 evaluation of the defining cell integrals.  Keys are non-negative offsets
 (i, j) with i <= j; the remaining entries follow from the eight-fold
 symmetry.  Comparison tolerance is 5e-6, half a unit in the last frozen
 decimal.
 """
+
+import math
+
+import numpy as np
+import scipy.integrate
+
+from fracfocus.frac1d import QuadratureError, QuadratureSpec
 
 QUADRANT_ALPHA_HALF = {
     (0, 0): 1.0,
@@ -37,3 +47,45 @@ REFERENCE_QUADRANTS = {
     1.0: QUADRANT_ALPHA_ONE,
     1.5: QUADRANT_ALPHA_THREE_HALVES,
 }
+
+
+def adaptive_kernel_weights(alpha: float, zeta: int) -> np.ndarray:
+    """Kernel weights for 0 < alpha < 2 from adaptive quadrature.
+
+    scipy's ``quad`` integrates the center cell as eight polar wedges
+    0 <= theta <= pi/4, r <= 1/(2 cos theta), and ``dblquad`` each offset
+    cell, where r >= 1/2 keeps the integrand smooth.  The center
+    integral's 1/alpha is carried as a factor alpha on the offset cells,
+    so no order overflows.  Raises QuadratureError if an integral does not
+    converge.
+    """
+    quad = QuadratureSpec()
+
+    def wedge(theta: float) -> float:
+        return (0.5 / math.cos(theta)) ** alpha
+
+    result = scipy.integrate.quad(wedge, 0.0, math.pi / 4.0, epsabs=1e-13,
+                                  epsrel=quad.rel_tol,
+                                  limit=quad.max_subdivisions, full_output=1)
+    if len(result) > 3:
+        raise QuadratureError(f"center cell: {str(result[3]).strip()}")
+    center = 8.0 * result[0]
+
+    exponent = 0.5 * (alpha - 2.0)
+
+    def integrand(y: float, x: float) -> float:
+        return (x * x + y * y) ** exponent
+
+    quadrant = np.empty((zeta + 1, zeta + 1))
+    quadrant[0, 0] = 1.0
+    for j in range(1, zeta + 1):
+        for i in range(j + 1):
+            value, abserr = scipy.integrate.dblquad(
+                integrand, i - 0.5, i + 0.5, j - 0.5, j + 0.5, epsabs=1e-12,
+                epsrel=quad.rel_tol)
+            if not math.isfinite(value) or abserr > 1e-6:
+                raise QuadratureError(
+                    f"cell ({i}, {j}): estimated error {abserr:g}")
+            quadrant[i, j] = quadrant[j, i] = alpha * value / center
+    offsets = np.abs(np.arange(-zeta, zeta + 1))
+    return quadrant[offsets[:, np.newaxis], offsets]

@@ -259,15 +259,36 @@ class TestSelftest:
         assert "FAIL" not in out
 
 
-def test_import_leaves_heavy_scipy_modules_unloaded():
-    """Kernel quadrature and the kernel pass load their scipy submodules and
-    the thread pool on first use, so a bare import (every CLI start) does
-    not pay for them."""
+def _fresh_interpreter(code: str, cwd: Path) -> str:
+    """Run ``code`` in a new Python process that imports this fracfocus."""
     env = dict(os.environ,
                PYTHONPATH=str(Path(fracfocus.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
+                          capture_output=True, text=True, check=True)
+    return proc.stdout.strip()
+
+
+def test_import_leaves_heavy_scipy_modules_unloaded(tmp_path):
+    """The kernel pass loads scipy.ndimage and the thread pool on first
+    use, so a bare import (every CLI start) does not pay for them."""
     probe = ("import sys, fracfocus; "
              "print(sorted(m for m in ('scipy.integrate', 'scipy.ndimage', "
              "'concurrent.futures') if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert _fresh_interpreter(probe, tmp_path) == "[]"
+
+
+def test_nonlocal_recover_never_loads_scipy_integrate(tmp_path):
+    """Kernels come from a fixed Gauss-Legendre rule, so neither a
+    nonlocal recover nor a zeta = 8 build imports scipy.integrate."""
+    recover = ["recover", "--stack", "stack", "--method", "nonlocal",
+               "--q", "1", "--alpha", "1.5", "--zeta", "2",
+               "--out", "depth.csv"]
+    probe = ("import sys\n"
+             "from fracfocus.cli import main\n"
+             "from fracfocus.kernel2d import build_kernel\n"
+             f"assert main({SMALL_SYNTH + ['--out', 'stack']!r}) == 0\n"
+             f"assert main({recover!r}) == 0\n"
+             "build_kernel(1.5, 8)\n"
+             "print('scipy.integrate' in sys.modules)")
+    assert _fresh_interpreter(probe, tmp_path) == "False"
+    assert (tmp_path / "depth.csv").is_file()

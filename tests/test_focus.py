@@ -107,7 +107,8 @@ class TestLocalFocusVolume:
         volume = local_focus_volume(stack, 2)
         assert volume.data.shape == (5, 24, 24)
         for k in range(stack.n_slides):
-            expected = local_modified_laplacian(stack.slide(k), 2).values
+            slide = ScalarField(stack.data[k], stack.h)
+            expected = local_modified_laplacian(slide, 2).values
             assert np.array_equal(volume.data[k], expected)
 
     def test_metadata(self):
@@ -228,7 +229,8 @@ class TestWholeVolumePass:
         q = volume.q
         got = nonlocalize_volume(volume, kernel).data
         for k in range(volume.n_slides):
-            expected = apply_kernel(kernel, volume.layer(k)).values
+            layer = ScalarField(volume.data[k], volume.h)
+            expected = apply_kernel(kernel, layer).values
             expected[:q, :] = expected[-q:, :] = 0.0
             expected[:, :q] = expected[:, -q:] = 0.0
             assert np.array_equal(got[k], expected)

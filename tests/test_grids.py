@@ -34,7 +34,6 @@ class TestFocalStack:
         assert (stack.height, stack.width) == (4, 6)
         assert stack.delta_z == 0.5
         assert np.array_equal(stack.z_values, [1.0, 1.5, 2.0, 2.5, 3.0])
-        assert stack.slide(2).h == 0.5
 
     def test_rejects_too_few_slides(self):
         with pytest.raises(ValueError):
@@ -54,8 +53,8 @@ class TestFocalStack:
 class TestFocusVolume:
     def test_layer_access(self):
         volume = FocusVolume(np.ones((3, 5, 5)), q=2, z_min=0.0, z_max=1.0, h=0.3)
-        assert volume.layer(1).values.shape == (5, 5)
-        assert volume.layer(1).h == 0.3
+        assert volume.data[1].shape == (5, 5)
+        assert volume.h == 0.3
         assert volume.delta_z == 0.5
 
     def test_rejects_negative_measure(self):

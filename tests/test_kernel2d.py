@@ -19,7 +19,7 @@ from fracfocus.kernel2d import (
     kernel_frequency_response,
 )
 
-from kernel_reference import REFERENCE_QUADRANTS
+from kernel_reference import REFERENCE_QUADRANTS, adaptive_kernel_weights
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +67,24 @@ class TestReferenceWeights:
         b = build_kernel(1.5, 3)
         assert np.array_equal(a.weights, b.weights)
 
+    @pytest.mark.parametrize("alpha", [5e-324, 1e-310, 1e-300])
+    def test_tiny_order_builds_a_valid_kernel(self, alpha):
+        # The center integral's 1/alpha overflows here; the build must not.
+        kernel = build_kernel(alpha, 2)
+        off_center = np.delete(kernel.weights.ravel(), kernel.weights.size // 2)
+        assert kernel.at(0, 0) == 1.0
+        assert np.all(off_center <= alpha)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(0.0, 2.0, exclude_min=True, exclude_max=True),
+       st.integers(1, 16))
+@example(1e-310, 3)
+@example(1.9999, 16)
+def test_build_matches_adaptive_quadrature(alpha, zeta):
+    got = build_kernel(alpha, zeta).weights
+    assert np.max(np.abs(got - adaptive_kernel_weights(alpha, zeta))) <= 1e-14
+
 
 class TestKernelValidation:
     def test_at_matches_array_layout(self, kernels_zeta4):
@@ -103,8 +121,14 @@ class TestKernelValidation:
             build_kernel(alpha, 2)
 
     def test_build_rejects_bad_cutoff(self):
-        with pytest.raises(ValueError):
-            build_kernel(1.0, 0)
+        for zeta in (0, 2.7, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                build_kernel(1.0, zeta)
+
+    @pytest.mark.parametrize("zeta", [4, np.int64(4), 4.0])
+    def test_build_accepts_integral_cutoff(self, zeta):
+        kernel = build_kernel(1.0, zeta)
+        assert kernel.zeta == 4 and type(kernel.zeta) is int
 
 
 def _brute_force_apply(kernel, field):
