@@ -18,9 +18,8 @@ from .frac1d import (Function1D, QuadratureError, QuadratureSpec,
                      regularized_derivative, regularized_integral,
                      riesz_second_derivative)
 from .grids import DepthMap, FocalStack, FocusVolume, ScalarField
-from .io import (StackFormatError, read_depth_csv, read_field_csv, read_pgm,
-                 read_stack_dir, write_depth_csv, write_field_csv, write_pgm,
-                 write_stack_dir)
+from .io import (StackFormatError, read_depth_csv, read_pgm, read_stack_dir,
+                 write_depth_csv, write_pgm, write_stack_dir)
 from .kernel2d import Kernel, apply_kernel, build_kernel, kernel_frequency_response
 from .synth import BlurSpec, SceneSpec, ground_truth, render_stack
 
@@ -55,7 +54,6 @@ __all__ = [
     "nyquist_hint",
     "parabolic_peak",
     "read_depth_csv",
-    "read_field_csv",
     "read_pgm",
     "read_stack_dir",
     "recover_depth",
@@ -65,7 +63,6 @@ __all__ = [
     "riesz_second_derivative",
     "rms_error_percent",
     "write_depth_csv",
-    "write_field_csv",
     "write_pgm",
     "write_stack_dir",
     "__version__",

@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-radius", type=_positive_int, default=16,
                    help="hard cap on the blur kernel radius in pixels")
     p.add_argument("--lossless", action="store_true",
-                   help="write slides as full-precision CSV instead of PGM")
+                   help="write bit-exact float64 .npy slides, not 8-bit PGM")
     p.add_argument("--out", required=True, help="output stack directory")
     p.set_defaults(func=cmd_synth)
 

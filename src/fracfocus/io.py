@@ -1,11 +1,10 @@
-"""File formats: binary PGM images, CSV float fields, stack directories.
+"""File formats: binary PGM images, .npy slides, depth CSVs, stack directories.
 
 Slides travel as 8-bit binary PGM (P5, maxval 255, values mapped linearly
-from [0, 1]) or, in lossless mode, as CSV.  Every CSV float field, a
-lossless slide or a depth map, goes through one codec: 17 significant
-digits, so that floats round-trip bit-exactly, and the literal token NaN
-where a value is missing.  A depth map marks its invalid pixels that way
-and adds a small JSON sidecar holding the recovery parameters.  A stack
+from [0, 1]) or, in lossless mode, as float64 .npy files that keep every
+bit.  Depth maps are CSV, because people read them: 17 significant digits,
+so that floats round-trip bit-exactly, the literal token NaN at invalid
+pixels, and a small JSON sidecar holding the recovery parameters.  A stack
 directory couples numbered slide files with a stack.json carrying all
 physical metadata; the ground truth it may hold is an ordinary depth CSV.
 """
@@ -13,6 +12,7 @@ physical metadata; the ground truth it may hold is an ordinary depth CSV.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import asdict
 from io import StringIO
 from pathlib import Path
@@ -24,11 +24,9 @@ from .grids import DepthMap, FocalStack
 __all__ = [
     "StackFormatError",
     "read_depth_csv",
-    "read_field_csv",
     "read_pgm",
     "read_stack_dir",
     "write_depth_csv",
-    "write_field_csv",
     "write_pgm",
     "write_stack_dir",
 ]
@@ -52,23 +50,13 @@ def write_pgm(path: str | Path, values: np.ndarray) -> None:
 
 
 def _pgm_tokens(raw: bytes):
-    """Yield whitespace-separated header tokens, skipping # comments."""
-    pos = 0
-    while pos < len(raw):
-        c = raw[pos:pos + 1]
-        if c == b"#":
-            pos = raw.find(b"\n", pos)
-            if pos < 0:
-                return
-            pos += 1
-        elif c.isspace():
-            pos += 1
-        else:
-            end = pos
-            while end < len(raw) and not raw[end:end + 1].isspace():
-                end += 1
-            yield raw[pos:end], end
-            pos = end
+    """Yield whitespace-separated header tokens with their end offsets.
+
+    A # outside a token starts a comment that runs to the end of its line.
+    """
+    for token in re.finditer(rb"#[^\n]*\n?|[^\s#]\S*", raw):
+        if not token.group().startswith(b"#"):
+            yield token.group(), token.end()
 
 
 def read_pgm(path: str | Path) -> np.ndarray:
@@ -94,47 +82,19 @@ def read_pgm(path: str | Path) -> np.ndarray:
     return pixels.astype(float) / maxval
 
 
-def write_field_csv(path: str | Path, values: np.ndarray) -> None:
-    """Write a 2D float field as CSV that round-trips bit-exactly.
-
-    Values go out with 17 significant digits, NaN as the literal token NaN.
-    """
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 2D field, got shape {arr.shape}")
-    buf = StringIO()
-    np.savetxt(buf, arr, fmt="%.17g", delimiter=",")
-    Path(path).write_text(buf.getvalue().replace("nan", "NaN"),
-                          encoding="ascii")
-
-
-def read_field_csv(path: str | Path) -> np.ndarray:
-    """Read a 2D float field written by write_field_csv.
-
-    Blank lines are skipped and NaN tokens may be in any case.  Raises
-    ValueError naming the file if it is empty or a row is ragged.
-    """
-    lines = [line for line in Path(path).read_text(encoding="ascii")
-             .splitlines() if line.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty CSV")
-    try:
-        return np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
-    except ValueError as exc:
-        kind = ("ragged row" if "number of columns changed" in str(exc)
-                else "unparseable CSV")
-        raise ValueError(f"{path}: {kind} ({exc})") from exc
-
-
 def write_depth_csv(path: str | Path, depth_map: DepthMap) -> None:
     """Write a depth map as CSV plus a JSON metadata sidecar.
 
-    Invalid pixels are written as the literal token NaN; the sidecar
+    Values go out with 17 significant digits, so they round-trip
+    bit-exactly, and invalid pixels as the literal token NaN; the sidecar
     ``<name>.json`` records the method and recovery parameters so the map
     can be interpreted without the stack it came from.
     """
     path = Path(path)
-    write_field_csv(path, np.where(depth_map.valid, depth_map.values, np.nan))
+    buf = StringIO()
+    np.savetxt(buf, np.where(depth_map.valid, depth_map.values, np.nan),
+               fmt="%.17g", delimiter=",")
+    path.write_text(buf.getvalue().replace("nan", "NaN"), encoding="ascii")
     meta = {"method": depth_map.method}
     meta.update((key, getattr(depth_map, key)) for key in _DEPTH_META_KEYS)
     sidecar = path.with_suffix(".json")
@@ -144,11 +104,22 @@ def write_depth_csv(path: str | Path, depth_map: DepthMap) -> None:
 def read_depth_csv(path: str | Path) -> DepthMap:
     """Read a depth map written by write_depth_csv.
 
-    Non-finite values (the NaN tokens) become invalid pixels.  The JSON
-    sidecar is optional; a bare CSV loads with empty metadata.
+    Blank lines are skipped and NaN tokens may be in any case; non-finite
+    values become invalid pixels.  Raises ValueError naming the file if it
+    is empty, a row is ragged or a value does not parse.  The JSON sidecar
+    is optional; a bare CSV loads with empty metadata.
     """
     path = Path(path)
-    arr = read_field_csv(path)
+    lines = [line for line in path.read_text(encoding="ascii").splitlines()
+             if line.strip()]
+    if not lines:
+        raise ValueError(f"{path}: empty CSV")
+    try:
+        arr = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+    except ValueError as exc:
+        kind = ("ragged row" if "number of columns changed" in str(exc)
+                else "unparseable CSV")
+        raise ValueError(f"{path}: {kind} ({exc})") from exc
     valid = np.isfinite(arr)
     meta = {}
     sidecar = path.with_suffix(".json")
@@ -159,7 +130,26 @@ def read_depth_csv(path: str | Path) -> DepthMap:
 
 
 def _slide_name(k: int, lossless: bool) -> str:
-    return f"slide_{k:03d}.{'csv' if lossless else 'pgm'}"
+    return f"slide_{k:03d}.{'npy' if lossless else 'pgm'}"
+
+
+def _read_npy(path: Path, out: np.ndarray) -> None:
+    """Fill ``out`` from a .npy file whose header must describe it exactly."""
+    with path.open("rb") as f:
+        try:
+            major, _ = np.lib.format.read_magic(f)
+            header = (np.lib.format.read_array_header_1_0 if major == 1
+                      else np.lib.format.read_array_header_2_0)(f)
+        except ValueError as exc:
+            raise StackFormatError(f"{path}: not a .npy file ({exc})"
+                                   ) from exc
+        # Checked before any data is read: no claimed size gets allocated.
+        if header != (out.shape, False, out.dtype):
+            raise StackFormatError(
+                f"{path}: header (shape, fortran_order, dtype) {header} does "
+                f"not match stack.json {(out.shape, False, out.dtype)}")
+        if f.readinto(out) != out.nbytes:
+            raise StackFormatError(f"{path}: data truncated")
 
 
 def write_stack_dir(out_dir: str | Path, stack: FocalStack,
@@ -170,8 +160,8 @@ def write_stack_dir(out_dir: str | Path, stack: FocalStack,
 
     ``scene`` and ``blur`` may be any dataclasses describing how the
     stack was made; they are stored verbatim in stack.json.  With
-    ``lossless`` the slides go out as full-precision CSV instead of 8-bit
-    PGM.
+    ``lossless`` the slides go out bit-exact as float64 .npy instead of
+    8-bit PGM.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -193,7 +183,7 @@ def write_stack_dir(out_dir: str | Path, stack: FocalStack,
     for k in range(n_slides):
         target = out_dir / _slide_name(k, lossless)
         if lossless:
-            write_field_csv(target, stack.data[k])
+            np.save(target, np.ascontiguousarray(stack.data[k]))
         else:
             write_pgm(target, stack.data[k])
     if truth is not None:
@@ -218,7 +208,9 @@ def read_stack_dir(stack_dir: str | Path) -> FocalStack:
         z_min = float(meta["z_min"])
         z_max = float(meta["z_max"])
         h = float(meta["h"])
-        lossless = bool(meta.get("lossless", False))
+        lossless = meta.get("lossless", False)
+        if not isinstance(lossless, bool):
+            raise TypeError(f"lossless must be true or false: {lossless!r}")
         data = np.empty((int(meta["n_slides"]), int(meta["height"]),
                          int(meta["width"])))
     except (KeyError, TypeError, ValueError, MemoryError) as exc:
@@ -228,8 +220,11 @@ def read_stack_dir(stack_dir: str | Path) -> FocalStack:
         target = stack_dir / _slide_name(k, lossless)
         if not target.exists():
             raise StackFormatError(f"{target}: missing")
+        if lossless:
+            _read_npy(target, data[k])
+            continue
         try:
-            slide = read_field_csv(target) if lossless else read_pgm(target)
+            slide = read_pgm(target)
         except ValueError as exc:
             raise StackFormatError(f"{target}: unreadable ({exc})") from exc
         if slide.shape != data.shape[1:]:

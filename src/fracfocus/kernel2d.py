@@ -20,6 +20,7 @@ and the operator acts as a low-pass filter.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -38,8 +39,11 @@ __all__ = [
 
 # Nodes and weights of the 24-point Gauss-Legendre rule on [-1, 1].  The
 # center wedge and every offset cell are analytic well beyond their
-# intervals, so the rule integrates them to rounding.
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(24)
+# intervals, so the rule integrates them to rounding.  Built on first use, so
+# that importing this module does not load numpy.polynomial.
+@functools.cache
+def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(24)
 
 
 @dataclass(frozen=True)
@@ -112,18 +116,19 @@ def build_kernel(alpha: float, zeta: int) -> Kernel:
     # 8 * int_0^(pi/4) (0.5/cos theta)^alpha / alpha dtheta.  Its 1/alpha is
     # carried as a factor alpha on the offset cells instead, so that no
     # alpha in (0, 2) overflows.
-    theta = np.pi / 8.0 * (1.0 + _GAUSS_NODES)
-    center = np.pi * (_GAUSS_WEIGHTS @ (0.5 / np.cos(theta)) ** alpha)
+    nodes, gauss_weights = _gauss_rule()
+    theta = np.pi / 8.0 * (1.0 + nodes)
+    center = np.pi * (gauss_weights @ (0.5 / np.cos(theta)) ** alpha)
 
     # Offset cells: r >= 1/2 on each, so the integrand is smooth there.
     # One value per cell (i, j) with i <= j, computed from (min, max) of its
     # indices, gives the eight-fold symmetry exactly.  The rule's value for
     # the singular center cell is computed too and then replaced by 1.
     lo, hi = np.triu_indices(zeta + 1)
-    x = lo[:, np.newaxis, np.newaxis] + 0.5 * _GAUSS_NODES[:, np.newaxis]
-    y = hi[:, np.newaxis, np.newaxis] + 0.5 * _GAUSS_NODES
-    cells = ((x * x + y * y) ** (0.5 * alpha - 1.0) @ _GAUSS_WEIGHTS
-             @ _GAUSS_WEIGHTS)
+    x = lo[:, np.newaxis, np.newaxis] + 0.5 * nodes[:, np.newaxis]
+    y = hi[:, np.newaxis, np.newaxis] + 0.5 * nodes
+    cells = ((x * x + y * y) ** (0.5 * alpha - 1.0) @ gauss_weights
+             @ gauss_weights)
     quadrant = np.empty((zeta + 1, zeta + 1))
     quadrant[lo, hi] = quadrant[hi, lo] = 0.25 * alpha * cells / center
     quadrant[0, 0] = 1.0

@@ -80,7 +80,7 @@ class TestSynthCommand:
 
     def test_writes_stack_directory(self, plane_dir):
         assert (plane_dir / "stack.json").exists()
-        assert (plane_dir / "slide_000.csv").exists()
+        assert (plane_dir / "slide_000.npy").exists()
         assert (plane_dir / "truth.csv").exists()
         meta = json.loads((plane_dir / "stack.json").read_text())
         assert meta["n_slides"] == 9
@@ -152,7 +152,7 @@ class TestRecoverCommand:
     def test_missing_slide_is_named(self, tmp_path, capsys):
         stack_dir = tmp_path / "stack"
         assert main(SMALL_SYNTH + ["--out", str(stack_dir)]) == 0
-        (stack_dir / "slide_002.csv").unlink()
+        (stack_dir / "slide_002.npy").unlink()
         rc = main(["recover", "--stack", str(stack_dir), "--q", "2",
                    "--out", str(tmp_path / "d.csv")])
         assert rc == 1
@@ -269,11 +269,13 @@ def _fresh_interpreter(code: str, cwd: Path) -> str:
 
 
 def test_import_leaves_heavy_scipy_modules_unloaded(tmp_path):
-    """The kernel pass loads scipy.ndimage and the thread pool on first
-    use, so a bare import (every CLI start) does not pay for them."""
+    """The kernel pass loads scipy.ndimage and the thread pool, and the
+    kernel build numpy.polynomial, on first use, so a bare import (every
+    CLI start) does not pay for them."""
     probe = ("import sys, fracfocus; "
              "print(sorted(m for m in ('scipy.integrate', 'scipy.ndimage', "
-             "'concurrent.futures') if m in sys.modules))")
+             "'concurrent.futures', 'numpy.polynomial') "
+             "if m in sys.modules))")
     assert _fresh_interpreter(probe, tmp_path) == "[]"
 
 

@@ -1,4 +1,4 @@
-"""Tests for PGM, CSV and stack-directory serialization."""
+"""Tests for PGM, depth CSV and stack-directory serialization."""
 
 import json
 
@@ -11,9 +11,9 @@ from hypothesis.extra.numpy import arrays
 from csv_reference import reference_depth_csv
 
 from fracfocus.grids import DepthMap, FocalStack
-from fracfocus.io import (StackFormatError, read_depth_csv, read_field_csv,
+from fracfocus.io import (StackFormatError, _pgm_tokens, read_depth_csv,
                           read_pgm, read_stack_dir, write_depth_csv,
-                          write_field_csv, write_pgm, write_stack_dir)
+                          write_pgm, write_stack_dir)
 from fracfocus.synth import BlurSpec, SceneSpec
 
 QUANTUM = 1.0 / 255.0
@@ -97,31 +97,68 @@ class TestPgm:
             write_pgm(tmp_path / "bad.pgm", np.zeros(5))
 
 
+def _reference_pgm_tokens(raw):
+    """Byte-at-a-time PGM header scanner: tokens end at whitespace, and a #
+    where a token would start skips to the end of its line."""
+    pos = 0
+    while pos < len(raw):
+        c = raw[pos:pos + 1]
+        if c == b"#":
+            pos = raw.find(b"\n", pos)
+            if pos < 0:
+                return
+            pos += 1
+        elif c.isspace():
+            pos += 1
+        else:
+            end = pos
+            while end < len(raw) and not raw[end:end + 1].isspace():
+                end += 1
+            yield raw[pos:end], end
+            pos = end
+
+
+_HEADER_PIECES = [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"#", b"P5",
+                  b"12", b"\x00", b"\xff"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.binary(max_size=40),
+                 st.lists(st.sampled_from(_HEADER_PIECES), max_size=30)
+                 .map(b"".join)))
+def test_pgm_tokens_match_reference_scanner(raw):
+    assert list(_pgm_tokens(raw)) == list(_reference_pgm_tokens(raw))
+
+
 class TestFieldCsv:
+    """The float CSV format of depth maps, one value per pixel."""
 
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(1)
         field = rng.normal(size=(5, 8)) * 10.0 ** rng.integers(-8, 9, (5, 8))
         target = tmp_path / "field.csv"
-        write_field_csv(target, field)
-        np.testing.assert_array_equal(read_field_csv(target), field)
+        write_depth_csv(target, DepthMap(field, np.ones(field.shape, bool)))
+        np.testing.assert_array_equal(read_depth_csv(target).values, field)
 
     def test_single_row_and_column_stay_2d(self, tmp_path):
         for shape in [(1, 4), (4, 1)]:
             target = tmp_path / f"thin_{shape[0]}x{shape[1]}.csv"
             field = np.arange(4, dtype=float).reshape(shape)
-            write_field_csv(target, field)
-            back = read_field_csv(target)
+            write_depth_csv(target, DepthMap(field, np.ones(shape, bool)))
+            back = read_depth_csv(target).values
             assert back.shape == shape
             np.testing.assert_array_equal(back, field)
 
     def test_rejects_non_2d_input(self, tmp_path):
         with pytest.raises(ValueError, match="2D"):
-            write_field_csv(tmp_path / "bad.csv", np.zeros((2, 2, 2)))
+            write_depth_csv(tmp_path / "bad.csv",
+                            DepthMap(np.zeros((2, 2, 2)),
+                                     np.ones((2, 2, 2), bool)))
 
     def test_nan_goes_out_as_literal_token(self, tmp_path):
         target = tmp_path / "field.csv"
-        write_field_csv(target, np.array([[0.5, np.nan]]))
+        write_depth_csv(target, DepthMap(np.array([[0.5, np.nan]]),
+                                         np.array([[True, False]])))
         assert target.read_text() == "0.5,NaN\n"
 
     @pytest.mark.parametrize("text", ["", "\n\n", "  \n\t\n"])
@@ -129,24 +166,24 @@ class TestFieldCsv:
         target = tmp_path / "blank.csv"
         target.write_text(text)
         with pytest.raises(ValueError, match="blank.csv: empty"):
-            read_field_csv(target)
+            read_depth_csv(target)
 
     def test_ragged_row_rejected_by_name(self, tmp_path):
         target = tmp_path / "ragged.csv"
         target.write_text("1,2\n3,4,5\n")
         with pytest.raises(ValueError, match="ragged.csv: ragged"):
-            read_field_csv(target)
+            read_depth_csv(target)
 
     def test_unparseable_token_rejected_by_name(self, tmp_path):
         target = tmp_path / "words.csv"
         target.write_text("1,two\n")
-        with pytest.raises(ValueError, match="words.csv"):
-            read_field_csv(target)
+        with pytest.raises(ValueError, match="words.csv: unparseable"):
+            read_depth_csv(target)
 
     def test_whitespace_only_lines_skipped(self, tmp_path):
         target = tmp_path / "gaps.csv"
         target.write_text("1,2\n   \n3,4\n")
-        np.testing.assert_array_equal(read_field_csv(target),
+        np.testing.assert_array_equal(read_depth_csv(target).values,
                                       [[1.0, 2.0], [3.0, 4.0]])
 
 
@@ -296,6 +333,8 @@ class TestStackDir:
     def test_lossless_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(8)
         stack, truth = self._write(tmp_path, rng, lossless=True)
+        assert sorted(p.name for p in tmp_path.glob("slide_*")) == [
+            f"slide_{k:03d}.npy" for k in range(4)]
         back = read_stack_dir(tmp_path)
         back_truth = read_depth_csv(tmp_path / "truth.csv")
         np.testing.assert_array_equal(back.data, stack.data)
@@ -344,23 +383,79 @@ class TestStackDir:
     def test_missing_slide_is_named(self, tmp_path):
         rng = np.random.default_rng(12)
         self._write(tmp_path, rng, lossless=True)
-        (tmp_path / "slide_002.csv").unlink()
+        (tmp_path / "slide_002.npy").unlink()
         with pytest.raises(StackFormatError, match="slide_002"):
             read_stack_dir(tmp_path)
 
     def test_corrupt_slide_is_named(self, tmp_path):
         rng = np.random.default_rng(13)
         self._write(tmp_path, rng, lossless=True)
-        (tmp_path / "slide_001.csv").write_text("not,numbers\n")
+        (tmp_path / "slide_001.npy").write_text("not,numbers\n")
         with pytest.raises(StackFormatError, match="slide_001"):
             read_stack_dir(tmp_path)
 
     def test_wrong_shape_slide_rejected(self, tmp_path):
         rng = np.random.default_rng(14)
         self._write(tmp_path, rng, lossless=True)
-        write_field_csv(tmp_path / "slide_000.csv", np.zeros((2, 2)))
+        np.save(tmp_path / "slide_000.npy", np.zeros((2, 2)))
         with pytest.raises(StackFormatError, match="shape"):
             read_stack_dir(tmp_path)
+
+    @pytest.mark.parametrize("damage", [
+        "truncated_body", "huge_shape_header", "float32", "pickled_objects",
+        "fortran_order", "not_npy", "empty"])
+    def test_bad_npy_slide_is_named(self, tmp_path, damage):
+        rng = np.random.default_rng(17)
+        self._write(tmp_path, rng, lossless=True)
+        target = tmp_path / "slide_001.npy"
+        if damage == "truncated_body":
+            target.write_bytes(target.read_bytes()[:-8])
+        elif damage == "huge_shape_header":
+            # A plain np.load would try to allocate 8 TB here.
+            with target.open("wb") as f:
+                np.lib.format.write_array_header_1_0(
+                    f, {"descr": "<f8", "fortran_order": False,
+                        "shape": (10 ** 12,)})
+                f.write(bytes(64))
+        elif damage == "float32":
+            np.save(target, np.zeros((6, 5), dtype=np.float32))
+        elif damage == "pickled_objects":
+            np.save(target, np.full((6, 5), None, dtype=object),
+                    allow_pickle=True)
+        elif damage == "fortran_order":
+            np.save(target, np.asfortranarray(np.zeros((6, 5))))
+        elif damage == "not_npy":
+            target.write_bytes(b"P5\n5 6\n255\n" + bytes(30))
+        else:
+            target.write_bytes(b"")
+        with pytest.raises(StackFormatError, match="slide_001.npy"):
+            read_stack_dir(tmp_path)
+
+    def test_fortran_order_slides_roundtrip(self, tmp_path):
+        data = np.arange(60.0).reshape(3, 5, 4).transpose(0, 2, 1)
+        assert data[0].flags.f_contiguous and not data[0].flags.c_contiguous
+        write_stack_dir(tmp_path, FocalStack(data, z_min=0.0, z_max=1.0),
+                        lossless=True)
+        np.testing.assert_array_equal(read_stack_dir(tmp_path).data, data)
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_lossless_must_be_a_json_boolean(self, tmp_path, value):
+        rng = np.random.default_rng(18)
+        self._write(tmp_path, rng, lossless=False)
+        meta = json.loads((tmp_path / "stack.json").read_text())
+        meta["lossless"] = value
+        (tmp_path / "stack.json").write_text(json.dumps(meta))
+        with pytest.raises(StackFormatError, match="stack.json.*lossless"):
+            read_stack_dir(tmp_path)
+
+    def test_missing_lossless_field_means_pgm(self, tmp_path):
+        rng = np.random.default_rng(19)
+        stack, _ = self._write(tmp_path, rng, lossless=False)
+        meta = json.loads((tmp_path / "stack.json").read_text())
+        del meta["lossless"]
+        (tmp_path / "stack.json").write_text(json.dumps(meta))
+        back = read_stack_dir(tmp_path)
+        assert np.max(np.abs(back.data - stack.data)) <= 0.5 * QUANTUM + 1e-12
 
     def test_missing_metadata_field_rejected(self, tmp_path):
         rng = np.random.default_rng(15)
@@ -381,7 +476,7 @@ class TestStackDir:
                 "width": 3, "height": 3, "lossless": True}
         (tmp_path / "stack.json").write_text(json.dumps(meta))
         for k in range(2):
-            write_field_csv(tmp_path / f"slide_{k:03d}.csv", np.zeros((3, 3)))
+            np.save(tmp_path / f"slide_{k:03d}.npy", np.zeros((3, 3)))
         with pytest.raises(StackFormatError):
             read_stack_dir(tmp_path)
 
