@@ -4,9 +4,11 @@ The local measure at step q is the sum of absolute second differences at
 stride q in x and y, scaled by 1/(q h)^2, zero on a border frame of width
 q.  A focus volume is one (n_slides, height, width) array: the local
 measure is written into it slide by slide, and the nonlocal measure is one
-kernel pass over the whole volume (``kernel2d.correlate_layers``) followed
-by re-imposing the zero frame, so local and nonlocal volumes share the same
-support and order 0 reduces bit-exactly to the local measure.
+kernel pass over the whole volume (``kernel2d.correlate_layers``, a
+separable pair-sum pass in which equal windows give equal bits, so exact
+ties between slides survive) followed by re-imposing the zero frame.  Local
+and nonlocal volumes therefore share the same support, and order 0 reduces
+bit-exactly to the local measure.
 """
 
 from __future__ import annotations

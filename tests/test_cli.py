@@ -269,9 +269,10 @@ def _fresh_interpreter(code: str, cwd: Path) -> str:
 
 
 def test_import_leaves_heavy_scipy_modules_unloaded(tmp_path):
-    """The kernel pass loads scipy.ndimage and the thread pool, and the
-    kernel build numpy.polynomial, on first use, so a bare import (every
-    CLI start) does not pay for them."""
+    """The kernel pass loads the thread pool and the kernel build
+    numpy.polynomial on first use, and nothing loads scipy.integrate or
+    scipy.ndimage, so a bare import (every CLI start) pays for none of
+    them."""
     probe = ("import sys, fracfocus; "
              "print(sorted(m for m in ('scipy.integrate', 'scipy.ndimage', "
              "'concurrent.futures', 'numpy.polynomial') "
@@ -280,8 +281,9 @@ def test_import_leaves_heavy_scipy_modules_unloaded(tmp_path):
 
 
 def test_nonlocal_recover_never_loads_scipy_integrate(tmp_path):
-    """Kernels come from a fixed Gauss-Legendre rule, so neither a
-    nonlocal recover nor a zeta = 8 build imports scipy.integrate."""
+    """Kernels come from a fixed Gauss-Legendre rule and the kernel pass
+    from numpy ufuncs, so neither a nonlocal recover nor a zeta = 8 build
+    imports scipy.integrate or scipy.ndimage."""
     recover = ["recover", "--stack", "stack", "--method", "nonlocal",
                "--q", "1", "--alpha", "1.5", "--zeta", "2",
                "--out", "depth.csv"]
@@ -291,6 +293,7 @@ def test_nonlocal_recover_never_loads_scipy_integrate(tmp_path):
              f"assert main({SMALL_SYNTH + ['--out', 'stack']!r}) == 0\n"
              f"assert main({recover!r}) == 0\n"
              "build_kernel(1.5, 8)\n"
-             "print('scipy.integrate' in sys.modules)")
-    assert _fresh_interpreter(probe, tmp_path) == "False"
+             "print(sorted(m for m in ('scipy.integrate', 'scipy.ndimage') "
+             "if m in sys.modules))")
+    assert _fresh_interpreter(probe, tmp_path) == "[]"
     assert (tmp_path / "depth.csv").is_file()

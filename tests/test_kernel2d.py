@@ -132,7 +132,8 @@ class TestKernelValidation:
 
 
 def _brute_force_apply(kernel, field):
-    """Direct nested-loop evaluation with explicit mirror indexing."""
+    """Exact reference: explicit mirror indexing, and each window's rounded
+    products summed without further rounding error by ``math.fsum``."""
 
     def reflect(idx, n):
         while not 0 <= idx < n:
@@ -145,12 +146,11 @@ def _brute_force_apply(kernel, field):
     zeta = kernel.zeta
     for y in range(height):
         for x in range(width):
-            acc = 0.0
-            for di in range(-zeta, zeta + 1):
-                for dj in range(-zeta, zeta + 1):
-                    w = kernel.weights[zeta + di, zeta + dj]
-                    acc += w * values[reflect(y + di, height), reflect(x + dj, width)]
-            out[y, x] = acc
+            out[y, x] = math.fsum(
+                kernel.weights[zeta + di, zeta + dj]
+                * values[reflect(y + di, height), reflect(x + dj, width)]
+                for di in range(-zeta, zeta + 1)
+                for dj in range(-zeta, zeta + 1))
     return out
 
 
@@ -219,12 +219,19 @@ def _cached_kernel(alpha, zeta):
     return build_kernel(alpha, zeta)
 
 
+@st.composite
+def _fields(draw, max_side=10):
+    height = draw(st.integers(1, max_side))
+    width = draw(st.integers(1, max_side))
+    return draw(arrays(np.float64, (height, width),
+                       elements=st.floats(0.0, 1.0)))
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 10), st.integers(1, 10), st.integers(1, 16),
-       st.sampled_from([0.0, 0.5, 1.5, 2.0]), st.data())
-def test_apply_kernel_matches_brute_force(height, width, zeta, alpha, data):
-    values = data.draw(arrays(np.float64, (height, width),
-                              elements=st.floats(0.0, 1.0)))
+@given(_fields(), st.integers(1, 16), st.sampled_from([0.0, 0.5, 1.5, 2.0]))
+# The widest window of values near 1: 1089 terms summing to about 1089.
+@example(np.random.default_rng(0).uniform(0.99, 1.0, (6, 6)), 16, 2.0)
+def test_apply_kernel_matches_brute_force(values, zeta, alpha):
     field = ScalarField(values, h=1.0)
     kernel = _cached_kernel(alpha, zeta)
     expected = _brute_force_apply(kernel, field)
@@ -232,11 +239,40 @@ def test_apply_kernel_matches_brute_force(height, width, zeta, alpha, data):
     assert np.allclose(got.values, expected, rtol=0, atol=1e-12)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 12), st.integers(2, 6),
+       st.integers(1, 4), st.sampled_from([0.5, 1.5, 2.0]),
+       st.integers(1, 48), st.integers(0, 2**32 - 1))
+@example(3, 5, 8, 2, 1.5, 20, 0)
+def test_equal_windows_give_equal_bits_across_strips(
+        period, width, repeats, zeta, alpha, strip_samples, seed):
+    # A vertically periodic field, taller than one strip, so that equal
+    # mirrored windows recur in different strips of the pass.
+    rng = np.random.default_rng(seed)
+    tile = rng.choice([0.0, 0.1, 0.3, 0.7, 1.0], size=(period, width))
+    values = np.tile(tile, (repeats, 1))
+    kernel = _cached_kernel(alpha, zeta)
+    whole = correlate_layers(kernel, values)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel2d, "_STRIP_SAMPLES", strip_samples)
+        got = correlate_layers(kernel, values)
+    assert np.array_equal(got, whole)
+    size = 2 * zeta + 1
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.pad(values, zeta, mode="symmetric"), (size, size))
+    _, group = np.unique(windows.reshape(values.size, -1), axis=0,
+                         return_inverse=True)
+    group = group.ravel()
+    representative = np.empty(group.max() + 1)
+    representative[group] = got.ravel()
+    assert np.array_equal(got.ravel(), representative[group])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 7), st.integers(1, 10), st.integers(1, 10),
        st.integers(1, 16), st.sampled_from([0.0, 0.5, 1.5, 2.0]),
        st.integers(2, 4), st.booleans(), st.integers(0, 2**32 - 1))
-# Both axes short enough (zeta >= 4 n) to take the np.pad path.
+# Both axes many times shorter than the kernel reach.
 @example(7, 2, 3, 16, 1.5, 3, False, 0)
 @example(5, 1, 2, 8, 0.5, 4, True, 1)
 def test_correlate_layers_bits_do_not_depend_on_worker_count(
