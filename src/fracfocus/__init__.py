@@ -9,17 +9,19 @@ generation and error evaluation are exposed as separate modules and
 re-exported here.
 """
 
-from .depth import PeakFit, parabolic_peak, recover_depth
+from .depth import PeakFit, PeakSearch, parabolic_peak, recover_depth
 from .evaluate import (ComparisonTable, EmptyMaskError, ErrorReport,
                        axis_profile, comparison_table, rms_error_percent)
-from .focus import (local_focus_volume, local_modified_laplacian,
-                    nonlocal_focus_volume, nonlocalize_volume, nyquist_hint)
+from .focus import (focus_layers, local_focus_volume,
+                    local_modified_laplacian, nonlocal_focus_volume,
+                    nonlocalize_volume, nyquist_hint)
 from .frac1d import (Function1D, QuadratureError, QuadratureSpec,
                      regularized_derivative, regularized_integral,
                      riesz_second_derivative)
 from .grids import DepthMap, FocalStack, FocusVolume, ScalarField
-from .io import (StackFormatError, read_depth_csv, read_pgm, read_stack_dir,
-                 write_depth_csv, write_pgm, write_stack_dir)
+from .io import (StackFormatError, StackHeader, read_depth_csv, read_pgm,
+                 read_stack_dir, read_stack_header, write_depth_csv,
+                 write_pgm, write_stack_dir)
 from .kernel2d import Kernel, apply_kernel, build_kernel, kernel_frequency_response
 from .synth import BlurSpec, SceneSpec, ground_truth, render_stack
 
@@ -36,15 +38,18 @@ __all__ = [
     "Function1D",
     "Kernel",
     "PeakFit",
+    "PeakSearch",
     "QuadratureError",
     "QuadratureSpec",
     "ScalarField",
     "SceneSpec",
     "StackFormatError",
+    "StackHeader",
     "apply_kernel",
     "axis_profile",
     "build_kernel",
     "comparison_table",
+    "focus_layers",
     "ground_truth",
     "kernel_frequency_response",
     "local_focus_volume",
@@ -56,6 +61,7 @@ __all__ = [
     "read_depth_csv",
     "read_pgm",
     "read_stack_dir",
+    "read_stack_header",
     "recover_depth",
     "regularized_derivative",
     "regularized_integral",

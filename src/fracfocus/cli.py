@@ -15,11 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .depth import parabolic_peak, recover_depth
+from .depth import PeakSearch, parabolic_peak, recover_depth
 from .evaluate import axis_profile, comparison_table, rms_error_percent
-from .focus import local_focus_volume, nonlocalize_volume
+from .focus import focus_layers, local_focus_volume, nonlocalize_volume
 from .io import (StackFormatError, read_depth_csv, read_stack_dir,
-                 write_depth_csv, write_stack_dir)
+                 read_stack_header, write_depth_csv, write_stack_dir)
 from .kernel2d import build_kernel, kernel_frequency_response
 from .synth import BlurSpec, SceneSpec, ground_truth, render_stack
 
@@ -91,17 +91,18 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_recover(args: argparse.Namespace) -> int:
-    stack = read_stack_dir(args.stack)
-    _log(f"read stack {args.stack} "
-         f"({stack.data.shape[0]} slides of {stack.data.shape[2]}x"
-         f"{stack.data.shape[1]})")
-    volume = local_focus_volume(stack, args.q)
-    # Freed before the kernel pass, so the stack, the local volume and the
-    # nonlocal volume are never all alive at once.
-    del stack
-    if args.method == "nonlocal":
-        volume = nonlocalize_volume(volume, build_kernel(args.alpha, args.zeta))
-    depth_map = recover_depth(volume)
+    header = read_stack_header(args.stack)
+    _log(f"streaming stack {args.stack} ({header.n_slides} slides of "
+         f"{header.width}x{header.height})")
+    kernel = (build_kernel(args.alpha, args.zeta)
+              if args.method == "nonlocal" else None)
+    search = PeakSearch()
+    for layer in focus_layers(header, args.q, kernel):
+        search.push(layer)
+    depth_map = search.depth_map(
+        q=args.q, z_min=header.z_min, z_max=header.z_max, h=header.h,
+        alpha=None if kernel is None else kernel.alpha,
+        zeta=None if kernel is None else kernel.zeta)
     write_depth_csv(args.out, depth_map)
     _log(f"recovered depth ({args.method}, q={args.q}"
          + (f", alpha={args.alpha}, zeta={args.zeta}"

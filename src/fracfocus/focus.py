@@ -9,18 +9,31 @@ separable pair-sum pass in which equal windows give equal bits, so exact
 ties between slides survive) followed by re-imposing the zero frame.  Local
 and nonlocal volumes therefore share the same support, and order 0 reduces
 bit-exactly to the local measure.
+
+:func:`focus_layers` runs the same code over a stack directory in blocks of
+one slide per usable CPU, in buffers it reuses, and yields the measure one
+slide at a time, so that ``recover`` holds O(CPUs * height * width) values
+instead of O(n_slides * height * width).  Each slide's layer is bitwise the
+same as in the volume, because every step acts on each slide alone.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import kernel2d
 from .grids import FocalStack, FocusVolume, ScalarField
 from .kernel2d import Kernel, build_kernel, correlate_layers
 
+if TYPE_CHECKING:
+    from .io import StackHeader
+
 __all__ = [
+    "focus_layers",
     "local_focus_volume",
     "local_modified_laplacian",
     "nonlocal_focus_volume",
@@ -66,12 +79,49 @@ def local_focus_volume(stack: FocalStack, q: int) -> FocusVolume:
     """Local modified-Laplacian focus measure for every slide of a stack."""
     _check_step(stack.data.shape, q)
     data = np.zeros(stack.data.shape)
-    # Slide by slide: a whole-stack expression would hold several
-    # volume-sized temporaries at once.
-    for f, out in zip(stack.data, data):
-        _modified_laplacian_into(out, f, q, stack.h)
+    _local_measures_into(data, stack.data, q, stack.h)
     return FocusVolume(data, q=q, z_min=stack.z_min, z_max=stack.z_max,
                        h=stack.h)
+
+
+def _local_measures_into(out: np.ndarray, slides: np.ndarray, q: int,
+                         h: float) -> np.ndarray:
+    """Write the measure of each slide inside the q-frame of ``out``."""
+    # Slide by slide: a whole-stack expression would hold several
+    # volume-sized temporaries at once.
+    for f, layer in zip(slides, out):
+        _modified_laplacian_into(layer, f, q, h)
+    return out
+
+
+def focus_layers(header: StackHeader, q: int,
+                 kernel: Kernel | None = None) -> Iterator[np.ndarray]:
+    """Yield the focus measure of each slide of a stack directory, in order.
+
+    The local measure at step q, then, given a kernel, the nonlocal one.
+    Slides are read in blocks of one per usable CPU (the kernel pass then
+    gives each CPU one slide) into a reused buffer, and their local
+    measure goes into a second one, zeroed once, so memory stays
+    O(CPUs * height * width) however many slides there are.  The step is
+    checked before any slide is read, each block like a FocusVolume
+    (finite, non-negative) before it is yielded.  A yielded layer is bitwise
+    that slide's layer of ``local_focus_volume`` or ``nonlocalize_volume``
+    on the whole stack; it may be overwritten once the next is requested.
+    """
+    _check_step((header.height, header.width), q)
+    block = min(kernel2d._usable_cpus(), header.n_slides)
+    slides = header.empty(block)
+    local = np.zeros(slides.shape)
+    for lo in range(0, header.n_slides, block):
+        count = min(block, header.n_slides - lo)
+        for k in range(count):
+            header.read_slide(lo + k, slides[k])
+        volume = FocusVolume(
+            _local_measures_into(local[:count], slides[:count], q, header.h),
+            q=q, z_min=header.z_min, z_max=header.z_max, h=header.h)
+        if kernel is not None:
+            volume = nonlocalize_volume(volume, kernel)
+        yield from volume.data
 
 
 def nonlocalize_volume(volume: FocusVolume, kernel: Kernel) -> FocusVolume:

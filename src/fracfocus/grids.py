@@ -11,7 +11,24 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-__all__ = ["DepthMap", "FocalStack", "FocusVolume", "ScalarField"]
+__all__ = ["DepthMap", "FocalStack", "FocusVolume", "ScalarField",
+           "check_stack_geometry"]
+
+
+def check_stack_geometry(n_slides: int, z_min: float, z_max: float,
+                         h: float) -> None:
+    """Reject what no focal stack may have, whatever its slides hold.
+
+    Needs at least 3 slides (for the peak fit), z_max > z_min and h > 0;
+    raises ValueError otherwise.  Stack directories are checked with it
+    before any slide is read.
+    """
+    if n_slides < 3:
+        raise ValueError("a stack needs at least 3 slides for the peak fit")
+    if not z_max > z_min:
+        raise ValueError(f"need z_max > z_min, got [{z_min}, {z_max}]")
+    if not h > 0:
+        raise ValueError(f"grid spacing must be positive, got {h}")
 
 
 @dataclass(frozen=True)
@@ -58,14 +75,9 @@ class FocalStack:
         object.__setattr__(self, "data", data)
         if data.ndim != 3:
             raise ValueError(f"stack data must be 3D, got shape {data.shape}")
-        if data.shape[0] < 3:
-            raise ValueError("a stack needs at least 3 slides for the peak fit")
+        check_stack_geometry(data.shape[0], self.z_min, self.z_max, self.h)
         if not np.all(np.isfinite(data)):
             raise ValueError("slide values must be finite")
-        if not self.z_max > self.z_min:
-            raise ValueError(f"need z_max > z_min, got [{self.z_min}, {self.z_max}]")
-        if not self.h > 0:
-            raise ValueError(f"grid spacing must be positive, got {self.h}")
 
     @property
     def n_slides(self) -> int:

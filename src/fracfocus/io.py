@@ -13,19 +13,21 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from io import StringIO
 from pathlib import Path
 
 import numpy as np
 
-from .grids import DepthMap, FocalStack
+from .grids import DepthMap, FocalStack, check_stack_geometry
 
 __all__ = [
     "StackFormatError",
+    "StackHeader",
     "read_depth_csv",
     "read_pgm",
     "read_stack_dir",
+    "read_stack_header",
     "write_depth_csv",
     "write_pgm",
     "write_stack_dir",
@@ -190,11 +192,69 @@ def write_stack_dir(out_dir: str | Path, stack: FocalStack,
         write_depth_csv(out_dir / "truth.csv", truth)
 
 
-def read_stack_dir(stack_dir: str | Path) -> FocalStack:
-    """Read the slides of a stack directory, checked against its stack.json.
+@dataclass(frozen=True)
+class StackHeader:
+    """The checked stack.json of a stack directory.
 
-    Raises StackFormatError naming the first missing or inconsistent
-    file.  truth.csv is not read; load it with read_depth_csv.
+    Everything needed to read the slides one at a time: their number,
+    shape and format, and the physical metadata of the stack.  Made by
+    :func:`read_stack_header`, whose checks a FocalStack's geometry would
+    pass.
+    """
+
+    directory: Path
+    n_slides: int
+    height: int
+    width: int
+    z_min: float
+    z_max: float
+    h: float
+    lossless: bool
+
+    def empty(self, n_slides: int) -> np.ndarray:
+        """An uninitialized float64 buffer for ``n_slides`` slides.
+
+        Raises StackFormatError naming stack.json if the shape it claims
+        cannot be allocated.
+        """
+        try:
+            return np.empty((n_slides, self.height, self.width))
+        except (ValueError, MemoryError) as exc:
+            raise StackFormatError(f"{self.directory / 'stack.json'}: "
+                                   f"unusable slide shape ({exc})") from exc
+
+    def read_slide(self, k: int, out: np.ndarray) -> None:
+        """Read slide ``k`` into ``out``, a (height, width) float64 array.
+
+        Raises StackFormatError naming the slide file if it is missing,
+        unreadable, of another shape or dtype, or holds a non-finite value.
+        """
+        target = self.directory / _slide_name(k, self.lossless)
+        if not target.exists():
+            raise StackFormatError(f"{target}: missing")
+        if self.lossless:
+            _read_npy(target, out)
+        else:
+            try:
+                slide = read_pgm(target)
+            except ValueError as exc:
+                raise StackFormatError(f"{target}: unreadable ({exc})"
+                                       ) from exc
+            if slide.shape != out.shape:
+                raise StackFormatError(
+                    f"{target}: shape {slide.shape} does not match "
+                    f"stack.json {out.shape}")
+            out[...] = slide
+        if not np.isfinite(out).all():
+            raise StackFormatError(f"{target}: slide values must be finite")
+
+
+def read_stack_header(stack_dir: str | Path) -> StackHeader:
+    """Read and check the stack.json of a stack directory.
+
+    Opens no slide.  Raises StackFormatError naming stack.json if it is
+    missing, not JSON, lacks a field, or describes no usable stack (fewer
+    than 3 slides, empty slides, z_max <= z_min or h <= 0).
     """
     stack_dir = Path(stack_dir)
     meta_path = stack_dir / "stack.json"
@@ -205,34 +265,40 @@ def read_stack_dir(stack_dir: str | Path) -> FocalStack:
     except (ValueError, UnicodeDecodeError) as exc:
         raise StackFormatError(f"{meta_path}: unreadable JSON ({exc})") from exc
     try:
-        z_min = float(meta["z_min"])
-        z_max = float(meta["z_max"])
-        h = float(meta["h"])
         lossless = meta.get("lossless", False)
         if not isinstance(lossless, bool):
             raise TypeError(f"lossless must be true or false: {lossless!r}")
-        data = np.empty((int(meta["n_slides"]), int(meta["height"]),
-                         int(meta["width"])))
-    except (KeyError, TypeError, ValueError, MemoryError) as exc:
+        header = StackHeader(
+            directory=stack_dir, n_slides=int(meta["n_slides"]),
+            height=int(meta["height"]), width=int(meta["width"]),
+            z_min=float(meta["z_min"]), z_max=float(meta["z_max"]),
+            h=float(meta["h"]), lossless=lossless)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise StackFormatError(f"{meta_path}: bad or missing field ({exc})"
                                ) from exc
-    for k in range(data.shape[0]):
-        target = stack_dir / _slide_name(k, lossless)
-        if not target.exists():
-            raise StackFormatError(f"{target}: missing")
-        if lossless:
-            _read_npy(target, data[k])
-            continue
-        try:
-            slide = read_pgm(target)
-        except ValueError as exc:
-            raise StackFormatError(f"{target}: unreadable ({exc})") from exc
-        if slide.shape != data.shape[1:]:
-            raise StackFormatError(
-                f"{target}: shape {slide.shape} does not match stack.json "
-                f"{data.shape[1:]}")
-        data[k] = slide
     try:
-        return FocalStack(data, z_min=z_min, z_max=z_max, h=h)
+        check_stack_geometry(header.n_slides, header.z_min, header.z_max,
+                             header.h)
+        if header.height < 1 or header.width < 1:
+            raise ValueError(f"slides of {header.width}x{header.height} "
+                             f"pixels hold nothing")
     except ValueError as exc:
         raise StackFormatError(f"{meta_path}: {exc}") from exc
+    return header
+
+
+def read_stack_dir(stack_dir: str | Path) -> FocalStack:
+    """Read the slides of a stack directory, checked against its stack.json.
+
+    stack.json is checked whole before any slide is opened (see
+    :func:`read_stack_header`); then each slide in order
+    (:meth:`StackHeader.read_slide`).  Raises StackFormatError naming the
+    first missing or inconsistent file.  truth.csv is not read; load it
+    with read_depth_csv.
+    """
+    header = read_stack_header(stack_dir)
+    data = header.empty(header.n_slides)
+    for k, out in enumerate(data):
+        header.read_slide(k, out)
+    return FocalStack(data, z_min=header.z_min, z_max=header.z_max,
+                      h=header.h)

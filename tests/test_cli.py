@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,12 @@ import pytest
 import fracfocus
 from fracfocus import kernel2d
 from fracfocus.cli import main
+from fracfocus.depth import recover_depth
+from fracfocus.focus import local_focus_volume, nonlocalize_volume
 from fracfocus.grids import FocalStack
-from fracfocus.io import read_depth_csv, write_stack_dir
+from fracfocus.io import (read_depth_csv, read_stack_dir, write_depth_csv,
+                          write_stack_dir)
+from fracfocus.kernel2d import build_kernel
 
 SMALL_SYNTH = ["synth", "--scene", "plane", "--size", "16", "--slices", "5",
                "--wavelength", "0.5", "--seed", "3", "--sigma0", "1.5",
@@ -126,22 +131,38 @@ class TestRecoverCommand:
         assert json.loads(loc.with_suffix(".json").read_text())["method"] \
             == "local"
 
-    def test_outputs_do_not_depend_on_worker_count(self, plane_dir, tmp_path,
+    def test_outputs_do_not_depend_on_worker_count(self, tmp_path,
                                                    monkeypatch):
-        """The kernel pass splits the slides over the usable CPUs; one
-        worker, the default count and three workers write the same bytes."""
+        """recover streams the slides in blocks of one per usable CPU; with
+        5 slides and 2 or 3 CPUs the last block is partial.  For PGM and
+        .npy stacks, both methods and any CPU count, the CLI writes the
+        bytes of the batch pipeline run on the whole stack."""
         default_cpus = kernel2d._usable_cpus
-        written = []
-        for name, cpus in (("one", lambda: 1), ("default", default_cpus),
-                           ("three", lambda: 3)):
-            monkeypatch.setattr(kernel2d, "_usable_cpus", cpus)
-            out = tmp_path / f"{name}.csv"
-            assert main(["recover", "--stack", str(plane_dir), "--method",
-                         "nonlocal", "--q", "3", "--alpha", "1.5",
-                         "--zeta", "4", "--out", str(out)]) == 0
-            written.append((out.read_bytes(),
-                            out.with_suffix(".json").read_bytes()))
-        assert written[0] == written[1] == written[2]
+        methods = {"local": [], "nonlocal": ["--alpha", "1.5", "--zeta", "4"]}
+        for lossless in (False, True):
+            stack_dir = tmp_path / f"lossless_{lossless}"
+            synth = [a for a in SMALL_SYNTH if lossless or a != "--lossless"]
+            assert main(synth + ["--out", str(stack_dir)]) == 0
+            stack = read_stack_dir(stack_dir)
+            assert stack.n_slides == 5
+            for method, extra in methods.items():
+                volume = local_focus_volume(stack, 2)
+                if method == "nonlocal":
+                    volume = nonlocalize_volume(volume, build_kernel(1.5, 4))
+                batch = tmp_path / "batch.csv"
+                write_depth_csv(batch, recover_depth(volume))
+                want = (batch.read_bytes(),
+                        batch.with_suffix(".json").read_bytes())
+                assert b"NaN" in want[0] and want[0].count(b"NaN") < 16 * 16
+                for cpus in (lambda: 1, default_cpus, lambda: 2, lambda: 3):
+                    monkeypatch.setattr(kernel2d, "_usable_cpus", cpus)
+                    out = tmp_path / "streamed.csv"
+                    assert main(["recover", "--stack", str(stack_dir),
+                                 "--method", method, "--q", "2", *extra,
+                                 "--out", str(out)]) == 0
+                    assert (out.read_bytes(),
+                            out.with_suffix(".json").read_bytes()) == want, (
+                        lossless, method, cpus())
 
     def test_missing_stack_fails(self, tmp_path, capsys):
         rc = main(["recover", "--stack", str(tmp_path / "nowhere"),
@@ -152,11 +173,42 @@ class TestRecoverCommand:
     def test_missing_slide_is_named(self, tmp_path, capsys):
         stack_dir = tmp_path / "stack"
         assert main(SMALL_SYNTH + ["--out", str(stack_dir)]) == 0
-        (stack_dir / "slide_002.npy").unlink()
+        (stack_dir / "slide_004.npy").unlink()
         rc = main(["recover", "--stack", str(stack_dir), "--q", "2",
                    "--out", str(tmp_path / "d.csv")])
         assert rc == 1
-        assert "slide_002" in capsys.readouterr().err
+        assert "slide_004" in capsys.readouterr().err
+        # The depth file is written only once the last slide is in.
+        assert not (tmp_path / "d.csv").exists()
+
+    def test_non_finite_slide_is_named(self, tmp_path, capsys):
+        stack_dir = tmp_path / "stack"
+        assert main(SMALL_SYNTH + ["--out", str(stack_dir)]) == 0
+        slide = np.load(stack_dir / "slide_003.npy")
+        slide[5, 5] = np.nan
+        np.save(stack_dir / "slide_003.npy", slide)
+        rc = main(["recover", "--stack", str(stack_dir), "--q", "2",
+                   "--out", str(tmp_path / "d.csv")])
+        assert rc == 1
+        assert "slide_003.npy: slide values must be finite" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "d.csv").exists()
+
+    @pytest.mark.parametrize("field, value", [("n_slides", 2),
+                                              ("z_max", 0.0)])
+    def test_bad_geometry_fails_before_any_slide(self, tmp_path, capsys,
+                                                 field, value):
+        stack_dir = tmp_path / "stack"
+        stack_dir.mkdir()
+        meta = {"z_min": 0.0, "z_max": 1.0, "n_slides": 3, "h": 0.1,
+                "width": 16, "height": 16, "lossless": True}
+        meta[field] = value
+        (stack_dir / "stack.json").write_text(json.dumps(meta))
+        rc = main(["recover", "--stack", str(stack_dir), "--q", "2",
+                   "--out", str(tmp_path / "d.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "stack.json" in err and "slide_" not in err
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_focus_measure_fails(self, tmp_path, capsys):
@@ -171,6 +223,49 @@ class TestRecoverCommand:
         assert rc == 1
         assert "must be finite" in capsys.readouterr().err
         assert not (tmp_path / "d.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def plane_stacks_128(tmp_path_factory):
+    """128x128 lossless plane stacks of 8 and of 64 slides."""
+    stacks = {}
+    for n in (8, 64):
+        stacks[n] = tmp_path_factory.mktemp("plane128") / f"plane_{n}"
+        assert main(["synth", "--scene", "plane", "--size", "128",
+                     "--slices", str(n), "--lossless", "--seed", "0",
+                     "--out", str(stacks[n])]) == 0
+    return stacks
+
+
+def _recover_peak_bytes(argv: list[str]) -> int:
+    """Peak traced allocation of one CLI call."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("method", ["local", "nonlocal"])
+def test_recover_memory_does_not_grow_with_the_stack(plane_stacks_128,
+                                                     tmp_path, monkeypatch,
+                                                     method):
+    """recover holds a block of slides, not the stack: eight times the
+    slides may cost at most 1 MB more at the peak (the stack grows by
+    7 MB).  One worker: with more, the peak depends on whether the
+    workers' per-slide scratch arrays (about 1 MB each here) happen to be
+    alive at the same moment, which varies from run to run."""
+    monkeypatch.setattr(kernel2d, "_usable_cpus", lambda: 1)
+
+    def argv(n):
+        return ["recover", "--stack", str(plane_stacks_128[n]), "--method",
+                method, "--q", "4", "--out", str(tmp_path / f"d{n}.csv")]
+
+    # Warm-up: lazy imports and cached kernel rules stay out of the peaks.
+    assert main(argv(8)) == 0
+    small, large = _recover_peak_bytes(argv(8)), _recover_peak_bytes(argv(64))
+    assert large <= small + 2 ** 20, (small, large)
 
 
 class TestEvalCommand:

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from fracfocus.depth import PeakFit, parabolic_peak, recover_depth
+from depth_reference import batch_recover_depth
+
+from fracfocus.depth import PeakFit, PeakSearch, parabolic_peak, recover_depth
 from fracfocus.focus import local_focus_volume
 from fracfocus.grids import FocalStack, FocusVolume
 
@@ -206,3 +209,63 @@ def test_middle_peak_depth_is_the_parabolic_vertex(columns, z_min, span):
         offset = parabolic_peak(*triple).offset
         expected = z_min + (1 + offset) * volume.delta_z
         assert depth.values[0, i].tobytes() == np.float64(expected).tobytes()
+
+
+# A few values, so that exact ties between slides are common; 0 gives
+# all-zero columns, and the tiny and huge ones reach the degeneracy guard.
+_TIED = st.sampled_from([0.0, 0.0, 5e-324, 0.5, 1.0, 1.0, 2.0, 1e300])
+
+
+@st.composite
+def _tied_volumes(draw):
+    n = draw(st.integers(3, 9))
+    # fill=nothing: every element drawn on its own, not a repeated
+    # background value, so interior peaks are common too.
+    data = draw(arrays(np.float64, (n, draw(st.integers(1, 4)),
+                                    draw(st.integers(1, 4))),
+                       elements=_TIED, fill=st.nothing()))
+    # Columns whose single peak sits on the first or the last slide, and
+    # all-zero columns.
+    data[:, 0, 0] = np.linspace(2.0, 1.0, n)
+    if data.shape[2] > 1:
+        data[:, 0, -1] = np.linspace(1.0, 2.0, n)
+    if data.shape[1] > 1:
+        data[:, -1, 0] = 0.0
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tied_volumes(), st.sampled_from([None, 0.0, 1.5]),
+       st.floats(-10.0, 10.0), st.floats(1e-3, 10.0))
+def test_running_search_matches_batch_argmax(data, alpha, z_min, span):
+    volume = FocusVolume(data, q=1, z_min=z_min, z_max=z_min + span, h=0.5,
+                         alpha=alpha, zeta=None if alpha is None else 2)
+    got = recover_depth(volume)
+    want = batch_recover_depth(volume)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert np.array_equal(got.valid, want.valid)
+    assert (got.q, got.alpha, got.zeta, got.z_min, got.z_max, got.h) == (
+        want.q, want.alpha, want.zeta, want.z_min, want.z_max, want.h)
+
+
+def test_running_search_copies_each_layer():
+    """The caller may reuse a layer's buffer once it has been pushed."""
+    columns = np.array([[0.1, 0.9, 0.1, 0.3], [0.1, 0.2, 0.8, 0.4]]).T
+    buffer = np.empty((1, 2))
+    search = PeakSearch()
+    for layer in columns:
+        buffer[0] = layer
+        search.push(buffer)
+        buffer[0] = -1.0
+    got = search.depth_map(q=1, z_min=0.0, z_max=3.0)
+    want = recover_depth(_column_volume(columns.T.tolist(), z_max=3.0))
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+@pytest.mark.parametrize("slides", [0, 1])
+def test_running_search_needs_two_slides(slides):
+    search = PeakSearch()
+    for _ in range(slides):
+        search.push(np.ones((2, 2)))
+    with pytest.raises(ValueError, match="at least 2 slides"):
+        search.depth_map(q=1, z_min=0.0, z_max=1.0)

@@ -12,8 +12,8 @@ from csv_reference import reference_depth_csv
 
 from fracfocus.grids import DepthMap, FocalStack
 from fracfocus.io import (StackFormatError, _pgm_tokens, read_depth_csv,
-                          read_pgm, read_stack_dir, write_depth_csv,
-                          write_pgm, write_stack_dir)
+                          read_pgm, read_stack_dir, read_stack_header,
+                          write_depth_csv, write_pgm, write_stack_dir)
 from fracfocus.synth import BlurSpec, SceneSpec
 
 QUANTUM = 1.0 / 255.0
@@ -471,6 +471,12 @@ class TestStackDir:
         with pytest.raises(StackFormatError, match="JSON"):
             read_stack_dir(tmp_path)
 
+    @pytest.mark.parametrize("text", ["[]", "3", '"stack"'])
+    def test_non_object_metadata_rejected(self, tmp_path, text):
+        (tmp_path / "stack.json").write_text(text)
+        with pytest.raises(StackFormatError, match="stack.json: bad"):
+            read_stack_dir(tmp_path)
+
     def test_too_few_slides_rejected(self, tmp_path):
         meta = {"z_min": 0.0, "z_max": 1.0, "n_slides": 2, "h": 0.1,
                 "width": 3, "height": 3, "lossless": True}
@@ -479,6 +485,47 @@ class TestStackDir:
             np.save(tmp_path / f"slide_{k:03d}.npy", np.zeros((3, 3)))
         with pytest.raises(StackFormatError):
             read_stack_dir(tmp_path)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_slides", 2, "at least 3 slides"),
+        ("z_max", 0.0, "z_max > z_min"),
+        ("z_max", -1.0, "z_max > z_min"),
+        ("h", 0.0, "spacing must be positive"),
+        ("width", 0, "hold nothing")])
+    def test_bad_geometry_fails_before_any_slide(self, tmp_path, field,
+                                                 value, message):
+        # No slide files at all: the error must name stack.json, not a
+        # missing slide.
+        meta = {"z_min": 0.0, "z_max": 1.0, "n_slides": 3, "h": 0.1,
+                "width": 3, "height": 3, "lossless": True}
+        meta[field] = value
+        (tmp_path / "stack.json").write_text(json.dumps(meta))
+        with pytest.raises(StackFormatError,
+                           match=f"stack.json: .*{message}"):
+            read_stack_header(tmp_path)
+        with pytest.raises(StackFormatError, match="stack.json"):
+            read_stack_dir(tmp_path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_slide_is_named(self, tmp_path, bad):
+        rng = np.random.default_rng(20)
+        self._write(tmp_path, rng, lossless=True)
+        data = np.load(tmp_path / "slide_002.npy")
+        data[3, 1] = bad
+        np.save(tmp_path / "slide_002.npy", data)
+        with pytest.raises(StackFormatError,
+                           match="slide_002.npy: slide values must be finite"):
+            read_stack_dir(tmp_path)
+
+    def test_header_reads_one_slide_at_a_time(self, tmp_path):
+        rng = np.random.default_rng(21)
+        stack, _ = self._write(tmp_path, rng, lossless=True)
+        header = read_stack_header(tmp_path)
+        assert (header.n_slides, header.height, header.width) == (4, 6, 5)
+        assert (header.z_min, header.z_max, header.h) == (0.0, 1.0, 0.1)
+        out = header.empty(1)
+        header.read_slide(3, out[0])
+        np.testing.assert_array_equal(out[0], stack.data[3])
 
     @pytest.mark.parametrize("field, value", [("n_slides", -1),
                                               ("height", -2),
