@@ -13,8 +13,8 @@ from .depth import PeakFit, PeakSearch, parabolic_peak, recover_depth
 from .evaluate import (ComparisonTable, EmptyMaskError, ErrorReport,
                        axis_profile, comparison_table, rms_error_percent)
 from .focus import (focus_layers, local_focus_volume,
-                    local_modified_laplacian, nonlocal_focus_volume,
-                    nonlocalize_volume, nyquist_hint)
+                    local_modified_laplacian, nonlocalize_volume,
+                    nyquist_hint)
 from .frac1d import (Function1D, QuadratureError, QuadratureSpec,
                      regularized_derivative, regularized_integral,
                      riesz_second_derivative)
@@ -54,7 +54,6 @@ __all__ = [
     "kernel_frequency_response",
     "local_focus_volume",
     "local_modified_laplacian",
-    "nonlocal_focus_volume",
     "nonlocalize_volume",
     "nyquist_hint",
     "parabolic_peak",

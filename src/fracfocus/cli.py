@@ -37,18 +37,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    values = tuple(float(t) for t in text.split(",") if t.strip())
-    if not values:
-        raise argparse.ArgumentTypeError("expected a comma-separated list")
-    return values
-
-
-def _int_list(text: str) -> tuple[int, ...]:
-    values = tuple(int(t) for t in text.split(",") if t.strip())
-    if not values:
-        raise argparse.ArgumentTypeError("expected a comma-separated list")
-    return values
+def _number_list(kind: type):
+    """An argparse type for a comma-separated list of ``kind`` values."""
+    def parse(text: str) -> tuple:
+        values = tuple(kind(t) for t in text.split(",") if t.strip())
+        if not values:
+            raise argparse.ArgumentTypeError("expected a comma-separated list")
+        return values
+    parse.__name__ = f"{kind.__name__} list"
+    return parse
 
 
 def cmd_kernel(args: argparse.Namespace) -> int:
@@ -82,8 +79,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
          f"{args.slices} slides, z in [{args.z_min}, {args.z_max}]")
     stack = render_stack(scene, blur, args.size, args.size, args.slices,
                          args.z_min, args.z_max, h)
-    truth = ground_truth(scene, args.size, args.size, h)
-    truth = truth.with_metadata(z_min=args.z_min, z_max=args.z_max)
+    truth = replace(ground_truth(scene, args.size, args.size, h),
+                    z_min=args.z_min, z_max=args.z_max)
     write_stack_dir(args.out, stack, truth=truth, scene=scene, blur=blur,
                     lossless=args.lossless)
     _log(f"wrote {args.slices} slides, stack.json and truth.csv to {args.out}")
@@ -138,7 +135,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise ValueError("--table needs --stack to rerun the pipelines")
         stack = read_stack_dir(args.stack)
         table = comparison_table(stack, truth, args.q, args.alphas, args.zetas)
-        _write_table_csv(args.table, table)
+        Path(args.table).write_text(table.format(), encoding="ascii")
         payload["table"] = {
             "q": table.q,
             "alphas": list(table.alphas),
@@ -163,19 +160,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     _log(f"rms error {report.rms_percent:.4f}% of range "
          f"({report.n_valid} pixels), wrote {args.report}")
     return 0
-
-
-def _write_table_csv(path: str | Path, table) -> None:
-    header = ["zeta"] + [f"alpha={a:g}" for a in table.alphas]
-    header.append("local_at_q_prime_eq_zeta")
-    lines = [",".join(header)]
-    for zeta in table.zetas:
-        row = [str(zeta)]
-        row += [format(table.rms(zeta, a), ".9g") for a in table.alphas]
-        loc = table.local.get(zeta)
-        row.append(format(loc.rms_percent, ".9g") if loc else "")
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
@@ -305,10 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stack directory (needed for --table)")
     p.add_argument("--q", type=_positive_int, default=4,
                    help="fixed stride for the table's nonlocal column")
-    p.add_argument("--alphas", type=_float_list,
+    p.add_argument("--alphas", type=_number_list(float),
                    default=(0.0, 0.5, 1.0, 1.5, 2.0),
                    help="comma-separated fractional orders for --table")
-    p.add_argument("--zetas", type=_int_list, default=(1, 2, 3, 4),
+    p.add_argument("--zetas", type=_number_list(int), default=(1, 2, 3, 4),
                    help="comma-separated cutoffs for --table")
     p.add_argument("--profile", default=None,
                    help="also write a central-axis profile CSV here")

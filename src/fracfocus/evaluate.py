@@ -49,6 +49,12 @@ class ErrorReport:
         return self.n_valid / self.n_total
 
 
+def _check_same_grid(recovered: DepthMap, truth: DepthMap) -> None:
+    if recovered.values.shape != truth.values.shape:
+        raise ValueError(f"shape mismatch: recovered "
+                         f"{recovered.values.shape}, truth {truth.values.shape}")
+
+
 def rms_error_percent(recovered: DepthMap, truth: DepthMap,
                       z_range: float | None = None) -> ErrorReport:
     """Compare a recovered depth map against ground truth.
@@ -57,11 +63,7 @@ def rms_error_percent(recovered: DepthMap, truth: DepthMap,
     the recovered map's z_max - z_min; pass it explicitly when the map
     carries no stack metadata.
     """
-    if recovered.values.shape != truth.values.shape:
-        raise ValueError(
-            f"shape mismatch: recovered {recovered.values.shape}, "
-            f"truth {truth.values.shape}"
-        )
+    _check_same_grid(recovered, truth)
     if z_range is None:
         if recovered.z_min is None or recovered.z_max is None:
             raise ValueError("z_range not given and recovered map carries "
@@ -126,21 +128,18 @@ class ComparisonTable:
         return max(cells) / best
 
     def format(self) -> str:
-        """Plain-text grid: one row per zeta, one column per alpha, plus
-        the local error at stride q' = zeta in the last column."""
-        local_label = "local(q')"
-        head = [f"{'zeta':>6}"]
-        head += [f"a={alpha:<6.2f}" for alpha in self.alphas]
-        head.append(f"{local_label:>10}")
-        lines = [f"nonlocal at q={self.q}, local at q'=zeta; rms in % of range",
-                 "  ".join(head)]
+        """CSV grid: one row per zeta, one column per alpha, then the local
+        error at stride q' = zeta (empty where it was not computed)."""
+        header = ["zeta"] + [f"alpha={a:g}" for a in self.alphas]
+        header.append("local_at_q_prime_eq_zeta")
+        lines = [",".join(header)]
         for zeta in self.zetas:
-            row = [f"{zeta:>6d}"]
-            row += [f"{self.rms(zeta, alpha):<8.4f}" for alpha in self.alphas]
+            row = [str(zeta)]
+            row += [format(self.rms(zeta, a), ".9g") for a in self.alphas]
             loc = self.local.get(zeta)
-            row.append(f"{loc.rms_percent:>10.4f}" if loc else f"{'-':>10}")
-            lines.append("  ".join(row))
-        return "\n".join(lines)
+            row.append(format(loc.rms_percent, ".9g") if loc else "")
+            lines.append(",".join(row))
+        return "\n".join(lines) + "\n"
 
 
 def comparison_table(stack: FocalStack, truth: DepthMap, q: int,
@@ -184,11 +183,7 @@ def axis_profile(recovered: DepthMap, truth: DepthMap, axis: str = "y",
     invalid in either map.  ``axis`` is the direction the profile runs
     along: "x" walks the middle row, "y" the middle column.
     """
-    if recovered.values.shape != truth.values.shape:
-        raise ValueError(
-            f"shape mismatch: recovered {recovered.values.shape}, "
-            f"truth {truth.values.shape}"
-        )
+    _check_same_grid(recovered, truth)
     height, width = recovered.values.shape
     h = recovered.h if recovered.h is not None else 1.0
     if axis == "x":

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import kernel2d
 from .grids import FocalStack, FocusVolume, ScalarField
-from .kernel2d import Kernel, build_kernel, correlate_layers
+from .kernel2d import Kernel, correlate_layers
 
 if TYPE_CHECKING:
     from .io import StackHeader
@@ -36,7 +36,6 @@ __all__ = [
     "focus_layers",
     "local_focus_volume",
     "local_modified_laplacian",
-    "nonlocal_focus_volume",
     "nonlocalize_volume",
     "nyquist_hint",
 ]
@@ -141,18 +140,6 @@ def nonlocalize_volume(volume: FocusVolume, kernel: Kernel) -> FocusVolume:
     data[:, :, -q:] = 0.0
     return FocusVolume(data, q=q, z_min=volume.z_min, z_max=volume.z_max,
                        h=volume.h, alpha=kernel.alpha, zeta=kernel.zeta)
-
-
-def nonlocal_focus_volume(stack: FocalStack, q: int, alpha: float,
-                          zeta: int) -> FocusVolume:
-    """Nonlocal focus measure: local modified Laplacian, then kernel pass.
-
-    Equivalent to ``nonlocalize_volume(local_focus_volume(stack, q),
-    build_kernel(alpha, zeta))``; alpha = 0 reproduces the local volume bit
-    for bit.
-    """
-    kernel = build_kernel(alpha, zeta)
-    return nonlocalize_volume(local_focus_volume(stack, q), kernel)
 
 
 def nyquist_hint(texture_wavelength: float, h: float) -> int:

@@ -7,28 +7,48 @@ rows, with the same spacing h in both directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = ["DepthMap", "FocalStack", "FocusVolume", "ScalarField",
-           "check_stack_geometry"]
+           "check_stack_geometry", "finite_min"]
 
 
 def check_stack_geometry(n_slides: int, z_min: float, z_max: float,
                          h: float) -> None:
     """Reject what no focal stack may have, whatever its slides hold.
 
-    Needs at least 3 slides (for the peak fit), z_max > z_min and h > 0;
-    raises ValueError otherwise.  Stack directories are checked with it
-    before any slide is read.
+    Needs at least 3 slides (for the peak fit), finite z_min, z_max and h,
+    z_max > z_min and h > 0; raises ValueError otherwise.  Stack
+    directories and rendered stacks are checked with it before any slide
+    is read or rendered.
     """
     if n_slides < 3:
         raise ValueError("a stack needs at least 3 slides for the peak fit")
+    if not all(map(math.isfinite, (z_min, z_max, h))):
+        raise ValueError(f"z_min, z_max and h must be finite, "
+                         f"got {z_min}, {z_max}, {h}")
     if not z_max > z_min:
         raise ValueError(f"need z_max > z_min, got [{z_min}, {z_max}]")
     if not h > 0:
         raise ValueError(f"grid spacing must be positive, got {h}")
+
+
+def finite_min(x: np.ndarray) -> float | None:
+    """The smallest element of ``x``, or None if any element is NaN or +-inf.
+
+    Two reductions and no array-sized temporary: a NaN or an infinity
+    always reaches the minimum or the maximum.  An empty ``x`` has nothing
+    non-finite and gives +inf.
+    """
+    if x.size == 0:
+        return math.inf
+    lowest = x.min()
+    if np.isfinite(lowest) and np.isfinite(x.max()):
+        return float(lowest)
+    return None
 
 
 @dataclass(frozen=True)
@@ -43,7 +63,7 @@ class ScalarField:
         object.__setattr__(self, "values", values)
         if values.ndim != 2 or min(values.shape) < 1:
             raise ValueError(f"field must be a 2D grid, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
+        if finite_min(values) is None:
             raise ValueError("field values must be finite")
         if not self.h > 0:
             raise ValueError(f"grid spacing must be positive, got {self.h}")
@@ -76,7 +96,7 @@ class FocalStack:
         if data.ndim != 3:
             raise ValueError(f"stack data must be 3D, got shape {data.shape}")
         check_stack_geometry(data.shape[0], self.z_min, self.z_max, self.h)
-        if not np.all(np.isfinite(data)):
+        if finite_min(data) is None:
             raise ValueError("slide values must be finite")
 
     @property
@@ -123,15 +143,11 @@ class FocusVolume:
             raise ValueError(f"volume data must be 3D, got shape {data.shape}")
         if self.q < 1:
             raise ValueError(f"step q must be positive, got {self.q}")
-        # Two reductions, no volume-sized temporary: NaN and inf reach the
-        # max or the min.
-        if data.size:
-            lowest, highest = data.min(), data.max()
-            if not (np.isfinite(lowest) and np.isfinite(highest)):
-                raise ValueError("focus measures must be finite")
-            if lowest < 0:
-                raise ValueError(
-                    "focus measures are non-negative by construction")
+        lowest = finite_min(data)
+        if lowest is None:
+            raise ValueError("focus measures must be finite")
+        if lowest < 0:
+            raise ValueError("focus measures are non-negative by construction")
 
     @property
     def n_slides(self) -> int:
@@ -176,7 +192,7 @@ class DepthMap:
         object.__setattr__(self, "valid", valid)
         if values.ndim != 2 or values.shape != valid.shape:
             raise ValueError("values and valid mask must be matching 2D grids")
-        if not np.all(np.isfinite(values[valid])):
+        if finite_min(values[valid]) is None:
             raise ValueError("values at valid pixels must be finite")
 
     @property
@@ -194,6 +210,3 @@ class DepthMap:
         if self.q is not None:
             return "local"
         return "truth"
-
-    def with_metadata(self, **kwargs) -> "DepthMap":
-        return replace(self, **kwargs)

@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import DepthMap, FocalStack, check_stack_geometry
+from .grids import (DepthMap, FocalStack, check_stack_geometry,
+                    finite_min)
 
 __all__ = [
     "StackFormatError",
@@ -245,16 +246,30 @@ class StackHeader:
                     f"{target}: shape {slide.shape} does not match "
                     f"stack.json {out.shape}")
             out[...] = slide
-        if not np.isfinite(out).all():
+        if finite_min(out) is None:
             raise StackFormatError(f"{target}: slide values must be finite")
+
+
+def _json_field(meta: dict, key: str, *kinds: type):
+    """``meta[key]``, uncoerced: its type must be one of ``kinds``.
+
+    Exact types, not isinstance, under which true would pass as an int.
+    """
+    value = meta[key]
+    if type(value) not in kinds:
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise TypeError(f"{key} must be a JSON {names}, got {value!r}")
+    return value
 
 
 def read_stack_header(stack_dir: str | Path) -> StackHeader:
     """Read and check the stack.json of a stack directory.
 
     Opens no slide.  Raises StackFormatError naming stack.json if it is
-    missing, not JSON, lacks a field, or describes no usable stack (fewer
-    than 3 slides, empty slides, z_max <= z_min or h <= 0).
+    missing, not JSON, lacks a field, has a field of the wrong JSON type
+    (n_slides, height, width: integers; z_min, z_max, h: numbers), or
+    describes no usable stack (see ``grids.check_stack_geometry``; empty
+    slides).
     """
     stack_dir = Path(stack_dir)
     meta_path = stack_dir / "stack.json"
@@ -265,15 +280,15 @@ def read_stack_header(stack_dir: str | Path) -> StackHeader:
     except (ValueError, UnicodeDecodeError) as exc:
         raise StackFormatError(f"{meta_path}: unreadable JSON ({exc})") from exc
     try:
-        lossless = meta.get("lossless", False)
-        if not isinstance(lossless, bool):
-            raise TypeError(f"lossless must be true or false: {lossless!r}")
-        header = StackHeader(
-            directory=stack_dir, n_slides=int(meta["n_slides"]),
-            height=int(meta["height"]), width=int(meta["width"]),
-            z_min=float(meta["z_min"]), z_max=float(meta["z_max"]),
-            h=float(meta["h"]), lossless=lossless)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        sizes = {key: _json_field(meta, key, int)
+                 for key in ("n_slides", "height", "width")}
+        geometry = {key: float(_json_field(meta, key, int, float))
+                    for key in ("z_min", "z_max", "h")}
+        lossless = ("lossless" in meta
+                    and _json_field(meta, "lossless", bool))
+        header = StackHeader(directory=stack_dir, lossless=lossless,
+                             **sizes, **geometry)
+    except (KeyError, OverflowError, TypeError) as exc:
         raise StackFormatError(f"{meta_path}: bad or missing field ({exc})"
                                ) from exc
     try:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import DepthMap, FocalStack
+from .grids import DepthMap, FocalStack, check_stack_geometry
 
 __all__ = ["BlurSpec", "SceneSpec", "ground_truth", "render_stack"]
 
@@ -250,12 +250,7 @@ def render_stack(scene: SceneSpec, blur: BlurSpec, width: int, height: int,
     texture rather than into an extrapolation artifact.  Bit-identical for
     identical scene, blur and grid parameters.
     """
-    if n_slides < 3:
-        raise ValueError(f"need at least 3 slides, got {n_slides}")
-    if not z_max > z_min:
-        raise ValueError(f"need z_max > z_min, got [{z_min}, {z_max}]")
-    if h <= 0 or width < 1 or height < 1:
-        raise ValueError("grid must have positive dimensions and spacing")
+    check_stack_geometry(n_slides, z_min, z_max, h)
     if scene.texture_wavelength < 2.0 * h:
         raise ValueError(
             f"texture wavelength {scene.texture_wavelength} not resolvable "

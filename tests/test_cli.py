@@ -14,6 +14,7 @@ import fracfocus
 from fracfocus import kernel2d
 from fracfocus.cli import main
 from fracfocus.depth import recover_depth
+from fracfocus.evaluate import comparison_table
 from fracfocus.focus import local_focus_volume, nonlocalize_volume
 from fracfocus.grids import FocalStack
 from fracfocus.io import (read_depth_csv, read_stack_dir, write_depth_csv,
@@ -195,7 +196,9 @@ class TestRecoverCommand:
         assert not (tmp_path / "d.csv").exists()
 
     @pytest.mark.parametrize("field, value", [("n_slides", 2),
-                                              ("z_max", 0.0)])
+                                              ("z_max", 0.0),
+                                              ("h", float("inf")),
+                                              ("z_min", float("-inf"))])
     def test_bad_geometry_fails_before_any_slide(self, tmp_path, capsys,
                                                  field, value):
         stack_dir = tmp_path / "stack"
@@ -209,6 +212,20 @@ class TestRecoverCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert "stack.json" in err and "slide_" not in err
+
+    def test_fractional_slide_count_fails(self, tmp_path, capsys):
+        # 4.9 must not be read as 4 of the 5 slides on the wrong z scale.
+        stack_dir = tmp_path / "stack"
+        assert main(SMALL_SYNTH + ["--out", str(stack_dir)]) == 0
+        meta = json.loads((stack_dir / "stack.json").read_text())
+        meta["n_slides"] = 4.9
+        (stack_dir / "stack.json").write_text(json.dumps(meta))
+        rc = main(["recover", "--stack", str(stack_dir), "--q", "2",
+                   "--out", str(tmp_path / "d.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "stack.json" in err and "n_slides" in err
+        assert not (tmp_path / "d.csv").exists()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_focus_measure_fails(self, tmp_path, capsys):
@@ -320,6 +337,22 @@ class TestEvalCommand:
         assert table_json["q"] == 2
         assert len(table_json["grid"]) == 4
         assert len(table_json["local"]) == 2
+
+    def test_table_csv_is_the_table_format(self, plane_dir, depth_csv,
+                                           tmp_path):
+        table_path = tmp_path / "table.csv"
+        rc = main(["eval", "--depth", str(depth_csv),
+                   "--truth", str(plane_dir / "truth.csv"),
+                   "--report", str(tmp_path / "report.json"),
+                   "--table", str(table_path), "--stack", str(plane_dir),
+                   "--q", "2"])
+        assert rc == 0
+        table = comparison_table(read_stack_dir(plane_dir),
+                                 read_depth_csv(plane_dir / "truth.csv"), 2)
+        assert table_path.read_text(encoding="ascii") == table.format()
+        assert table_path.read_text().splitlines()[0] == (
+            "zeta,alpha=0,alpha=0.5,alpha=1,alpha=1.5,alpha=2,"
+            "local_at_q_prime_eq_zeta")
 
     def test_table_requires_stack(self, plane_dir, depth_csv, tmp_path,
                                   capsys):

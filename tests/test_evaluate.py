@@ -206,12 +206,33 @@ class TestComparisonTable:
         assert table.local[1].q == 1
 
     def test_format_layout(self, table):
-        lines = table.format().splitlines()
-        assert len(lines) == 2 + len(table.zetas)
-        assert "q=2" in lines[0]
-        assert "zeta" in lines[1]
-        for zeta, line in zip(table.zetas, lines[2:]):
-            assert line.split()[0] == str(zeta)
+        text = table.format()
+        assert text.endswith("\n")
+        lines = text.splitlines()
+        assert len(lines) == 1 + len(table.zetas)
+        header = lines[0].split(",")
+        assert header[0] == "zeta"
+        assert header[1:-1] == [f"alpha={a:g}" for a in table.alphas]
+        assert header[-1] == "local_at_q_prime_eq_zeta"
+        for zeta, line in zip(table.zetas, lines[1:]):
+            cells = line.split(",")
+            assert len(cells) == len(header)
+            assert cells[0] == str(zeta)
+            assert cells[1:-1] == [format(table.rms(zeta, a), ".9g")
+                                   for a in table.alphas]
+            assert cells[-1] == format(table.local[zeta].rms_percent, ".9g")
+
+    def test_format_pins_csv_bytes(self):
+        table = ComparisonTable(q=1, alphas=(0.0, 1.5), zetas=(1, 2),
+                                grid={(1, 0.0): _report(2.0),
+                                      (1, 1.5): _report(1.0 / 3.0),
+                                      (2, 0.0): _report(2.0),
+                                      (2, 1.5): _report(0.25)},
+                                local={1: _report(2.0)})
+        assert table.format() == (
+            "zeta,alpha=0,alpha=1.5,local_at_q_prime_eq_zeta\n"
+            "1,2,0.333333333,2\n"
+            "2,2,0.25,\n")
 
     def test_empty_parameter_lists_rejected(self, small_plane):
         stack, truth = small_plane.stack, small_plane.truth

@@ -12,7 +12,6 @@ from fracfocus import kernel2d
 from fracfocus.focus import (
     local_focus_volume,
     local_modified_laplacian,
-    nonlocal_focus_volume,
     nonlocalize_volume,
     nyquist_hint,
 )
@@ -136,22 +135,16 @@ class TestNonlocalization:
         rng = np.random.default_rng(6)
         stack = _random_stack(rng, height=26, width=26)
         local = local_focus_volume(stack, 2)
-        nonlocal_ = nonlocal_focus_volume(stack, 2, alpha=0.0, zeta=zeta)
+        nonlocal_ = nonlocalize_volume(local_focus_volume(stack, 2),
+                                       build_kernel(0.0, zeta))
         assert np.array_equal(nonlocal_.data, local.data)
         assert nonlocal_.alpha == 0.0 and nonlocal_.zeta == zeta
-
-    def test_composition_equals_one_shot(self):
-        rng = np.random.default_rng(7)
-        stack = _random_stack(rng)
-        kernel = build_kernel(1.0, 2)
-        via_steps = nonlocalize_volume(local_focus_volume(stack, 2), kernel)
-        one_shot = nonlocal_focus_volume(stack, 2, alpha=1.0, zeta=2)
-        assert np.array_equal(via_steps.data, one_shot.data)
 
     def test_rejects_double_nonlocalization(self):
         rng = np.random.default_rng(8)
         stack = _random_stack(rng)
-        once = nonlocal_focus_volume(stack, 2, alpha=1.0, zeta=2)
+        once = nonlocalize_volume(local_focus_volume(stack, 2),
+                                  build_kernel(1.0, 2))
         with pytest.raises(ValueError):
             nonlocalize_volume(once, build_kernel(1.0, 2))
 
@@ -159,7 +152,8 @@ class TestNonlocalization:
         rng = np.random.default_rng(9)
         stack = _random_stack(rng)
         q = 2
-        volume = nonlocal_focus_volume(stack, q, alpha=1.5, zeta=3)
+        volume = nonlocalize_volume(local_focus_volume(stack, q),
+                                    build_kernel(1.5, 3))
         for k in range(volume.n_slides):
             layer = volume.data[k]
             assert np.all(layer[:q, :] == 0.0)
@@ -174,14 +168,16 @@ class TestNonlocalization:
         ii, jj = _index_grid(16, 16)
         data = np.stack([ii * ii + jj * jj] * 3)
         stack = FocalStack(data, z_min=0.0, z_max=1.0, h=1.0)
-        volume = nonlocal_focus_volume(stack, 1, alpha=2.0, zeta=1)
+        volume = nonlocalize_volume(local_focus_volume(stack, 1),
+                                    build_kernel(2.0, 1))
         deep = volume.data[:, 2:-2, 2:-2]
         assert np.allclose(deep, 36.0, rtol=1e-12, atol=0)
 
     def test_non_negative(self):
         rng = np.random.default_rng(10)
         stack = _random_stack(rng)
-        volume = nonlocal_focus_volume(stack, 2, alpha=1.5, zeta=2)
+        volume = nonlocalize_volume(local_focus_volume(stack, 2),
+                                    build_kernel(1.5, 2))
         assert np.all(volume.data >= 0.0)
 
     def test_pooling_smooths_layers(self):

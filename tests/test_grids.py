@@ -1,9 +1,33 @@
 """Validation tests for the shared data carriers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays, array_shapes
 
-from fracfocus.grids import DepthMap, FocalStack, FocusVolume, ScalarField
+from fracfocus.grids import (DepthMap, FocalStack, FocusVolume, ScalarField,
+                             finite_min)
+
+
+class TestFiniteMin:
+    # +-1e308 catch a shortcut that overflows, such as testing min + max.
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.float64,
+                  array_shapes(min_dims=1, max_dims=3, min_side=0,
+                               max_side=5),
+                  elements=st.sampled_from([0.0, -2.5, 1e308, -1e308,
+                                            np.nan, np.inf, -np.inf])))
+    def test_is_none_exactly_when_a_value_is_not_finite(self, x):
+        lowest = finite_min(x)
+        assert (lowest is not None) == bool(np.isfinite(x).all())
+        if lowest is not None and x.size:
+            assert lowest == x.min()
+
+    def test_empty_array_passes(self):
+        assert finite_min(np.zeros((0, 4))) == np.inf
 
 
 class TestScalarField:
@@ -48,6 +72,24 @@ class TestFocalStack:
         data[1, 2, 2] = np.inf
         with pytest.raises(ValueError):
             FocalStack(data, z_min=0.0, z_max=1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("z_min", -np.inf), ("z_max", np.inf), ("h", np.inf),
+        ("z_min", np.nan), ("h", np.nan)])
+    def test_rejects_non_finite_geometry(self, field, value):
+        geometry = {"z_min": 0.0, "z_max": 1.0, "h": 0.1, field: value}
+        with pytest.raises(ValueError, match="finite"):
+            FocalStack(np.zeros((3, 4, 4)), **geometry)
+
+    def test_finite_check_allocates_no_array_sized_temporary(self):
+        data = np.zeros((16, 256, 256))  # 8 MiB; a boolean mask is 1 MiB
+        tracemalloc.start()
+        try:
+            FocalStack(data, 0.0, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestFocusVolume:
@@ -97,10 +139,3 @@ class TestDepthMap:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             DepthMap(np.zeros((2, 2)), np.ones((2, 3), bool))
-
-    def test_with_metadata_returns_updated_copy(self):
-        depth = DepthMap(np.zeros((2, 2)), np.ones((2, 2), bool), q=1)
-        updated = depth.with_metadata(alpha=1.0, zeta=2)
-        assert updated.method == "nonlocal"
-        assert depth.method == "local"
-        assert np.array_equal(updated.values, depth.values)

@@ -491,7 +491,20 @@ class TestStackDir:
         ("z_max", 0.0, "z_max > z_min"),
         ("z_max", -1.0, "z_max > z_min"),
         ("h", 0.0, "spacing must be positive"),
-        ("width", 0, "hold nothing")])
+        ("width", 0, "hold nothing"),
+        ("z_min", -np.inf, "must be finite"),
+        ("z_max", np.inf, "must be finite"),
+        ("h", np.inf, "must be finite"),
+        ("h", np.nan, "must be finite"),
+        # Nothing is coerced: each of these once loaded as another value.
+        ("n_slides", 4.9, "n_slides must be a JSON int"),
+        ("n_slides", "5", "n_slides must be a JSON int"),
+        ("n_slides", True, "n_slides must be a JSON int"),
+        ("height", 32.5, "height must be a JSON int"),
+        ("width", "3", "width must be a JSON int"),
+        ("z_min", "0.5", "z_min must be a JSON int or float"),
+        ("z_max", True, "z_max must be a JSON int or float"),
+        ("h", None, "h must be a JSON int or float")])
     def test_bad_geometry_fails_before_any_slide(self, tmp_path, field,
                                                  value, message):
         # No slide files at all: the error must name stack.json, not a
@@ -505,6 +518,16 @@ class TestStackDir:
             read_stack_header(tmp_path)
         with pytest.raises(StackFormatError, match="stack.json"):
             read_stack_dir(tmp_path)
+
+    def test_integer_geometry_reads_as_float(self, tmp_path):
+        rng = np.random.default_rng(22)
+        self._write(tmp_path, rng, lossless=True)
+        meta = json.loads((tmp_path / "stack.json").read_text())
+        meta.update(z_min=0, z_max=1)
+        (tmp_path / "stack.json").write_text(json.dumps(meta))
+        header = read_stack_header(tmp_path)
+        assert (header.z_min, header.z_max) == (0.0, 1.0)
+        assert type(header.z_min) is float
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_slide_is_named(self, tmp_path, bad):

@@ -237,6 +237,19 @@ class TestRenderStack:
             render_stack(self._plane(), BlurSpec(), width=24, height=24,
                          n_slides=5, z_min=1.0, z_max=0.0, h=0.1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("z_min", -np.inf), ("z_max", np.inf), ("h", np.inf),
+        ("h", np.nan)])
+    def test_rejects_non_finite_geometry_before_rendering(self, monkeypatch,
+                                                          field, value):
+        def unreachable(*args):
+            raise AssertionError("rendering started")
+
+        monkeypatch.setattr(synth, "_gather", unreachable)
+        geometry = {**self.SMALL, field: value}
+        with pytest.raises(ValueError, match="finite"):
+            render_stack(self._plane(), BlurSpec(), **geometry)
+
     def test_rejects_unresolvable_wavelength(self):
         scene = self._plane(texture_wavelength=0.05)
         with pytest.raises(ValueError):
