@@ -21,9 +21,10 @@ from .frac1d import (Function1D, QuadratureError, QuadratureSpec,
 from .grids import DepthMap, FocalStack, FocusVolume, ScalarField
 from .io import (StackFormatError, StackHeader, read_depth_csv, read_pgm,
                  read_stack_dir, read_stack_header, write_depth_csv,
-                 write_pgm, write_stack_dir)
+                 write_pgm, write_stack, write_stack_dir)
 from .kernel2d import Kernel, apply_kernel, build_kernel, kernel_frequency_response
-from .synth import BlurSpec, SceneSpec, ground_truth, render_stack
+from .synth import (BlurSpec, SceneSpec, ground_truth, render_slides,
+                    render_stack)
 
 __version__ = "0.1.0"
 
@@ -64,11 +65,13 @@ __all__ = [
     "recover_depth",
     "regularized_derivative",
     "regularized_integral",
+    "render_slides",
     "render_stack",
     "riesz_second_derivative",
     "rms_error_percent",
     "write_depth_csv",
     "write_pgm",
+    "write_stack",
     "write_stack_dir",
     "__version__",
 ]

@@ -18,10 +18,12 @@ import numpy as np
 from .depth import PeakSearch, parabolic_peak, recover_depth
 from .evaluate import axis_profile, comparison_table, rms_error_percent
 from .focus import focus_layers, local_focus_volume, nonlocalize_volume
-from .io import (StackFormatError, read_depth_csv, read_stack_dir,
-                 read_stack_header, write_depth_csv, write_stack_dir)
+from .io import (StackFormatError, StackHeader, read_depth_csv,
+                 read_stack_dir, read_stack_header, write_depth_csv,
+                 write_stack)
 from .kernel2d import build_kernel, kernel_frequency_response
-from .synth import BlurSpec, SceneSpec, ground_truth, render_stack
+from .synth import (BlurSpec, SceneSpec, ground_truth, render_slides,
+                    render_stack)
 
 __all__ = ["main"]
 
@@ -77,12 +79,15 @@ def cmd_synth(args: argparse.Namespace) -> int:
     h = 2.0 * args.extent / (args.size - 1)
     _log(f"rendering {args.scene} {args.size}x{args.size}, "
          f"{args.slices} slides, z in [{args.z_min}, {args.z_max}]")
-    stack = render_stack(scene, blur, args.size, args.size, args.slices,
-                         args.z_min, args.z_max, h)
+    # Checked here, before the writer creates the directory.
+    slides = render_slides(scene, blur, args.size, args.size, args.slices,
+                           args.z_min, args.z_max, h)
     truth = replace(ground_truth(scene, args.size, args.size, h),
                     z_min=args.z_min, z_max=args.z_max)
-    write_stack_dir(args.out, stack, truth=truth, scene=scene, blur=blur,
-                    lossless=args.lossless)
+    header = StackHeader(directory=Path(args.out), n_slides=args.slices,
+                         height=args.size, width=args.size, z_min=args.z_min,
+                         z_max=args.z_max, h=h, lossless=args.lossless)
+    write_stack(header, slides, truth=truth, scene=scene, blur=blur)
     _log(f"wrote {args.slices} slides, stack.json and truth.csv to {args.out}")
     return 0
 

@@ -10,9 +10,10 @@ ties between slides survive) followed by re-imposing the zero frame.  Local
 and nonlocal volumes therefore share the same support, and order 0 reduces
 bit-exactly to the local measure.
 
-:func:`focus_layers` runs the same code over a stack directory in blocks of
-one slide per usable CPU, in buffers it reuses, and yields the measure one
-slide at a time, so that ``recover`` holds O(CPUs * height * width) values
+:func:`focus_layers` runs the same code over a stack directory through the
+slide pool of :mod:`kernel2d`: each worker reads, measures and passes one
+slide at a time in buffers it allocates once, and the layers come back in
+slide order, so that ``recover`` holds O(CPUs * height * width) values
 instead of O(n_slides * height * width).  Each slide's layer is bitwise the
 same as in the volume, because every step acts on each slide alone.
 """
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import kernel2d
 from .grids import FocalStack, FocusVolume, ScalarField
-from .kernel2d import Kernel, correlate_layers
+from .kernel2d import Kernel, _correlate_slide, _scratch, correlate_layers
 
 if TYPE_CHECKING:
     from .io import StackHeader
@@ -53,12 +54,26 @@ def _check_step(shape: tuple[int, ...], q: int) -> None:
 
 
 def _modified_laplacian_into(out: np.ndarray, f: np.ndarray, q: int,
-                             h: float) -> None:
-    """Write the stride-q measure of slide ``f`` inside ``out``'s q-frame."""
+                             h: float, space: dict) -> None:
+    """Write the stride-q measure of slide ``f`` inside ``out``'s q-frame.
+
+    The temporaries are the workspace ``space``'s, allocated once.
+    """
     scale = 1.0 / (q * h) ** 2
-    d2x = f[q:-q, 2 * q:] - 2.0 * f[q:-q, q:-q] + f[q:-q, :-2 * q]
-    d2y = f[2 * q:, q:-q] - 2.0 * f[q:-q, q:-q] + f[:-2 * q, q:-q]
-    out[q:-q, q:-q] = (np.abs(d2x) + np.abs(d2y)) * scale
+    shape = (f.shape[0] - 2 * q, f.shape[1] - 2 * q)
+    d2x, d2y, twice = (_scratch(space, name, shape)
+                       for name in ("d2x", "d2y", "twice"))
+    # d2x = f[q:-q, 2q:] - 2 f[q:-q, q:-q] + f[q:-q, :-2q], d2y likewise,
+    # and out = (|d2x| + |d2y|) * scale, one rounding step at a time.
+    np.multiply(f[q:-q, q:-q], 2.0, out=twice)
+    np.subtract(f[q:-q, 2 * q:], twice, out=d2x)
+    np.add(d2x, f[q:-q, :-2 * q], out=d2x)
+    np.subtract(f[2 * q:, q:-q], twice, out=d2y)
+    np.add(d2y, f[:-2 * q, q:-q], out=d2y)
+    np.abs(d2x, out=d2x)
+    np.abs(d2y, out=d2y)
+    np.add(d2x, d2y, out=d2x)
+    np.multiply(d2x, scale, out=out[q:-q, q:-q])
 
 
 def local_modified_laplacian(slide: ScalarField, q: int) -> ScalarField:
@@ -70,7 +85,7 @@ def local_modified_laplacian(slide: ScalarField, q: int) -> ScalarField:
     """
     _check_step(slide.values.shape, q)
     out = np.zeros(slide.values.shape)
-    _modified_laplacian_into(out, slide.values, q, slide.h)
+    _modified_laplacian_into(out, slide.values, q, slide.h, {})
     return ScalarField(out, slide.h)
 
 
@@ -78,19 +93,21 @@ def local_focus_volume(stack: FocalStack, q: int) -> FocusVolume:
     """Local modified-Laplacian focus measure for every slide of a stack."""
     _check_step(stack.data.shape, q)
     data = np.zeros(stack.data.shape)
-    _local_measures_into(data, stack.data, q, stack.h)
+    # Slide by slide: a whole-stack expression would hold several
+    # volume-sized temporaries at once.
+    space: dict = {}
+    for f, layer in zip(stack.data, data):
+        _modified_laplacian_into(layer, f, q, stack.h, space)
     return FocusVolume(data, q=q, z_min=stack.z_min, z_max=stack.z_max,
                        h=stack.h)
 
 
-def _local_measures_into(out: np.ndarray, slides: np.ndarray, q: int,
-                         h: float) -> np.ndarray:
-    """Write the measure of each slide inside the q-frame of ``out``."""
-    # Slide by slide: a whole-stack expression would hold several
-    # volume-sized temporaries at once.
-    for f, layer in zip(slides, out):
-        _modified_laplacian_into(layer, f, q, h)
-    return out
+def _zero_frame(layers: np.ndarray, q: int) -> None:
+    """Zero the frame of width q of every layer (last two axes)."""
+    layers[..., :q, :] = 0.0
+    layers[..., -q:, :] = 0.0
+    layers[..., :, :q] = 0.0
+    layers[..., :, -q:] = 0.0
 
 
 def focus_layers(header: StackHeader, q: int,
@@ -98,29 +115,40 @@ def focus_layers(header: StackHeader, q: int,
     """Yield the focus measure of each slide of a stack directory, in order.
 
     The local measure at step q, then, given a kernel, the nonlocal one.
-    Slides are read in blocks of one per usable CPU (the kernel pass then
-    gives each CPU one slide) into a reused buffer, and their local
-    measure goes into a second one, zeroed once, so memory stays
-    O(CPUs * height * width) however many slides there are.  The step is
-    checked before any slide is read, each block like a FocusVolume
-    (finite, non-negative) before it is yielded.  A yielded layer is bitwise
-    that slide's layer of ``local_focus_volume`` or ``nonlocalize_volume``
-    on the whole stack; it may be overwritten once the next is requested.
+    Each slide is read, measured, passed and checked like a FocusVolume
+    (finite, non-negative) by one worker of the slide pool
+    (``kernel2d._slide_pool``), in buffers the worker allocates once; the
+    results come out of a ring of one buffer per worker plus one, so memory
+    stays O(CPUs * height * width) however many slides there are.  The step
+    and the slide shape are checked when this is called, before any slide
+    is read; a failing slide raises when it is due, so the lowest-numbered
+    one is named.  A yielded layer is bitwise that slide's layer of
+    ``local_focus_volume`` or ``nonlocalize_volume`` on the whole stack; it
+    may be overwritten once the next is requested.
     """
     _check_step((header.height, header.width), q)
-    block = min(kernel2d._usable_cpus(), header.n_slides)
-    slides = header.empty(block)
-    local = np.zeros(slides.shape)
-    for lo in range(0, header.n_slides, block):
-        count = min(block, header.n_slides - lo)
-        for k in range(count):
-            header.read_slide(lo + k, slides[k])
-        volume = FocusVolume(
-            _local_measures_into(local[:count], slides[:count], q, header.h),
-            q=q, z_min=header.z_min, z_max=header.z_max, h=header.h)
-        if kernel is not None:
-            volume = nonlocalize_volume(volume, kernel)
-        yield from volume.data
+    shape = (header.height, header.width)
+    ring = header.empty(min(kernel2d._usable_cpus() + 1, header.n_slides))
+    if kernel is None:
+        # The measure leaves each buffer's q-frame as it finds it.
+        ring[...] = 0.0
+    else:
+        weights = kernel.weights[kernel.zeta:, kernel.zeta:]
+
+    def work(k: int, out: np.ndarray, space: dict) -> None:
+        slide = _scratch(space, "slide", shape)
+        header.read_slide(k, slide)
+        if kernel is None:
+            _modified_laplacian_into(out, slide, q, header.h, space)
+        else:
+            local = _scratch(space, "local", shape, zero=True)
+            _modified_laplacian_into(local, slide, q, header.h, space)
+            _correlate_slide(weights, local, out, space)
+            _zero_frame(out, q)
+        FocusVolume(out[np.newaxis], q=q, z_min=header.z_min,
+                    z_max=header.z_max, h=header.h)
+
+    return kernel2d._slide_pool(header.n_slides, work, ring)
 
 
 def nonlocalize_volume(volume: FocusVolume, kernel: Kernel) -> FocusVolume:
@@ -134,10 +162,7 @@ def nonlocalize_volume(volume: FocusVolume, kernel: Kernel) -> FocusVolume:
         raise ValueError("volume has already been nonlocalized")
     data = correlate_layers(kernel, volume.data)
     q = volume.q
-    data[:, :q, :] = 0.0
-    data[:, -q:, :] = 0.0
-    data[:, :, :q] = 0.0
-    data[:, :, -q:] = 0.0
+    _zero_frame(data, q)
     return FocusVolume(data, q=q, z_min=volume.z_min, z_max=volume.z_max,
                        h=volume.h, alpha=kernel.alpha, zeta=kernel.zeta)
 

@@ -65,8 +65,9 @@ class ScalarField:
             raise ValueError(f"field must be a 2D grid, got shape {values.shape}")
         if finite_min(values) is None:
             raise ValueError("field values must be finite")
-        if not self.h > 0:
-            raise ValueError(f"grid spacing must be positive, got {self.h}")
+        if not (math.isfinite(self.h) and self.h > 0):
+            raise ValueError(f"grid spacing must be finite and positive, "
+                             f"got {self.h}")
 
     @property
     def height(self) -> int:

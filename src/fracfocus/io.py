@@ -12,7 +12,9 @@ physical metadata; the ground truth it may hold is an ordinary depth CSV.
 from __future__ import annotations
 
 import json
+import math
 import re
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 from io import StringIO
 from pathlib import Path
@@ -31,6 +33,7 @@ __all__ = [
     "read_stack_header",
     "write_depth_csv",
     "write_pgm",
+    "write_stack",
     "write_stack_dir",
 ]
 
@@ -62,8 +65,8 @@ def _pgm_tokens(raw: bytes):
             yield token.group(), token.end()
 
 
-def read_pgm(path: str | Path) -> np.ndarray:
-    """Read a binary PGM into floats in [0, 1] (pixel / maxval)."""
+def _read_pgm_pixels(path: str | Path) -> tuple[np.ndarray, int]:
+    """The 8-bit raster of a binary PGM and its maxval."""
     raw = Path(path).read_bytes()
     tokens = _pgm_tokens(raw)
     try:
@@ -81,7 +84,12 @@ def read_pgm(path: str | Path) -> np.ndarray:
     if len(data) != width * height:
         raise ValueError(f"{path}: PGM raster truncated "
                          f"({len(data)} of {width * height} bytes)")
-    pixels = np.frombuffer(data, dtype=np.uint8).reshape(height, width)
+    return np.frombuffer(data, dtype=np.uint8).reshape(height, width), maxval
+
+
+def read_pgm(path: str | Path) -> np.ndarray:
+    """Read a binary PGM into floats in [0, 1] (pixel / maxval)."""
+    pixels, maxval = _read_pgm_pixels(path)
     return pixels.astype(float) / maxval
 
 
@@ -124,12 +132,34 @@ def read_depth_csv(path: str | Path) -> DepthMap:
                 else "unparseable CSV")
         raise ValueError(f"{path}: {kind} ({exc})") from exc
     valid = np.isfinite(arr)
-    meta = {}
     sidecar = path.with_suffix(".json")
-    if sidecar.exists():
-        loaded = json.loads(sidecar.read_text(encoding="ascii"))
-        meta = {key: loaded[key] for key in _DEPTH_META_KEYS if key in loaded}
+    meta = _read_depth_sidecar(sidecar) if sidecar.exists() else {}
     return DepthMap(values=np.where(valid, arr, np.nan), valid=valid, **meta)
+
+
+def _read_depth_sidecar(sidecar: Path) -> dict:
+    """The recovery parameters a depth sidecar records, checked.
+
+    Each of q and zeta must be a JSON integer or null, each of alpha,
+    z_min, z_max and h a finite JSON number or null; absent keys are
+    left out.  Raises ValueError naming the sidecar otherwise, or if it
+    is not a JSON object.
+    """
+    try:
+        loaded = json.loads(sidecar.read_text(encoding="ascii"))
+        if type(loaded) is not dict:
+            raise TypeError(f"expected a JSON object, got {loaded!r}")
+        meta = {}
+        for key in _DEPTH_META_KEYS:
+            if key not in loaded:
+                continue
+            kinds = (int,) if key in ("q", "zeta") else (int, float)
+            value = meta[key] = _json_field(loaded, key, *kinds, type(None))
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value!r}")
+    except (ValueError, TypeError, OverflowError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{sidecar}: bad depth sidecar ({exc})") from exc
+    return meta
 
 
 def _slide_name(k: int, lossless: bool) -> str:
@@ -155,52 +185,14 @@ def _read_npy(path: Path, out: np.ndarray) -> None:
             raise StackFormatError(f"{path}: data truncated")
 
 
-def write_stack_dir(out_dir: str | Path, stack: FocalStack,
-                    truth: DepthMap | None = None,
-                    scene=None, blur=None,
-                    lossless: bool = False) -> None:
-    """Write a stack directory: numbered slides, stack.json, truth files.
-
-    ``scene`` and ``blur`` may be any dataclasses describing how the
-    stack was made; they are stored verbatim in stack.json.  With
-    ``lossless`` the slides go out bit-exact as float64 .npy instead of
-    8-bit PGM.
-    """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    n_slides = stack.data.shape[0]
-    meta = {
-        "z_min": stack.z_min,
-        "z_max": stack.z_max,
-        "n_slides": n_slides,
-        "h": stack.h,
-        "width": int(stack.data.shape[2]),
-        "height": int(stack.data.shape[1]),
-        "lossless": bool(lossless),
-        "seed": getattr(scene, "seed", None),
-        "scene": asdict(scene) if scene is not None else None,
-        "blur": asdict(blur) if blur is not None else None,
-    }
-    (out_dir / "stack.json").write_text(json.dumps(meta, indent=2) + "\n",
-                                        encoding="ascii")
-    for k in range(n_slides):
-        target = out_dir / _slide_name(k, lossless)
-        if lossless:
-            np.save(target, np.ascontiguousarray(stack.data[k]))
-        else:
-            write_pgm(target, stack.data[k])
-    if truth is not None:
-        write_depth_csv(out_dir / "truth.csv", truth)
-
-
 @dataclass(frozen=True)
 class StackHeader:
-    """The checked stack.json of a stack directory.
+    """The geometry and slide format of a stack directory: its stack.json.
 
-    Everything needed to read the slides one at a time: their number,
-    shape and format, and the physical metadata of the stack.  Made by
-    :func:`read_stack_header`, whose checks a FocalStack's geometry would
-    pass.
+    Everything needed to read or write the slides one at a time: their
+    number, shape and format, and the physical metadata of the stack.
+    :func:`read_stack_header` makes one from a stack.json, with checks a
+    FocalStack's geometry would pass; :func:`write_stack` writes one.
     """
 
     directory: Path
@@ -237,17 +229,82 @@ class StackHeader:
             _read_npy(target, out)
         else:
             try:
-                slide = read_pgm(target)
+                pixels, maxval = _read_pgm_pixels(target)
             except ValueError as exc:
                 raise StackFormatError(f"{target}: unreadable ({exc})"
                                        ) from exc
-            if slide.shape != out.shape:
+            if pixels.shape != out.shape:
                 raise StackFormatError(
-                    f"{target}: shape {slide.shape} does not match "
+                    f"{target}: shape {pixels.shape} does not match "
                     f"stack.json {out.shape}")
-            out[...] = slide
+            # The quotient read_pgm gives, decoded straight into out.
+            np.divide(pixels, float(maxval), out=out)
         if finite_min(out) is None:
             raise StackFormatError(f"{target}: slide values must be finite")
+
+
+def write_stack(header: StackHeader, slides: Iterable[np.ndarray],
+                truth: DepthMap | None = None, scene=None,
+                blur=None) -> None:
+    """Write a stack directory: stack.json, numbered slides, truth files.
+
+    ``header`` gives the directory, the geometry and the slide format
+    stack.json records; ``slides`` may be any iterable of
+    (height, width) arrays, each written as it arrives, so a stream
+    (``synth.render_slides``) is never held whole.  ``scene`` and ``blur``
+    may be any dataclasses describing how the stack was made; they are
+    stored verbatim in stack.json.  Lossless slides go out bit-exact as
+    float64 .npy, others as 8-bit PGM.  Raises ValueError if the slides
+    disagree with the header in shape or number.
+    """
+    out_dir = Path(header.directory)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    meta = {
+        "z_min": header.z_min,
+        "z_max": header.z_max,
+        "n_slides": header.n_slides,
+        "h": header.h,
+        "width": header.width,
+        "height": header.height,
+        "lossless": header.lossless,
+        "seed": getattr(scene, "seed", None),
+        "scene": asdict(scene) if scene is not None else None,
+        "blur": asdict(blur) if blur is not None else None,
+    }
+    (out_dir / "stack.json").write_text(json.dumps(meta, indent=2) + "\n",
+                                        encoding="ascii")
+    shape = (header.height, header.width)
+    count = 0
+    for k, slide in enumerate(slides):
+        if k >= header.n_slides or slide.shape != shape:
+            raise ValueError(f"slide {k} of shape {slide.shape} does not fit "
+                             f"{header.n_slides} slides of {shape}")
+        target = out_dir / _slide_name(k, header.lossless)
+        if header.lossless:
+            np.save(target, np.ascontiguousarray(slide))
+        else:
+            write_pgm(target, slide)
+        count = k + 1
+    if count != header.n_slides:
+        raise ValueError(f"got {count} of {header.n_slides} slides")
+    if truth is not None:
+        write_depth_csv(out_dir / "truth.csv", truth)
+
+
+def write_stack_dir(out_dir: str | Path, stack: FocalStack,
+                    truth: DepthMap | None = None,
+                    scene=None, blur=None,
+                    lossless: bool = False) -> None:
+    """Write a FocalStack held in memory as a stack directory.
+
+    See :func:`write_stack`; ``lossless`` picks .npy over PGM slides.
+    """
+    n_slides, height, width = stack.data.shape
+    header = StackHeader(directory=Path(out_dir), n_slides=n_slides,
+                         height=height, width=width, z_min=stack.z_min,
+                         z_max=stack.z_max, h=stack.h,
+                         lossless=bool(lossless))
+    write_stack(header, stack.data, truth=truth, scene=scene, blur=blur)
 
 
 def _json_field(meta: dict, key: str, *kinds: type):

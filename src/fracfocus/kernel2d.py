@@ -16,12 +16,22 @@ cells and a 1D rule on the polar wedge of the center cell.
 alpha = 0 is the delta kernel (local limit), alpha = 2 the uniform
 "pinhole" limit; in between the weights fall off monotonically with radius
 and the operator acts as a low-pass filter.
+
+Slides are independent until the peak search, so they go through one
+ordered slide pool (``_slide_pool``): one worker per usable CPU, each with
+a workspace of scratch buffers it allocates once, results yielded in slide
+order from a ring of output buffers.  The kernel pass here, ``recover``'s
+read-measure-pass chain (``focus.focus_layers``) and the renderer
+(``synth.render_slides``) all run on it.
 """
 
 from __future__ import annotations
 
 import functools
 import os
+import threading
+from collections import deque
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,13 +172,116 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _scratch(space: dict, name: str, shape: tuple[int, ...],
+             zero: bool = False) -> np.ndarray:
+    """The workspace buffer ``name`` of ``shape``, allocated on first use.
+
+    ``zero`` zeroes it when it is allocated, not on later calls.
+    """
+    buffer = space.get(name)
+    if buffer is None or buffer.shape != shape:
+        buffer = space[name] = np.zeros(shape) if zero else np.empty(shape)
+    return buffer
+
+
+def _slide_pool(n: int, work: Callable[[int, np.ndarray, dict], None],
+                ring: np.ndarray) -> Iterator[np.ndarray]:
+    """Run ``work(k, out, space)`` for k = 0 .. n-1 and yield each ``out``
+    in order of k.
+
+    ``out`` is ``ring[k % len(ring)]``: a ring of at least n buffers keeps
+    every result; in a shorter one, a yielded buffer may be overwritten once
+    the next is requested.  ``space`` is a dict the worker keeps for the
+    whole call, for scratch buffers that it allocates once (see
+    :func:`_scratch`).  There is one worker per usable CPU, never
+    more than there are slides or than the ring leaves free: the calling
+    thread and a thread pool for the rest (numpy releases the GIL in each
+    ufunc).  Rather than wait for a slide, the calling thread takes the
+    first slide that no pool thread has started.  A worker's exception is
+    raised when its slide is due, so the lowest-numbered failing slide is
+    the one reported, and no thread outlives the generator.  ``work`` must
+    give each slide the same bits whichever worker runs it; then so does
+    the pool.
+    """
+    size = len(ring)
+    workers = min(_usable_cpus(), n if size >= n else size - 1)
+    space: dict = {}
+    if workers <= 1:
+        for k in range(n):
+            out = ring[k % size]
+            work(k, out, space)
+            yield out
+        return
+
+    # Imported here: concurrent.futures pulls in logging, which would
+    # otherwise slow every CLI start.
+    from concurrent.futures import Future, ThreadPoolExecutor
+
+    local = threading.local()
+
+    def run(k: int) -> None:
+        if not hasattr(local, "space"):
+            local.space = {}
+        work(k, ring[k % size], local.space)
+
+    def run_here(k: int) -> Future:
+        done: Future = Future()
+        try:
+            work(k, ring[k % size], space)
+        except Exception as exc:
+            done.set_exception(exc)
+        else:
+            done.set_result(None)
+        return done
+
+    pool = ThreadPoolExecutor(max_workers=workers - 1)
+    try:
+        pending: deque = deque()
+        for k in range(n):
+            # Slides k .. k + workers are in flight: slide k + workers takes
+            # the buffer of slide k - 1, released by asking for slide k.
+            for j in range(k + len(pending), min(k + workers + 1, n)):
+                pending.append(pool.submit(run, j))
+            # While slide k is not done, the calling thread takes the
+            # first slide that no pool thread has started.
+            while not pending[0].done():
+                i = next((i for i, future in enumerate(pending)
+                          if future.cancel()), None)
+                if i is None:
+                    break
+                pending[i] = run_here(k + i)
+            pending.popleft().result()
+            yield ring[k % size]
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _mirror_pad(slide: np.ndarray, zeta: int, space: dict) -> np.ndarray:
+    """``np.pad(slide, zeta, mode="symmetric")``, in the workspace ``space``.
+
+    Filled in place with mirror slices, columns first and then whole rows
+    (the corners), where one reflection reaches: zeta up to each side of
+    the slide.  A larger zeta, whose reflection repeats, gets ``np.pad``.
+    """
+    height, width = slide.shape
+    if zeta > min(height, width):
+        return np.pad(slide, zeta, mode="symmetric")
+    padded = _scratch(space, "padded", (height + 2 * zeta, width + 2 * zeta))
+    padded[zeta:zeta + height, zeta:zeta + width] = slide
+    padded[zeta:zeta + height, :zeta] = slide[:, :zeta][:, ::-1]
+    padded[zeta:zeta + height, zeta + width:] = slide[:, width - zeta:][:, ::-1]
+    padded[:zeta] = padded[zeta:2 * zeta][::-1]
+    padded[zeta + height:] = padded[height:zeta + height][::-1]
+    return padded
+
+
 # Samples per row strip of the pair-sum pass: each of the strip's working
 # arrays then fits in a core's L2 cache (64 rows at width 512).
 _STRIP_SAMPLES = 2 ** 15
 
 
 def _correlate_slide(weights: np.ndarray, slide: np.ndarray,
-                     out: np.ndarray) -> None:
+                     out: np.ndarray, space: dict) -> None:
     """Write the pair-sum pass of one 2D slide into ``out``.
 
     ``weights`` is the kernel quadrant ``w[a, b]``, a, b = 0..zeta.  In row
@@ -176,18 +289,19 @@ def _correlate_slide(weights: np.ndarray, slide: np.ndarray,
     mirror-padded slide ``P`` (``C_0 = P[:, c]``) give the row sums
     ``D_a = sum_b w[a, b] C_b``, and each output row ``r`` is
     ``D_0[r] + sum_a (D_a[r+a] + D_a[r-a])``.  Zero weights are skipped, so
-    the delta kernel leaves a copy.
+    the delta kernel leaves a copy.  ``P`` (:func:`_mirror_pad`) and the
+    strip buffers are the workspace ``space``'s.
     """
     zeta = weights.shape[0] - 1
     height, width = slide.shape
-    padded = np.pad(slide, zeta, mode="symmetric")
+    padded = _mirror_pad(slide, zeta, space)
     rows = max(1, _STRIP_SAMPLES // width)
     span = min(rows, height) + 2 * zeta
     taps = [(a, np.flatnonzero(row)) for a, row in enumerate(weights)
             if row.any()]
-    pairs = np.empty((zeta, span, width))
-    row_sum = np.empty((span, width))
-    term = np.empty((span, width))
+    pairs = _scratch(space, "pairs", (zeta, span, width))
+    row_sum = _scratch(space, "row_sum", (span, width))
+    term = _scratch(space, "term", (span, width))
     for top in range(0, height, rows):
         n = min(rows, height - top)
         strip = padded[top:top + n + 2 * zeta]
@@ -220,39 +334,21 @@ def correlate_layers(kernel: Kernel, values: np.ndarray) -> np.ndarray:
     element-wise ufuncs on row strips of each slide.  Every sample goes
     through the same sequence of operations on its own window whatever its
     strip, so equal windows give bitwise-equal outputs; the delta kernel
-    (alpha = 0) returns an exact copy.  The layers are cut into contiguous
-    blocks, one per usable CPU and never more than there are layers, run on
-    the calling thread and a thread pool (numpy releases the GIL in each
-    ufunc).  The bits never depend on the CPU count, and there is no
-    setting for it.
+    (alpha = 0) returns an exact copy.  The layers go through the slide pool
+    (:func:`_slide_pool`), one worker per usable CPU, each result straight
+    into its place in the output.  The bits never depend on the CPU count,
+    and there is no setting for it.
     """
     zeta = kernel.zeta
     weights = kernel.weights[zeta:, zeta:]
     slides = np.asarray(values, dtype=float).reshape((-1,) + values.shape[-2:])
     out = np.empty(slides.shape)
-    layers = slides.shape[0]
-    workers = min(_usable_cpus(), layers)
 
-    def correlate_block(block: slice) -> None:
-        for slide, result in zip(slides[block], out[block]):
-            _correlate_slide(weights, slide, result)
+    def work(k: int, result: np.ndarray, space: dict) -> None:
+        _correlate_slide(weights, slides[k], result, space)
 
-    if workers == 1:
-        correlate_block(slice(None))
-    else:
-        # Imported here: concurrent.futures pulls in logging, which would
-        # otherwise slow every CLI start.
-        from concurrent.futures import ThreadPoolExecutor
-
-        bounds = [layers * k // workers for k in range(workers + 1)]
-        blocks = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-        # The calling thread takes the first block itself, so the pool
-        # starts one thread fewer (each costs some resident memory).
-        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-            done = pool.map(correlate_block, blocks[1:])
-            correlate_block(blocks[0])
-            # Reading every result re-raises a worker's exception here.
-            list(done)
+    for _ in _slide_pool(len(slides), work, out):
+        pass
     return out.reshape(values.shape)
 
 

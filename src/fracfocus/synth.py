@@ -10,18 +10,26 @@ taps in eight-fold symmetric groups, evaluates the Gaussian once per
 distinct height, crops each ring of taps to the pixels it reaches and
 copies in-focus pixels through exactly.  Everything is deterministic given
 the scene seed.
+
+:func:`render_slides` renders the slides on the slide pool of
+:mod:`kernel2d`, one per usable CPU, and yields them in order from a ring
+of a few buffers, so ``synth`` streams them to disk and its memory does
+not grow with the number of slides; :func:`render_stack` collects them.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernel2d
 from .grids import DepthMap, FocalStack, check_stack_geometry
 
-__all__ = ["BlurSpec", "SceneSpec", "ground_truth", "render_stack"]
+__all__ = ["BlurSpec", "SceneSpec", "ground_truth", "render_slides",
+           "render_stack"]
 
 _SCENE_KINDS = ("sphere", "plane", "ramp")
 _TEXTURE_KINDS = ("checker", "value-noise")
@@ -160,7 +168,7 @@ def _texture(scene: SceneSpec, width: int, height: int, h: float,
     return 0.5 + 0.5 * carrier / amp.sum()
 
 
-# Output pixels per row strip in render_stack: 2^15 pixels is 256 KiB per
+# Output pixels per row strip in render_slides: 2^15 pixels is 256 KiB per
 # float array, small enough for a strip's working set to stay in cache.
 _STRIP_PIXELS = 1 << 15
 
@@ -238,17 +246,22 @@ def _gather(tex: np.ndarray, margin: int, sigma: np.ndarray,
     return num / den[index]
 
 
-def render_stack(scene: SceneSpec, blur: BlurSpec, width: int, height: int,
-                 n_slides: int, z_min: float, z_max: float,
-                 h: float) -> FocalStack:
-    """Render a defocused slide sequence of a textured scene.
+def render_slides(scene: SceneSpec, blur: BlurSpec, width: int, height: int,
+                  n_slides: int, z_min: float, z_max: float,
+                  h: float) -> Iterator[np.ndarray]:
+    """Yield the defocused slides of a textured scene, in order.
 
     Slide k focuses at z_k = z_min + k * (z_max - z_min)/(n_slides - 1);
     every pixel gathers the texture under a Gaussian PSF of width
     sigma0 * |z_k - Z(x, y)| pixels.  The texture is generated on a grid
     padded by the maximum PSF radius, so border pixels blur into real
-    texture rather than into an extrapolation artifact.  Bit-identical for
-    identical scene, blur and grid parameters.
+    texture rather than into an extrapolation artifact.  The arguments are
+    checked when this is called, before any slide is rendered.  The
+    slides are rendered by the slide pool (``kernel2d._slide_pool``), one
+    worker per usable CPU, into a ring of one buffer per worker plus one,
+    so memory does not grow with ``n_slides``; a yielded slide may be
+    overwritten once the next is requested.  Bit-identical for identical
+    scene, blur and grid parameters, whatever the CPU count.
     """
     check_stack_geometry(n_slides, z_min, z_max, h)
     if scene.texture_wavelength < 2.0 * h:
@@ -275,12 +288,27 @@ def render_stack(scene: SceneSpec, blur: BlurSpec, width: int, height: int,
     # Strips of rows keep a gather's pair sums and factors in cache; each
     # pixel's arithmetic is the same whatever strip it is gathered in.
     strip = max(1, _STRIP_PIXELS // width)
-    slides = np.empty((n_slides, height, width))
-    for k in range(n_slides):
+
+    def render(k: int, out: np.ndarray, space: dict) -> None:
         sigma = blur.sigma0 * np.abs(z_min + k * delta_z - heights)
         radius = np.minimum(np.ceil(4.0 * sigma), blur.max_radius).astype(int)
         for y in range(0, height, strip):
-            slides[k, y:y + strip] = _gather(
+            out[y:y + strip] = _gather(
                 tex[y:y + strip + 2 * margin], margin, sigma, radius,
                 index[y:y + strip])
-    return FocalStack(slides, z_min=z_min, z_max=z_max, h=h)
+
+    ring = np.empty((min(kernel2d._usable_cpus() + 1, n_slides), height,
+                     width))
+    return kernel2d._slide_pool(n_slides, render, ring)
+
+
+def render_stack(scene: SceneSpec, blur: BlurSpec, width: int, height: int,
+                 n_slides: int, z_min: float, z_max: float,
+                 h: float) -> FocalStack:
+    """The slides of :func:`render_slides`, collected into a FocalStack."""
+    slides = render_slides(scene, blur, width, height, n_slides, z_min,
+                           z_max, h)
+    data = np.empty((n_slides, height, width))
+    for k, slide in enumerate(slides):
+        data[k] = slide
+    return FocalStack(data, z_min=z_min, z_max=z_max, h=h)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -106,6 +107,41 @@ class TestSynthCommand:
         assert main(["synth", "--size", "4", "--out", "unused"]) == 1
         assert "size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad, message", [
+        (["--height", "2"], "outside stack range"),
+        (["--wavelength", "0.2"], "not resolvable"),
+        (["--slices", "2"], "at least 3 slides"),
+    ])
+    def test_failed_checks_create_no_directory(self, tmp_path, capsys, bad,
+                                               message):
+        out = tmp_path / "stack"
+        assert main(["synth", "--scene", "plane", "--size", "16",
+                     "--wavelength", "0.5", *bad, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_outputs_do_not_depend_on_worker_count(self, tmp_path,
+                                                   monkeypatch):
+        """synth renders slide-parallel; PGM and .npy stack directories
+        are byte-identical for any CPU count, 5 slides against rings of
+        2 to 4 buffers included."""
+        default_cpus = kernel2d._usable_cpus
+        for lossless in (False, True):
+            synth = [a for a in SMALL_SYNTH if lossless or a != "--lossless"]
+            dirs = []
+            for i, cpus in enumerate((lambda: 1, default_cpus, lambda: 2,
+                                      lambda: 3)):
+                monkeypatch.setattr(kernel2d, "_usable_cpus", cpus)
+                dirs.append(tmp_path / f"{lossless}_{i}")
+                assert main(synth + ["--out", str(dirs[-1])]) == 0
+            names = sorted(p.name for p in dirs[0].iterdir())
+            assert len(names) == 5 + 3  # slides, stack.json, truth files
+            for other in dirs[1:]:
+                assert names == sorted(p.name for p in other.iterdir())
+                for name in names:
+                    assert (other / name).read_bytes() \
+                        == (dirs[0] / name).read_bytes(), (other, name)
+
 
 class TestRecoverCommand:
 
@@ -195,6 +231,23 @@ class TestRecoverCommand:
             in capsys.readouterr().err
         assert not (tmp_path / "d.csv").exists()
 
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_first_of_two_bad_slides_is_named(self, tmp_path, capsys,
+                                              monkeypatch, cpus):
+        stack_dir = tmp_path / "stack"
+        assert main(SMALL_SYNTH + ["--out", str(stack_dir)]) == 0
+        for k in (2, 4):
+            (stack_dir / f"slide_00{k}.npy").write_bytes(b"not a slide")
+        monkeypatch.setattr(kernel2d, "_usable_cpus", lambda: cpus)
+        threads = threading.active_count()
+        rc = main(["recover", "--stack", str(stack_dir), "--q", "2",
+                   "--out", str(tmp_path / "d.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "slide_002.npy" in err and "slide_004" not in err
+        assert not (tmp_path / "d.csv").exists()
+        assert threading.active_count() == threads
+
     @pytest.mark.parametrize("field, value", [("n_slides", 2),
                                               ("z_max", 0.0),
                                               ("h", float("inf")),
@@ -262,6 +315,23 @@ def _recover_peak_bytes(argv: list[str]) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_synth_memory_does_not_grow_with_the_stack(tmp_path, monkeypatch):
+    """synth streams its slides into the stack directory: eight times the
+    slides may cost at most 1 MB more at the peak (the stack would grow by
+    7 MB).  One worker, as for recover below."""
+    monkeypatch.setattr(kernel2d, "_usable_cpus", lambda: 1)
+
+    def argv(n):
+        return ["synth", "--scene", "plane", "--size", "128", "--slices",
+                str(n), "--lossless", "--seed", "0",
+                "--out", str(tmp_path / f"plane_{n}")]
+
+    # Warm-up: lazy imports stay out of the peaks.
+    assert main(argv(8)) == 0
+    small, large = _recover_peak_bytes(argv(8)), _recover_peak_bytes(argv(64))
+    assert large <= small + 2 ** 20, (small, large)
 
 
 @pytest.mark.parametrize("method", ["local", "nonlocal"])
@@ -362,6 +432,20 @@ class TestEvalCommand:
                    "--table", str(tmp_path / "t.csv")])
         assert rc == 1
         assert "--stack" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sidecar", ['{"z_min": "0", "z_max": 1}',
+                                         '{"z_min": 0, "z_max": Infinity}'])
+    def test_bad_sidecar_fails_by_name(self, plane_dir, tmp_path, capsys,
+                                       sidecar):
+        depth = tmp_path / "depth.csv"
+        depth.write_text("0.5,0.5\n0.5,0.5\n")
+        depth.with_suffix(".json").write_text(sidecar)
+        report = tmp_path / "r.json"
+        assert main(["eval", "--depth", str(depth),
+                     "--truth", str(plane_dir / "truth.csv"),
+                     "--report", str(report)]) == 1
+        assert "depth.json" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_bare_csv_needs_explicit_range(self, tmp_path, capsys):
         flat = tmp_path / "flat.csv"

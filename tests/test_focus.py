@@ -10,12 +10,14 @@ from hypothesis.extra.numpy import arrays
 
 from fracfocus import kernel2d
 from fracfocus.focus import (
+    focus_layers,
     local_focus_volume,
     local_modified_laplacian,
     nonlocalize_volume,
     nyquist_hint,
 )
 from fracfocus.grids import FocalStack, FocusVolume, ScalarField
+from fracfocus.io import StackHeader
 from fracfocus.kernel2d import apply_kernel, build_kernel
 
 
@@ -257,6 +259,18 @@ class TestWholeVolumePass:
         assert np.array_equal(got, expected)
         if tied:
             assert all(np.array_equal(layer, got[0]) for layer in got)
+
+
+class TestFocusLayers:
+    @pytest.mark.parametrize("q", [0, 6])
+    def test_step_is_checked_when_called(self, tmp_path, q):
+        # No slide file exists: a check made on the first next() would
+        # report the missing slide instead.
+        header = StackHeader(directory=tmp_path, n_slides=3, height=12,
+                             width=12, z_min=0.0, z_max=1.0, h=1.0,
+                             lossless=True)
+        with pytest.raises(ValueError, match="step|too small"):
+            focus_layers(header, q, build_kernel(1.0, 2))
 
 
 class TestNonFiniteMeasure:

@@ -50,6 +50,12 @@ class TestScalarField:
         with pytest.raises(ValueError):
             ScalarField(np.ones((2, 2)), h=0.0)
 
+    @pytest.mark.parametrize("h", [np.inf, np.nan])
+    def test_rejects_non_finite_spacing(self, h):
+        # An infinite h would scale every measure by 1/(q h)^2 = 0.
+        with pytest.raises(ValueError, match="finite"):
+            ScalarField(np.ones((2, 2)), h=h)
+
 
 class TestFocalStack:
     def test_slide_geometry(self):

@@ -11,9 +11,10 @@ from hypothesis.extra.numpy import arrays
 from csv_reference import reference_depth_csv
 
 from fracfocus.grids import DepthMap, FocalStack
-from fracfocus.io import (StackFormatError, _pgm_tokens, read_depth_csv,
-                          read_pgm, read_stack_dir, read_stack_header,
-                          write_depth_csv, write_pgm, write_stack_dir)
+from fracfocus.io import (StackFormatError, StackHeader, _pgm_tokens,
+                          read_depth_csv, read_pgm, read_stack_dir,
+                          read_stack_header, write_depth_csv, write_pgm,
+                          write_stack, write_stack_dir)
 from fracfocus.synth import BlurSpec, SceneSpec
 
 QUANTUM = 1.0 / 255.0
@@ -267,6 +268,38 @@ class TestDepthCsv:
         target.write_text("1,2\n\n3,4\n")
         assert read_depth_csv(target).values.shape == (2, 2)
 
+    @pytest.mark.parametrize("text", [
+        '{"z_min": "0", "z_max": 1}',
+        '{"z_max": Infinity}',
+        '{"h": NaN}',
+        '{"alpha": -Infinity}',
+        '{"z_min": 1e400}',
+        '{"q": 2.0}',
+        '{"q": true}',
+        '{"zeta": "4"}',
+        '{"alpha": [1.5]}',
+        '{"z_max": 10' + '0' * 400 + '}',
+        '[1, 2]',
+        '{"q": ',
+    ])
+    def test_bad_sidecar_rejected_by_name(self, tmp_path, text):
+        target = tmp_path / "depth.csv"
+        target.write_text("0.5,0.25\n")
+        (tmp_path / "depth.json").write_text(text)
+        with pytest.raises(ValueError, match="depth.json"):
+            read_depth_csv(target)
+
+    def test_sidecar_numbers_load_uncoerced(self, tmp_path):
+        target = tmp_path / "depth.csv"
+        target.write_text("0.5,0.25\n")
+        (tmp_path / "depth.json").write_text(
+            '{"method": "x", "q": 3, "alpha": null, "zeta": null, '
+            '"z_min": 0, "z_max": 1.5, "h": 2, "extra": "ignored"}')
+        back = read_depth_csv(target)
+        assert (back.q, back.alpha, back.zeta) == (3, None, None)
+        assert (back.z_min, back.z_max, back.h) == (0, 1.5, 2)
+        assert type(back.z_min) is int
+
 
 # Every float64 bit pattern that can sit at a valid pixel, with the edge
 # cases drawn often: signed zeros, subnormals and values near the range ends.
@@ -318,6 +351,40 @@ def test_lossless_stack_dir_roundtrips_every_bit(tmp_path_factory, data):
     write_stack_dir(stack_dir, stack, lossless=True)
     back = read_stack_dir(stack_dir)
     assert np.array_equal(_bits(back.data), _bits(data))
+
+
+class TestWriteStack:
+
+    def _header(self, directory, n=4, lossless=True):
+        return StackHeader(directory=directory, n_slides=n, height=6, width=5,
+                           z_min=0.0, z_max=1.0, h=0.1, lossless=lossless)
+
+    @pytest.mark.parametrize("lossless", [False, True])
+    def test_stream_writes_the_bytes_of_the_stack(self, tmp_path, lossless):
+        stack = _stack(np.random.default_rng(8))
+        write_stack_dir(tmp_path / "whole", stack, lossless=lossless)
+        # Each slide arrives in the same reused buffer.
+        buffer = np.empty((6, 5))
+
+        def stream():
+            for slide in stack.data:
+                buffer[...] = slide
+                yield buffer
+
+        write_stack(self._header(tmp_path / "stream", lossless=lossless),
+                    stream())
+        names = sorted(p.name for p in (tmp_path / "whole").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "stream").iterdir())
+        for name in names:
+            assert (tmp_path / "whole" / name).read_bytes() \
+                == (tmp_path / "stream" / name).read_bytes()
+
+    @pytest.mark.parametrize("slides", [np.zeros((3, 6, 5)),
+                                        np.zeros((5, 6, 5)),
+                                        np.zeros((4, 5, 6))])
+    def test_slides_must_fit_the_header(self, tmp_path, slides):
+        with pytest.raises(ValueError, match="slide"):
+            write_stack(self._header(tmp_path), slides)
 
 
 class TestStackDir:

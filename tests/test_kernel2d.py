@@ -2,6 +2,8 @@
 
 import functools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -344,3 +346,92 @@ class TestFrequencyResponse:
         assert kernel_frequency_response(kernel, 0.7, 0.2) == pytest.approx(
             kernel_frequency_response(kernel, 0.2, 0.7), abs=1e-12
         )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 9), st.data())
+def test_mirror_pad_equals_numpy_symmetric_pad(height, width, data):
+    # Reaches from 1 to past the longer side: single reflections in place,
+    # repeated ones through np.pad.  The workspace is reused for a second
+    # slide, as a worker reuses it across slides.
+    zeta = data.draw(st.integers(1, max(height, width) + 3))
+    space = {}
+    for seed in (0, 1):
+        slide = np.random.default_rng(seed).random((height, width))
+        got = kernel2d._mirror_pad(slide, zeta, space)
+        assert np.array_equal(got, np.pad(slide, zeta, mode="symmetric"))
+
+
+def _numbering_work(k, out, space):
+    out[...] = k
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("ring", [1, 2, 4, 25])
+def test_slide_pool_yields_in_order_from_its_ring(monkeypatch, workers, ring):
+    monkeypatch.setattr(kernel2d, "_usable_cpus", lambda: workers)
+    buffers = np.full((ring, 2, 3), -1.0)
+    spaces = set()
+
+    def work(k, out, space):
+        spaces.add(id(space))
+        _numbering_work(k, out, space)
+
+    seen = []
+    for k, out in enumerate(kernel2d._slide_pool(25, work, buffers)):
+        assert np.shares_memory(out, buffers[k % ring])
+        seen.append(out[0, 0])
+    assert seen == list(range(25))
+    # One workspace per worker, kept across its slides.
+    assert len(spaces) <= min(workers, max(ring - 1, 1))
+    if ring >= 25:
+        assert list(buffers[:, 0, 0]) == list(range(25))
+
+
+def test_slide_pool_never_hands_out_a_buffer_in_use(monkeypatch):
+    # More workers than cores and a short switch interval: if a worker
+    # wrote into a buffer the consumer still held, or two workers shared
+    # one, a yielded slide would not be all its own number.
+    monkeypatch.setattr(kernel2d, "_usable_cpus", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def work(k, out, space):
+            for row in out:
+                np.copyto(row, k)
+
+        seen = []
+        for out in kernel2d._slide_pool(200, work, np.empty((9, 64, 256))):
+            assert np.all(out == out[0, 0])
+            seen.append(int(out[0, 0]))
+            out[...] = -1.0
+    finally:
+        sys.setswitchinterval(interval)
+    assert seen == list(range(200))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_slide_pool_raises_the_first_failing_slide(monkeypatch, workers):
+    monkeypatch.setattr(kernel2d, "_usable_cpus", lambda: workers)
+    threads = threading.active_count()
+
+    def work(k, out, space):
+        if k in (3, 4):
+            raise ValueError(f"slide {k} failed")
+        out[...] = k
+
+    seen = []
+    with pytest.raises(ValueError, match="slide 3 failed"):
+        for out in kernel2d._slide_pool(9, work, np.zeros((workers + 1, 1))):
+            seen.append(int(out[0]))
+    assert seen == [0, 1, 2]
+    assert threading.active_count() == threads
+
+
+def test_abandoned_slide_pool_leaves_no_thread(monkeypatch):
+    monkeypatch.setattr(kernel2d, "_usable_cpus", lambda: 3)
+    threads = threading.active_count()
+    stream = kernel2d._slide_pool(9, _numbering_work, np.zeros((4, 1)))
+    next(stream)
+    stream.close()
+    assert threading.active_count() == threads

@@ -8,10 +8,11 @@ from hypothesis.extra.numpy import arrays
 
 from blur_reference import reference_gather
 
-from fracfocus import synth
+from fracfocus import kernel2d, synth
 from fracfocus.focus import local_modified_laplacian
 from fracfocus.grids import ScalarField
-from fracfocus.synth import BlurSpec, SceneSpec, ground_truth, render_stack
+from fracfocus.synth import (BlurSpec, SceneSpec, ground_truth, render_slides,
+                             render_stack)
 from fracfocus.synth import _gather, _texture
 
 
@@ -260,6 +261,37 @@ class TestRenderStack:
         scene = self._plane(height=1.5)
         with pytest.raises(ValueError):
             render_stack(scene, BlurSpec(), **self.SMALL)
+
+
+class TestRenderSlides:
+    SMALL = TestRenderStack.SMALL
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_stream_is_the_stack_for_any_cpu_count(self, monkeypatch,
+                                                   workers):
+        scene = SceneSpec(kind="sphere", radius=0.8, texture_wavelength=0.3,
+                          seed=2)
+        blur = BlurSpec(sigma0=3.0)
+        monkeypatch.setattr(kernel2d, "_usable_cpus", lambda: 1)
+        whole = render_stack(scene, blur, **self.SMALL)
+        monkeypatch.setattr(kernel2d, "_usable_cpus", lambda: workers)
+        slides = [slide.copy()
+                  for slide in render_slides(scene, blur, **self.SMALL)]
+        assert np.array_equal(np.stack(slides), whole.data)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(n_slides=2), dict(z_min=1.0, z_max=0.0), dict(h=np.inf),
+        dict(h=0.2)])
+    def test_checks_when_called_not_when_iterated(self, monkeypatch,
+                                                  overrides):
+        # h = 0.2 leaves the 0.3 wavelength unresolvable.
+        def unreachable(*args):
+            raise AssertionError("rendering started")
+
+        monkeypatch.setattr(synth, "_gather", unreachable)
+        scene = SceneSpec(kind="plane", texture_wavelength=0.3)
+        with pytest.raises(ValueError):
+            render_slides(scene, BlurSpec(), **{**self.SMALL, **overrides})
 
 
 def _psf_radius(sigma, max_radius):
