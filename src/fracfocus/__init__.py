@@ -12,17 +12,16 @@ re-exported here.
 from .depth import PeakFit, PeakSearch, parabolic_peak, recover_depth
 from .evaluate import (ComparisonTable, EmptyMaskError, ErrorReport,
                        axis_profile, comparison_table, rms_error_percent)
-from .focus import (focus_layers, local_focus_volume,
-                    local_modified_laplacian, nonlocalize_volume,
+from .focus import (focus_layers, local_focus_volume, nonlocalize_volume,
                     nyquist_hint)
 from .frac1d import (Function1D, QuadratureError, QuadratureSpec,
                      regularized_derivative, regularized_integral,
                      riesz_second_derivative)
-from .grids import DepthMap, FocalStack, FocusVolume, ScalarField
+from .grids import DepthMap, FocalStack, FocusVolume
 from .io import (StackFormatError, StackHeader, read_depth_csv, read_pgm,
                  read_stack_dir, read_stack_header, write_depth_csv,
                  write_pgm, write_stack, write_stack_dir)
-from .kernel2d import Kernel, apply_kernel, build_kernel, kernel_frequency_response
+from .kernel2d import Kernel, build_kernel, kernel_frequency_response
 from .synth import (BlurSpec, SceneSpec, ground_truth, render_slides,
                     render_stack)
 
@@ -42,11 +41,9 @@ __all__ = [
     "PeakSearch",
     "QuadratureError",
     "QuadratureSpec",
-    "ScalarField",
     "SceneSpec",
     "StackFormatError",
     "StackHeader",
-    "apply_kernel",
     "axis_profile",
     "build_kernel",
     "comparison_table",
@@ -54,7 +51,6 @@ __all__ = [
     "ground_truth",
     "kernel_frequency_response",
     "local_focus_volume",
-    "local_modified_laplacian",
     "nonlocalize_volume",
     "nyquist_hint",
     "parabolic_peak",

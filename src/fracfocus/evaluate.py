@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,11 +44,6 @@ class ErrorReport:
     alpha: float | None = None
     zeta: int | None = None
 
-    @property
-    def coverage(self) -> float:
-        """Fraction of pixels entering the error average."""
-        return self.n_valid / self.n_total
-
 
 def _check_same_grid(recovered: DepthMap, truth: DepthMap) -> None:
     if recovered.values.shape != truth.values.shape:
@@ -61,7 +57,8 @@ def rms_error_percent(recovered: DepthMap, truth: DepthMap,
 
     Only pixels valid in both maps contribute.  ``z_range`` defaults to
     the recovered map's z_max - z_min; pass it explicitly when the map
-    carries no stack metadata.
+    carries no stack metadata.  It must be finite and positive: an infinite
+    range would read every error as 0%.
     """
     _check_same_grid(recovered, truth)
     if z_range is None:
@@ -69,8 +66,8 @@ def rms_error_percent(recovered: DepthMap, truth: DepthMap,
             raise ValueError("z_range not given and recovered map carries "
                              "no z_min/z_max metadata")
         z_range = recovered.z_max - recovered.z_min
-    if not z_range > 0:
-        raise ValueError(f"z_range must be positive, got {z_range}")
+    if not (math.isfinite(z_range) and z_range > 0):
+        raise ValueError(f"z_range must be finite and positive, got {z_range}")
     joint = recovered.valid & truth.valid
     n_valid = int(np.count_nonzero(joint))
     if n_valid == 0:
@@ -108,13 +105,6 @@ class ComparisonTable:
 
     def rms(self, zeta: int, alpha: float) -> float:
         return self.grid[(zeta, float(alpha))].rms_percent
-
-    @property
-    def best_cell(self) -> tuple[int, float]:
-        """(zeta, alpha) of the smallest nonlocal rms error."""
-        if not self.grid:
-            raise ValueError("comparison table has no grid cells")
-        return min(self.grid, key=lambda k: self.grid[k].rms_percent)
 
     def spread(self) -> float:
         """Worst-to-best rms ratio over grid cells with alpha > 0."""

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import kernel2d
-from .grids import FocalStack, FocusVolume, ScalarField
+from .grids import FocalStack, FocusVolume
 from .kernel2d import Kernel, _correlate_slide, _scratch, correlate_layers
 
 if TYPE_CHECKING:
@@ -36,7 +36,6 @@ if TYPE_CHECKING:
 __all__ = [
     "focus_layers",
     "local_focus_volume",
-    "local_modified_laplacian",
     "nonlocalize_volume",
     "nyquist_hint",
 ]
@@ -76,21 +75,15 @@ def _modified_laplacian_into(out: np.ndarray, f: np.ndarray, q: int,
     np.multiply(d2x, scale, out=out[q:-q, q:-q])
 
 
-def local_modified_laplacian(slide: ScalarField, q: int) -> ScalarField:
-    """Modified Laplacian |d2x| + |d2y| at stride q, zero on the q-frame.
-
-    Interior pixels get |f[j, i+q] - 2 f[j, i] + f[j, i-q]| / (q h)^2 plus
-    the same expression along rows; the frame of width q where the stencil
-    would leave the grid is exactly zero.
-    """
-    _check_step(slide.values.shape, q)
-    out = np.zeros(slide.values.shape)
-    _modified_laplacian_into(out, slide.values, q, slide.h, {})
-    return ScalarField(out, slide.h)
-
-
 def local_focus_volume(stack: FocalStack, q: int) -> FocusVolume:
-    """Local modified-Laplacian focus measure for every slide of a stack."""
+    """Local modified-Laplacian focus measure for every slide of a stack.
+
+    Each slide f gets |d2x| + |d2y| at stride q: interior pixels get
+    |f[j, i+q] - 2 f[j, i] + f[j, i-q]| / (q h)^2 plus the same expression
+    along rows, and the frame of width q where the stencil would leave the
+    grid is exactly zero.  Raises ValueError for q < 1 or slides with no
+    pixel inside the frame.
+    """
     _check_step(stack.data.shape, q)
     data = np.zeros(stack.data.shape)
     # Slide by slide: a whole-stack expression would hold several
@@ -174,9 +167,10 @@ def nyquist_hint(texture_wavelength: float, h: float) -> int:
     (half-up rounding), clamped to at least 1.  Advisory only; no operation
     overrides a caller-supplied q with this value.
     """
-    if texture_wavelength <= 0:
-        raise ValueError(f"wavelength must be positive, got {texture_wavelength}")
-    if h <= 0:
-        raise ValueError(f"grid spacing must be positive, got {h}")
+    if not (math.isfinite(texture_wavelength) and texture_wavelength > 0):
+        raise ValueError(f"wavelength must be finite and positive, "
+                         f"got {texture_wavelength}")
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"grid spacing must be finite and positive, got {h}")
     omega = 1.0 / texture_wavelength
     return max(1, int(math.floor(2.0 / (omega * h) + 0.5)))

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["DepthMap", "FocalStack", "FocusVolume", "ScalarField",
-           "check_stack_geometry", "finite_min"]
+__all__ = ["DepthMap", "FocalStack", "FocusVolume", "check_stack_geometry",
+           "finite_min"]
 
 
 def check_stack_geometry(n_slides: int, z_min: float, z_max: float,
@@ -52,33 +52,6 @@ def finite_min(x: np.ndarray) -> float | None:
 
 
 @dataclass(frozen=True)
-class ScalarField:
-    """A W x H grid of finite real intensities with isotropic spacing h."""
-
-    values: np.ndarray
-    h: float = 1.0
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if values.ndim != 2 or min(values.shape) < 1:
-            raise ValueError(f"field must be a 2D grid, got shape {values.shape}")
-        if finite_min(values) is None:
-            raise ValueError("field values must be finite")
-        if not (math.isfinite(self.h) and self.h > 0):
-            raise ValueError(f"grid spacing must be finite and positive, "
-                             f"got {self.h}")
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass(frozen=True)
 class FocalStack:
     """Slides of one scene at uniformly spaced focal distances.
 
@@ -105,20 +78,8 @@ class FocalStack:
         return self.data.shape[0]
 
     @property
-    def height(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[2]
-
-    @property
     def delta_z(self) -> float:
         return (self.z_max - self.z_min) / (self.n_slides - 1)
-
-    @property
-    def z_values(self) -> np.ndarray:
-        return self.z_min + np.arange(self.n_slides) * self.delta_z
 
 
 @dataclass(frozen=True)
@@ -155,14 +116,6 @@ class FocusVolume:
         return self.data.shape[0]
 
     @property
-    def height(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[2]
-
-    @property
     def delta_z(self) -> float:
         return (self.z_max - self.z_min) / (self.n_slides - 1)
 
@@ -195,14 +148,6 @@ class DepthMap:
             raise ValueError("values and valid mask must be matching 2D grids")
         if finite_min(values[valid]) is None:
             raise ValueError("values at valid pixels must be finite")
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
 
     @property
     def method(self) -> str:

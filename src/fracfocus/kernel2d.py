@@ -1,4 +1,4 @@
-"""Discrete 2D nonlocalization kernel and its application to scalar fields.
+"""Discrete 2D nonlocalization kernel and its pass over the layers of a volume.
 
 The continuous nonlocalization operator of order ``alpha`` acts by the
 radial weight (xi1^2 + xi2^2)^((alpha-2)/2).  On a pixel grid with
@@ -36,11 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import ScalarField
-
 __all__ = [
     "Kernel",
-    "apply_kernel",
     "build_kernel",
     "correlate_layers",
     "kernel_frequency_response",
@@ -86,10 +83,6 @@ class Kernel:
                 or not np.array_equal(weights, weights[::-1, :])
                 or not np.array_equal(weights, weights[:, ::-1])):
             raise ValueError("weights must be eight-fold symmetric")
-
-    @property
-    def size(self) -> int:
-        return 2 * self.zeta + 1
 
     def at(self, i: int, j: int) -> float:
         """Weight of pixel offset (i, j), each in [-zeta, zeta]."""
@@ -145,23 +138,6 @@ def build_kernel(alpha: float, zeta: int) -> Kernel:
     offsets = np.abs(np.arange(-zeta, zeta + 1))
     weights = quadrant[offsets[:, np.newaxis], offsets]
     return Kernel(alpha=alpha, zeta=zeta, weights=weights)
-
-
-def apply_kernel(kernel: Kernel, field: ScalarField) -> ScalarField:
-    """Correlate a scalar field with the kernel, mirror-padding the borders.
-
-    Output pixel (x, y) is sum over offsets (i, j) of
-    ``weights[i, j] * field[x+i, y+j]``; out-of-bounds samples are resolved
-    by mirror reflection with the edge pixel included (``d c b a | a b c d |
-    d c b a``, repeated as often as the reach needs), which preserves
-    constant fields.  The kernel is deliberately not sum-normalized: depth
-    recovery is invariant to the global scale of the focus measure.
-
-    Every output sample sums its own window in the same order (see
-    :func:`correlate_layers`), so equal windows give bitwise-equal outputs
-    and exact ties between focus layers survive the pass.
-    """
-    return ScalarField(correlate_layers(kernel, field.values), field.h)
 
 
 def _usable_cpus() -> int:
@@ -326,14 +302,22 @@ def _correlate_slide(weights: np.ndarray, slide: np.ndarray,
 
 
 def correlate_layers(kernel: Kernel, values: np.ndarray) -> np.ndarray:
-    """Apply the kernel to every 2D layer (last two axes) of ``values``.
+    """Correlate every 2D layer (last two axes) of ``values`` with the kernel.
 
-    The borders are those described in :func:`apply_kernel`.  The kernel's
-    eight-fold symmetry makes the pass separable into pair sums: (zeta+1)^2
-    multiply-adds per sample instead of (2 zeta + 1)^2, built from numpy
-    element-wise ufuncs on row strips of each slide.  Every sample goes
-    through the same sequence of operations on its own window whatever its
-    strip, so equal windows give bitwise-equal outputs; the delta kernel
+    Output sample (y, x) of a layer is the sum over offsets (i, j) of
+    ``weights[zeta + i, zeta + j] * layer[y + i, x + j]``.  Samples beyond
+    the border are resolved by mirror reflection with the edge sample
+    included (``d c b a | a b c d | d c b a``, repeated as often as the
+    reach needs), which preserves constant layers.  The kernel is
+    deliberately not sum-normalized: depth recovery is invariant to the
+    global scale of the focus measure.
+
+    The kernel's eight-fold symmetry makes the pass separable into pair
+    sums: (zeta+1)^2 multiply-adds per sample instead of (2 zeta + 1)^2,
+    built from numpy element-wise ufuncs on row strips of each slide.  Every
+    sample goes through the same sequence of operations on its own window
+    whatever its strip, so equal windows give bitwise-equal outputs and
+    exact ties between focus layers survive the pass; the delta kernel
     (alpha = 0) returns an exact copy.  The layers go through the slide pool
     (:func:`_slide_pool`), one worker per usable CPU, each result straight
     into its place in the output.  The bits never depend on the CPU count,

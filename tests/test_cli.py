@@ -460,6 +460,17 @@ class TestEvalCommand:
         report = json.loads((tmp_path / "r.json").read_text())
         assert report["rms_percent"] == 0.0
 
+    def test_infinite_range_fails(self, plane_dir, depth_csv, tmp_path,
+                                  capsys):
+        # It would read every error as 0% and write "z_range": Infinity,
+        # which is not JSON.
+        report = tmp_path / "r.json"
+        assert main(["eval", "--depth", str(depth_csv),
+                     "--truth", str(plane_dir / "truth.csv"),
+                     "--report", str(report), "--z-range", "inf"]) == 1
+        assert "z_range" in capsys.readouterr().err
+        assert not report.exists()
+
 
 class TestSelftest:
 

@@ -37,8 +37,7 @@ class TestRmsErrorPercent:
         report = rms_error_percent(m, m, z_range=1.0)
         assert report.rms_percent == 0.0
         assert report.rms_absolute == 0.0
-        assert report.n_valid == 36
-        assert report.coverage == 1.0
+        assert (report.n_valid, report.n_total) == (36, 36)
 
     def test_uniform_offset_is_percent_of_range(self):
         """A constant 0.01 error over a unit range reads as 1.0 percent."""
@@ -95,10 +94,11 @@ class TestRmsErrorPercent:
         with pytest.raises(ValueError, match="z_range"):
             rms_error_percent(bare, bare)
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    # An infinite range would read every error as 0%.
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf])
     def test_non_positive_range_rejected(self, bad):
         m = _map(np.zeros((3, 3)))
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match="finite and positive"):
             rms_error_percent(m, m, z_range=bad)
 
     def test_symmetric_in_argument_order(self):
@@ -144,7 +144,7 @@ class TestRmsErrorPercent:
         valid.flat[:5] = True
         m = _map(np.zeros((3, 4)), valid)
         report = rms_error_percent(m, _map(np.zeros((3, 4))), z_range=1.0)
-        assert report.coverage == pytest.approx(5.0 / 12.0)
+        assert (report.n_valid, report.n_total) == (5, 12)
 
 
 @pytest.fixture(scope="module")
@@ -191,12 +191,6 @@ class TestComparisonTable:
         direct = rms_error_percent(recover_depth(local_focus_volume(stack, 1)),
                                    truth, z_range=stack.z_max - stack.z_min)
         assert table.local[1].rms_percent == direct.rms_percent
-
-    def test_best_cell_is_grid_minimum(self, table):
-        best = table.best_cell
-        assert best in table.grid
-        low = min(rep.rms_percent for rep in table.grid.values())
-        assert table.grid[best].rms_percent == low
 
     def test_cells_carry_method_metadata(self, table):
         cell = table.grid[(3, 1.5)]
@@ -248,7 +242,7 @@ class TestComparisonTable:
                                       (1, 1.0): _report(3.0)})
         assert table.spread() == pytest.approx(1.5)
 
-    def test_spread_with_perfect_best_cell(self):
+    def test_spread_with_a_perfect_cell(self):
         table = ComparisonTable(q=1, alphas=(0.5, 1.0), zetas=(1,),
                                 grid={(1, 0.5): _report(0.0),
                                       (1, 1.0): _report(1.0)})
@@ -259,10 +253,6 @@ class TestComparisonTable:
                                 grid={(1, 0.0): _report(1.0)})
         with pytest.raises(ValueError):
             table.spread()
-
-    def test_best_cell_requires_cells(self):
-        with pytest.raises(ValueError):
-            ComparisonTable(q=1, alphas=(), zetas=()).best_cell
 
 
 class TestAxisProfile:

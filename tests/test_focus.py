@@ -1,6 +1,7 @@
 """Tests for the local modified Laplacian and its nonlocal extension."""
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -12,13 +13,12 @@ from fracfocus import kernel2d
 from fracfocus.focus import (
     focus_layers,
     local_focus_volume,
-    local_modified_laplacian,
     nonlocalize_volume,
     nyquist_hint,
 )
-from fracfocus.grids import FocalStack, FocusVolume, ScalarField
+from fracfocus.grids import FocalStack, FocusVolume
 from fracfocus.io import StackHeader
-from fracfocus.kernel2d import apply_kernel, build_kernel
+from fracfocus.kernel2d import build_kernel, correlate_layers
 
 
 def _index_grid(height, width):
@@ -31,74 +31,75 @@ def _random_stack(rng, n_slides=5, height=24, width=24, h=1.0):
     return FocalStack(data, z_min=0.0, z_max=1.0, h=h)
 
 
+def _measure(slides, q, h=1.0):
+    """Layers of ``local_focus_volume`` on a stack of three slides:
+    ``slides`` itself, or three copies of one 2D slide."""
+    slides = np.broadcast_to(slides, (3,) + np.shape(slides)[-2:])
+    return local_focus_volume(FocalStack(slides, 0.0, 1.0, h), q).data
+
+
 class TestLocalModifiedLaplacian:
     @pytest.mark.parametrize("q", [1, 2, 3])
     def test_quadratic_field_gives_constant_four(self, q):
         # f = x^2 + y^2 in pixel units: each strided second difference is
         # exactly 2 q^2, and the 1/q^2 scale returns 2 per axis.
         ii, jj = _index_grid(20, 20)
-        slide = ScalarField(ii * ii + jj * jj, h=1.0)
-        out = local_modified_laplacian(slide, q)
-        interior = out.values[q:-q, q:-q]
+        out = _measure(ii * ii + jj * jj, q)
+        interior = out[:, q:-q, q:-q]
         assert np.allclose(interior, 4.0, rtol=1e-13, atol=0)
 
     def test_linear_ramp_gives_exact_zero(self):
         ii, jj = _index_grid(16, 16)
-        slide = ScalarField(3.0 * ii - 7.0 * jj, h=1.0)
-        out = local_modified_laplacian(slide, 2)
-        assert np.array_equal(out.values, np.zeros((16, 16)))
+        out = _measure(3.0 * ii - 7.0 * jj, 2)
+        assert np.array_equal(out, np.zeros((3, 16, 16)))
 
     @pytest.mark.parametrize("q", [1, 3])
     def test_zero_frame_of_width_q(self, q):
         rng = np.random.default_rng(0)
-        slide = ScalarField(rng.random((19, 23)), h=0.5)
-        out = local_modified_laplacian(slide, q).values
-        assert np.all(out[:q, :] == 0.0)
-        assert np.all(out[-q:, :] == 0.0)
-        assert np.all(out[:, :q] == 0.0)
-        assert np.all(out[:, -q:] == 0.0)
-        # A generic random slide leaves no interior zeros.
-        assert np.all(out[q:-q, q:-q] > 0.0)
+        out = _measure(rng.random((3, 19, 23)), q, h=0.5)
+        assert np.all(out[:, :q, :] == 0.0)
+        assert np.all(out[:, -q:, :] == 0.0)
+        assert np.all(out[:, :, :q] == 0.0)
+        assert np.all(out[:, :, -q:] == 0.0)
+        # Generic random slides leave no interior zeros.
+        assert np.all(out[:, q:-q, q:-q] > 0.0)
 
     def test_spacing_enters_squared(self):
         ii, jj = _index_grid(14, 14)
         values = ii * ii + 2.0 * jj
-        fine = local_modified_laplacian(ScalarField(values, h=1.0), 1)
-        coarse = local_modified_laplacian(ScalarField(values, h=2.0), 1)
-        assert np.allclose(coarse.values, fine.values / 4.0, rtol=1e-13, atol=0)
+        fine = _measure(values, 1, h=1.0)
+        coarse = _measure(values, 1, h=2.0)
+        assert np.allclose(coarse, fine / 4.0, rtol=1e-13, atol=0)
 
     def test_non_negative(self):
         rng = np.random.default_rng(1)
-        slide = ScalarField(rng.standard_normal((20, 20)), h=1.0)
-        out = local_modified_laplacian(slide, 2)
-        assert np.all(out.values >= 0.0)
+        out = _measure(rng.standard_normal((3, 20, 20)), 2)
+        assert np.all(out >= 0.0)
 
     def test_rejects_bad_step(self):
-        slide = ScalarField(np.zeros((8, 8)), h=1.0)
         with pytest.raises(ValueError):
-            local_modified_laplacian(slide, 0)
+            _measure(np.zeros((8, 8)), 0)
 
     @pytest.mark.parametrize("shape", [(8, 4), (4, 8), (4, 4)])
     def test_rejects_slide_smaller_than_stencil(self, shape):
         # The stencil needs at least one interior pixel: both dimensions
         # must exceed 2q.
-        slide = ScalarField(np.zeros(shape), h=1.0)
         with pytest.raises(ValueError):
-            local_modified_laplacian(slide, 2)
+            _measure(np.zeros(shape), 2)
 
     def test_accepts_minimal_viable_slide(self):
-        out = local_modified_laplacian(ScalarField(np.ones((5, 5)), h=1.0), 2)
-        assert out.values.shape == (5, 5)
+        assert _measure(np.ones((5, 5)), 2).shape == (3, 5, 5)
 
     def test_translation_equivariance(self):
         rng = np.random.default_rng(2)
-        base = rng.random((30, 30))
-        shifted = np.roll(base, (0, 3), axis=(0, 1))
+        base = rng.random((3, 30, 30))
+        shifted = np.roll(base, 3, axis=2)
         q = 2
-        out_base = local_modified_laplacian(ScalarField(base, h=1.0), q).values
-        out_shift = local_modified_laplacian(ScalarField(shifted, h=1.0), q).values
+        out_base = _measure(base, q)
+        out_shift = _measure(shifted, q)
         # Compare away from both the frame and the wrap-around columns.
-        assert np.array_equal(out_shift[q:-q, q + 3:-q], out_base[q:-q, q:-q - 3])
+        assert np.array_equal(out_shift[:, q:-q, q + 3:-q],
+                              out_base[:, q:-q, q:-q - 3])
 
 
 class TestLocalFocusVolume:
@@ -107,10 +108,15 @@ class TestLocalFocusVolume:
         stack = _random_stack(rng, h=0.25)
         volume = local_focus_volume(stack, 2)
         assert volume.data.shape == (5, 24, 24)
-        for k in range(stack.n_slides):
-            slide = ScalarField(stack.data[k], stack.h)
-            expected = local_modified_laplacian(slide, 2).values
-            assert np.array_equal(volume.data[k], expected)
+        # The stride-q stencil written out, in the same rounding order.
+        f, q = stack.data, 2
+        centre = f[:, q:-q, q:-q]
+        d2x = f[:, q:-q, 2 * q:] - 2.0 * centre + f[:, q:-q, :-2 * q]
+        d2y = f[:, 2 * q:, q:-q] - 2.0 * centre + f[:, :-2 * q, q:-q]
+        expected = np.zeros(f.shape)
+        expected[:, q:-q, q:-q] = ((np.abs(d2x) + np.abs(d2y))
+                                   * (1.0 / (q * stack.h) ** 2))
+        assert np.array_equal(volume.data, expected)
 
     def test_metadata(self):
         rng = np.random.default_rng(4)
@@ -222,13 +228,12 @@ def _volumes(draw, max_slides=4):
 class TestWholeVolumePass:
     @settings(max_examples=60, deadline=None)
     @given(_volumes())
-    def test_equals_per_layer_apply_kernel(self, case):
+    def test_equals_per_layer_correlate_layers(self, case):
         volume, kernel = case
         q = volume.q
         got = nonlocalize_volume(volume, kernel).data
         for k in range(volume.n_slides):
-            layer = ScalarField(volume.data[k], volume.h)
-            expected = apply_kernel(kernel, layer).values
+            expected = correlate_layers(kernel, volume.data[k])
             expected[:q, :] = expected[-q:, :] = 0.0
             expected[:, :q] = expected[:, -q:] = 0.0
             assert np.array_equal(got[k], expected)
@@ -300,7 +305,9 @@ class TestNyquistHint:
         assert nyquist_hint(1e-6, 1.0) == 1
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            nyquist_hint(0.0, 1.0)
-        with pytest.raises(ValueError):
-            nyquist_hint(1.0, 0.0)
+        # The function's own error, not numpy's NaN-to-integer ValueError.
+        for wavelength, h in [(0.0, 1.0), (1.0, 0.0), (math.inf, 1.0),
+                              (math.nan, 1.0), (1.0, math.nan),
+                              (1.0, math.inf)]:
+            with pytest.raises(ValueError, match="finite and positive"):
+                nyquist_hint(wavelength, h)

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays, array_shapes
 
-from fracfocus.grids import (DepthMap, FocalStack, FocusVolume, ScalarField,
-                             finite_min)
+from fracfocus.grids import DepthMap, FocalStack, FocusVolume, finite_min
 
 
 class TestFiniteMin:
@@ -30,40 +29,11 @@ class TestFiniteMin:
         assert finite_min(np.zeros((0, 4))) == np.inf
 
 
-class TestScalarField:
-    def test_coerces_to_float_array(self):
-        field = ScalarField([[1, 2], [3, 4]], h=0.5)
-        assert field.values.dtype == np.float64
-        assert (field.height, field.width) == (2, 2)
-
-    def test_rejects_non_2d(self):
-        with pytest.raises(ValueError):
-            ScalarField(np.zeros(5))
-        with pytest.raises(ValueError):
-            ScalarField(np.zeros((2, 2, 2)))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            ScalarField(np.array([[1.0, np.nan]]))
-
-    def test_rejects_bad_spacing(self):
-        with pytest.raises(ValueError):
-            ScalarField(np.ones((2, 2)), h=0.0)
-
-    @pytest.mark.parametrize("h", [np.inf, np.nan])
-    def test_rejects_non_finite_spacing(self, h):
-        # An infinite h would scale every measure by 1/(q h)^2 = 0.
-        with pytest.raises(ValueError, match="finite"):
-            ScalarField(np.ones((2, 2)), h=h)
-
-
 class TestFocalStack:
     def test_slide_geometry(self):
         stack = FocalStack(np.zeros((5, 4, 6)), z_min=1.0, z_max=3.0, h=0.5)
         assert stack.n_slides == 5
-        assert (stack.height, stack.width) == (4, 6)
         assert stack.delta_z == 0.5
-        assert np.array_equal(stack.z_values, [1.0, 1.5, 2.0, 2.5, 3.0])
 
     def test_rejects_too_few_slides(self):
         with pytest.raises(ValueError):

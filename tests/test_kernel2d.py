@@ -12,10 +12,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fracfocus import kernel2d
-from fracfocus.grids import ScalarField
 from fracfocus.kernel2d import (
     Kernel,
-    apply_kernel,
     build_kernel,
     correlate_layers,
     kernel_frequency_response,
@@ -92,7 +90,6 @@ class TestKernelValidation:
     def test_at_matches_array_layout(self, kernels_zeta4):
         kernel = kernels_zeta4[1.0]
         assert kernel.at(-2, 3) == kernel.weights[2, 7]
-        assert kernel.size == 9
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
@@ -133,16 +130,16 @@ class TestKernelValidation:
         assert kernel.zeta == 4 and type(kernel.zeta) is int
 
 
-def _brute_force_apply(kernel, field):
-    """Exact reference: explicit mirror indexing, and each window's rounded
-    products summed without further rounding error by ``math.fsum``."""
+def _brute_force_apply(kernel, values):
+    """Exact reference for a 2D array: explicit mirror indexing, and each
+    window's rounded products summed without further rounding error by
+    ``math.fsum``."""
 
     def reflect(idx, n):
         while not 0 <= idx < n:
             idx = -idx - 1 if idx < 0 else 2 * n - 1 - idx
         return idx
 
-    values = field.values
     height, width = values.shape
     out = np.zeros_like(values)
     zeta = kernel.zeta
@@ -159,49 +156,46 @@ def _brute_force_apply(kernel, field):
 class TestApplyKernel:
     def test_delta_kernel_is_identity(self, kernels_zeta4):
         rng = np.random.default_rng(5)
-        field = ScalarField(rng.random((12, 17)), h=0.3)
-        out = apply_kernel(kernels_zeta4[0.0], field)
-        assert np.array_equal(out.values, field.values)
-        assert out.h == field.h
+        values = rng.random((12, 17))
+        out = correlate_layers(kernels_zeta4[0.0], values)
+        assert np.array_equal(out, values)
         # The identity must still be a copy, not a view.
-        out.values[0, 0] += 1.0
-        assert field.values[0, 0] != out.values[0, 0]
+        out[0, 0] += 1.0
+        assert values[0, 0] != out[0, 0]
 
     def test_constant_field_scales_by_weight_sum(self, kernels_zeta4):
-        field = ScalarField(np.ones((10, 10)), h=1.0)
-        out = apply_kernel(kernels_zeta4[2.0], field)
+        out = correlate_layers(kernels_zeta4[2.0], np.ones((10, 10)))
         # All-ones 9x9 kernel and mirror padding: every output is 81.
-        assert np.allclose(out.values, 81.0, rtol=0, atol=1e-12)
+        assert np.allclose(out, 81.0, rtol=0, atol=1e-12)
 
     def test_matches_brute_force_on_random_field(self):
         rng = np.random.default_rng(42)
         kernel = build_kernel(1.0, 2)
-        field = ScalarField(rng.random((16, 16)), h=1.0)
-        expected = _brute_force_apply(kernel, field)
-        got = apply_kernel(kernel, field)
-        assert np.allclose(got.values, expected, rtol=0, atol=1e-12)
+        values = rng.random((16, 16))
+        expected = _brute_force_apply(kernel, values)
+        got = correlate_layers(kernel, values)
+        assert np.allclose(got, expected, rtol=0, atol=1e-12)
 
     def test_non_square_field(self):
         rng = np.random.default_rng(7)
         kernel = build_kernel(1.5, 3)
-        field = ScalarField(rng.random((9, 21)), h=1.0)
-        expected = _brute_force_apply(kernel, field)
-        got = apply_kernel(kernel, field)
-        assert got.values.shape == (9, 21)
-        assert np.allclose(got.values, expected, rtol=0, atol=1e-12)
+        values = rng.random((9, 21))
+        expected = _brute_force_apply(kernel, values)
+        got = correlate_layers(kernel, values)
+        assert got.shape == (9, 21)
+        assert np.allclose(got, expected, rtol=0, atol=1e-12)
 
     def test_preserves_non_negativity(self, kernels_zeta4):
         rng = np.random.default_rng(3)
-        field = ScalarField(rng.random((20, 20)), h=1.0)
-        out = apply_kernel(kernels_zeta4[1.5], field)
-        assert np.all(out.values >= 0.0)
+        out = correlate_layers(kernels_zeta4[1.5], rng.random((20, 20)))
+        assert np.all(out >= 0.0)
 
     def test_repeat_application_is_bit_stable(self, kernels_zeta4):
         rng = np.random.default_rng(9)
-        field = ScalarField(rng.random((15, 15)), h=1.0)
-        first = apply_kernel(kernels_zeta4[1.0], field)
-        second = apply_kernel(kernels_zeta4[1.0], field)
-        assert np.array_equal(first.values, second.values)
+        values = rng.random((15, 15))
+        first = correlate_layers(kernels_zeta4[1.0], values)
+        second = correlate_layers(kernels_zeta4[1.0], values)
+        assert np.array_equal(first, second)
 
     @pytest.mark.parametrize("shape,zeta", [((1, 2), 8), ((2, 2), 8),
                                             ((3, 1), 12), ((2, 9), 16)])
@@ -210,10 +204,10 @@ class TestApplyKernel:
         # many times shorter than the kernel reach.
         rng = np.random.default_rng(13)
         kernel = build_kernel(1.5, zeta)
-        field = ScalarField(rng.random(shape), h=1.0)
-        expected = _brute_force_apply(kernel, field)
-        got = apply_kernel(kernel, field)
-        assert np.allclose(got.values, expected, rtol=0, atol=1e-12)
+        values = rng.random(shape)
+        expected = _brute_force_apply(kernel, values)
+        got = correlate_layers(kernel, values)
+        assert np.allclose(got, expected, rtol=0, atol=1e-12)
 
 
 @functools.lru_cache(maxsize=None)
@@ -233,12 +227,11 @@ def _fields(draw, max_side=10):
 @given(_fields(), st.integers(1, 16), st.sampled_from([0.0, 0.5, 1.5, 2.0]))
 # The widest window of values near 1: 1089 terms summing to about 1089.
 @example(np.random.default_rng(0).uniform(0.99, 1.0, (6, 6)), 16, 2.0)
-def test_apply_kernel_matches_brute_force(values, zeta, alpha):
-    field = ScalarField(values, h=1.0)
+def test_correlate_layers_matches_brute_force(values, zeta, alpha):
     kernel = _cached_kernel(alpha, zeta)
-    expected = _brute_force_apply(kernel, field)
-    got = apply_kernel(kernel, field)
-    assert np.allclose(got.values, expected, rtol=0, atol=1e-12)
+    expected = _brute_force_apply(kernel, values)
+    got = correlate_layers(kernel, values)
+    assert np.allclose(got, expected, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
