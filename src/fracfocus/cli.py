@@ -116,20 +116,13 @@ def cmd_recover(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     recovered = read_depth_csv(args.depth)
     truth = read_depth_csv(args.truth)
-    z_range = args.z_range
-    if z_range is None and recovered.z_min is not None \
-            and recovered.z_max is not None:
-        z_range = recovered.z_max - recovered.z_min
-    if z_range is None:
-        raise ValueError("no --z-range given and the depth sidecar carries "
-                         "no z_min/z_max")
-    report = rms_error_percent(recovered, truth, z_range)
+    report = rms_error_percent(recovered, truth, args.z_range)
     payload = {
         "rms_percent": report.rms_percent,
         "rms_absolute": report.rms_absolute,
         "n_valid": report.n_valid,
         "n_total": report.n_total,
-        "z_range": z_range,
+        "z_range": report.z_range,
         "normalization": "percent of z_range",
         "parameters": {"method": report.method, "q": report.q,
                        "alpha": report.alpha, "zeta": report.zeta},

@@ -87,8 +87,14 @@ class PeakSearch:
         self._pushed = 0
 
     def push(self, layer: np.ndarray) -> None:
-        """Take the focus layer of the next slide (copied, not kept)."""
+        """Take the focus layer of the next slide (copied, not kept).
+
+        Raises ValueError if its shape is not that of the first layer.
+        """
         layer = np.asarray(layer, dtype=float)
+        if self._pushed and layer.shape != self._best.shape:
+            raise ValueError(f"layer of shape {layer.shape} does not match "
+                             f"the first layer's {self._best.shape}")
         if not self._pushed:
             self._best = layer.copy()
             self._k_hat = np.zeros(layer.shape, dtype=np.intp)

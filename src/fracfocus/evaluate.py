@@ -39,6 +39,7 @@ class ErrorReport:
     rms_absolute: float
     n_valid: int
     n_total: int
+    z_range: float  # the depth range rms_percent is a percentage of
     method: str | None = None
     q: int | None = None
     alpha: float | None = None
@@ -63,8 +64,8 @@ def rms_error_percent(recovered: DepthMap, truth: DepthMap,
     _check_same_grid(recovered, truth)
     if z_range is None:
         if recovered.z_min is None or recovered.z_max is None:
-            raise ValueError("z_range not given and recovered map carries "
-                             "no z_min/z_max metadata")
+            raise ValueError("no z_range (--z-range) given and the recovered "
+                             "map carries no z_min/z_max")
         z_range = recovered.z_max - recovered.z_min
     if not (math.isfinite(z_range) and z_range > 0):
         raise ValueError(f"z_range must be finite and positive, got {z_range}")
@@ -79,6 +80,7 @@ def rms_error_percent(recovered: DepthMap, truth: DepthMap,
         rms_absolute=rms,
         n_valid=n_valid,
         n_total=joint.size,
+        z_range=z_range,
         method=recovered.method,
         q=recovered.q,
         alpha=recovered.alpha,
@@ -142,25 +144,24 @@ def comparison_table(stack: FocalStack, truth: DepthMap, q: int,
     The local focus volume at stride q is computed once and reused for
     every (zeta, alpha) cell, so each cell costs one kernel build and one
     smoothing pass.  ``local_strides`` defaults to the zeta list, giving
-    the customary side-by-side column of local errors at q' = zeta.
+    the customary side-by-side column of local errors at q' = zeta.  The
+    depth range is the stack's, which every recovered map carries.
     """
     if not alphas or not zetas:
         raise ValueError("alphas and zetas must be non-empty")
     if local_strides is None:
         local_strides = zetas
     base = local_focus_volume(stack, q)
-    z_range = stack.z_max - stack.z_min
     grid = {}
     for zeta in zetas:
         for alpha in alphas:
             kernel = build_kernel(alpha, zeta)
             nl_map = recover_depth(nonlocalize_volume(base, kernel))
-            grid[(zeta, float(alpha))] = rms_error_percent(nl_map, truth,
-                                                           z_range)
+            grid[(zeta, float(alpha))] = rms_error_percent(nl_map, truth)
     local = {}
     for stride in local_strides:
         loc_map = recover_depth(local_focus_volume(stack, stride))
-        local[stride] = rms_error_percent(loc_map, truth, z_range)
+        local[stride] = rms_error_percent(loc_map, truth)
     return ComparisonTable(q=q, alphas=tuple(float(a) for a in alphas),
                            zetas=tuple(zetas), grid=grid, local=local)
 

@@ -54,7 +54,8 @@ def _check_step(shape: tuple[int, ...], q: int) -> None:
 
 def _modified_laplacian_into(out: np.ndarray, f: np.ndarray, q: int,
                              h: float, space: dict) -> None:
-    """Write the stride-q measure of slide ``f`` inside ``out``'s q-frame.
+    """Write the stride-q measure of slide ``f`` into ``out``, zero frame
+    included.
 
     The temporaries are the workspace ``space``'s, allocated once.
     """
@@ -73,6 +74,7 @@ def _modified_laplacian_into(out: np.ndarray, f: np.ndarray, q: int,
     np.abs(d2y, out=d2y)
     np.add(d2x, d2y, out=d2x)
     np.multiply(d2x, scale, out=out[q:-q, q:-q])
+    _zero_frame(out, q)
 
 
 def local_focus_volume(stack: FocalStack, q: int) -> FocusVolume:
@@ -85,7 +87,7 @@ def local_focus_volume(stack: FocalStack, q: int) -> FocusVolume:
     pixel inside the frame.
     """
     _check_step(stack.data.shape, q)
-    data = np.zeros(stack.data.shape)
+    data = np.empty(stack.data.shape)
     # Slide by slide: a whole-stack expression would hold several
     # volume-sized temporaries at once.
     space: dict = {}
@@ -121,11 +123,8 @@ def focus_layers(header: StackHeader, q: int,
     """
     _check_step((header.height, header.width), q)
     shape = (header.height, header.width)
-    ring = header.empty(min(kernel2d._usable_cpus() + 1, header.n_slides))
-    if kernel is None:
-        # The measure leaves each buffer's q-frame as it finds it.
-        ring[...] = 0.0
-    else:
+    ring = header.empty(kernel2d._ring_length(header.n_slides))
+    if kernel is not None:
         weights = kernel.weights[kernel.zeta:, kernel.zeta:]
 
     def work(k: int, out: np.ndarray, space: dict) -> None:
@@ -134,7 +133,7 @@ def focus_layers(header: StackHeader, q: int,
         if kernel is None:
             _modified_laplacian_into(out, slide, q, header.h, space)
         else:
-            local = _scratch(space, "local", shape, zero=True)
+            local = _scratch(space, "local", shape)
             _modified_laplacian_into(local, slide, q, header.h, space)
             _correlate_slide(weights, local, out, space)
             _zero_frame(out, q)

@@ -55,8 +55,7 @@ def finite_min(x: np.ndarray) -> float | None:
 class FocalStack:
     """Slides of one scene at uniformly spaced focal distances.
 
-    Slide k sits at z_k = z_min + k * delta_z for k = 0 .. n_slides-1, with
-    delta_z = (z_max - z_min) / (n_slides - 1).
+    Slide k of n sits at z_k = z_min + k * (z_max - z_min) / (n - 1).
     """
 
     data: np.ndarray  # (n_slides, height, width)
@@ -72,14 +71,6 @@ class FocalStack:
         check_stack_geometry(data.shape[0], self.z_min, self.z_max, self.h)
         if finite_min(data) is None:
             raise ValueError("slide values must be finite")
-
-    @property
-    def n_slides(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def delta_z(self) -> float:
-        return (self.z_max - self.z_min) / (self.n_slides - 1)
 
 
 @dataclass(frozen=True)
@@ -110,14 +101,6 @@ class FocusVolume:
             raise ValueError("focus measures must be finite")
         if lowest < 0:
             raise ValueError("focus measures are non-negative by construction")
-
-    @property
-    def n_slides(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def delta_z(self) -> float:
-        return (self.z_max - self.z_min) / (self.n_slides - 1)
 
 
 @dataclass(frozen=True)

@@ -99,17 +99,19 @@ def write_depth_csv(path: str | Path, depth_map: DepthMap) -> None:
     Values go out with 17 significant digits, so they round-trip
     bit-exactly, and invalid pixels as the literal token NaN; the sidecar
     ``<name>.json`` records the method and recovery parameters so the map
-    can be interpreted without the stack it came from.
+    can be interpreted without the stack it came from.  Raises ValueError
+    if a parameter is not finite, which the reader would refuse.
     """
     path = Path(path)
+    meta = {"method": depth_map.method}
+    meta.update((key, getattr(depth_map, key)) for key in _DEPTH_META_KEYS)
+    # Made first: a non-finite field raises before any file is written.
+    sidecar_text = json.dumps(meta, indent=2, allow_nan=False) + "\n"
     buf = StringIO()
     np.savetxt(buf, np.where(depth_map.valid, depth_map.values, np.nan),
                fmt="%.17g", delimiter=",")
     path.write_text(buf.getvalue().replace("nan", "NaN"), encoding="ascii")
-    meta = {"method": depth_map.method}
-    meta.update((key, getattr(depth_map, key)) for key in _DEPTH_META_KEYS)
-    sidecar = path.with_suffix(".json")
-    sidecar.write_text(json.dumps(meta, indent=2) + "\n", encoding="ascii")
+    path.with_suffix(".json").write_text(sidecar_text, encoding="ascii")
 
 
 def read_depth_csv(path: str | Path) -> DepthMap:
@@ -254,8 +256,10 @@ def write_stack(header: StackHeader, slides: Iterable[np.ndarray],
     (``synth.render_slides``) is never held whole.  ``scene`` and ``blur``
     may be any dataclasses describing how the stack was made; they are
     stored verbatim in stack.json.  Lossless slides go out bit-exact as
-    float64 .npy, others as 8-bit PGM.  Raises ValueError if the slides
-    disagree with the header in shape or number.
+    float64 .npy (whatever their dtype), others as 8-bit PGM.  Raises
+    ValueError if the slides disagree with the header in shape or number,
+    if a slide holds a non-finite value, or if stack.json would hold one:
+    the reader refuses all of these.
     """
     out_dir = Path(header.directory)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -271,17 +275,19 @@ def write_stack(header: StackHeader, slides: Iterable[np.ndarray],
         "scene": asdict(scene) if scene is not None else None,
         "blur": asdict(blur) if blur is not None else None,
     }
-    (out_dir / "stack.json").write_text(json.dumps(meta, indent=2) + "\n",
-                                        encoding="ascii")
+    (out_dir / "stack.json").write_text(
+        json.dumps(meta, indent=2, allow_nan=False) + "\n", encoding="ascii")
     shape = (header.height, header.width)
     count = 0
     for k, slide in enumerate(slides):
         if k >= header.n_slides or slide.shape != shape:
             raise ValueError(f"slide {k} of shape {slide.shape} does not fit "
                              f"{header.n_slides} slides of {shape}")
+        if finite_min(slide) is None:
+            raise ValueError(f"slide {k} holds a non-finite value")
         target = out_dir / _slide_name(k, header.lossless)
         if header.lossless:
-            np.save(target, np.ascontiguousarray(slide))
+            np.save(target, np.ascontiguousarray(slide, dtype=np.float64))
         else:
             write_pgm(target, slide)
         count = k + 1

@@ -148,15 +148,17 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _scratch(space: dict, name: str, shape: tuple[int, ...],
-             zero: bool = False) -> np.ndarray:
-    """The workspace buffer ``name`` of ``shape``, allocated on first use.
+def _ring_length(n: int) -> int:
+    """Buffers in a ring for :func:`_slide_pool` over n slides: one per
+    usable CPU plus one, and no more than there are slides."""
+    return min(_usable_cpus() + 1, n)
 
-    ``zero`` zeroes it when it is allocated, not on later calls.
-    """
+
+def _scratch(space: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The workspace buffer ``name`` of ``shape``, allocated on first use."""
     buffer = space.get(name)
     if buffer is None or buffer.shape != shape:
-        buffer = space[name] = np.zeros(shape) if zero else np.empty(shape)
+        buffer = space[name] = np.empty(shape)
     return buffer
 
 

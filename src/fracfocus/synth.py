@@ -109,8 +109,9 @@ def ground_truth(scene: SceneSpec, width: int, height: int,
     (the clamped zero height outside is kept as the surface seen by the
     defocus model).  Plane and ramp are valid everywhere.
     """
-    if width < 1 or height < 1 or h <= 0:
-        raise ValueError("grid must have positive dimensions and spacing")
+    if width < 1 or height < 1 or not (math.isfinite(h) and h > 0):
+        raise ValueError("grid must have positive dimensions and a finite "
+                         "positive spacing")
     x, y = _grid_axes(width, height, h)
     xx, yy = np.meshgrid(x, y)
     if scene.kind == "sphere":
@@ -297,8 +298,7 @@ def render_slides(scene: SceneSpec, blur: BlurSpec, width: int, height: int,
                 tex[y:y + strip + 2 * margin], margin, sigma, radius,
                 index[y:y + strip])
 
-    ring = np.empty((min(kernel2d._usable_cpus() + 1, n_slides), height,
-                     width))
+    ring = np.empty((kernel2d._ring_length(n_slides), height, width))
     return kernel2d._slide_pool(n_slides, render, ring)
 
 

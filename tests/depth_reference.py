@@ -16,7 +16,7 @@ from fracfocus.grids import DepthMap, FocusVolume
 def batch_recover_depth(volume: FocusVolume) -> DepthMap:
     """Depth map by whole-volume argmax plus parabolic refinement."""
     data = volume.data
-    n = volume.n_slides
+    n = data.shape[0]
     k_hat = np.argmax(data, axis=0)
     k_flat = k_hat[None, :, :]
     peak = np.take_along_axis(data, k_flat, axis=0)[0]
@@ -26,7 +26,8 @@ def batch_recover_depth(volume: FocusVolume) -> DepthMap:
 
     interior = (k_hat > 0) & (k_hat < n - 1)
     offset = np.where(interior, offset, 0.0)
-    values = volume.z_min + (k_hat + offset) * volume.delta_z
+    delta_z = (volume.z_max - volume.z_min) / (n - 1)
+    values = volume.z_min + (k_hat + offset) * delta_z
     valid = interior | (peak > 0.0)
     values = np.where(valid, values, np.nan)
     return DepthMap(values=values, valid=valid, q=volume.q,

@@ -181,7 +181,7 @@ class TestRecoverCommand:
             synth = [a for a in SMALL_SYNTH if lossless or a != "--lossless"]
             assert main(synth + ["--out", str(stack_dir)]) == 0
             stack = read_stack_dir(stack_dir)
-            assert stack.n_slides == 5
+            assert stack.data.shape[0] == 5
             for method, extra in methods.items():
                 volume = local_focus_volume(stack, 2)
                 if method == "nonlocal":
@@ -424,6 +424,31 @@ class TestEvalCommand:
             "zeta,alpha=0,alpha=0.5,alpha=1,alpha=1.5,alpha=2,"
             "local_at_q_prime_eq_zeta")
 
+    def test_table_cell_is_recover_then_eval(self, plane_dir, depth_csv,
+                                             tmp_path):
+        """A table cell is the error that ``recover`` with the cell's
+        parameters followed by ``eval`` reports, to the last bit."""
+        truth = str(plane_dir / "truth.csv")
+        report_path = tmp_path / "report.json"
+        assert main(["eval", "--depth", str(depth_csv), "--truth", truth,
+                     "--report", str(report_path),
+                     "--table", str(tmp_path / "table.csv"),
+                     "--stack", str(plane_dir), "--q", "4"]) == 0
+        table = json.loads(report_path.read_text())["table"]
+        cell, = (c for c in table["grid"]
+                 if (c["zeta"], c["alpha"]) == (4, 1.5))
+        local, = (c for c in table["local"] if c["q"] == 4)
+        for entry, method in ((cell, ["--alpha", "1.5", "--zeta", "4"]),
+                              (local, ["--method", "local"])):
+            depth = tmp_path / "depth.csv"
+            assert main(["recover", "--stack", str(plane_dir), "--q", "4",
+                         *method, "--out", str(depth)]) == 0
+            assert main(["eval", "--depth", str(depth), "--truth", truth,
+                         "--report", str(report_path)]) == 0
+            report = json.loads(report_path.read_text())
+            assert (report["rms_percent"], report["n_valid"]) == (
+                entry["rms_percent"], entry["n_valid"])
+
     def test_table_requires_stack(self, plane_dir, depth_csv, tmp_path,
                                   capsys):
         rc = main(["eval", "--depth", str(depth_csv),
@@ -459,6 +484,7 @@ class TestEvalCommand:
         assert main(args + ["--z-range", "1.0"]) == 0
         report = json.loads((tmp_path / "r.json").read_text())
         assert report["rms_percent"] == 0.0
+        assert report["z_range"] == 1.0
 
     def test_infinite_range_fails(self, plane_dir, depth_csv, tmp_path,
                                   capsys):

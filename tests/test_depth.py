@@ -109,7 +109,7 @@ class TestRecoverDepth:
         data = (50.0 - (k - vertices[None, :]) ** 2)[:, None, :]
         volume = FocusVolume(data, q=1, z_min=0.0, z_max=3.0, h=1.0)
         depth = recover_depth(volume)
-        expected = vertices * volume.delta_z
+        expected = vertices * (3.0 / (n - 1))
         assert depth.valid.all()
         assert np.max(np.abs(depth.values[0] - expected)) <= 1e-12
 
@@ -207,7 +207,8 @@ def test_middle_peak_depth_is_the_parabolic_vertex(columns, z_min, span):
     assert depth.valid.all()
     for i, triple in enumerate(columns):
         offset = parabolic_peak(*triple).offset
-        expected = z_min + (1 + offset) * volume.delta_z
+        delta_z = (volume.z_max - volume.z_min) / (len(volume.data) - 1)
+        expected = z_min + (1 + offset) * delta_z
         assert depth.values[0, i].tobytes() == np.float64(expected).tobytes()
 
 
@@ -260,6 +261,15 @@ def test_running_search_copies_each_layer():
     got = search.depth_map(q=1, z_min=0.0, z_max=3.0)
     want = recover_depth(_column_volume(columns.T.tolist(), z_max=3.0))
     assert got.values.tobytes() == want.values.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(5,), (1, 5)])
+def test_running_search_rejects_a_layer_of_another_shape(shape):
+    # Either would broadcast against the (4, 5) state without a check.
+    search = PeakSearch()
+    search.push(np.ones((4, 5)))
+    with pytest.raises(ValueError, match=r"shape \(.*\) does not match"):
+        search.push(np.ones(shape))
 
 
 @pytest.mark.parametrize("slides", [0, 1])

@@ -26,7 +26,7 @@ def _report(rms_percent):
     """Bare ErrorReport carrying only an error figure, for table tests."""
     return ErrorReport(rms_percent=rms_percent,
                        rms_absolute=rms_percent / 100.0,
-                       n_valid=1, n_total=1)
+                       n_valid=1, n_total=1, z_range=1.0)
 
 
 class TestRmsErrorPercent:
@@ -88,6 +88,7 @@ class TestRmsErrorPercent:
         implicit = rms_error_percent(recovered, truth)
         explicit = rms_error_percent(recovered, truth, z_range=2.0)
         assert implicit.rms_percent == explicit.rms_percent
+        assert implicit.z_range == explicit.z_range == 2.0
 
     def test_missing_metadata_requires_explicit_range(self):
         bare = _map(np.zeros((3, 3)))

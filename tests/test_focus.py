@@ -162,7 +162,7 @@ class TestNonlocalization:
         q = 2
         volume = nonlocalize_volume(local_focus_volume(stack, q),
                                     build_kernel(1.5, 3))
-        for k in range(volume.n_slides):
+        for k in range(len(volume.data)):
             layer = volume.data[k]
             assert np.all(layer[:q, :] == 0.0)
             assert np.all(layer[-q:, :] == 0.0)
@@ -196,7 +196,7 @@ class TestNonlocalization:
         q = 2
         local = local_focus_volume(stack, q)
         pooled = nonlocalize_volume(local, build_kernel(2.0, 2))
-        for k in range(stack.n_slides):
+        for k in range(len(stack.data)):
             a = local.data[k][q + 2:-q - 2, q + 2:-q - 2]
             b = pooled.data[k][q + 2:-q - 2, q + 2:-q - 2]
             assert np.std(b / 25.0) < np.std(a)
@@ -232,7 +232,7 @@ class TestWholeVolumePass:
         volume, kernel = case
         q = volume.q
         got = nonlocalize_volume(volume, kernel).data
-        for k in range(volume.n_slides):
+        for k in range(len(volume.data)):
             expected = correlate_layers(kernel, volume.data[k])
             expected[:q, :] = expected[-q:, :] = 0.0
             expected[:, :q] = expected[:, -q:] = 0.0
@@ -254,7 +254,7 @@ class TestWholeVolumePass:
     def test_bits_do_not_depend_on_worker_count(self, case, workers, tied):
         volume, kernel = case
         if tied:
-            data = np.repeat(volume.data[:1], volume.n_slides, axis=0)
+            data = np.repeat(volume.data[:1], len(volume.data), axis=0)
             volume = FocusVolume(data, q=volume.q, z_min=0.0, z_max=1.0)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernel2d, "_usable_cpus", lambda: 1)

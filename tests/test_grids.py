@@ -32,8 +32,8 @@ class TestFiniteMin:
 class TestFocalStack:
     def test_slide_geometry(self):
         stack = FocalStack(np.zeros((5, 4, 6)), z_min=1.0, z_max=3.0, h=0.5)
-        assert stack.n_slides == 5
-        assert stack.delta_z == 0.5
+        assert stack.data.shape == (5, 4, 6)
+        assert (stack.z_min, stack.z_max, stack.h) == (1.0, 3.0, 0.5)
 
     def test_rejects_too_few_slides(self):
         with pytest.raises(ValueError):
@@ -73,7 +73,6 @@ class TestFocusVolume:
         volume = FocusVolume(np.ones((3, 5, 5)), q=2, z_min=0.0, z_max=1.0, h=0.3)
         assert volume.data[1].shape == (5, 5)
         assert volume.h == 0.3
-        assert volume.delta_z == 0.5
 
     def test_rejects_negative_measure(self):
         data = np.ones((3, 4, 4))

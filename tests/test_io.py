@@ -231,6 +231,15 @@ class TestDepthCsv:
         assert meta["alpha"] is None
         assert meta["z_max"] == 2.0
 
+    @pytest.mark.parametrize("h", [np.nan, np.inf])
+    def test_non_finite_parameter_is_not_written(self, tmp_path, h):
+        # "h": NaN or Infinity is not JSON, and read_depth_csv refuses it.
+        target = tmp_path / "depth.csv"
+        with pytest.raises(ValueError, match="JSON"):
+            write_depth_csv(target, _depth_map(np.random.default_rng(5), h=h))
+        assert not target.exists()
+        assert not target.with_suffix(".json").exists()
+
     def test_bare_csv_loads_without_sidecar(self, tmp_path):
         rng = np.random.default_rng(6)
         target = tmp_path / "depth.csv"
@@ -385,6 +394,33 @@ class TestWriteStack:
     def test_slides_must_fit_the_header(self, tmp_path, slides):
         with pytest.raises(ValueError, match="slide"):
             write_stack(self._header(tmp_path), slides)
+
+    @pytest.mark.parametrize("lossless", [False, True])
+    def test_float32_slides_roundtrip(self, tmp_path, lossless):
+        slides = _stack(np.random.default_rng(12)).data.astype(np.float32)
+        write_stack(self._header(tmp_path, lossless=lossless), slides)
+        back = read_stack_dir(tmp_path).data
+        if lossless:
+            assert np.array_equal(back, slides.astype(np.float64))
+        else:
+            assert np.max(np.abs(back - slides)) <= 0.5 * QUANTUM + 1e-7
+
+    @pytest.mark.parametrize("lossless", [False, True])
+    def test_non_finite_slide_is_refused(self, tmp_path, lossless):
+        slides = _stack(np.random.default_rng(13)).data
+        slides[1, 2, 3] = np.nan
+        with pytest.raises(ValueError, match="slide 1 .*non-finite"):
+            write_stack(self._header(tmp_path, lossless=lossless), slides)
+        assert [p.name for p in tmp_path.glob("slide_*")] == [
+            "slide_000." + ("npy" if lossless else "pgm")]
+
+    def test_non_finite_geometry_is_not_written(self, tmp_path):
+        header = StackHeader(directory=tmp_path, n_slides=4, height=6,
+                             width=5, z_min=0.0, z_max=np.inf, h=0.1,
+                             lossless=True)
+        with pytest.raises(ValueError, match="JSON"):
+            write_stack(header, _stack(np.random.default_rng(14)).data)
+        assert not (tmp_path / "stack.json").exists()
 
 
 class TestStackDir:

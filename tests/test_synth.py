@@ -101,8 +101,11 @@ class TestGroundTruth:
     def test_rejects_degenerate_grid(self):
         with pytest.raises(ValueError):
             ground_truth(SceneSpec(), 0, 4, 0.1)
-        with pytest.raises(ValueError):
-            ground_truth(SceneSpec(), 4, 4, 0.0)
+        # A non-finite spacing would go into the depth sidecar, which no
+        # reader accepts.
+        for h in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                ground_truth(SceneSpec(), 4, 4, h)
 
 
 class TestTexture:
@@ -155,7 +158,7 @@ class TestRenderStack:
 
     def test_zero_blur_copies_texture_to_every_slide(self):
         stack = render_stack(self._plane(), BlurSpec(sigma0=0.0), **self.SMALL)
-        for k in range(1, stack.n_slides):
+        for k in range(1, len(stack.data)):
             assert np.array_equal(stack.data[k], stack.data[0])
         assert stack.data[0].min() >= 0.0 and stack.data[0].max() <= 1.0
 
@@ -168,7 +171,7 @@ class TestRenderStack:
 
     def test_blur_reduces_variance_monotonically(self):
         stack = render_stack(self._plane(), BlurSpec(sigma0=3.0), **self.SMALL)
-        spread = [np.var(stack.data[k]) for k in range(stack.n_slides)]
+        spread = [np.var(stack.data[k]) for k in range(len(stack.data))]
         # Focus at slide 2: variance peaks there and decays outward.
         assert spread[2] > spread[1] > spread[0]
         assert spread[2] > spread[3] > spread[4]
@@ -222,7 +225,7 @@ class TestRenderStack:
 
     def test_stack_metadata(self):
         stack = render_stack(self._plane(), BlurSpec(sigma0=1.0), **self.SMALL)
-        assert stack.n_slides == 5
+        assert stack.data.shape[0] == 5
         assert (stack.z_min, stack.z_max) == (0.0, 1.0)
         assert stack.h == self.SMALL["h"]
 
