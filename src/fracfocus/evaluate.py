@@ -7,10 +7,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .depth import recover_depth
-from .focus import local_focus_volume, nonlocalize_volume
-from .grids import DepthMap, FocalStack
-from .kernel2d import build_kernel
+from . import kernel2d
+from .depth import PeakSearch
+from .focus import (_check_step, _modified_laplacian_into,
+                    _nonlocal_layer_into, local_focus_volume)
+from .grids import DepthMap, FocalStack, check_focus_values
+from .kernel2d import _scratch, build_kernel
 
 __all__ = [
     "ComparisonTable",
@@ -141,29 +143,80 @@ def comparison_table(stack: FocalStack, truth: DepthMap, q: int,
                      ) -> ComparisonTable:
     """Run the local and nonlocal pipelines over a parameter grid.
 
-    The local focus volume at stride q is computed once and reused for
-    every (zeta, alpha) cell, so each cell costs one kernel build and one
-    smoothing pass.  ``local_strides`` defaults to the zeta list, giving
-    the customary side-by-side column of local errors at q' = zeta.  The
-    depth range is the stack's, which every recovered map carries.
+    Cell (zeta, alpha) is the error of ``recover_depth`` on
+    ``nonlocalize_volume(local_focus_volume(stack, q), build_kernel(alpha,
+    zeta))``, and the local entry at stride q' that of ``recover_depth`` on
+    ``local_focus_volume(stack, q')``, bit for bit.  ``local_strides``
+    defaults to the zeta list, giving the customary side-by-side column of
+    local errors at q' = zeta.  The depth range is the stack's, which every
+    recovered map carries.
+
+    The local volume at stride q, the base, is computed once.  Every other
+    cell is one item of the slide pool (``kernel2d._slide_pool``): one
+    worker runs all slides of the cell in order, each a kernel pass of the
+    base's slide plus the zero frame (or the local measure at q'), checked
+    like a FocusVolume and pushed into the cell's own :class:`PeakSearch`,
+    so no cell allocates a volume and no cell's bits depend on the CPU
+    count.  The alpha = 0 cells and the local entry at q' = q are the
+    search of the base itself, since the delta kernel returns an exact
+    copy.  Every kernel is built and every stride checked before the first
+    pass.
     """
     if not alphas or not zetas:
         raise ValueError("alphas and zetas must be non-empty")
     if local_strides is None:
         local_strides = zetas
-    base = local_focus_volume(stack, q)
-    grid = {}
-    for zeta in zetas:
-        for alpha in alphas:
-            kernel = build_kernel(alpha, zeta)
-            nl_map = recover_depth(nonlocalize_volume(base, kernel))
-            grid[(zeta, float(alpha))] = rms_error_percent(nl_map, truth)
-    local = {}
     for stride in local_strides:
-        loc_map = recover_depth(local_focus_volume(stack, stride))
-        local[stride] = rms_error_percent(loc_map, truth)
+        _check_step(stack.data.shape, stride)
+    kernels = {(zeta, float(alpha)): build_kernel(alpha, zeta)
+               for zeta in zetas for alpha in alphas}
+    base = local_focus_volume(stack, q)
+
+    # One peak search per source of layers: None for the base's own slides,
+    # a (zeta, alpha) key for their pass with that kernel, a stride q' for
+    # the local measure at q'.  Each search lists the cells it answers, as
+    # (table key, depth-map parameters).
+    searches: dict = {}
+    for key, kernel in kernels.items():
+        source = None if kernel.alpha == 0.0 else key
+        searches.setdefault(source, []).append(
+            (key, {"q": q, "alpha": kernel.alpha, "zeta": kernel.zeta}))
+    for stride in local_strides:
+        source = None if stride == q else stride
+        searches.setdefault(source, []).append((stride, {"q": stride}))
+    sources = list(searches)
+
+    def work(i: int, slot: list, space: dict) -> None:
+        source = sources[i]
+        kernel = kernels.get(source)
+        search = PeakSearch()
+        layer = _scratch(space, "layer", base.data.shape[1:])
+        for k, local in enumerate(base.data):
+            if source is None:
+                search.push(local)
+                continue
+            if kernel is not None:
+                _nonlocal_layer_into(layer, local, kernel, q, space)
+            else:
+                _modified_laplacian_into(layer, stack.data[k], source,
+                                         stack.h, space)
+            check_focus_values(layer)
+            search.push(layer)
+        slot[:] = [(key, search.depth_map(z_min=base.z_min, z_max=base.z_max,
+                                          h=base.h, **params))
+                   for key, params in searches[source]]
+
+    # The errors are taken on the calling thread as each item comes due,
+    # before the next is requested and its slot may be reused.
+    reports = {}
+    ring = [[] for _ in range(kernel2d._ring_length(len(sources)))]
+    for slot in kernel2d._slide_pool(len(sources), work, ring):
+        for key, depth in slot:
+            reports[key] = rms_error_percent(depth, truth)
     return ComparisonTable(q=q, alphas=tuple(float(a) for a in alphas),
-                           zetas=tuple(zetas), grid=grid, local=local)
+                           zetas=tuple(zetas),
+                           grid={key: reports[key] for key in kernels},
+                           local={s: reports[s] for s in local_strides})
 
 
 def axis_profile(recovered: DepthMap, truth: DepthMap, axis: str = "y",

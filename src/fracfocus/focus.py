@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import kernel2d
-from .grids import FocalStack, FocusVolume
+from .grids import FocalStack, FocusVolume, check_focus_values
 from .kernel2d import Kernel, _correlate_slide, _scratch, correlate_layers
 
 if TYPE_CHECKING:
@@ -105,6 +105,19 @@ def _zero_frame(layers: np.ndarray, q: int) -> None:
     layers[..., :, -q:] = 0.0
 
 
+def _nonlocal_layer_into(out: np.ndarray, local: np.ndarray, kernel: Kernel,
+                         q: int, space: dict) -> None:
+    """Write the nonlocal layer of the local layer ``local`` into ``out``.
+
+    The pair-sum pass with ``kernel``, then the zero frame of width q
+    re-imposed: bitwise that slide's layer of ``nonlocalize_volume``.  The
+    pass's scratch buffers are the workspace ``space``'s.
+    """
+    _correlate_slide(kernel.weights[kernel.zeta:, kernel.zeta:], local, out,
+                     space)
+    _zero_frame(out, q)
+
+
 def focus_layers(header: StackHeader, q: int,
                  kernel: Kernel | None = None) -> Iterator[np.ndarray]:
     """Yield the focus measure of each slide of a stack directory, in order.
@@ -124,8 +137,6 @@ def focus_layers(header: StackHeader, q: int,
     _check_step((header.height, header.width), q)
     shape = (header.height, header.width)
     ring = header.empty(kernel2d._ring_length(header.n_slides))
-    if kernel is not None:
-        weights = kernel.weights[kernel.zeta:, kernel.zeta:]
 
     def work(k: int, out: np.ndarray, space: dict) -> None:
         slide = _scratch(space, "slide", shape)
@@ -135,10 +146,8 @@ def focus_layers(header: StackHeader, q: int,
         else:
             local = _scratch(space, "local", shape)
             _modified_laplacian_into(local, slide, q, header.h, space)
-            _correlate_slide(weights, local, out, space)
-            _zero_frame(out, q)
-        FocusVolume(out[np.newaxis], q=q, z_min=header.z_min,
-                    z_max=header.z_max, h=header.h)
+            _nonlocal_layer_into(out, local, kernel, q, space)
+        check_focus_values(out)
 
     return kernel2d._slide_pool(header.n_slides, work, ring)
 

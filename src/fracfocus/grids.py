@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["DepthMap", "FocalStack", "FocusVolume", "check_stack_geometry",
-           "finite_min"]
+__all__ = ["DepthMap", "FocalStack", "FocusVolume", "check_focus_values",
+           "check_stack_geometry", "finite_min"]
 
 
 def check_stack_geometry(n_slides: int, z_min: float, z_max: float,
@@ -49,6 +49,20 @@ def finite_min(x: np.ndarray) -> float | None:
     if np.isfinite(lowest) and np.isfinite(x.max()):
         return float(lowest)
     return None
+
+
+def check_focus_values(data: np.ndarray) -> None:
+    """Reject focus measures that no focus volume may hold.
+
+    Focus measures are finite and non-negative by construction; raises
+    ValueError otherwise.  A :class:`FocusVolume` checks its data with it,
+    and the streamed paths check each layer with it as it is made.
+    """
+    lowest = finite_min(data)
+    if lowest is None:
+        raise ValueError("focus measures must be finite")
+    if lowest < 0:
+        raise ValueError("focus measures are non-negative by construction")
 
 
 @dataclass(frozen=True)
@@ -96,11 +110,7 @@ class FocusVolume:
             raise ValueError(f"volume data must be 3D, got shape {data.shape}")
         if self.q < 1:
             raise ValueError(f"step q must be positive, got {self.q}")
-        lowest = finite_min(data)
-        if lowest is None:
-            raise ValueError("focus measures must be finite")
-        if lowest < 0:
-            raise ValueError("focus measures are non-negative by construction")
+        check_focus_values(data)
 
 
 @dataclass(frozen=True)

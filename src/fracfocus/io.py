@@ -259,7 +259,10 @@ def write_stack(header: StackHeader, slides: Iterable[np.ndarray],
     float64 .npy (whatever their dtype), others as 8-bit PGM.  Raises
     ValueError if the slides disagree with the header in shape or number,
     if a slide holds a non-finite value, or if stack.json would hold one:
-    the reader refuses all of these.
+    the reader refuses all of these.  stack.json is checked before the
+    first slide but written after the last slide and the truth files, and a
+    stack.json already in the directory is removed first, so a failed
+    write leaves no directory that reads as a stack.
     """
     out_dir = Path(header.directory)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -275,8 +278,8 @@ def write_stack(header: StackHeader, slides: Iterable[np.ndarray],
         "scene": asdict(scene) if scene is not None else None,
         "blur": asdict(blur) if blur is not None else None,
     }
-    (out_dir / "stack.json").write_text(
-        json.dumps(meta, indent=2, allow_nan=False) + "\n", encoding="ascii")
+    text = json.dumps(meta, indent=2, allow_nan=False) + "\n"
+    (out_dir / "stack.json").unlink(missing_ok=True)
     shape = (header.height, header.width)
     count = 0
     for k, slide in enumerate(slides):
@@ -295,6 +298,7 @@ def write_stack(header: StackHeader, slides: Iterable[np.ndarray],
         raise ValueError(f"got {count} of {header.n_slides} slides")
     if truth is not None:
         write_depth_csv(out_dir / "truth.csv", truth)
+    (out_dir / "stack.json").write_text(text, encoding="ascii")
 
 
 def write_stack_dir(out_dir: str | Path, stack: FocalStack,

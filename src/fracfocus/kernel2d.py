@@ -22,7 +22,8 @@ ordered slide pool (``_slide_pool``): one worker per usable CPU, each with
 a workspace of scratch buffers it allocates once, results yielded in slide
 order from a ring of output buffers.  The kernel pass here, ``recover``'s
 read-measure-pass chain (``focus.focus_layers``) and the renderer
-(``synth.render_slides``) all run on it.
+(``synth.render_slides``) all run on it, and so does
+``evaluate.comparison_table``, whose items are whole table cells.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import functools
 import os
 import threading
 from collections import deque
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,23 +163,26 @@ def _scratch(space: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
     return buffer
 
 
-def _slide_pool(n: int, work: Callable[[int, np.ndarray, dict], None],
-                ring: np.ndarray) -> Iterator[np.ndarray]:
-    """Run ``work(k, out, space)`` for k = 0 .. n-1 and yield each ``out``
-    in order of k.
+def _slide_pool(n: int, work: Callable[[int, object, dict], None],
+                ring: Sequence) -> Iterator:
+    """Run ``work(k, out, space)`` for items k = 0 .. n-1 and yield each
+    ``out`` in order of k.
 
-    ``out`` is ``ring[k % len(ring)]``: a ring of at least n buffers keeps
+    An item is a slide, or a whole cell of ``evaluate.comparison_table``,
+    whose worker runs all slides of that cell.  ``out`` is
+    ``ring[k % len(ring)]``, a buffer ``work`` fills in place (an array
+    for a slide, a list for a cell): a ring of at least n buffers keeps
     every result; in a shorter one, a yielded buffer may be overwritten once
     the next is requested.  ``space`` is a dict the worker keeps for the
     whole call, for scratch buffers that it allocates once (see
     :func:`_scratch`).  There is one worker per usable CPU, never
-    more than there are slides or than the ring leaves free: the calling
+    more than there are items or than the ring leaves free: the calling
     thread and a thread pool for the rest (numpy releases the GIL in each
-    ufunc).  Rather than wait for a slide, the calling thread takes the
-    first slide that no pool thread has started.  A worker's exception is
-    raised when its slide is due, so the lowest-numbered failing slide is
+    ufunc).  Rather than wait for an item, the calling thread takes the
+    first item that no pool thread has started.  A worker's exception is
+    raised when its item is due, so the lowest-numbered failing item is
     the one reported, and no thread outlives the generator.  ``work`` must
-    give each slide the same bits whichever worker runs it; then so does
+    give each item the same bits whichever worker runs it; then so does
     the pool.
     """
     size = len(ring)
@@ -216,12 +220,12 @@ def _slide_pool(n: int, work: Callable[[int, np.ndarray, dict], None],
     try:
         pending: deque = deque()
         for k in range(n):
-            # Slides k .. k + workers are in flight: slide k + workers takes
-            # the buffer of slide k - 1, released by asking for slide k.
+            # Items k .. k + workers are in flight: item k + workers takes
+            # the buffer of item k - 1, released by asking for item k.
             for j in range(k + len(pending), min(k + workers + 1, n)):
                 pending.append(pool.submit(run, j))
-            # While slide k is not done, the calling thread takes the
-            # first slide that no pool thread has started.
+            # While item k is not done, the calling thread takes the
+            # first item that no pool thread has started.
             while not pending[0].done():
                 i = next((i for i, future in enumerate(pending)
                           if future.cancel()), None)

@@ -1,18 +1,25 @@
 """Tests for depth-map error metrics and the comparison grid."""
 
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from fracfocus import focus, kernel2d
 from fracfocus.depth import recover_depth
 from fracfocus.evaluate import (EmptyMaskError, ComparisonTable, ErrorReport,
                                 axis_profile, comparison_table,
                                 rms_error_percent)
 from fracfocus.focus import local_focus_volume, nonlocalize_volume
-from fracfocus.grids import DepthMap
+from fracfocus.grids import DepthMap, FocalStack
 from fracfocus.kernel2d import build_kernel
 from fracfocus.synth import SceneSpec, ground_truth
+from table_reference import reference_table
 
 
 def _map(values, valid=None, **meta):
@@ -254,6 +261,105 @@ class TestComparisonTable:
                                 grid={(1, 0.0): _report(1.0)})
         with pytest.raises(ValueError):
             table.spread()
+
+
+# A few slide values, so that exact ties between focus layers are common.
+_FEW = st.sampled_from([0.0, 0.25, 1.0, 1.0, 3.0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(3, 6), st.integers(7, 9),
+                                    st.integers(7, 9)),
+              elements=_FEW, fill=st.nothing()),
+       st.integers(1, 3),
+       st.lists(st.sampled_from([0.0, 0.5, 1.5, 2.0]), min_size=1,
+                max_size=4),
+       st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       st.none() | st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       st.integers(0, 2**32 - 1))
+# Repeated zetas, alpha 0 and 2, and strides without q.
+@example(np.multiply.outer([0.25, 1.0, 3.0, 3.0, 1.0],
+                           np.indices((8, 8)).sum(axis=0) % 2),
+         2, [0.0, 2.0, 0.5], [3, 1, 3], [1, 3], 0)
+def test_table_matches_one_volume_per_cell(data, q, alphas, zetas,
+                                           local_strides, seed):
+    rng = np.random.default_rng(seed)
+    stack = FocalStack(data, z_min=0.0, z_max=1.0, h=0.5)
+    truth = _map(rng.random(data.shape[1:]), rng.random(data.shape[1:]) < 0.9)
+    args = (stack, truth, q, tuple(alphas), tuple(zetas),
+            None if local_strides is None else tuple(local_strides))
+    try:
+        want = reference_table(*args)
+    except EmptyMaskError:
+        want = None
+    for cpus in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernel2d, "_usable_cpus", lambda: cpus)
+            if want is None:
+                with pytest.raises(EmptyMaskError):
+                    comparison_table(*args)
+                continue
+            got = comparison_table(*args)
+        # Every report, its method, q, alpha and zeta included, in order.
+        assert list(got.grid.items()) == list(want.grid.items())
+        assert list(got.local.items()) == list(want.local.items())
+        assert (got.q, got.alphas, got.zetas) == (want.q, want.alphas,
+                                                   want.zetas)
+        assert got.format() == want.format()
+
+
+def test_table_cells_under_thread_stress(monkeypatch, small_plane):
+    """More workers than cells and a short switch interval: a cell that
+    read another's slot or workspace would not match the reference."""
+    args = (small_plane.stack, small_plane.truth, 2, (0.0, 0.5, 2.0), (1, 3),
+            (1, 2, 4))
+    want = reference_table(*args)
+    monkeypatch.setattr(kernel2d, "_usable_cpus", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = comparison_table(*args)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+
+
+def test_table_holds_no_volume_per_cell(monkeypatch):
+    """Beyond the base volume, the cells stream: the traced peak of a 4 x 5
+    grid on 64 slides stays below 1.75 volumes (one volume per cell took
+    more than 2)."""
+    monkeypatch.setattr(kernel2d, "_usable_cpus", lambda: 1)
+    rng = np.random.default_rng(21)
+    stack = FocalStack(rng.random((64, 64, 64)), z_min=0.0, z_max=1.0)
+    truth = _map(rng.random((64, 64)))
+    # A first table on a small stack makes the imports that the kernel
+    # build needs, whose objects would otherwise count towards the peak.
+    comparison_table(FocalStack(stack.data[:3, :16, :16], z_min=0.0,
+                                z_max=1.0), _map(truth.values[:16, :16]), q=2)
+    tracemalloc.start()
+    try:
+        comparison_table(stack, truth, q=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * stack.data.nbytes
+
+
+@pytest.mark.parametrize("bad", [{"local_strides": (1, 24)},
+                                 {"alphas": (1.5, 3.0)},
+                                 {"zetas": (2, 0)}])
+def test_bad_parameters_fail_before_the_first_pass(monkeypatch, small_plane,
+                                                    bad):
+    passes = []
+    for module in (kernel2d, focus):
+        def counted(*args, _original=module._correlate_slide):
+            passes.append(1)
+            return _original(*args)
+        monkeypatch.setattr(module, "_correlate_slide", counted)
+    with pytest.raises(ValueError):
+        comparison_table(small_plane.stack, small_plane.truth, q=2,
+                         **{"alphas": (1.5,), "zetas": (1, 2), **bad})
+    assert not passes
 
 
 class TestAxisProfile:

@@ -394,6 +394,7 @@ class TestWriteStack:
     def test_slides_must_fit_the_header(self, tmp_path, slides):
         with pytest.raises(ValueError, match="slide"):
             write_stack(self._header(tmp_path), slides)
+        assert not (tmp_path / "stack.json").exists()
 
     @pytest.mark.parametrize("lossless", [False, True])
     def test_float32_slides_roundtrip(self, tmp_path, lossless):
@@ -413,6 +414,17 @@ class TestWriteStack:
             write_stack(self._header(tmp_path, lossless=lossless), slides)
         assert [p.name for p in tmp_path.glob("slide_*")] == [
             "slide_000." + ("npy" if lossless else "pgm")]
+        # stack.json is written last, so the directory reads as no stack.
+        assert not (tmp_path / "stack.json").exists()
+
+    def test_refused_rewrite_removes_the_old_stack_json(self, tmp_path):
+        slides = _stack(np.random.default_rng(15)).data
+        write_stack(self._header(tmp_path), slides)
+        slides[2, 0, 0] = np.inf
+        with pytest.raises(ValueError, match="slide 2 .*non-finite"):
+            write_stack(self._header(tmp_path), slides)
+        with pytest.raises(StackFormatError, match="stack.json: missing"):
+            read_stack_dir(tmp_path)
 
     def test_non_finite_geometry_is_not_written(self, tmp_path):
         header = StackHeader(directory=tmp_path, n_slides=4, height=6,
