@@ -16,7 +16,6 @@ import math
 import re
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass
-from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -107,10 +106,27 @@ def write_depth_csv(path: str | Path, depth_map: DepthMap) -> None:
     meta.update((key, getattr(depth_map, key)) for key in _DEPTH_META_KEYS)
     # Made first: a non-finite field raises before any file is written.
     sidecar_text = json.dumps(meta, indent=2, allow_nan=False) + "\n"
-    buf = StringIO()
-    np.savetxt(buf, np.where(depth_map.valid, depth_map.values, np.nan),
-               fmt="%.17g", delimiter=",")
-    path.write_text(buf.getvalue().replace("nan", "NaN"), encoding="ascii")
+    # Each distinct value is formatted once, a few thousand at a time, into
+    # a table of ASCII tokens ("%.17g" of a float64 takes at most 24
+    # characters): a map holds far fewer distinct values than pixels.
+    # Distinct by bits, so that -0.0 keeps its sign.  Not np.unique: its
+    # inverse costs several more map-sized temporaries than a lookup, and
+    # without one it hashes, which is slower than this sort.
+    bits = np.where(depth_map.valid, depth_map.values, np.nan).view(np.int64)
+    distinct = np.sort(bits, axis=None)
+    first = np.ones(distinct.size, dtype=bool)
+    np.not_equal(distinct[1:], distinct[:-1], out=first[1:])
+    distinct = distinct[first]
+    index = np.searchsorted(distinct, bits)
+    del bits, first
+    tokens = np.empty(len(distinct), dtype="S24")
+    for start in range(0, len(distinct), 4096):
+        tokens[start:start + 4096] = [
+            "NaN" if v != v else "%.17g" % v
+            for v in distinct[start:start + 4096].view(np.float64).tolist()]
+    with path.open("wb") as file:
+        for row in index:
+            file.write(b",".join(tokens[row].tolist()) + b"\n")
     path.with_suffix(".json").write_text(sidecar_text, encoding="ascii")
 
 

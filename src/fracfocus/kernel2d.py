@@ -24,6 +24,14 @@ order from a ring of output buffers.  The kernel pass here, ``recover``'s
 read-measure-pass chain (``focus.focus_layers``) and the renderer
 (``synth.render_slides``) all run on it, and so does
 ``evaluate.comparison_table``, whose items are whole table cells.
+
+The pass itself (``_correlate_slide``) runs from a schedule: the list of
+numpy ufunc calls that its row strips make, each operand a view into the
+worker's workspace, built once per kernel, slide shape and strip size.  A
+worker then spends almost no interpreter time between ufuncs, which release
+the GIL while they compute, so the workers seldom wait for one another.  A
+workspace keeps one schedule and the scratch buffers of one pass; another
+kernel or shape replaces both.
 """
 
 from __future__ import annotations
@@ -239,16 +247,19 @@ def _slide_pool(n: int, work: Callable[[int, object, dict], None],
 
 
 def _mirror_pad(slide: np.ndarray, zeta: int, space: dict) -> np.ndarray:
-    """``np.pad(slide, zeta, mode="symmetric")``, in the workspace ``space``.
+    """``np.pad(slide, zeta, mode="symmetric")``, into the workspace buffer
+    ``padded`` of ``space``.
 
     Filled in place with mirror slices, columns first and then whole rows
     (the corners), where one reflection reaches: zeta up to each side of
-    the slide.  A larger zeta, whose reflection repeats, gets ``np.pad``.
+    the slide.  A larger zeta, whose reflection repeats, is copied in from
+    ``np.pad``.
     """
     height, width = slide.shape
-    if zeta > min(height, width):
-        return np.pad(slide, zeta, mode="symmetric")
     padded = _scratch(space, "padded", (height + 2 * zeta, width + 2 * zeta))
+    if zeta > min(height, width):
+        padded[...] = np.pad(slide, zeta, mode="symmetric")
+        return padded
     padded[zeta:zeta + height, zeta:zeta + width] = slide
     padded[zeta:zeta + height, :zeta] = slide[:, :zeta][:, ::-1]
     padded[zeta:zeta + height, zeta + width:] = slide[:, width - zeta:][:, ::-1]
@@ -262,6 +273,74 @@ def _mirror_pad(slide: np.ndarray, zeta: int, space: dict) -> np.ndarray:
 _STRIP_SAMPLES = 2 ** 15
 
 
+def _build_schedule(weights: np.ndarray, shape: tuple[int, int],
+                    space: dict) -> list:
+    """The ufunc calls of the pair-sum pass over a slide of ``shape``.
+
+    One entry per row strip: ``(calls, rows, result)``, where ``calls`` is
+    the list of ``(ufunc, x, y, o)`` to run as ``ufunc(x, y, o)`` in order,
+    every array a view into the workspace buffers ``padded``, ``pairs``,
+    ``row_sum``, ``term`` and ``total`` of ``space``, and ``result``, a
+    view of ``total``, holds the strip's output rows ``rows`` once the calls
+    are done.  See :func:`_correlate_slide` for the arithmetic.
+    """
+    zeta = weights.shape[0] - 1
+    height, width = shape
+    rows = max(1, _STRIP_SAMPLES // width)
+    span = min(rows, height) + 2 * zeta
+    taps = [(a, np.flatnonzero(row)) for a, row in enumerate(weights)
+            if row.any()]
+    padded = _scratch(space, "padded", (height + 2 * zeta, width + 2 * zeta))
+    pairs = _scratch(space, "pairs", (zeta, span, width))
+    row_sum = _scratch(space, "row_sum", (span, width))
+    term = _scratch(space, "term", (span, width))
+    total = _scratch(space, "total", (min(rows, height), width))
+
+    @functools.cache
+    def row_calls(n: int) -> list:
+        # The calls after the pair sums for a strip of n rows.  Only the
+        # reads of C_0, marked by their row slice, are the strip's own, so
+        # all other calls are shared by the strips of equal height.
+        columns = [None] + [pairs[b - 1, :n + 2 * zeta]
+                            for b in range(1, zeta + 1)]
+
+        def column(b: int, lo: int, hi: int):
+            return slice(lo, hi) if b == 0 else columns[b][lo:hi]
+
+        calls = []
+        for a, (first, *rest) in taps:
+            # D_a is needed on rows zeta-a .. zeta+a+n-1 of the strip only;
+            # D_0 is built in the strip's total itself.
+            lo, hi = zeta - a, zeta + a + n
+            acc = total[:n] if a == 0 else row_sum[:hi - lo]
+            tmp = term[:hi - lo]
+            calls.append((np.multiply, column(first, lo, hi),
+                          weights[a, first], acc))
+            for b in rest:
+                calls.append((np.multiply, column(b, lo, hi), weights[a, b],
+                              tmp))
+                calls.append((np.add, acc, tmp, acc))
+            if a:
+                calls.append((np.add, acc[:n], acc[2 * a:], tmp[:n]))
+                calls.append((np.add, total[:n], tmp[:n], total[:n]))
+        return calls
+
+    schedule = []
+    for top in range(0, height, rows):
+        n = min(rows, height - top)
+        strip = padded[top:top + n + 2 * zeta]
+        center = strip[:, zeta:zeta + width]
+        calls = [(np.add, strip[:, zeta + b:zeta + b + width],
+                  strip[:, zeta - b:zeta - b + width],
+                  pairs[b - 1, :n + 2 * zeta]) for b in range(1, zeta + 1)]
+        for call in row_calls(n):
+            ufunc, x, y, o = call
+            calls.append((ufunc, center[x], y, o) if isinstance(x, slice)
+                         else call)
+        schedule.append((calls, slice(top, top + n), total[:n]))
+    return schedule
+
+
 def _correlate_slide(weights: np.ndarray, slide: np.ndarray,
                      out: np.ndarray, space: dict) -> None:
     """Write the pair-sum pass of one 2D slide into ``out``.
@@ -271,40 +350,33 @@ def _correlate_slide(weights: np.ndarray, slide: np.ndarray,
     mirror-padded slide ``P`` (``C_0 = P[:, c]``) give the row sums
     ``D_a = sum_b w[a, b] C_b``, and each output row ``r`` is
     ``D_0[r] + sum_a (D_a[r+a] + D_a[r-a])``.  Zero weights are skipped, so
-    the delta kernel leaves a copy.  ``P`` (:func:`_mirror_pad`) and the
-    strip buffers are the workspace ``space``'s.
+    the delta kernel leaves a copy.
+
+    The pass runs from a schedule (:func:`_build_schedule`): the ufunc
+    calls above, strip by strip, with every operand a view into the workspace
+    ``space``, built on the first call for a given kernel quadrant, slide
+    shape and ``_STRIP_SAMPLES``.  A call then only pads the slide into
+    ``P`` (:func:`_mirror_pad`), runs the calls, and copies each finished
+    strip into ``out``, with no Python slicing between the ufuncs, so that
+    workers on other threads seldom wait for the interpreter lock.  A
+    workspace holds one schedule: another kernel, shape or strip size
+    replaces it, and its buffers with it, so no scratch of an earlier pass
+    stays alive.  The schedule never points into ``out``, which may be a
+    different buffer on each call.
     """
-    zeta = weights.shape[0] - 1
-    height, width = slide.shape
-    padded = _mirror_pad(slide, zeta, space)
-    rows = max(1, _STRIP_SAMPLES // width)
-    span = min(rows, height) + 2 * zeta
-    taps = [(a, np.flatnonzero(row)) for a, row in enumerate(weights)
-            if row.any()]
-    pairs = _scratch(space, "pairs", (zeta, span, width))
-    row_sum = _scratch(space, "row_sum", (span, width))
-    term = _scratch(space, "term", (span, width))
-    for top in range(0, height, rows):
-        n = min(rows, height - top)
-        strip = padded[top:top + n + 2 * zeta]
-        columns = [strip[:, zeta:zeta + width]]
-        for b in range(1, zeta + 1):
-            columns.append(np.add(strip[:, zeta + b:zeta + b + width],
-                                  strip[:, zeta - b:zeta - b + width],
-                                  out=pairs[b - 1, :n + 2 * zeta]))
-        for a, (first, *rest) in taps:
-            # D_a is needed on rows zeta-a .. zeta+a+n-1 of the strip only;
-            # D_0 is built in the output itself.
-            lo, hi = zeta - a, zeta + a + n
-            acc = out[top:top + n] if a == 0 else row_sum[:hi - lo]
-            tmp = term[:hi - lo]
-            np.multiply(columns[first][lo:hi], weights[a, first], out=acc)
-            for b in rest:
-                np.multiply(columns[b][lo:hi], weights[a, b], out=tmp)
-                np.add(acc, tmp, out=acc)
-            if a:
-                np.add(acc[:n], acc[2 * a:], out=tmp[:n])
-                np.add(out[top:top + n], tmp[:n], out=out[top:top + n])
+    key = (weights.tobytes(), slide.shape, _STRIP_SAMPLES)
+    stored = space.get("schedule")
+    if stored is None or stored[0] != key:
+        # Dropped first, so that the old views do not pin the old buffers
+        # while the new ones are allocated.
+        space.pop("schedule", None)
+        stored = space["schedule"] = (
+            key, _build_schedule(weights, slide.shape, space))
+    _mirror_pad(slide, weights.shape[0] - 1, space)
+    for calls, rows, result in stored[1]:
+        for ufunc, x, y, o in calls:
+            ufunc(x, y, o)
+        out[rows] = result
 
 
 def correlate_layers(kernel: Kernel, values: np.ndarray) -> np.ndarray:

@@ -2,6 +2,8 @@
 
 import functools
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,13 +13,14 @@ from hypothesis.extra.numpy import arrays
 
 from fracfocus import kernel2d
 from fracfocus.focus import (
+    _nonlocal_layer_into,
     focus_layers,
     local_focus_volume,
     nonlocalize_volume,
     nyquist_hint,
 )
 from fracfocus.grids import FocalStack, FocusVolume
-from fracfocus.io import StackHeader
+from fracfocus.io import StackHeader, read_stack_header, write_stack_dir
 from fracfocus.kernel2d import build_kernel, correlate_layers
 
 
@@ -276,6 +279,48 @@ class TestFocusLayers:
                              lossless=True)
         with pytest.raises(ValueError, match="step|too small"):
             focus_layers(header, q, build_kernel(1.0, 2))
+
+    def test_workers_keep_their_own_schedules(self, tmp_path, monkeypatch):
+        # More workers than cores, switching threads as often as the
+        # interpreter allows, on slides of several strips: a schedule or a
+        # scratch buffer shared between workers would mix their slides.
+        rng = np.random.default_rng(21)
+        write_stack_dir(tmp_path, _random_stack(rng, n_slides=32, height=128,
+                                                width=96), lossless=True)
+        header = read_stack_header(tmp_path)
+        kernel = build_kernel(1.5, 3)
+        monkeypatch.setattr(kernel2d, "_STRIP_SAMPLES", 8 * header.width)
+        monkeypatch.setattr(kernel2d, "_usable_cpus", lambda: 1)
+        expected = [layer.copy() for layer in focus_layers(header, 2, kernel)]
+        monkeypatch.setattr(kernel2d, "_usable_cpus", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = [layer.copy() for layer in focus_layers(header, 2, kernel)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(got) == len(expected)
+        for layer, reference in zip(got, expected):
+            assert np.array_equal(layer, reference)
+
+
+def test_workspace_keeps_scratch_for_one_kernel_only():
+    # A workspace passed through several reaches must hold the scratch of
+    # the last one only: a cache per kernel would pin a set per reach.
+    local = np.random.default_rng(22).random((256, 256))
+    kernels = [build_kernel(1.5, zeta) for zeta in (4, 1, 3, 2, 4)]
+    out = np.empty_like(local)
+    space = {}
+    tracemalloc.start()
+    try:
+        _nonlocal_layer_into(out, local, kernels[0], 4, space)
+        first = tracemalloc.get_traced_memory()[0]
+        for kernel in kernels[1:]:
+            _nonlocal_layer_into(out, local, kernel, 4, space)
+        last = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert last <= first + 64 * 1024
 
 
 class TestNonFiniteMeasure:

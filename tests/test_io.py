@@ -351,6 +351,32 @@ def test_depth_csv_matches_reference_writer_and_roundtrips(tmp_path_factory,
     assert np.all(np.isnan(back.values[~back.valid]))
 
 
+def test_depth_csv_formats_many_distinct_values(tmp_path):
+    # More distinct values than the writer formats at a time, each repeated,
+    # with signed zeros and the longest "%.17g" tokens among them.
+    rng = np.random.default_rng(23)
+    pool = np.concatenate([rng.normal(size=6000) * 10.0 ** rng.integers(
+        -320, 300, size=6000), [0.0, -0.0, -5e-324,
+                                -2.2250738585072014e-308,
+                                -1.7976931348623157e308]])
+    values = rng.choice(pool, size=(90, 130))
+    values[0, :5] = pool[-5:]
+    valid = rng.random(values.shape) < 0.9
+    valid[0, :5] = True
+    target = tmp_path / "depth.csv"
+    write_depth_csv(target, DepthMap(values=values, valid=valid))
+    assert target.read_text(encoding="ascii") == reference_depth_csv(values,
+                                                                     valid)
+
+
+@pytest.mark.parametrize("shape,text", [((0, 5), ""), ((5, 0), "\n" * 5)])
+def test_depth_csv_of_a_map_without_pixels(tmp_path, shape, text):
+    target = tmp_path / "depth.csv"
+    write_depth_csv(target, DepthMap(values=np.zeros(shape),
+                                     valid=np.ones(shape, dtype=bool)))
+    assert target.read_text(encoding="ascii") == text
+
+
 @settings(max_examples=20, deadline=None)
 @given(arrays(np.float64, st.tuples(st.integers(3, 4), st.integers(1, 6),
                                     st.integers(1, 6)), elements=_FINITE))

@@ -20,6 +20,7 @@ from fracfocus.kernel2d import (
 )
 
 from kernel_reference import REFERENCE_QUADRANTS, adaptive_kernel_weights
+from pass_reference import reference_correlate_slide
 
 
 @pytest.fixture(scope="module")
@@ -287,6 +288,58 @@ def test_correlate_layers_bits_do_not_depend_on_worker_count(
         assert all(np.array_equal(layer, got[0]) for layer in got)
 
 
+def _schedule_arrays(space):
+    """Every array the workspace's stored schedules read or write."""
+    for value in space.values():
+        if isinstance(value, np.ndarray):
+            continue
+        _, schedule = value
+        for calls, _, result in schedule:
+            yield result
+            for _, x, y, o in calls:
+                yield from (a for a in (x, y, o) if isinstance(a, np.ndarray))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 16),
+                          st.sampled_from([0.0, 0.5, 1.5, 2.0]),
+                          st.integers(1, 40), st.integers(1, 40),
+                          st.one_of(st.integers(1, 80),
+                                    st.integers(1, 2**15))),
+                min_size=1, max_size=6),
+       st.integers(0, 2**32 - 1))
+# A reach beyond both sides, then one strip per row, then one strip.
+@example([(16, 1.5, 3, 5, 7), (2, 0.5, 40, 9, 1), (2, 0.5, 40, 9, 2**15)], 0)
+def test_schedule_matches_the_strip_loop(calls, seed):
+    # One workspace across a sequence of passes, as a worker keeps it, and
+    # each pass run twice so the second reuses the stored schedule; every
+    # pass writes a fresh output, which the schedule must not point into.
+    rng = np.random.default_rng(seed)
+    space = {}
+    for zeta, alpha, height, width, strip_samples in calls:
+        weights = _cached_kernel(alpha, zeta).weights[zeta:, zeta:]
+        for _ in range(2):
+            slide = rng.choice([0.0, 0.25, 1.0, 3.0], size=(height, width))
+            slide = np.where(rng.random((height, width)) < 0.5, slide,
+                             rng.random((height, width)))
+            expected = np.full((height, width), np.nan)
+            reference_correlate_slide(weights, slide, expected, strip_samples)
+            got = np.full((height, width), np.nan)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(kernel2d, "_STRIP_SAMPLES", strip_samples)
+                kernel2d._correlate_slide(weights, slide, got, space)
+            assert np.array_equal(got.view(np.uint64),
+                                  expected.view(np.uint64))
+        # At most one schedule, and it points only into the workspace's
+        # current buffers: no scratch of an earlier pass stays alive.
+        assert sum(not isinstance(value, np.ndarray)
+                   for value in space.values()) <= 1
+        buffers = {id(value) for value in space.values()
+                   if isinstance(value, np.ndarray)}
+        assert all(id(array.base) in buffers
+                   for array in _schedule_arrays(space))
+
+
 class TestFrequencyResponse:
     def test_zero_frequency_is_weight_sum(self, kernels_zeta4):
         for alpha, kernel in kernels_zeta4.items():
@@ -353,6 +406,8 @@ def test_mirror_pad_equals_numpy_symmetric_pad(height, width, data):
         slide = np.random.default_rng(seed).random((height, width))
         got = kernel2d._mirror_pad(slide, zeta, space)
         assert np.array_equal(got, np.pad(slide, zeta, mode="symmetric"))
+        # The pass's schedule reads the workspace buffer, whatever the reach.
+        assert got is space["padded"]
 
 
 def _numbering_work(k, out, space):
