@@ -308,7 +308,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, StackFormatError) as exc:
+    except (ValueError, OSError, MemoryError, StackFormatError) as exc:
         print(f"fracfocus: error: {exc}", file=sys.stderr)
         return 1
 

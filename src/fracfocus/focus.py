@@ -20,7 +20,6 @@ same as in the volume, because every step acts on each slide alone.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
@@ -37,7 +36,6 @@ __all__ = [
     "focus_layers",
     "local_focus_volume",
     "nonlocalize_volume",
-    "nyquist_hint",
 ]
 
 
@@ -166,19 +164,3 @@ def nonlocalize_volume(volume: FocusVolume, kernel: Kernel) -> FocusVolume:
     _zero_frame(data, q)
     return FocusVolume(data, q=q, z_min=volume.z_min, z_max=volume.z_max,
                        h=volume.h, alpha=kernel.alpha, zeta=kernel.zeta)
-
-
-def nyquist_hint(texture_wavelength: float, h: float) -> int:
-    """Suggested stride q for a texture of the given dominant wavelength.
-
-    Evaluates q = round(2 / (omega * h)) with omega = 1 / texture_wavelength
-    (half-up rounding), clamped to at least 1.  Advisory only; no operation
-    overrides a caller-supplied q with this value.
-    """
-    if not (math.isfinite(texture_wavelength) and texture_wavelength > 0):
-        raise ValueError(f"wavelength must be finite and positive, "
-                         f"got {texture_wavelength}")
-    if not (math.isfinite(h) and h > 0):
-        raise ValueError(f"grid spacing must be finite and positive, got {h}")
-    omega = 1.0 / texture_wavelength
-    return max(1, int(math.floor(2.0 / (omega * h) + 0.5)))

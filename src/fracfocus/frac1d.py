@@ -8,18 +8,20 @@ integral of order ``alpha`` in [0, 1],
 which interpolates between the identity (a = 0) and half the two-sided
 integral of f (a = 1).  Composing it with d/dx gives the regularized
 Liouville-Caputo fractional derivative, and with d^2/dx^2 the Riesz-type
-fractional second derivative.  All three are evaluated by adaptive
-quadrature on a truncated domain; the endpoint singularity xi^(a-1) is
-removed exactly by the substitution u = xi^a.
+fractional second derivative.  All three are integrated over a truncated
+domain by panels of the 24-point Gauss-Legendre rule that builds the 2D
+kernel (``kernel2d._gauss_rule``), split adaptively; the endpoint
+singularity xi^(a-1) is removed exactly by the substitution u = xi^a.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable
 
-import scipy
+from .kernel2d import _gauss_rule
 
 __all__ = [
     "Function1D",
@@ -87,21 +89,37 @@ def _weighted_quad(g: Callable[[float], float], alpha: float,
     """Integrate xi^(alpha-1) * g(xi) over [0, cutoff] for bounded g.
 
     Substituting u = xi^alpha turns the weight into du/alpha exactly, so the
-    adaptive rule only ever sees a bounded integrand.
+    adaptive rule only ever sees a bounded integrand.  A panel's error is
+    |left half + right half - whole|; the worst panel is split in two until
+    the errors sum to at most max(1e-14, rel_tol * |total|).
     """
-    upper = quad.cutoff ** alpha
+    nodes, weights = (r.tolist() for r in _gauss_rule())
     inv_alpha = 1.0 / alpha
 
-    def integrand(u: float) -> float:
-        return g(u ** inv_alpha)
+    def rule(a: float, b: float) -> float:
+        half, mid = 0.5 * (b - a), 0.5 * (a + b)
+        return half * math.fsum(w * g((mid + half * t) ** inv_alpha)
+                                for t, w in zip(nodes, weights))
 
-    result = scipy.integrate.quad(integrand, 0.0, upper, epsabs=1e-14,
-                                  epsrel=quad.rel_tol,
-                                  limit=quad.max_subdivisions, full_output=1)
-    if len(result) > 3:
-        # Fourth element is quadpack's explanation of the failure.
-        raise QuadratureError(str(result[3]).strip())
-    return result[0] / alpha
+    # Error negated and first, so that heapq pops the worst panel.
+    def panel(a: float, b: float, whole: float) -> tuple:
+        mid = 0.5 * (a + b)
+        left, right = rule(a, mid), rule(mid, b)
+        return -abs(left + right - whole), a, mid, b, left, right
+
+    upper = quad.cutoff ** alpha
+    heap = [panel(0.0, upper, rule(0.0, upper))]
+    while True:
+        total = math.fsum(part for p in heap for part in p[4:])
+        error = -math.fsum(p[0] for p in heap)
+        if error <= max(1e-14, quad.rel_tol * abs(total)):
+            return total / alpha
+        if len(heap) >= quad.max_subdivisions:
+            raise QuadratureError(f"error estimate {error:.1e} after "
+                                  f"{len(heap)} subdivisions")
+        _, a, mid, b, left, right = heapq.heappop(heap)
+        heapq.heappush(heap, panel(a, mid, left))
+        heapq.heappush(heap, panel(mid, b, right))
 
 
 def regularized_integral(f: Function1D, x: float, alpha: float,

@@ -77,6 +77,12 @@ class TestKernelCommand:
         assert main(["kernel", "--alpha", "2.5"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_unallocatable_support_is_a_clean_error(self, capsys):
+        # numpy refuses the 10**12-entry index array at once, so this
+        # allocates nothing; at zeta = 10**9 it would build 4 GB first.
+        assert main(["kernel", "--alpha", "1", "--zeta", str(10**12)]) == 1
+        assert "fracfocus: error:" in capsys.readouterr().err
+
     def test_missing_alpha_is_a_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["kernel"])
@@ -152,6 +158,14 @@ class TestRecoverCommand:
         assert meta["method"] == "nonlocal"
         assert (meta["q"], meta["alpha"], meta["zeta"]) == (3, 1.5, 2)
         assert (meta["z_min"], meta["z_max"]) == (0.0, 1.0)
+
+    def test_unallocatable_kernel_is_a_clean_error(self, plane_dir,
+                                                   tmp_path, capsys):
+        out = tmp_path / "depth.csv"
+        assert main(["recover", "--stack", str(plane_dir), "--zeta",
+                     str(10**12), "--out", str(out)]) == 1
+        assert "fracfocus: error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_alpha_zero_payload_matches_local(self, plane_dir, tmp_path):
         """With a delta kernel the nonlocal path must write the exact same
@@ -519,12 +533,11 @@ def _fresh_interpreter(code: str, cwd: Path) -> str:
 
 def test_import_leaves_heavy_scipy_modules_unloaded(tmp_path):
     """The kernel pass loads the thread pool and the kernel build
-    numpy.polynomial on first use, and nothing loads scipy.integrate or
-    scipy.ndimage, so a bare import (every CLI start) pays for none of
-    them."""
+    numpy.polynomial on first use, and nothing loads scipy, so a bare
+    import (every CLI start) pays for none of them."""
     probe = ("import sys, fracfocus; "
-             "print(sorted(m for m in ('scipy.integrate', 'scipy.ndimage', "
-             "'concurrent.futures', 'numpy.polynomial') "
+             "print(sorted(m for m in ('scipy', 'scipy.integrate', "
+             "'scipy.ndimage', 'concurrent.futures', 'numpy.polynomial') "
              "if m in sys.modules))")
     assert _fresh_interpreter(probe, tmp_path) == "[]"
 
@@ -532,7 +545,7 @@ def test_import_leaves_heavy_scipy_modules_unloaded(tmp_path):
 def test_nonlocal_recover_never_loads_scipy_integrate(tmp_path):
     """Kernels come from a fixed Gauss-Legendre rule and the kernel pass
     from numpy ufuncs, so neither a nonlocal recover nor a zeta = 8 build
-    imports scipy.integrate or scipy.ndimage."""
+    imports scipy or any of its modules."""
     recover = ["recover", "--stack", "stack", "--method", "nonlocal",
                "--q", "1", "--alpha", "1.5", "--zeta", "2",
                "--out", "depth.csv"]
@@ -542,7 +555,28 @@ def test_nonlocal_recover_never_loads_scipy_integrate(tmp_path):
              f"assert main({SMALL_SYNTH + ['--out', 'stack']!r}) == 0\n"
              f"assert main({recover!r}) == 0\n"
              "build_kernel(1.5, 8)\n"
-             "print(sorted(m for m in ('scipy.integrate', 'scipy.ndimage') "
-             "if m in sys.modules))")
+             "print(sorted(m for m in ('scipy', 'scipy.integrate', "
+             "'scipy.ndimage') if m in sys.modules))")
     assert _fresh_interpreter(probe, tmp_path) == "[]"
     assert (tmp_path / "depth.csv").is_file()
+
+
+def test_runs_with_scipy_blocked(tmp_path):
+    """scipy is a test dependency only: with it blocked, the package
+    imports, the selftest passes and every 1D operator evaluates."""
+    probe = ("import math, sys\n"
+             "sys.modules['scipy'] = None\n"
+             "import fracfocus\n"
+             "from fracfocus import frac1d\n"
+             "from fracfocus.cli import main\n"
+             "assert main(['selftest']) == 0\n"
+             "gauss = frac1d.Function1D(lambda x: math.exp(-x * x),\n"
+             "                          lambda x: -2 * x * math.exp(-x * x))\n"
+             "values = [frac1d.regularized_integral(gauss, 0.3, 0.5),\n"
+             "          frac1d.regularized_derivative(gauss, 0.3, 0.5),\n"
+             "          frac1d.regularized_derivative(gauss, 0.3, 0.5,\n"
+             "                                        form='difference'),\n"
+             "          frac1d.riesz_second_derivative(gauss, 0.3, 0.5)]\n"
+             "assert all(math.isfinite(v) for v in values)\n"
+             "print(sys.modules['scipy'])")
+    assert _fresh_interpreter(probe, tmp_path).splitlines()[-1] == "None"

@@ -1,7 +1,6 @@
 """Tests for the local modified Laplacian and its nonlocal extension."""
 
 import functools
-import math
 import sys
 import tracemalloc
 
@@ -17,7 +16,6 @@ from fracfocus.focus import (
     focus_layers,
     local_focus_volume,
     nonlocalize_volume,
-    nyquist_hint,
 )
 from fracfocus.grids import FocalStack, FocusVolume
 from fracfocus.io import StackHeader, read_stack_header, write_stack_dir
@@ -332,27 +330,3 @@ class TestNonFiniteMeasure:
                            z_min=0.0, z_max=1.0)
         with pytest.raises(ValueError, match="finite"):
             local_focus_volume(stack, 1)
-
-
-class TestNyquistHint:
-    def test_matched_sampling_gives_unit_step(self):
-        assert nyquist_hint(0.5, 1.0) == 1
-
-    def test_published_arithmetic_examples(self):
-        assert nyquist_hint(2.0, 1.0) == 4
-        assert nyquist_hint(1.0 / 0.3, 1.0) == 7
-
-    def test_half_up_rounding(self):
-        # 2 * 1.25 / 1.0 = 2.5 rounds up, not to even.
-        assert nyquist_hint(1.25, 1.0) == 3
-
-    def test_clamped_to_one(self):
-        assert nyquist_hint(1e-6, 1.0) == 1
-
-    def test_rejects_bad_arguments(self):
-        # The function's own error, not numpy's NaN-to-integer ValueError.
-        for wavelength, h in [(0.0, 1.0), (1.0, 0.0), (math.inf, 1.0),
-                              (math.nan, 1.0), (1.0, math.nan),
-                              (1.0, math.inf)]:
-            with pytest.raises(ValueError, match="finite and positive"):
-                nyquist_hint(wavelength, h)
