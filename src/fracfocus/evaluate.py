@@ -1,4 +1,8 @@
-"""Depth-map error metrics and local-versus-nonlocal comparison grids."""
+"""Depth-map error metrics and local-versus-nonlocal comparison grids.
+
+Each cell of a grid is one item of the slide pool of :mod:`kernel2d`, and
+its worker scores it, so only the error reports come back.
+"""
 
 from __future__ import annotations
 
@@ -156,11 +160,12 @@ def comparison_table(stack: FocalStack, truth: DepthMap, q: int,
     worker runs all slides of the cell in order, each a kernel pass of the
     base's slide plus the zero frame (or the local measure at q'), checked
     like a FocusVolume and pushed into the cell's own :class:`PeakSearch`,
-    so no cell allocates a volume and no cell's bits depend on the CPU
-    count.  The alpha = 0 cells and the local entry at q' = q are the
-    search of the base itself, since the delta kernel returns an exact
-    copy.  Every kernel is built and every stride checked before the first
-    pass.
+    and then scores the cell's depth map against the truth, so no cell
+    allocates a volume, no depth map leaves its worker and no cell's bits
+    depend on the CPU count.  The alpha = 0 cells and the local entry at
+    q' = q are the search of the base itself, since the delta kernel
+    returns an exact copy.  Every kernel is built, every stride and the
+    truth's grid checked before the first pass.
     """
     if not alphas or not zetas:
         raise ValueError("alphas and zetas must be non-empty")
@@ -168,6 +173,9 @@ def comparison_table(stack: FocalStack, truth: DepthMap, q: int,
         local_strides = zetas
     for stride in local_strides:
         _check_step(stack.data.shape, stride)
+    if truth.values.shape != stack.data.shape[1:]:
+        raise ValueError(f"shape mismatch: stack slides "
+                         f"{stack.data.shape[1:]}, truth {truth.values.shape}")
     kernels = {(zeta, float(alpha)): build_kernel(alpha, zeta)
                for zeta in zetas for alpha in alphas}
     base = local_focus_volume(stack, q)
@@ -202,17 +210,15 @@ def comparison_table(stack: FocalStack, truth: DepthMap, q: int,
                                          stack.h, space)
             check_focus_values(layer)
             search.push(layer)
-        slot[:] = [(key, search.depth_map(z_min=base.z_min, z_max=base.z_max,
-                                          h=base.h, **params))
+        slot[:] = [(key, rms_error_percent(
+                        search.depth_map(z_min=base.z_min, z_max=base.z_max,
+                                         h=base.h, **params), truth))
                    for key, params in searches[source]]
 
-    # The errors are taken on the calling thread as each item comes due,
-    # before the next is requested and its slot may be reused.
     reports = {}
-    ring = [[] for _ in range(kernel2d._ring_length(len(sources)))]
+    ring = [[] for _ in sources]
     for slot in kernel2d._slide_pool(len(sources), work, ring):
-        for key, depth in slot:
-            reports[key] = rms_error_percent(depth, truth)
+        reports.update(slot)
     return ComparisonTable(q=q, alphas=tuple(float(a) for a in alphas),
                            zetas=tuple(zetas),
                            grid={key: reports[key] for key in kernels},

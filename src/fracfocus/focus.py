@@ -3,19 +3,19 @@
 The local measure at step q is the sum of absolute second differences at
 stride q in x and y, scaled by 1/(q h)^2, zero on a border frame of width
 q.  A focus volume is one (n_slides, height, width) array: the local
-measure is written into it slide by slide, and the nonlocal measure is one
-kernel pass over the whole volume (``kernel2d.correlate_layers``, a
+measure is written into it slide by slide, and each nonlocal layer is the
+kernel pass over its local layer (``kernel2d._correlate_slide``, a
 separable pair-sum pass in which equal windows give equal bits, so exact
 ties between slides survive) followed by re-imposing the zero frame.  Local
 and nonlocal volumes therefore share the same support, and order 0 reduces
 bit-exactly to the local measure.
 
-:func:`focus_layers` runs the same code over a stack directory through the
-slide pool of :mod:`kernel2d`: each worker reads, measures and passes one
-slide at a time in buffers it allocates once, and the layers come back in
-slide order, so that ``recover`` holds O(CPUs * height * width) values
-instead of O(n_slides * height * width).  Each slide's layer is bitwise the
-same as in the volume, because every step acts on each slide alone.
+The slide pool of :mod:`kernel2d` runs :func:`_nonlocal_layer_into` over a
+volume (:func:`nonlocalize_volume`) and, after the read and the local
+measure, over a stack directory (:func:`focus_layers`), whose layers come
+back in slide order from a ring: ``recover`` holds O(CPUs * height * width)
+values, not O(n_slides * height * width).  Each slide's layer is bitwise
+the same on either path, because every step acts on each slide alone.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import kernel2d
 from .grids import FocalStack, FocusVolume, check_focus_values
-from .kernel2d import Kernel, _correlate_slide, _scratch, correlate_layers
+from .kernel2d import Kernel, _correlate_slide, _scratch
 
 if TYPE_CHECKING:
     from .io import StackHeader
@@ -108,8 +108,7 @@ def _nonlocal_layer_into(out: np.ndarray, local: np.ndarray, kernel: Kernel,
     """Write the nonlocal layer of the local layer ``local`` into ``out``.
 
     The pair-sum pass with ``kernel``, then the zero frame of width q
-    re-imposed: bitwise that slide's layer of ``nonlocalize_volume``.  The
-    pass's scratch buffers are the workspace ``space``'s.
+    re-imposed.  The pass's scratch buffers are the workspace ``space``'s.
     """
     _correlate_slide(kernel.weights[kernel.zeta:, kernel.zeta:], local, out,
                      space)
@@ -153,14 +152,20 @@ def focus_layers(header: StackHeader, q: int,
 def nonlocalize_volume(volume: FocusVolume, kernel: Kernel) -> FocusVolume:
     """Apply a nonlocalization kernel to every layer of a local focus volume.
 
+    Each layer is a slide pool item, passed into its place in the output.
     The zero frame of width q is re-imposed after the kernel pass so the
     nonlocal volume has exactly the support of the local one (mirror
     padding would otherwise smear measure into the masked frame).
     """
     if volume.alpha is not None:
         raise ValueError("volume has already been nonlocalized")
-    data = correlate_layers(kernel, volume.data)
     q = volume.q
-    _zero_frame(data, q)
+    data = np.empty(volume.data.shape)
+
+    def work(k: int, out: np.ndarray, space: dict) -> None:
+        _nonlocal_layer_into(out, volume.data[k], kernel, q, space)
+
+    for _ in kernel2d._slide_pool(len(data), work, data):
+        pass
     return FocusVolume(data, q=q, z_min=volume.z_min, z_max=volume.z_max,
                        h=volume.h, alpha=kernel.alpha, zeta=kernel.zeta)

@@ -85,13 +85,14 @@ def _check_order(alpha: float, *, closed: bool) -> None:
 
 
 def _weighted_quad(g: Callable[[float], float], alpha: float,
-                   quad: QuadratureSpec) -> float:
+                   quad: QuadratureSpec, noise: float = 0.0) -> float:
     """Integrate xi^(alpha-1) * g(xi) over [0, cutoff] for bounded g.
 
     Substituting u = xi^alpha turns the weight into du/alpha exactly, so the
     adaptive rule only ever sees a bounded integrand.  A panel's error is
     |left half + right half - whole|; the worst panel is split in two until
-    the errors sum to at most max(1e-14, rel_tol * |total|).
+    the errors sum to at most max(1e-14, rel_tol * |total|, noise), where
+    ``noise`` is the rounding noise of g integrated over u.
     """
     nodes, weights = (r.tolist() for r in _gauss_rule())
     inv_alpha = 1.0 / alpha
@@ -112,7 +113,7 @@ def _weighted_quad(g: Callable[[float], float], alpha: float,
     while True:
         total = math.fsum(part for p in heap for part in p[4:])
         error = -math.fsum(p[0] for p in heap)
-        if error <= max(1e-14, quad.rel_tol * abs(total)):
+        if error <= max(1e-14, quad.rel_tol * abs(total), noise):
             return total / alpha
         if len(heap) >= quad.max_subdivisions:
             raise QuadratureError(f"error estimate {error:.1e} after "
@@ -198,5 +199,10 @@ def riesz_second_derivative(f: Function1D, x: float, alpha: float,
         xi = max(xi, _DIFF_FLOOR)
         return (f.value(x + xi) - 2.0 * fx + f.value(x - xi)) / (xi * xi)
 
+    # The second difference rounds by about 4 eps |f(x)| / max(xi, floor)^2;
+    # integrated over u = xi^alpha, that exceeds rel_tol * |total| near a
+    # zero of the result.
+    noise = (4.0 * math.ulp(1.0) * abs(fx) * _DIFF_FLOOR ** (alpha - 2.0)
+             * 2.0 / (2.0 - alpha))
     prefactor = (2.0 - alpha) / (2.0 * math.gamma(alpha))
-    return prefactor * _weighted_quad(g, alpha, quad)
+    return prefactor * _weighted_quad(g, alpha, quad, noise)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import threading
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -184,13 +185,20 @@ def _slide_name(k: int, lossless: bool) -> str:
     return f"slide_{k:03d}.{'npy' if lossless else 'pgm'}"
 
 
+# numpy parses a .npy header with ast.literal_eval, which is not thread-safe
+# in CPython 3.11 ("SystemError: AST constructor recursion depth mismatch"),
+# and slides are read on pool threads: one header at a time.
+_NPY_HEADER_LOCK = threading.Lock()
+
+
 def _read_npy(path: Path, out: np.ndarray) -> None:
     """Fill ``out`` from a .npy file whose header must describe it exactly."""
     with path.open("rb") as f:
         try:
-            major, _ = np.lib.format.read_magic(f)
-            header = (np.lib.format.read_array_header_1_0 if major == 1
-                      else np.lib.format.read_array_header_2_0)(f)
+            with _NPY_HEADER_LOCK:
+                major, _ = np.lib.format.read_magic(f)
+                header = (np.lib.format.read_array_header_1_0 if major == 1
+                          else np.lib.format.read_array_header_2_0)(f)
         except ValueError as exc:
             raise StackFormatError(f"{path}: not a .npy file ({exc})"
                                    ) from exc

@@ -20,7 +20,9 @@ and the operator acts as a low-pass filter.
 Slides are independent until the peak search, so they go through one
 ordered slide pool (``_slide_pool``): one worker per usable CPU, each with
 a workspace of scratch buffers it allocates once, results yielded in slide
-order from a ring of output buffers.  The kernel pass here, ``recover``'s
+order from a ring of output buffers.  An item is queued as soon as its ring
+buffer is free, so the ring's length alone bounds the look-ahead.  The
+whole-volume pass (``focus.nonlocalize_volume``), ``recover``'s
 read-measure-pass chain (``focus.focus_layers``) and the renderer
 (``synth.render_slides``) all run on it, and so does
 ``evaluate.comparison_table``, whose items are whole table cells.
@@ -48,7 +50,6 @@ import numpy as np
 __all__ = [
     "Kernel",
     "build_kernel",
-    "correlate_layers",
     "kernel_frequency_response",
 ]
 
@@ -183,13 +184,15 @@ def _slide_pool(n: int, work: Callable[[int, object, dict], None],
     every result; in a shorter one, a yielded buffer may be overwritten once
     the next is requested.  ``space`` is a dict the worker keeps for the
     whole call, for scratch buffers that it allocates once (see
-    :func:`_scratch`).  There is one worker per usable CPU, never
-    more than there are items or than the ring leaves free: the calling
-    thread and a thread pool for the rest (numpy releases the GIL in each
-    ufunc).  Rather than wait for an item, the calling thread takes the
-    first item that no pool thread has started.  A worker's exception is
-    raised when its item is due, so the lowest-numbered failing item is
-    the one reported, and no thread outlives the generator.  ``work`` must
+    :func:`_scratch`).  An item is queued as soon as its buffer is free,
+    so a ring of at least n buffers queues every item at once.  There is
+    one worker per usable CPU, never more than there are items or than the
+    ring leaves free: the calling thread and a thread pool for the rest
+    (numpy releases the GIL in each ufunc).  Rather than wait for an item,
+    the calling thread takes the first queued item that no pool thread has
+    started.  A worker's exception is raised when its item is due, so the
+    lowest-numbered failing item is the one reported, and no thread
+    outlives the generator.  ``work`` must
     give each item the same bits whichever worker runs it; then so does
     the pool.
     """
@@ -228,9 +231,9 @@ def _slide_pool(n: int, work: Callable[[int, object, dict], None],
     try:
         pending: deque = deque()
         for k in range(n):
-            # Items k .. k + workers are in flight: item k + workers takes
-            # the buffer of item k - 1, released by asking for item k.
-            for j in range(k + len(pending), min(k + workers + 1, n)):
+            # An item is queued as soon as its buffer is free: asking for
+            # item k releases that of item k - 1, item k + size - 1's.
+            for j in range(k + len(pending), min(k + size, n)):
                 pending.append(pool.submit(run, j))
             # While item k is not done, the calling thread takes the
             # first item that no pool thread has started.
@@ -345,6 +348,11 @@ def _correlate_slide(weights: np.ndarray, slide: np.ndarray,
                      out: np.ndarray, space: dict) -> None:
     """Write the pair-sum pass of one 2D slide into ``out``.
 
+    Samples beyond the border are mirrored, edge included (``d c b a |
+    a b c d | d c b a``, as often as the reach needs).  Every sample goes
+    through the same operations on its own window, so equal windows give
+    equal bits and exact ties between focus layers survive the pass.
+
     ``weights`` is the kernel quadrant ``w[a, b]``, a, b = 0..zeta.  In row
     strips, the column pair sums ``C_b = P[:, c+b] + P[:, c-b]`` of the
     mirror-padded slide ``P`` (``C_0 = P[:, c]``) give the row sums
@@ -377,41 +385,6 @@ def _correlate_slide(weights: np.ndarray, slide: np.ndarray,
         for ufunc, x, y, o in calls:
             ufunc(x, y, o)
         out[rows] = result
-
-
-def correlate_layers(kernel: Kernel, values: np.ndarray) -> np.ndarray:
-    """Correlate every 2D layer (last two axes) of ``values`` with the kernel.
-
-    Output sample (y, x) of a layer is the sum over offsets (i, j) of
-    ``weights[zeta + i, zeta + j] * layer[y + i, x + j]``.  Samples beyond
-    the border are resolved by mirror reflection with the edge sample
-    included (``d c b a | a b c d | d c b a``, repeated as often as the
-    reach needs), which preserves constant layers.  The kernel is
-    deliberately not sum-normalized: depth recovery is invariant to the
-    global scale of the focus measure.
-
-    The kernel's eight-fold symmetry makes the pass separable into pair
-    sums: (zeta+1)^2 multiply-adds per sample instead of (2 zeta + 1)^2,
-    built from numpy element-wise ufuncs on row strips of each slide.  Every
-    sample goes through the same sequence of operations on its own window
-    whatever its strip, so equal windows give bitwise-equal outputs and
-    exact ties between focus layers survive the pass; the delta kernel
-    (alpha = 0) returns an exact copy.  The layers go through the slide pool
-    (:func:`_slide_pool`), one worker per usable CPU, each result straight
-    into its place in the output.  The bits never depend on the CPU count,
-    and there is no setting for it.
-    """
-    zeta = kernel.zeta
-    weights = kernel.weights[zeta:, zeta:]
-    slides = np.asarray(values, dtype=float).reshape((-1,) + values.shape[-2:])
-    out = np.empty(slides.shape)
-
-    def work(k: int, result: np.ndarray, space: dict) -> None:
-        _correlate_slide(weights, slides[k], result, space)
-
-    for _ in _slide_pool(len(slides), work, out):
-        pass
-    return out.reshape(values.shape)
 
 
 def kernel_frequency_response(kernel: Kernel, k1: float, k2: float) -> float:

@@ -347,7 +347,8 @@ def test_table_holds_no_volume_per_cell(monkeypatch):
 
 @pytest.mark.parametrize("bad", [{"local_strides": (1, 24)},
                                  {"alphas": (1.5, 3.0)},
-                                 {"zetas": (2, 0)}])
+                                 {"zetas": (2, 0)},
+                                 {"truth": _map(np.zeros((5, 7)))}])
 def test_bad_parameters_fail_before_the_first_pass(monkeypatch, small_plane,
                                                     bad):
     passes = []
@@ -357,8 +358,9 @@ def test_bad_parameters_fail_before_the_first_pass(monkeypatch, small_plane,
             return _original(*args)
         monkeypatch.setattr(module, "_correlate_slide", counted)
     with pytest.raises(ValueError):
-        comparison_table(small_plane.stack, small_plane.truth, q=2,
-                         **{"alphas": (1.5,), "zetas": (1, 2), **bad})
+        comparison_table(small_plane.stack,
+                         **{"truth": small_plane.truth, "q": 2,
+                            "alphas": (1.5,), "zetas": (1, 2), **bad})
     assert not passes
 
 

@@ -2,6 +2,8 @@
 
 import functools
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -19,7 +21,9 @@ from fracfocus.focus import (
 )
 from fracfocus.grids import FocalStack, FocusVolume
 from fracfocus.io import StackHeader, read_stack_header, write_stack_dir
-from fracfocus.kernel2d import build_kernel, correlate_layers
+from fracfocus.kernel2d import build_kernel
+
+from pass_reference import reference_correlate_slide
 
 
 def _index_grid(height, width):
@@ -229,12 +233,15 @@ def _volumes(draw, max_slides=4):
 class TestWholeVolumePass:
     @settings(max_examples=60, deadline=None)
     @given(_volumes())
-    def test_equals_per_layer_correlate_layers(self, case):
+    def test_equals_per_layer_reference_pass(self, case):
         volume, kernel = case
-        q = volume.q
+        q, zeta = volume.q, kernel.zeta
         got = nonlocalize_volume(volume, kernel).data
         for k in range(len(volume.data)):
-            expected = correlate_layers(kernel, volume.data[k])
+            expected = np.empty(volume.data.shape[1:])
+            reference_correlate_slide(kernel.weights[zeta:, zeta:],
+                                      volume.data[k], expected,
+                                      kernel2d._STRIP_SAMPLES)
             expected[:q, :] = expected[-q:, :] = 0.0
             expected[:, :q] = expected[:, -q:] = 0.0
             assert np.array_equal(got[k], expected)
@@ -300,6 +307,34 @@ class TestFocusLayers:
         assert len(got) == len(expected)
         for layer, reference in zip(got, expected):
             assert np.array_equal(layer, reference)
+
+    def test_workers_read_npy_headers_one_at_a_time(self, tmp_path,
+                                                    monkeypatch):
+        # numpy parses a .npy header with ast.literal_eval, which is not
+        # thread-safe in CPython 3.11: workers must take turns at headers.
+        rng = np.random.default_rng(23)
+        write_stack_dir(tmp_path, _random_stack(rng, n_slides=16, height=16,
+                                                width=16), lossless=True)
+        header = read_stack_header(tmp_path)
+        original = np.lib.format.read_array_header_1_0
+        count = threading.Lock()
+        inside, peak = [0], [0]
+
+        def probe(*args, **kwargs):
+            with count:
+                inside[0] += 1
+                peak[0] = max(peak[0], inside[0])
+            try:
+                time.sleep(0.002)
+                return original(*args, **kwargs)
+            finally:
+                with count:
+                    inside[0] -= 1
+
+        monkeypatch.setattr(np.lib.format, "read_array_header_1_0", probe)
+        monkeypatch.setattr(kernel2d, "_usable_cpus", lambda: 4)
+        assert len(list(focus_layers(header, 2))) == 16
+        assert peak[0] == 1
 
 
 def test_workspace_keeps_scratch_for_one_kernel_only():

@@ -12,12 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fracfocus import kernel2d
-from fracfocus.kernel2d import (
-    Kernel,
-    build_kernel,
-    correlate_layers,
-    kernel_frequency_response,
-)
+from fracfocus.kernel2d import Kernel, build_kernel, kernel_frequency_response
 
 from kernel_reference import REFERENCE_QUADRANTS, adaptive_kernel_weights
 from pass_reference import reference_correlate_slide
@@ -154,18 +149,24 @@ def _brute_force_apply(kernel, values):
     return out
 
 
+def _correlate(kernel, slide):
+    """The pass of ``kernel`` over one 2D slide, into a fresh output and
+    with a fresh workspace."""
+    out = np.empty(slide.shape)
+    kernel2d._correlate_slide(kernel.weights[kernel.zeta:, kernel.zeta:],
+                              slide, out, {})
+    return out
+
+
 class TestApplyKernel:
     def test_delta_kernel_is_identity(self, kernels_zeta4):
         rng = np.random.default_rng(5)
         values = rng.random((12, 17))
-        out = correlate_layers(kernels_zeta4[0.0], values)
+        out = _correlate(kernels_zeta4[0.0], values)
         assert np.array_equal(out, values)
-        # The identity must still be a copy, not a view.
-        out[0, 0] += 1.0
-        assert values[0, 0] != out[0, 0]
 
     def test_constant_field_scales_by_weight_sum(self, kernels_zeta4):
-        out = correlate_layers(kernels_zeta4[2.0], np.ones((10, 10)))
+        out = _correlate(kernels_zeta4[2.0], np.ones((10, 10)))
         # All-ones 9x9 kernel and mirror padding: every output is 81.
         assert np.allclose(out, 81.0, rtol=0, atol=1e-12)
 
@@ -174,7 +175,7 @@ class TestApplyKernel:
         kernel = build_kernel(1.0, 2)
         values = rng.random((16, 16))
         expected = _brute_force_apply(kernel, values)
-        got = correlate_layers(kernel, values)
+        got = _correlate(kernel, values)
         assert np.allclose(got, expected, rtol=0, atol=1e-12)
 
     def test_non_square_field(self):
@@ -182,20 +183,20 @@ class TestApplyKernel:
         kernel = build_kernel(1.5, 3)
         values = rng.random((9, 21))
         expected = _brute_force_apply(kernel, values)
-        got = correlate_layers(kernel, values)
+        got = _correlate(kernel, values)
         assert got.shape == (9, 21)
         assert np.allclose(got, expected, rtol=0, atol=1e-12)
 
     def test_preserves_non_negativity(self, kernels_zeta4):
         rng = np.random.default_rng(3)
-        out = correlate_layers(kernels_zeta4[1.5], rng.random((20, 20)))
+        out = _correlate(kernels_zeta4[1.5], rng.random((20, 20)))
         assert np.all(out >= 0.0)
 
     def test_repeat_application_is_bit_stable(self, kernels_zeta4):
         rng = np.random.default_rng(9)
         values = rng.random((15, 15))
-        first = correlate_layers(kernels_zeta4[1.0], values)
-        second = correlate_layers(kernels_zeta4[1.0], values)
+        first = _correlate(kernels_zeta4[1.0], values)
+        second = _correlate(kernels_zeta4[1.0], values)
         assert np.array_equal(first, second)
 
     @pytest.mark.parametrize("shape,zeta", [((1, 2), 8), ((2, 2), 8),
@@ -207,7 +208,7 @@ class TestApplyKernel:
         kernel = build_kernel(1.5, zeta)
         values = rng.random(shape)
         expected = _brute_force_apply(kernel, values)
-        got = correlate_layers(kernel, values)
+        got = _correlate(kernel, values)
         assert np.allclose(got, expected, rtol=0, atol=1e-12)
 
 
@@ -228,10 +229,10 @@ def _fields(draw, max_side=10):
 @given(_fields(), st.integers(1, 16), st.sampled_from([0.0, 0.5, 1.5, 2.0]))
 # The widest window of values near 1: 1089 terms summing to about 1089.
 @example(np.random.default_rng(0).uniform(0.99, 1.0, (6, 6)), 16, 2.0)
-def test_correlate_layers_matches_brute_force(values, zeta, alpha):
+def test_correlate_slide_matches_brute_force(values, zeta, alpha):
     kernel = _cached_kernel(alpha, zeta)
     expected = _brute_force_apply(kernel, values)
-    got = correlate_layers(kernel, values)
+    got = _correlate(kernel, values)
     assert np.allclose(got, expected, rtol=0, atol=1e-12)
 
 
@@ -248,10 +249,10 @@ def test_equal_windows_give_equal_bits_across_strips(
     tile = rng.choice([0.0, 0.1, 0.3, 0.7, 1.0], size=(period, width))
     values = np.tile(tile, (repeats, 1))
     kernel = _cached_kernel(alpha, zeta)
-    whole = correlate_layers(kernel, values)
+    whole = _correlate(kernel, values)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernel2d, "_STRIP_SAMPLES", strip_samples)
-        got = correlate_layers(kernel, values)
+        got = _correlate(kernel, values)
     assert np.array_equal(got, whole)
     size = 2 * zeta + 1
     windows = np.lib.stride_tricks.sliding_window_view(
@@ -262,30 +263,6 @@ def test_equal_windows_give_equal_bits_across_strips(
     representative = np.empty(group.max() + 1)
     representative[group] = got.ravel()
     assert np.array_equal(got.ravel(), representative[group])
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 7), st.integers(1, 10), st.integers(1, 10),
-       st.integers(1, 16), st.sampled_from([0.0, 0.5, 1.5, 2.0]),
-       st.integers(2, 4), st.booleans(), st.integers(0, 2**32 - 1))
-# Both axes many times shorter than the kernel reach.
-@example(7, 2, 3, 16, 1.5, 3, False, 0)
-@example(5, 1, 2, 8, 0.5, 4, True, 1)
-def test_correlate_layers_bits_do_not_depend_on_worker_count(
-        n_slides, height, width, zeta, alpha, workers, tied, seed):
-    rng = np.random.default_rng(seed)
-    values = rng.random((1 if tied else n_slides, height, width))
-    values = np.repeat(values, n_slides, axis=0) if tied else values
-    kernel = _cached_kernel(alpha, zeta)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernel2d, "_usable_cpus", lambda: 1)
-        expected = correlate_layers(kernel, values)
-        mp.setattr(kernel2d, "_usable_cpus", lambda: workers)
-        got = correlate_layers(kernel, values)
-    assert np.array_equal(got, expected)
-    if tied:
-        # Exact ties between layers survive whichever block a layer is in.
-        assert all(np.array_equal(layer, got[0]) for layer in got)
 
 
 def _schedule_arrays(space):
@@ -456,6 +433,26 @@ def test_slide_pool_never_hands_out_a_buffer_in_use(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert seen == list(range(200))
+
+
+def test_slide_pool_queues_every_item_that_has_a_free_buffer(monkeypatch):
+    # With a buffer per item, every item is queued at once: item 0 cannot
+    # finish until the last item has started, which a window of workers + 1
+    # items would only queue once item 0 had been yielded.
+    monkeypatch.setattr(kernel2d, "_usable_cpus", lambda: 2)
+    n = 6
+    last_started = threading.Event()
+
+    def work(k, out, space):
+        if k == n - 1:
+            last_started.set()
+        if k == 0:
+            assert last_started.wait(timeout=5.0), "item n-1 never started"
+        out[...] = k
+
+    seen = [int(out[0]) for out in kernel2d._slide_pool(n, work,
+                                                        np.zeros((n, 1)))]
+    assert seen == list(range(n))
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
