@@ -27,13 +27,13 @@ read-measure-pass chain (``focus.focus_layers``) and the renderer
 (``synth.render_slides``) all run on it, and so does
 ``evaluate.comparison_table``, whose items are whole table cells.
 
-The pass itself (``_correlate_slide``) runs from a schedule: the list of
-numpy ufunc calls that its row strips make, each operand a view into the
-worker's workspace, built once per kernel, slide shape and strip size.  A
-worker then spends almost no interpreter time between ufuncs, which release
-the GIL while they compute, so the workers seldom wait for one another.  A
-workspace keeps one schedule and the scratch buffers of one pass; another
-kernel or shape replaces both.
+The pass itself (``_correlate_slide``) runs from a schedule: the ufunc
+calls of its row strips, strip after strip, each operand a view into the
+worker's workspace, appended by the strip loop once per kernel, shape and
+strip size.  A worker then spends almost no interpreter time between
+ufuncs, which release the GIL while they compute, so the workers seldom
+wait for one another.  A workspace keeps one schedule and the scratch
+buffers of one pass; another kernel or shape replaces both.
 """
 
 from __future__ import annotations
@@ -194,7 +194,10 @@ def _slide_pool(n: int, work: Callable[[int, object, dict], None],
     lowest-numbered failing item is the one reported, and no thread
     outlives the generator.  ``work`` must
     give each item the same bits whichever worker runs it; then so does
-    the pool.
+    the pool.  The calling thread works, rather than only consume, to save
+    memory: a pool that ran every item gave the same outputs and times, but
+    ``ru_maxrss`` rose 2.2-5.4 MB on ``synth`` and ``eval --table``,
+    probably (not verified) from glibc's per-thread malloc arenas.
     """
     size = len(ring)
     workers = min(_usable_cpus(), n if size >= n else size - 1)
@@ -271,8 +274,8 @@ def _mirror_pad(slide: np.ndarray, zeta: int, space: dict) -> np.ndarray:
     return padded
 
 
-# Samples per row strip of the pair-sum pass: each of the strip's working
-# arrays then fits in a core's L2 cache (64 rows at width 512).
+# Samples per row strip of the pair-sum pass and of the renderer: each of a
+# strip's working arrays then fits in a core's L2 cache (64 rows at 512).
 _STRIP_SAMPLES = 2 ** 15
 
 
@@ -285,7 +288,8 @@ def _build_schedule(weights: np.ndarray, shape: tuple[int, int],
     every array a view into the workspace buffers ``padded``, ``pairs``,
     ``row_sum``, ``term`` and ``total`` of ``space``, and ``result``, a
     view of ``total``, holds the strip's output rows ``rows`` once the calls
-    are done.  See :func:`_correlate_slide` for the arithmetic.
+    are done.  See :func:`_correlate_slide` for the arithmetic, and
+    ``tests/pass_reference.py`` for the strip loop these calls replay.
     """
     zeta = weights.shape[0] - 1
     height, width = shape
@@ -299,48 +303,31 @@ def _build_schedule(weights: np.ndarray, shape: tuple[int, int],
     term = _scratch(space, "term", (span, width))
     total = _scratch(space, "total", (min(rows, height), width))
 
-    @functools.cache
-    def row_calls(n: int) -> list:
-        # The calls after the pair sums for a strip of n rows.  Only the
-        # reads of C_0, marked by their row slice, are the strip's own, so
-        # all other calls are shared by the strips of equal height.
-        columns = [None] + [pairs[b - 1, :n + 2 * zeta]
-                            for b in range(1, zeta + 1)]
-
-        def column(b: int, lo: int, hi: int):
-            return slice(lo, hi) if b == 0 else columns[b][lo:hi]
-
-        calls = []
-        for a, (first, *rest) in taps:
-            # D_a is needed on rows zeta-a .. zeta+a+n-1 of the strip only;
-            # D_0 is built in the strip's total itself.
-            lo, hi = zeta - a, zeta + a + n
-            acc = total[:n] if a == 0 else row_sum[:hi - lo]
-            tmp = term[:hi - lo]
-            calls.append((np.multiply, column(first, lo, hi),
-                          weights[a, first], acc))
-            for b in rest:
-                calls.append((np.multiply, column(b, lo, hi), weights[a, b],
-                              tmp))
-                calls.append((np.add, acc, tmp, acc))
-            if a:
-                calls.append((np.add, acc[:n], acc[2 * a:], tmp[:n]))
-                calls.append((np.add, total[:n], tmp[:n], total[:n]))
-        return calls
-
     schedule = []
     for top in range(0, height, rows):
         n = min(rows, height - top)
         strip = padded[top:top + n + 2 * zeta]
-        center = strip[:, zeta:zeta + width]
+        result = total[:n]
+        columns = [strip[:, zeta:zeta + width], *pairs[:, :n + 2 * zeta]]
         calls = [(np.add, strip[:, zeta + b:zeta + b + width],
-                  strip[:, zeta - b:zeta - b + width],
-                  pairs[b - 1, :n + 2 * zeta]) for b in range(1, zeta + 1)]
-        for call in row_calls(n):
-            ufunc, x, y, o = call
-            calls.append((ufunc, center[x], y, o) if isinstance(x, slice)
-                         else call)
-        schedule.append((calls, slice(top, top + n), total[:n]))
+                  strip[:, zeta - b:zeta - b + width], columns[b])
+                 for b in range(1, zeta + 1)]
+        for a, (first, *rest) in taps:
+            # D_a is needed on rows zeta-a .. zeta+a+n-1 of the strip only;
+            # D_0 is built in the strip's total itself.
+            lo, hi = zeta - a, zeta + a + n
+            acc = result if a == 0 else row_sum[:hi - lo]
+            tmp = term[:hi - lo]
+            calls.append((np.multiply, columns[first][lo:hi],
+                          weights[a, first], acc))
+            for b in rest:
+                calls.append((np.multiply, columns[b][lo:hi], weights[a, b],
+                              tmp))
+                calls.append((np.add, acc, tmp, acc))
+            if a:
+                calls.append((np.add, acc[:n], acc[2 * a:], tmp[:n]))
+                calls.append((np.add, result, tmp[:n], result))
+        schedule.append((calls, slice(top, top + n), result))
     return schedule
 
 
@@ -360,17 +347,17 @@ def _correlate_slide(weights: np.ndarray, slide: np.ndarray,
     ``D_0[r] + sum_a (D_a[r+a] + D_a[r-a])``.  Zero weights are skipped, so
     the delta kernel leaves a copy.
 
-    The pass runs from a schedule (:func:`_build_schedule`): the ufunc
-    calls above, strip by strip, with every operand a view into the workspace
-    ``space``, built on the first call for a given kernel quadrant, slide
-    shape and ``_STRIP_SAMPLES``.  A call then only pads the slide into
-    ``P`` (:func:`_mirror_pad`), runs the calls, and copies each finished
-    strip into ``out``, with no Python slicing between the ufuncs, so that
-    workers on other threads seldom wait for the interpreter lock.  A
-    workspace holds one schedule: another kernel, shape or strip size
-    replaces it, and its buffers with it, so no scratch of an earlier pass
-    stays alive.  The schedule never points into ``out``, which may be a
-    different buffer on each call.
+    The pass runs from a schedule (:func:`_build_schedule`, about 1 ms at
+    512 x 512 and zeta = 8): the ufunc calls above, strip by strip, every
+    operand a view into the workspace ``space``, built on the first call for
+    a kernel quadrant, slide shape and ``_STRIP_SAMPLES``.  A call then only
+    pads the slide into ``P`` (:func:`_mirror_pad`), runs the calls, and
+    copies each finished strip into ``out``, with no Python slicing between
+    the ufuncs, so that workers on other threads seldom wait for the
+    interpreter lock.  A workspace holds one schedule: another kernel, shape
+    or strip size replaces it, and its buffers with it, so no scratch of an
+    earlier pass stays alive.  The schedule never points into ``out``, which
+    may be a different buffer on each call.
     """
     key = (weights.tobytes(), slide.shape, _STRIP_SAMPLES)
     stored = space.get("schedule")

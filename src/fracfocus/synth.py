@@ -169,11 +169,6 @@ def _texture(scene: SceneSpec, width: int, height: int, h: float,
     return 0.5 + 0.5 * carrier / amp.sum()
 
 
-# Output pixels per row strip in render_slides: 2^15 pixels is 256 KiB per
-# float array, small enough for a strip's working set to stay in cache.
-_STRIP_PIXELS = 1 << 15
-
-
 def _gather(tex: np.ndarray, margin: int, sigma: np.ndarray,
             radius: np.ndarray, index: np.ndarray) -> np.ndarray:
     """Gather with a per-pixel Gaussian PSF over a map of sigma levels.
@@ -286,9 +281,9 @@ def render_slides(scene: SceneSpec, blur: BlurSpec, width: int, height: int,
     heights, index = np.unique(truth, return_inverse=True)
     index = index.reshape(truth.shape)
     delta_z = (z_max - z_min) / (n_slides - 1)
-    # Strips of rows keep a gather's pair sums and factors in cache; each
-    # pixel's arithmetic is the same whatever strip it is gathered in.
-    strip = max(1, _STRIP_PIXELS // width)
+    # Row strips, sized as the kernel pass's, keep a gather's scratch in
+    # cache; each pixel's arithmetic is the same whatever strip it is in.
+    strip = max(1, kernel2d._STRIP_SAMPLES // width)
 
     def render(k: int, out: np.ndarray, space: dict) -> None:
         sigma = blur.sigma0 * np.abs(z_min + k * delta_z - heights)

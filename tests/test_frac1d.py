@@ -103,7 +103,7 @@ class TestRegularizedIntegral:
             right = regularized_integral(GAUSS, 0.8, alpha)
             assert left == pytest.approx(right, rel=1e-10)
 
-    @pytest.mark.parametrize("alpha", [-0.1, 1.1, 2.0])
+    @pytest.mark.parametrize("alpha", [-0.1, 1.1, 2.0, 5e-324, 1e-310])
     def test_rejects_order_outside_closed_interval(self, alpha):
         with pytest.raises(ValueError):
             regularized_integral(GAUSS, 0.0, alpha)
@@ -152,7 +152,7 @@ class TestRegularizedDerivative:
         right = regularized_derivative(GAUSS, 0.6, 0.5)
         assert left == pytest.approx(-right, rel=1e-8)
 
-    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.2, 1.5])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.2, 1.5, 5e-324, 1e-310])
     def test_rejects_order_outside_open_interval(self, alpha):
         with pytest.raises(ValueError):
             regularized_derivative(GAUSS, 0.0, alpha)
@@ -203,7 +203,7 @@ class TestRieszSecondDerivative:
         for alpha in (0.2, 0.5, 0.8):
             assert riesz_second_derivative(GAUSS, 0.0, alpha) < 0.0
 
-    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 5e-324, 1e-310])
     def test_rejects_boundary_orders(self, alpha):
         with pytest.raises(ValueError):
             riesz_second_derivative(GAUSS, 0.0, alpha)
@@ -230,6 +230,58 @@ class TestRieszSecondDerivative:
         a = riesz_second_derivative(GAUSS, 0.3, 0.6)
         b = riesz_second_derivative(GAUSS, 0.3, 0.6)
         assert a == b
+
+
+@pytest.mark.parametrize("alpha", [6e-309, 1e-308, 1e-300])
+def test_tiniest_orders_give_the_local_limits(alpha):
+    # Just above the smallest order accepted, 1/alpha is finite but
+    # 2 Gamma(alpha) and 1/alpha times an integral above 1 are not; the
+    # operators must still return f, f' and f''.
+    x = 0.3
+    value = 3.0 * math.exp(-x * x)
+    big = Function1D(value=lambda t: 3.0 * math.exp(-t * t))
+    assert regularized_integral(big, x, alpha) == pytest.approx(value,
+                                                                rel=1e-12)
+    assert regularized_derivative(big, x, alpha) == pytest.approx(
+        -2.0 * x * value, rel=1e-7)
+    assert riesz_second_derivative(big, x, alpha) == pytest.approx(
+        (4.0 * x * x - 2.0) * value, rel=1e-7)
+
+
+def test_stopping_test_does_not_resum_the_panels(monkeypatch):
+    # A fast oscillation that 2000 panels cannot resolve.  Each split sums
+    # the rule on two new panels (96 terms); re-summing every panel's value
+    # and error after each split, as an O(panels^2) stopping test would,
+    # reads about 6 million terms here.
+    terms = 0
+    fsum = math.fsum
+
+    def counting_fsum(values):
+        nonlocal terms
+        values = list(values)
+        terms += len(values)
+        return fsum(values)
+
+    monkeypatch.setattr(math, "fsum", counting_fsum)
+    wiggle = Function1D(value=lambda x: math.sin(1e4 * x))
+    with pytest.raises(QuadratureError, match="after 2000 subdivisions"):
+        regularized_integral(wiggle, 0.3, 0.5)
+    assert terms <= 100 * 2000
+
+
+def test_non_finite_integrand_fails_at_once():
+    calls = 0
+
+    def nan_beyond_one(x):
+        nonlocal calls
+        calls += 1
+        return math.nan if x > 1.0 else 1.0
+
+    with pytest.raises(QuadratureError, match="not finite"):
+        regularized_integral(Function1D(value=nan_beyond_one), 0.0, 0.5)
+    # The first panel only: the whole and its two halves, 24 nodes each, f
+    # called at x + xi and x - xi per node.
+    assert calls <= 3 * 24 * 2
 
 
 def test_results_are_plain_floats():

@@ -4,6 +4,7 @@ import functools
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -287,6 +288,8 @@ def _schedule_arrays(space):
        st.integers(0, 2**32 - 1))
 # A reach beyond both sides, then one strip per row, then one strip.
 @example([(16, 1.5, 3, 5, 7), (2, 0.5, 40, 9, 1), (2, 0.5, 40, 9, 2**15)], 0)
+# Strips of 16, 16 and 8 rows.
+@example([(3, 1.5, 40, 9, 144)], 0)
 def test_schedule_matches_the_strip_loop(calls, seed):
     # One workspace across a sequence of passes, as a worker keeps it, and
     # each pass run twice so the second reuses the stored schedule; every
@@ -315,6 +318,25 @@ def test_schedule_matches_the_strip_loop(calls, seed):
                    if isinstance(value, np.ndarray)}
         assert all(id(array.base) in buffers
                    for array in _schedule_arrays(space))
+
+
+def test_schedule_holds_views_not_copies():
+    # A schedule holds views of the workspace and scalar weights only, at
+    # 512 x 512 and zeta = 8 eight strips of about 180 calls; one copy of a
+    # 64-row strip at that width would be 256 KiB.
+    weights = _cached_kernel(1.5, 8).weights[8:, 8:]
+    slide = np.random.default_rng(3).random((512, 512))
+    space = {}
+    kernel2d._correlate_slide(weights, slide, np.empty_like(slide), space)
+    del space["schedule"]
+    tracemalloc.start()
+    try:
+        schedule = kernel2d._build_schedule(weights, slide.shape, space)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(schedule) == 8
+    assert held <= 512 * 1024
 
 
 class TestFrequencyResponse:

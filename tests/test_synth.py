@@ -204,13 +204,15 @@ class TestRenderStack:
         assert not np.array_equal(stack.data[0][inside], sharp.data[0][inside])
 
     def test_row_strips_do_not_change_a_bit(self, monkeypatch):
-        # render_stack gathers each slide in strips of rows; 7-row strips
-        # must reproduce the single-strip rendering bit for bit.
+        # render_stack gathers each slide in strips of rows, sized by the
+        # kernel pass's strip rule; 7-row strips must reproduce the
+        # single-strip rendering bit for bit.
         scene = SceneSpec(kind="sphere", radius=0.8, texture_wavelength=0.3,
                           seed=2)
         blur = BlurSpec(sigma0=3.0)
         whole = render_stack(scene, blur, **self.SMALL)
-        monkeypatch.setattr(synth, "_STRIP_PIXELS", 7 * self.SMALL["width"])
+        monkeypatch.setattr(kernel2d, "_STRIP_SAMPLES",
+                            7 * self.SMALL["width"])
         strips = render_stack(scene, blur, **self.SMALL)
         assert np.array_equal(strips.data, whole.data)
 
