@@ -24,8 +24,9 @@ order from a ring of output buffers.  An item is queued as soon as its ring
 buffer is free, so the ring's length alone bounds the look-ahead.  The
 whole-volume pass (``focus.nonlocalize_volume``), ``recover``'s
 read-measure-pass chain (``focus.focus_layers``) and the renderer
-(``synth.render_slides``) all run on it, and so does
-``evaluate.comparison_table``, whose items are whole table cells.
+(``synth.render_slides``, and its texture, whose items are row strips)
+all run on it, and so does ``evaluate.comparison_table``, whose items are
+whole table cells.
 
 The pass itself (``_correlate_slide``) runs from a schedule: the ufunc
 calls of its row strips, strip after strip, each operand a view into the

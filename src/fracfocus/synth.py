@@ -15,6 +15,13 @@ the scene seed.
 :mod:`kernel2d`, one per usable CPU, and yields them in order from a ring
 of a few buffers, so ``synth`` streams them to disk and its memory does
 not grow with the number of slides; :func:`render_stack` collects them.
+Each worker builds a slide's per-level tables once (:func:`_psf_tables`)
+and gathers the slide in row strips, straight into its output buffer,
+from scratch buffers of its workspace that are sized once per call, so
+no strip allocates.  A slide with a single sigma level (every plane
+slide) multiplies by scalar factors instead of gathering them to every
+pixel.  The padded texture is also built in row strips on the pool
+before the first slide.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ import numpy as np
 
 from . import kernel2d
 from .grids import DepthMap, FocalStack, check_stack_geometry
+from .kernel2d import _scratch
 
 __all__ = ["BlurSpec", "SceneSpec", "ground_truth", "render_slides",
            "render_stack"]
@@ -56,6 +64,11 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("radius", "height", "ramp_lo", "ramp_hi",
+                     "texture_wavelength"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, "
+                                 f"got {getattr(self, name)}")
         if self.kind not in _SCENE_KINDS:
             raise ValueError(f"unknown scene kind {self.kind!r}, "
                              f"expected one of {_SCENE_KINDS}")
@@ -115,8 +128,12 @@ def ground_truth(scene: SceneSpec, width: int, height: int,
     x, y = _grid_axes(width, height, h)
     xx, yy = np.meshgrid(x, y)
     if scene.kind == "sphere":
-        r2 = scene.radius ** 2 - xx ** 2 - yy ** 2
-        values = np.sqrt(np.maximum(r2, 0.0))
+        # Scaled by a power of two, which is exact, so that r^2 cannot
+        # overflow; radii below 2^500 are not scaled at all.
+        scale = 2.0 ** -max(0, math.frexp(scene.radius)[1] - 500)
+        xx, yy = xx * scale, yy * scale
+        r2 = (scene.radius * scale) ** 2 - xx ** 2 - yy ** 2
+        values = np.sqrt(np.maximum(r2, 0.0)) / scale
         valid = r2 >= 0.0
     elif scene.kind == "plane":
         values = np.full((height, width), float(scene.height))
@@ -135,6 +152,13 @@ def ground_truth(scene: SceneSpec, width: int, height: int,
 _NOISE_WAVES = 24
 
 
+def _strip_rows(width: int) -> int:
+    """Rows in a row strip of ``width`` samples: ``kernel2d._STRIP_SAMPLES``
+    samples, as the kernel pass's strips, so a strip's working arrays stay
+    in cache."""
+    return max(1, kernel2d._STRIP_SAMPLES // width)
+
+
 def _texture(scene: SceneSpec, width: int, height: int, h: float,
              margin: int) -> np.ndarray:
     """Texture in [0, 1] on the padded grid (margin ring included).
@@ -148,98 +172,187 @@ def _texture(scene: SceneSpec, width: int, height: int, h: float,
     sparse set of genuinely weak pixels.  The value at a pixel depends
     only on its world coordinates and the seed, never on the grid or
     margin it is rendered into.
+
+    The grid is filled in row strips (:func:`_strip_rows`) on the slide
+    pool of :mod:`kernel2d`, one item per strip, all queued at once.  Each
+    sample goes through the same elementwise operations in the same order
+    whatever its strip or worker, so the bits do not depend on either.
     """
     x, y = _grid_axes(width, height, h, margin)
-    xx, yy = np.meshgrid(x, y)
+    y = y[:, np.newaxis]
     lam = scene.texture_wavelength
+    rows = _strip_rows(x.size)
     if scene.texture_kind == "checker":
-        cells = np.floor(2.0 * xx / lam) + np.floor(2.0 * yy / lam)
-        return np.where(cells % 2 == 0, 1.0, 0.0)
+        cells_x = np.floor(2.0 * x / lam)
+        cells_y = np.floor(2.0 * y / lam)
 
-    rng = np.random.default_rng(scene.seed)
-    theta = rng.uniform(0.0, 2.0 * np.pi, _NOISE_WAVES)
-    phase = rng.uniform(0.0, 2.0 * np.pi, _NOISE_WAVES)
-    amp = rng.uniform(0.5, 1.0, _NOISE_WAVES)
-    wavenumber = 2.0 * np.pi / lam
-    carrier = np.zeros_like(xx)
-    for j in range(_NOISE_WAVES):
-        carrier += amp[j] * np.cos(
-            wavenumber * (np.cos(theta[j]) * xx + np.sin(theta[j]) * yy)
-            + phase[j])
-    return 0.5 + 0.5 * carrier / amp.sum()
+        def fill(k: int, out: np.ndarray, space: dict) -> None:
+            cells = cells_x + cells_y[k * rows:k * rows + len(out)]
+            out[...] = np.where(cells % 2 == 0, 1.0, 0.0)
+    else:
+        rng = np.random.default_rng(scene.seed)
+        theta = rng.uniform(0.0, 2.0 * np.pi, _NOISE_WAVES)
+        phase = rng.uniform(0.0, 2.0 * np.pi, _NOISE_WAVES)
+        amp = rng.uniform(0.5, 1.0, _NOISE_WAVES)
+        wavenumber = 2.0 * np.pi / lam
+        total = amp.sum()
+        # Each wave's two terms, once per grid column and once per row.
+        along_x = [np.cos(theta[j]) * x for j in range(_NOISE_WAVES)]
+        along_y = [np.sin(theta[j]) * y for j in range(_NOISE_WAVES)]
+
+        def fill(k: int, out: np.ndarray, space: dict) -> None:
+            # carrier = sum_j amp_j cos(wavenumber (x cos theta_j
+            # + y sin theta_j) + phase_j), accumulated in ``out``.
+            top = k * rows
+            wave = _scratch(space, "wave", (rows, x.size))[:len(out)]
+            out[...] = 0.0
+            for j in range(_NOISE_WAVES):
+                np.add(along_x[j], along_y[j][top:top + len(out)], out=wave)
+                wave *= wavenumber
+                wave += phase[j]
+                np.cos(wave, out=wave)
+                wave *= amp[j]
+                out += wave
+            out *= 0.5
+            out /= total
+            out += 0.5
+
+    tex = np.empty((y.size, x.size))
+    strips = [tex[top:top + rows] for top in range(0, y.size, rows)]
+    for _ in kernel2d._slide_pool(len(strips), fill, strips):
+        pass
+    return tex
 
 
-def _gather(tex: np.ndarray, margin: int, sigma: np.ndarray,
-            radius: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Gather with a per-pixel Gaussian PSF over a map of sigma levels.
+def _psf_tables(sigma: np.ndarray, radius: np.ndarray, margin: int,
+                space: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The per-level tables of one slide for :func:`_gather`.
+
+    ``gauss[d]`` is exp(-d^2/(2 sigma^2)) for each level, 0 where the
+    level's radius is below d, for d = 0 .. radius.max(); ``den`` is each
+    level's weight sum over its square support, added ring by ring in the
+    order :func:`_gather` adds the taps.  Both are views of the workspace
+    buffers ``gauss`` and ``den`` of ``space``, sized by ``margin >=
+    radius.max()`` and the number of levels.
+    """
+    r_max = int(radius.max())
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = 1.0 / (2.0 * sigma * sigma)  # inf at sigma = 0
+    gauss = _scratch(space, "gauss", (margin + 1, sigma.size))[:r_max + 1]
+    gauss[0] = 1.0
+    for d in range(1, r_max + 1):
+        np.multiply(-(d * d), inv, out=gauss[d])
+        np.exp(gauss[d], out=gauss[d])
+        gauss[d][radius < d] = 0.0
+    den = _scratch(space, "den", (sigma.size,))
+    den[...] = 1.0
+    for b in range(1, r_max + 1):
+        ring_den = np.full(sigma.size, 4.0)
+        for a in range(1, b + 1):
+            ring_den += (8.0 if a < b else 4.0) * gauss[a]
+        den += gauss[b] * ring_den
+    return gauss, den
+
+
+def _extent(reach: np.ndarray, b: int, flags: np.ndarray) -> tuple[int, int]:
+    """First and one-past-last position where ``reach >= b``, which holds
+    somewhere; ``flags`` is scratch at least as long as ``reach``."""
+    flags = np.greater_equal(reach, b, out=flags[:reach.size])
+    return int(flags.argmax()), reach.size - int(flags[::-1].argmax())
+
+
+def _gather(tex: np.ndarray, margin: int, radius: np.ndarray,
+            gauss: np.ndarray, den: np.ndarray, index: np.ndarray,
+            out: np.ndarray, space: dict) -> None:
+    """Gather a block of rows with a per-pixel Gaussian PSF into ``out``.
 
     Output pixel p has level index[p], PSF width sigma[index[p]] pixels and
-    support radius radius[index[p]].  It sums the padded texture over the
-    square of offsets max(|dx|, |dy|) <= radius with weights
-    exp(-(dx^2+dy^2)/(2 sigma^2)), then divides by its own weight sum.
-    ``tex`` is the texture padded by ``margin >= radius.max()`` on every
-    side.  A per-pixel sigma field is the case of one level per pixel.
+    support radius radius[index[p]] (``radius`` a float array of whole
+    numbers).  It sums the padded texture over the square of offsets
+    max(|dx|, |dy|) <= radius with weights exp(-(dx^2+dy^2)/(2 sigma^2)),
+    then divides by its own weight sum.  ``tex`` is the texture padded by
+    ``margin >= radius.max()`` on every side, and ``gauss`` and ``den`` are
+    the level tables of :func:`_psf_tables`.  A per-pixel sigma field is
+    the case of one level per pixel.
 
     The taps are summed in symmetric groups.  Ring b = max(|dx|, |dy|)
     holds, for each a <= b, the up to eight taps (+-a, +-b) and (+-b, +-a),
-    which share the weight exp(-a^2/(2 sigma^2)) * exp(-b^2/(2 sigma^2)):
-    their texture values are added first (from sums of +-d column pairs),
-    multiplied by the a-factor once, and each ring's total by the b-factor
-    once.  The factors, and the weight sums, are evaluated once per level
-    (0 past the level's radius) and gathered back to the pixels, so a
-    constant sigma field costs one scalar ``exp`` per factor.  Ring b is
-    cropped to the bounding box of the pixels it reaches.  Pixels with
-    sigma = 0 or radius 0 keep only the center tap and copy the texture
-    through exactly.  The summation order differs from a plain tap-by-tap
-    loop; on the standard scenes the two agree to 4e-15.
+    which share the weight gauss[a] * gauss[b]: their texture values are
+    added first (from sums of +-d column pairs), multiplied by the
+    a-factor once, and each ring's total by the b-factor once.  With one
+    level the factors and the weight sum are scalars; otherwise they are
+    gathered to the pixels.  Ring b is cropped to the bounding box of the
+    pixels it reaches.  Pixels with sigma = 0 or radius 0 keep only the
+    center tap and copy the texture through exactly.  The summation order
+    differs from a plain tap-by-tap loop; on the standard scenes the two
+    agree to 4e-15.  Every pixel's arithmetic is the same whatever block
+    of rows it is gathered in.
+
+    Its scratch buffers (``pairs``, ``ring``, ``group`` and, with more
+    than one level, ``factors`` and the reach maps) are workspace buffers
+    of ``space``, sized by a strip of :func:`_strip_rows` rows (or the
+    block, if taller), the margin and the width, so a run of strips of one
+    geometry allocates nothing.
     """
     height, width = index.shape
-    reach = radius[index]
-    r_max = int(reach.max())
-    with np.errstate(divide="ignore", over="ignore"):
-        inv = 1.0 / (2.0 * sigma * sigma)  # inf at sigma = 0
-    # gauss[d] = exp(-d^2 inv) per level, 0 where the radius is below d.
-    gauss = np.ones((r_max + 1, sigma.size))
-    for d in range(1, r_max + 1):
-        gauss[d] = np.where(radius >= d, np.exp(-(d * d) * inv), 0.0)
-    den = np.ones(sigma.size)  # weight sum per level
-    num = tex[margin:margin + height, margin:margin + width].copy()
-    rows = reach.max(axis=1)
-    cols = reach.max(axis=0)
-    # pairs[d][i, j] = tex(i, j + d) + tex(i, j - d) on all padded rows;
-    # factors[d] = gauss[d] per pixel.
-    pairs = [tex[:, margin:margin + width]]
-    factors = [None]
+    rows = max(height, _strip_rows(width))
+    one_level = den.size == 1
+    pairs = _scratch(space, "pairs", (margin, rows + 2 * margin, width))
+    ring_buffer = _scratch(space, "ring", (rows * width,))
+    group_buffer = _scratch(space, "group", (rows * width,))
+    if one_level:
+        r_max = int(radius[0])
+    else:
+        reach = np.take(radius, index, mode="clip",
+                        out=_scratch(space, "reach", (rows, width))[:height])
+        row_reach = np.max(reach, axis=1,
+                           out=_scratch(space, "row_reach", (rows,))[:height])
+        col_reach = np.max(reach, axis=0,
+                           out=_scratch(space, "col_reach", (width,)))
+        flags = _scratch(space, "flags", (max(rows, width),))
+        factors = _scratch(space, "factors", (margin, rows, width))
+        r_max = int(row_reach.max())
+    out[...] = tex[margin:margin + height, margin:margin + width]
+    # columns[d][i, j] = tex(i, j + d) + tex(i, j - d) on all padded rows.
+    columns = [tex[:, margin:margin + width]]
+    y0, y1, x0, x1 = 0, height, 0, width
     for b in range(1, r_max + 1):
-        pairs.append(tex[:, margin + b:margin + b + width]
-                     + tex[:, margin - b:margin - b + width])
-        factors.append(gauss[b][index])
-        ys = np.flatnonzero(rows >= b)
-        xs = np.flatnonzero(cols >= b)
-        y0, y1, x0, x1 = ys[0], ys[-1] + 1, xs[0], xs[-1] + 1
-        box = np.s_[y0:y1, x0:x1]
+        columns.append(np.add(tex[:, margin + b:margin + b + width],
+                              tex[:, margin - b:margin - b + width],
+                              out=pairs[b - 1, :height + 2 * margin]))
+        if not one_level:
+            np.take(gauss[b], index, mode="clip", out=factors[b - 1, :height])
+            y0, y1 = _extent(row_reach, b, flags)
+            x0, x1 = _extent(col_reach, b, flags)
 
         def taps(d: int, dy: int) -> np.ndarray:
             """The pair sums at (dy, +-d) for every pixel of the box."""
-            return pairs[d][margin + y0 + dy:margin + y1 + dy, x0:x1]
+            return columns[d][margin + y0 + dy:margin + y1 + dy, x0:x1]
 
+        def factor(a: int):
+            """The a-factor of every pixel of the box."""
+            return gauss[a, 0] if one_level else factors[a - 1, y0:y1, x0:x1]
+
+        box = (y1 - y0, x1 - x0)
+        ring = ring_buffer[:box[0] * box[1]].reshape(box)
+        group = group_buffer[:box[0] * box[1]].reshape(box)
         # a = 0: the four taps (0, +-b) and (+-b, 0), a-factor 1.
-        ring = taps(b, 0) + taps(0, -b)
+        np.add(taps(b, 0), taps(0, -b), out=ring)
         ring += taps(0, b)
-        ring_den = np.full(sigma.size, 4.0)
-        group = np.empty_like(ring)
         for a in range(1, b + 1):
             np.add(taps(b, -a), taps(b, a), out=group)
             if a < b:
                 group += taps(a, -b)
                 group += taps(a, b)
-            group *= factors[a][box]
+            group *= factor(a)
             ring += group
-            ring_den += (8.0 if a < b else 4.0) * gauss[a]
-        ring *= factors[b][box]
-        num[box] += ring
-        den += gauss[b] * ring_den
-    return num / den[index]
+        ring *= factor(b)
+        out[y0:y1, x0:x1] += ring
+    if one_level:
+        out /= den[0]
+    else:
+        # The reach map is spent: it takes the weight sums instead.
+        out /= np.take(den, index, mode="clip", out=reach)
 
 
 def render_slides(scene: SceneSpec, blur: BlurSpec, width: int, height: int,
@@ -252,12 +365,16 @@ def render_slides(scene: SceneSpec, blur: BlurSpec, width: int, height: int,
     sigma0 * |z_k - Z(x, y)| pixels.  The texture is generated on a grid
     padded by the maximum PSF radius, so border pixels blur into real
     texture rather than into an extrapolation artifact.  The arguments are
-    checked when this is called, before any slide is rendered.  The
-    slides are rendered by the slide pool (``kernel2d._slide_pool``), one
-    worker per usable CPU, into a ring of one buffer per worker plus one,
-    so memory does not grow with ``n_slides``; a yielded slide may be
-    overwritten once the next is requested.  Bit-identical for identical
-    scene, blur and grid parameters, whatever the CPU count.
+    checked, and the texture built (:func:`_texture`), when this is called,
+    before any slide is rendered.  The slides are rendered by the slide
+    pool (``kernel2d._slide_pool``), one worker per usable CPU, into a ring
+    of one buffer per worker plus one, so memory does not grow with
+    ``n_slides``; a yielded slide may be overwritten once the next is
+    requested.  A worker builds each slide's sigma levels, radii and
+    :func:`_psf_tables` once, then fills the slide strip by strip with
+    :func:`_gather`, whose scratch stays in the worker's workspace for the
+    whole call.  Bit-identical for identical scene, blur and grid
+    parameters, whatever the CPU count.
     """
     check_stack_geometry(n_slides, z_min, z_max, h)
     if scene.texture_wavelength < 2.0 * h:
@@ -274,24 +391,26 @@ def render_slides(scene: SceneSpec, blur: BlurSpec, width: int, height: int,
     max_defocus = float(np.max(np.maximum(np.abs(z_min - truth),
                                           np.abs(z_max - truth))))
     sigma_cap = blur.sigma0 * max_defocus
-    margin = min(blur.max_radius, int(math.ceil(4.0 * sigma_cap)))
+    margin = math.ceil(min(4.0 * sigma_cap, blur.max_radius))
     tex = _texture(scene, width, height, h, margin)
 
     # A pixel's PSF depends only on its height: one sigma level per height.
     heights, index = np.unique(truth, return_inverse=True)
     index = index.reshape(truth.shape)
     delta_z = (z_max - z_min) / (n_slides - 1)
-    # Row strips, sized as the kernel pass's, keep a gather's scratch in
-    # cache; each pixel's arithmetic is the same whatever strip it is in.
-    strip = max(1, kernel2d._STRIP_SAMPLES // width)
+    # Each pixel's arithmetic is the same whatever strip it is in.
+    strip = _strip_rows(width)
 
     def render(k: int, out: np.ndarray, space: dict) -> None:
-        sigma = blur.sigma0 * np.abs(z_min + k * delta_z - heights)
-        radius = np.minimum(np.ceil(4.0 * sigma), blur.max_radius).astype(int)
+        # A defocus past the float range gives sigma = inf, whose PSF is
+        # capped at max_radius as any wide one.
+        with np.errstate(over="ignore"):
+            sigma = blur.sigma0 * np.abs(z_min + k * delta_z - heights)
+        radius = np.minimum(np.ceil(4.0 * sigma), blur.max_radius)
+        gauss, den = _psf_tables(sigma, radius, margin, space)
         for y in range(0, height, strip):
-            out[y:y + strip] = _gather(
-                tex[y:y + strip + 2 * margin], margin, sigma, radius,
-                index[y:y + strip])
+            _gather(tex[y:y + strip + 2 * margin], margin, radius, gauss,
+                    den, index[y:y + strip], out[y:y + strip], space)
 
     ring = np.empty((kernel2d._ring_length(n_slides), height, width))
     return kernel2d._slide_pool(n_slides, render, ring)

@@ -126,6 +126,31 @@ class TestSynthCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad, field", [
+        (["--wavelength", "inf"], "texture_wavelength"),
+        (["--scene", "sphere", "--radius", "nan"], "radius"),
+        (["--height=-inf"], "height"),
+        (["--scene", "ramp", "--ramp-lo", "nan"], "ramp_lo"),
+        (["--scene", "ramp", "--ramp-hi", "inf"], "ramp_hi"),
+    ])
+    def test_non_finite_scene_is_a_clean_error(self, tmp_path, capsys, bad,
+                                               field):
+        out = tmp_path / "stack"
+        assert main(["synth", "--scene", "plane", "--size", "16",
+                     "--wavelength", "0.5", *bad, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "fracfocus: error:" in err and f"{field} must be finite" in err
+        assert not out.exists()
+
+    def test_huge_finite_sphere_renders(self, tmp_path):
+        # r^2 overflows a float, and so does the defocus times sigma0.
+        out = tmp_path / "stack"
+        assert main(["synth", "--scene", "sphere", "--radius", "1e308",
+                     "--wavelength", "0.5", "--size", "16", "--slices", "3",
+                     "--out", str(out)]) == 0
+        truth = read_depth_csv(out / "truth.csv")
+        assert truth.valid.all() and np.isfinite(truth.values).all()
+
     def test_outputs_do_not_depend_on_worker_count(self, tmp_path,
                                                    monkeypatch):
         """synth renders slide-parallel; PGM and .npy stack directories

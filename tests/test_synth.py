@@ -1,5 +1,7 @@
 """Tests for the synthetic scene generator and defocus renderer."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,12 +9,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from blur_reference import reference_gather
+from gather_reference import reference_level_gather
+from texture_reference import reference_texture
 
 from fracfocus import kernel2d, synth
 from fracfocus.focus import local_focus_volume
 from fracfocus.synth import (BlurSpec, SceneSpec, ground_truth, render_slides,
                              render_stack)
-from fracfocus.synth import _gather, _texture
+from fracfocus.synth import _gather, _psf_tables, _texture
 
 
 class TestSceneSpec:
@@ -42,6 +46,15 @@ class TestSceneSpec:
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError):
             SceneSpec(seed=-1)
+
+    @pytest.mark.parametrize("field", ["radius", "height", "ramp_lo",
+                                       "ramp_hi", "texture_wavelength"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_parameters_by_name(self, field, value):
+        # Every scene kind: all of them go into stack.json.
+        for kind in ("sphere", "plane", "ramp"):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                SceneSpec(kind=kind, **{field: value})
 
 
 class TestBlurSpec:
@@ -76,6 +89,14 @@ class TestGroundTruth:
         assert truth.valid[1, 2]
         assert not truth.valid[0, 0]
         assert truth.values[0, 0] == 0.0
+
+    def test_sphere_of_huge_finite_radius_does_not_overflow(self):
+        # r^2 overflows a float here; the height field must not.
+        truth = ground_truth(SceneSpec(kind="sphere", radius=1e308), 5, 5,
+                             0.5)
+        assert truth.valid.all()
+        assert np.isfinite(truth.values).all()
+        assert np.allclose(truth.values, 1e308, rtol=1e-15, atol=0)
 
     def test_sphere_height_decreases_with_radius(self):
         truth = ground_truth(SceneSpec(kind="sphere", radius=1.0), 33, 33, 0.05)
@@ -127,6 +148,20 @@ class TestTexture:
         bare = _texture(scene, 32, 32, 0.1, margin=0)
         padded = _texture(scene, 32, 32, 0.1, margin=6)
         assert np.array_equal(padded[6:-6, 6:-6], bare)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["value-noise", "checker"])
+    def test_strips_on_the_pool_match_the_whole_grid(self, monkeypatch,
+                                                     workers, kind):
+        # 37 x 23 padded by 5: 47 samples a row, 33 rows.
+        scene = SceneSpec(kind="plane", texture_kind=kind,
+                          texture_wavelength=0.3, seed=4)
+        expected = reference_texture(scene, 37, 23, 0.05, margin=5)
+        monkeypatch.setattr(kernel2d, "_usable_cpus", lambda: workers)
+        for rows in (1, 2, 7, 32, 33):
+            monkeypatch.setattr(kernel2d, "_STRIP_SAMPLES", rows * 47)
+            got = _texture(scene, 37, 23, 0.05, margin=5)
+            assert np.array_equal(got, expected), rows
 
     def test_checker_blocks_and_levels(self):
         scene = SceneSpec(kind="plane", texture_kind="checker",
@@ -296,6 +331,55 @@ class TestRenderSlides:
         with pytest.raises(ValueError):
             render_slides(scene, BlurSpec(), **{**self.SMALL, **overrides})
 
+    @pytest.mark.parametrize("kind", ["plane", "ramp"])
+    def test_workspace_is_allocated_once(self, monkeypatch, kind):
+        """After the first slide the render workspace keeps one set of
+        buffers, and later slides allocate no more than a few per-level
+        arrays: strips of 60 x 160 samples (77 KB each, 36 rows last)
+        would show.  The plane takes the one-level path, the ramp (96
+        levels) the gathered one.  numpy's ufunc buffers (128 KB at the
+        default size, for strided operands) are numpy's, not the
+        renderer's: they are shrunk to 8 KB so that they do not hide a
+        strip-sized allocation."""
+        monkeypatch.setattr(kernel2d, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(kernel2d, "_STRIP_SAMPLES", 60 * 160)
+        spaces = []
+        slide_pool = kernel2d._slide_pool
+
+        def watched_pool(n, work, ring):
+            spaces.clear()  # the texture's pool runs first
+
+            def watched(k, out, space):
+                work(k, out, space)
+                spaces.append(dict(space))
+            return slide_pool(n, watched, ring)
+
+        monkeypatch.setattr(kernel2d, "_slide_pool", watched_pool)
+        scene = SceneSpec(kind=kind, texture_wavelength=0.3, seed=1)
+        slides = render_slides(scene, BlurSpec(sigma0=3.0), width=160,
+                               height=96, n_slides=9, z_min=0.0, z_max=1.0,
+                               h=2.4 / 159)
+        bufsize = np.setbufsize(1024)
+        tracemalloc.start()
+        try:
+            for k, _ in enumerate(slides):
+                if k == 1:
+                    tracemalloc.reset_peak()
+                    base = tracemalloc.get_traced_memory()[0]
+            growth = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+            np.setbufsize(bufsize)
+        assert growth < 64 * 1024, growth
+        assert len(spaces) == 9
+        first = spaces[0]
+        assert {"pairs", "ring", "group", "gauss", "den"} <= first.keys()
+        assert ("factors" in first) == (kind == "ramp")
+        for space in spaces[1:]:
+            assert space.keys() == first.keys()
+            for name, buffer in first.items():
+                assert space[name] is buffer, name
+
 
 def _psf_radius(sigma, max_radius):
     return np.minimum(np.ceil(4.0 * sigma), max_radius).astype(int)
@@ -326,18 +410,30 @@ def _one_level_per_pixel(sigma, radius):
         sigma.shape)
 
 
+def _gather_block(tex, margin, sigma, radius, index):
+    """One gather of a whole block of rows, with the block's own tables."""
+    space = {}
+    radius = np.asarray(radius, dtype=float)
+    gauss, den = _psf_tables(sigma, radius, margin, space)
+    out = np.empty(index.shape)
+    _gather(tex, margin, radius, gauss, den, index, out, space)
+    return out
+
+
 @settings(max_examples=60, deadline=None)
 @given(_gather_inputs())
 def test_gather_matches_direct_reference(inputs):
     tex, margin, sigma, radius, max_radius = inputs
     height, width = sigma.shape
     expected = reference_gather(tex, margin, sigma, radius)
-    per_pixel = _gather(tex, margin, *_one_level_per_pixel(sigma, radius))
+    per_pixel = _gather_block(tex, margin,
+                              *_one_level_per_pixel(sigma, radius))
     assert np.allclose(per_pixel, expected, rtol=0, atol=1e-12)
     # Sharing one level between the pixels of equal sigma changes no bit.
     levels, index = np.unique(sigma, return_inverse=True)
-    per_level = _gather(tex, margin, levels, _psf_radius(levels, max_radius),
-                        index.reshape(sigma.shape))
+    per_level = _gather_block(tex, margin, levels,
+                              _psf_radius(levels, max_radius),
+                              index.reshape(sigma.shape))
     assert np.array_equal(per_level, per_pixel)
     sharp = sigma == 0.0
     core = tex[margin:margin + height, margin:margin + width]
@@ -353,24 +449,75 @@ def test_gather_of_any_support_matches_reference(inputs, data):
     radius = data.draw(arrays(np.int64, sigma.shape,
                               elements=st.integers(0, margin)))
     expected = reference_gather(tex, margin, sigma, radius)
-    got = _gather(tex, margin, *_one_level_per_pixel(sigma, radius))
+    got = _gather_block(tex, margin, *_one_level_per_pixel(sigma, radius))
     assert np.allclose(got, expected, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
 @given(_gather_inputs(), st.data())
 def test_gather_rows_are_independent(inputs, data):
-    # Any block of rows gathered on its own gives the same bits, which is
-    # what lets render_stack work in strips.
+    # Any block of rows gathered on its own, with the tables of the whole
+    # slide, gives the same bits, which is what lets render_stack work in
+    # strips.
     tex, margin, sigma, radius, _ = inputs
     height = sigma.shape[0]
     split = data.draw(st.integers(0, height))
-    levels = _one_level_per_pixel(sigma, radius)
-    whole = _gather(tex, margin, *levels)
-    index = levels[2]
+    levels, radius, index = _one_level_per_pixel(sigma, radius)
+    whole = _gather_block(tex, margin, levels, radius, index)
+    radius = radius.astype(float)
+    space = {}
+    gauss, den = _psf_tables(levels, radius, margin, space)
     for rows in (slice(0, split), slice(split, height)):
         if rows.start == rows.stop:
             continue
-        block = _gather(tex[rows.start:rows.stop + 2 * margin], margin,
-                        levels[0], levels[1], index[rows])
+        block = np.empty((rows.stop - rows.start, sigma.shape[1]))
+        _gather(tex[rows.start:rows.stop + 2 * margin], margin, radius,
+                gauss, den, index[rows], block, space)
         assert np.array_equal(block, whole[rows])
+
+
+@st.composite
+def _slide_runs(draw):
+    """A padded texture, a strip height and a run of slides over it, each
+    a few sigma levels (one included) with radii from 0 to the margin."""
+    height = draw(st.integers(1, 10))
+    width = draw(st.integers(1, 10))
+    margin = draw(st.integers(1, 5))
+    tex = draw(arrays(np.float64, (height + 2 * margin, width + 2 * margin),
+                      elements=st.floats(0.0, 1.0)))
+    rows = draw(st.integers(1, height))
+    slides = []
+    for _ in range(draw(st.integers(1, 4))):
+        levels = draw(st.integers(1, 4))
+        sigma = draw(arrays(np.float64, levels, elements=st.one_of(
+            st.just(0.0), st.floats(0.05, 3.0))))
+        radius = draw(arrays(np.int64, levels,
+                             elements=st.integers(0, margin)))
+        index = draw(arrays(np.intp, (height, width),
+                            elements=st.integers(0, levels - 1)))
+        slides.append((sigma, radius, index))
+    return tex, rows, margin, slides
+
+
+@settings(max_examples=60, deadline=None)
+@given(_slide_runs())
+def test_workspace_gather_matches_level_reference(run):
+    """One workspace through a run of slides, gathered in strips as
+    render_slides does, from one row to the whole slide a strip: every
+    slide is bit-equal to the level gather that builds its own tables and
+    scratch."""
+    tex, rows, margin, slides = run
+    height, width = slides[0][2].shape
+    space = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel2d, "_STRIP_SAMPLES", rows * width)
+        for sigma, radius, index in slides:
+            expected = reference_level_gather(tex, margin, sigma, radius,
+                                              index)
+            radius = radius.astype(float)
+            gauss, den = _psf_tables(sigma, radius, margin, space)
+            out = np.full((height, width), np.nan)
+            for y in range(0, height, rows):
+                _gather(tex[y:y + rows + 2 * margin], margin, radius, gauss,
+                        den, index[y:y + rows], out[y:y + rows], space)
+            assert np.array_equal(out, expected)
