@@ -165,11 +165,13 @@ def _ring_length(n: int) -> int:
     return min(_usable_cpus() + 1, n)
 
 
-def _scratch(space: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """The workspace buffer ``name`` of ``shape``, allocated on first use."""
+def _scratch(space: dict, name: str, shape: tuple[int, ...],
+             dtype: type = float) -> np.ndarray:
+    """The workspace buffer ``name`` of ``shape`` and ``dtype``, allocated
+    on first use."""
     buffer = space.get(name)
-    if buffer is None or buffer.shape != shape:
-        buffer = space[name] = np.empty(shape)
+    if buffer is None or buffer.shape != shape or buffer.dtype != dtype:
+        buffer = space[name] = np.empty(shape, dtype)
     return buffer
 
 

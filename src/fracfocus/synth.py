@@ -69,6 +69,10 @@ class SceneSpec:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, "
                                  f"got {getattr(self, name)}")
+        # ground_truth squares the radius.
+        if not math.isfinite(self.radius * self.radius):
+            raise ValueError("radius must be finite, and so must its square, "
+                             f"got {self.radius}")
         if self.kind not in _SCENE_KINDS:
             raise ValueError(f"unknown scene kind {self.kind!r}, "
                              f"expected one of {_SCENE_KINDS}")
@@ -128,12 +132,8 @@ def ground_truth(scene: SceneSpec, width: int, height: int,
     x, y = _grid_axes(width, height, h)
     xx, yy = np.meshgrid(x, y)
     if scene.kind == "sphere":
-        # Scaled by a power of two, which is exact, so that r^2 cannot
-        # overflow; radii below 2^500 are not scaled at all.
-        scale = 2.0 ** -max(0, math.frexp(scene.radius)[1] - 500)
-        xx, yy = xx * scale, yy * scale
-        r2 = (scene.radius * scale) ** 2 - xx ** 2 - yy ** 2
-        values = np.sqrt(np.maximum(r2, 0.0)) / scale
+        r2 = scene.radius ** 2 - xx ** 2 - yy ** 2
+        values = np.sqrt(np.maximum(r2, 0.0))
         valid = r2 >= 0.0
     elif scene.kind == "plane":
         values = np.full((height, width), float(scene.height))
@@ -254,26 +254,19 @@ def _psf_tables(sigma: np.ndarray, radius: np.ndarray, margin: int,
     return gauss, den
 
 
-def _extent(reach: np.ndarray, b: int, flags: np.ndarray) -> tuple[int, int]:
-    """First and one-past-last position where ``reach >= b``, which holds
-    somewhere; ``flags`` is scratch at least as long as ``reach``."""
-    flags = np.greater_equal(reach, b, out=flags[:reach.size])
-    return int(flags.argmax()), reach.size - int(flags[::-1].argmax())
-
-
 def _gather(tex: np.ndarray, margin: int, radius: np.ndarray,
             gauss: np.ndarray, den: np.ndarray, index: np.ndarray,
             out: np.ndarray, space: dict) -> None:
     """Gather a block of rows with a per-pixel Gaussian PSF into ``out``.
 
     Output pixel p has level index[p], PSF width sigma[index[p]] pixels and
-    support radius radius[index[p]] (``radius`` a float array of whole
-    numbers).  It sums the padded texture over the square of offsets
-    max(|dx|, |dy|) <= radius with weights exp(-(dx^2+dy^2)/(2 sigma^2)),
-    then divides by its own weight sum.  ``tex`` is the texture padded by
-    ``margin >= radius.max()`` on every side, and ``gauss`` and ``den`` are
-    the level tables of :func:`_psf_tables`.  A per-pixel sigma field is
-    the case of one level per pixel.
+    support radius radius[index[p]].  It sums the padded texture over the
+    square of offsets max(|dx|, |dy|) <= radius with weights
+    exp(-(dx^2+dy^2)/(2 sigma^2)), then divides by its own weight sum.
+    ``tex`` is the texture padded by ``margin >= radius.max()`` on every
+    side, and ``gauss`` and ``den`` are the level tables of
+    :func:`_psf_tables`.  A per-pixel sigma field is the case of one level
+    per pixel.
 
     The taps are summed in symmetric groups.  Ring b = max(|dx|, |dy|)
     holds, for each a <= b, the up to eight taps (+-a, +-b) and (+-b, +-a),
@@ -289,10 +282,10 @@ def _gather(tex: np.ndarray, margin: int, radius: np.ndarray,
     of rows it is gathered in.
 
     Its scratch buffers (``pairs``, ``ring``, ``group`` and, with more
-    than one level, ``factors`` and the reach maps) are workspace buffers
-    of ``space``, sized by a strip of :func:`_strip_rows` rows (or the
-    block, if taller), the margin and the width, so a run of strips of one
-    geometry allocates nothing.
+    than one level, ``factors`` and the ``reach`` map) are workspace
+    buffers of ``space``, sized by a strip of :func:`_strip_rows` rows
+    (or the block, if taller), the margin and the width, so a run of
+    strips of one geometry allocates no array of a strip's size.
     """
     height, width = index.shape
     rows = max(height, _strip_rows(width))
@@ -304,12 +297,10 @@ def _gather(tex: np.ndarray, margin: int, radius: np.ndarray,
         r_max = int(radius[0])
     else:
         reach = np.take(radius, index, mode="clip",
-                        out=_scratch(space, "reach", (rows, width))[:height])
-        row_reach = np.max(reach, axis=1,
-                           out=_scratch(space, "row_reach", (rows,))[:height])
-        col_reach = np.max(reach, axis=0,
-                           out=_scratch(space, "col_reach", (width,)))
-        flags = _scratch(space, "flags", (max(rows, width),))
+                        out=_scratch(space, "reach", (rows, width),
+                                     int)[:height])
+        row_reach = reach.max(axis=1)
+        col_reach = reach.max(axis=0)
         factors = _scratch(space, "factors", (margin, rows, width))
         r_max = int(row_reach.max())
     out[...] = tex[margin:margin + height, margin:margin + width]
@@ -322,8 +313,9 @@ def _gather(tex: np.ndarray, margin: int, radius: np.ndarray,
                               out=pairs[b - 1, :height + 2 * margin]))
         if not one_level:
             np.take(gauss[b], index, mode="clip", out=factors[b - 1, :height])
-            y0, y1 = _extent(row_reach, b, flags)
-            x0, x1 = _extent(col_reach, b, flags)
+            ys = np.flatnonzero(row_reach >= b)
+            xs = np.flatnonzero(col_reach >= b)
+            y0, y1, x0, x1 = ys[0], ys[-1] + 1, xs[0], xs[-1] + 1
 
         def taps(d: int, dy: int) -> np.ndarray:
             """The pair sums at (dy, +-d) for every pixel of the box."""
@@ -351,8 +343,9 @@ def _gather(tex: np.ndarray, margin: int, radius: np.ndarray,
     if one_level:
         out /= den[0]
     else:
-        # The reach map is spent: it takes the weight sums instead.
-        out /= np.take(den, index, mode="clip", out=reach)
+        # The ring buffer is spent: it takes the weight sums instead.
+        out /= np.take(den, index, mode="clip",
+                       out=ring_buffer[:height * width].reshape(height, width))
 
 
 def render_slides(scene: SceneSpec, blur: BlurSpec, width: int, height: int,
@@ -391,7 +384,7 @@ def render_slides(scene: SceneSpec, blur: BlurSpec, width: int, height: int,
     max_defocus = float(np.max(np.maximum(np.abs(z_min - truth),
                                           np.abs(z_max - truth))))
     sigma_cap = blur.sigma0 * max_defocus
-    margin = math.ceil(min(4.0 * sigma_cap, blur.max_radius))
+    margin = min(blur.max_radius, int(math.ceil(4.0 * sigma_cap)))
     tex = _texture(scene, width, height, h, margin)
 
     # A pixel's PSF depends only on its height: one sigma level per height.
@@ -402,11 +395,8 @@ def render_slides(scene: SceneSpec, blur: BlurSpec, width: int, height: int,
     strip = _strip_rows(width)
 
     def render(k: int, out: np.ndarray, space: dict) -> None:
-        # A defocus past the float range gives sigma = inf, whose PSF is
-        # capped at max_radius as any wide one.
-        with np.errstate(over="ignore"):
-            sigma = blur.sigma0 * np.abs(z_min + k * delta_z - heights)
-        radius = np.minimum(np.ceil(4.0 * sigma), blur.max_radius)
+        sigma = blur.sigma0 * np.abs(z_min + k * delta_z - heights)
+        radius = np.minimum(np.ceil(4.0 * sigma), blur.max_radius).astype(int)
         gauss, den = _psf_tables(sigma, radius, margin, space)
         for y in range(0, height, strip):
             _gather(tex[y:y + strip + 2 * margin], margin, radius, gauss,
