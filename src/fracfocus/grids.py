@@ -20,15 +20,15 @@ def check_stack_geometry(n_slides: int, z_min: float, z_max: float,
                          h: float) -> None:
     """Reject what no focal stack may have, whatever its slides hold.
 
-    Needs at least 3 slides (for the peak fit), finite z_min, z_max and h,
-    z_max > z_min and h > 0; raises ValueError otherwise.  Stack
+    Needs at least 3 slides (for the peak fit), finite z_min, z_max, z_max -
+    z_min and h, z_max > z_min and h > 0; raises ValueError otherwise.  Stack
     directories and rendered stacks are checked with it before any slide
     is read or rendered.
     """
     if n_slides < 3:
         raise ValueError("a stack needs at least 3 slides for the peak fit")
-    if not all(map(math.isfinite, (z_min, z_max, h))):
-        raise ValueError(f"z_min, z_max and h must be finite, "
+    if not all(map(math.isfinite, (z_min, z_max, z_max - z_min, h))):
+        raise ValueError(f"z_min, z_max, z_max - z_min and h must be finite, "
                          f"got {z_min}, {z_max}, {h}")
     if not z_max > z_min:
         raise ValueError(f"need z_max > z_min, got [{z_min}, {z_max}]")

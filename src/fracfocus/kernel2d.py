@@ -282,6 +282,11 @@ def _mirror_pad(slide: np.ndarray, zeta: int, space: dict) -> np.ndarray:
 _STRIP_SAMPLES = 2 ** 15
 
 
+def _strip_rows(width: int) -> int:
+    """Rows in a strip of ``width`` samples: ``_STRIP_SAMPLES``, or one."""
+    return max(1, _STRIP_SAMPLES // width)
+
+
 def _build_schedule(weights: np.ndarray, shape: tuple[int, int],
                     space: dict) -> list:
     """The ufunc calls of the pair-sum pass over a slide of ``shape``.
@@ -296,7 +301,7 @@ def _build_schedule(weights: np.ndarray, shape: tuple[int, int],
     """
     zeta = weights.shape[0] - 1
     height, width = shape
-    rows = max(1, _STRIP_SAMPLES // width)
+    rows = _strip_rows(width)
     span = min(rows, height) + 2 * zeta
     taps = [(a, np.flatnonzero(row)) for a, row in enumerate(weights)
             if row.any()]
@@ -360,7 +365,7 @@ def _correlate_slide(weights: np.ndarray, slide: np.ndarray,
     interpreter lock.  A workspace holds one schedule: another kernel, shape
     or strip size replaces it, and its buffers with it, so no scratch of an
     earlier pass stays alive.  The schedule never points into ``out``, which
-    may be a different buffer on each call.
+    may be a new buffer on each call, or ``slide``, as ``P`` is filled first.
     """
     key = (weights.tobytes(), slide.shape, _STRIP_SAMPLES)
     stored = space.get("schedule")

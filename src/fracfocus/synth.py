@@ -34,7 +34,7 @@ import numpy as np
 
 from . import kernel2d
 from .grids import DepthMap, FocalStack, check_stack_geometry
-from .kernel2d import _scratch
+from .kernel2d import _scratch, _strip_rows
 
 __all__ = ["BlurSpec", "SceneSpec", "ground_truth", "render_slides",
            "render_stack"]
@@ -152,13 +152,6 @@ def ground_truth(scene: SceneSpec, width: int, height: int,
 _NOISE_WAVES = 24
 
 
-def _strip_rows(width: int) -> int:
-    """Rows in a row strip of ``width`` samples: ``kernel2d._STRIP_SAMPLES``
-    samples, as the kernel pass's strips, so a strip's working arrays stay
-    in cache."""
-    return max(1, kernel2d._STRIP_SAMPLES // width)
-
-
 def _texture(scene: SceneSpec, width: int, height: int, h: float,
              margin: int) -> np.ndarray:
     """Texture in [0, 1] on the padded grid (margin ring included).
@@ -173,7 +166,7 @@ def _texture(scene: SceneSpec, width: int, height: int, h: float,
     only on its world coordinates and the seed, never on the grid or
     margin it is rendered into.
 
-    The grid is filled in row strips (:func:`_strip_rows`) on the slide
+    The grid is filled in row strips (``kernel2d._strip_rows``) on the slide
     pool of :mod:`kernel2d`, one item per strip, all queued at once.  Each
     sample goes through the same elementwise operations in the same order
     whatever its strip or worker, so the bits do not depend on either.
@@ -283,7 +276,7 @@ def _gather(tex: np.ndarray, margin: int, radius: np.ndarray,
 
     Its scratch buffers (``pairs``, ``ring``, ``group`` and, with more
     than one level, ``factors`` and the ``reach`` map) are workspace
-    buffers of ``space``, sized by a strip of :func:`_strip_rows` rows
+    buffers of ``space``, sized by a strip of ``kernel2d._strip_rows`` rows
     (or the block, if taller), the margin and the width, so a run of
     strips of one geometry allocates no array of a strip's size.
     """
@@ -359,7 +352,9 @@ def render_slides(scene: SceneSpec, blur: BlurSpec, width: int, height: int,
     padded by the maximum PSF radius, so border pixels blur into real
     texture rather than into an extrapolation artifact.  The arguments are
     checked, and the texture built (:func:`_texture`), when this is called,
-    before any slide is rendered.  The slides are rendered by the slide
+    before any slide is rendered: a scene whose heights miss [z_min, z_max]
+    or whose largest defocus (it sets the margin) overflows is refused.
+    The slides are rendered by the slide
     pool (``kernel2d._slide_pool``), one worker per usable CPU, into a ring
     of one buffer per worker plus one, so memory does not grow with
     ``n_slides``; a yielded slide may be overwritten once the next is
@@ -375,15 +370,16 @@ def render_slides(scene: SceneSpec, blur: BlurSpec, width: int, height: int,
             f"texture wavelength {scene.texture_wavelength} not resolvable "
             f"at spacing {h} (needs >= 2 h)"
         )
-    if scene.kind == "plane" and not z_min <= scene.height <= z_max:
-        raise ValueError(
-            f"plane height {scene.height} outside stack range [{z_min}, {z_max}]"
-        )
 
     truth = ground_truth(scene, width, height, h).values
-    max_defocus = float(np.max(np.maximum(np.abs(z_min - truth),
-                                          np.abs(z_max - truth))))
-    sigma_cap = blur.sigma0 * max_defocus
+    lowest, highest = float(truth.min()), float(truth.max())
+    if not (lowest <= z_max and z_min <= highest):
+        raise ValueError(f"scene heights [{lowest}, {highest}] outside stack "
+                         f"range [{z_min}, {z_max}]")
+    # The largest defocus of any pixel on any slide, in pixels.
+    sigma_cap = blur.sigma0 * max(highest - z_min, z_max - lowest)
+    if not math.isfinite(4.0 * sigma_cap):
+        raise ValueError(f"defocus of heights [{lowest}, {highest}] overflows")
     margin = min(blur.max_radius, int(math.ceil(4.0 * sigma_cap)))
     tex = _texture(scene, width, height, h, margin)
 

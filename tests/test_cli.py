@@ -117,6 +117,17 @@ class TestSynthCommand:
         (["--height", "2"], "outside stack range"),
         (["--wavelength", "0.2"], "not resolvable"),
         (["--slices", "2"], "at least 3 slides"),
+        # Every kind of scene must meet the stack range.
+        (["--scene", "ramp", "--ramp-lo", "5", "--ramp-hi", "6"],
+         "outside stack range"),
+        (["--scene", "sphere", "--radius", "5"], "outside stack range"),
+        (["--scene", "ramp", "--ramp-lo", "1e308", "--ramp-hi", "1e308"],
+         "outside stack range"),
+        # Meets the range, but its defocus overflows.
+        (["--scene", "ramp", "--ramp-lo", "0.5", "--ramp-hi", "1e308"],
+         "overflows"),
+        # Both ends finite, but not the width z_max - z_min.
+        (["--z-min=-1e308", "--z-max=1e308"], "must be finite"),
     ])
     def test_failed_checks_create_no_directory(self, tmp_path, capsys, bad,
                                                message):
@@ -280,17 +291,19 @@ class TestRecoverCommand:
         assert not (tmp_path / "d.csv").exists()
         assert threading.active_count() == threads
 
-    @pytest.mark.parametrize("field, value", [("n_slides", 2),
-                                              ("z_max", 0.0),
-                                              ("h", float("inf")),
-                                              ("z_min", float("-inf"))])
+    @pytest.mark.parametrize("field, value", [
+        ("n_slides", 2), ("z_max", 0.0), ("h", float("inf")),
+        ("z_min", float("-inf")),
+        # Both ends finite, but not the width z_max - z_min.
+        pytest.param(None, {"z_min": -1e308, "z_max": 1e308},
+                     id="range-width")])
     def test_bad_geometry_fails_before_any_slide(self, tmp_path, capsys,
                                                  field, value):
         stack_dir = tmp_path / "stack"
         stack_dir.mkdir()
         meta = {"z_min": 0.0, "z_max": 1.0, "n_slides": 3, "h": 0.1,
                 "width": 16, "height": 16, "lossless": True}
-        meta[field] = value
+        meta.update(value if field is None else {field: value})
         (stack_dir / "stack.json").write_text(json.dumps(meta))
         rc = main(["recover", "--stack", str(stack_dir), "--q", "2",
                    "--out", str(tmp_path / "d.csv")])

@@ -336,6 +336,27 @@ class TestFocusLayers:
         assert len(list(focus_layers(header, 2))) == 16
         assert peak[0] == 1
 
+    def test_worker_keeps_one_buffer_per_role(self, tmp_path, monkeypatch):
+        # With one worker and zeta = 4, a 256 x 256 stream peaks at about
+        # 10 slides' worth of buffers: the ring of two, the slide read, the
+        # two differences of the measure and the pass's padded, pairs,
+        # row_sum, term and total.  A separate local layer and a 2 f
+        # temporary would add two slides more.
+        rng = np.random.default_rng(24)
+        write_stack_dir(tmp_path, _random_stack(rng, n_slides=8, height=256,
+                                                width=256), lossless=True)
+        header = read_stack_header(tmp_path)
+        kernel = build_kernel(1.5, 4)
+        monkeypatch.setattr(kernel2d, "_usable_cpus", lambda: 1)
+        tracemalloc.start()
+        try:
+            for _ in focus_layers(header, 2, kernel):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 11 * 256 * 256 * 8
+
 
 def test_workspace_keeps_scratch_for_one_kernel_only():
     # A workspace passed through several reaches must hold the scratch of

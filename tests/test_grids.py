@@ -51,9 +51,13 @@ class TestFocalStack:
 
     @pytest.mark.parametrize("field, value", [
         ("z_min", -np.inf), ("z_max", np.inf), ("h", np.inf),
-        ("z_min", np.nan), ("h", np.nan)])
+        ("z_min", np.nan), ("h", np.nan),
+        # Both ends finite, but not the width z_max - z_min.
+        pytest.param(None, {"z_min": -1e308, "z_max": 1e308},
+                     id="range-width")])
     def test_rejects_non_finite_geometry(self, field, value):
-        geometry = {"z_min": 0.0, "z_max": 1.0, "h": 0.1, field: value}
+        geometry = {"z_min": 0.0, "z_max": 1.0, "h": 0.1,
+                    **(value if field is None else {field: value})}
         with pytest.raises(ValueError, match="finite"):
             FocalStack(np.zeros((3, 4, 4)), **geometry)
 

@@ -645,14 +645,17 @@ class TestStackDir:
         ("width", "3", "width must be a JSON int"),
         ("z_min", "0.5", "z_min must be a JSON int or float"),
         ("z_max", True, "z_max must be a JSON int or float"),
-        ("h", None, "h must be a JSON int or float")])
+        ("h", None, "h must be a JSON int or float"),
+        # Both ends finite, but not the width z_max - z_min.
+        pytest.param(None, {"z_min": -1e308, "z_max": 1e308},
+                     "must be finite", id="range-width-must be finite")])
     def test_bad_geometry_fails_before_any_slide(self, tmp_path, field,
                                                  value, message):
         # No slide files at all: the error must name stack.json, not a
         # missing slide.
         meta = {"z_min": 0.0, "z_max": 1.0, "n_slides": 3, "h": 0.1,
                 "width": 3, "height": 3, "lossless": True}
-        meta[field] = value
+        meta.update(value if field is None else {field: value})
         (tmp_path / "stack.json").write_text(json.dumps(meta))
         with pytest.raises(StackFormatError,
                            match=f"stack.json: .*{message}"):

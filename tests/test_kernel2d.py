@@ -320,6 +320,33 @@ def test_schedule_matches_the_strip_loop(calls, seed):
                    for array in _schedule_arrays(space))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 16), st.sampled_from([0.0, 0.5, 1.5, 2.0]),
+       st.integers(1, 40), st.integers(1, 40),
+       st.one_of(st.integers(1, 80), st.integers(1, 2**15)),
+       st.integers(0, 2**32 - 1))
+# A reach beyond both sides: the pad comes from np.pad.
+@example(16, 1.5, 3, 5, 7, 0)
+# Strips of 16, 16 and 8 rows.
+@example(3, 1.5, 40, 9, 144, 0)
+def test_pass_may_overwrite_its_input(zeta, alpha, height, width,
+                                      strip_samples, seed):
+    # focus.focus_layers passes each local layer in place: the slide must
+    # be read whole before the first strip of the output is written.
+    rng = np.random.default_rng(seed)
+    slide = rng.choice([0.0, 0.25, 1.0, 3.0], size=(height, width))
+    slide = np.where(rng.random((height, width)) < 0.5, slide,
+                     rng.random((height, width)))
+    weights = _cached_kernel(alpha, zeta).weights[zeta:, zeta:]
+    space = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel2d, "_STRIP_SAMPLES", strip_samples)
+        expected = np.full((height, width), np.nan)
+        kernel2d._correlate_slide(weights, slide, expected, space)
+        kernel2d._correlate_slide(weights, slide, slide, space)
+    assert np.array_equal(slide.view(np.uint64), expected.view(np.uint64))
+
+
 def test_schedule_holds_views_not_copies():
     # A schedule holds views of the workspace and scalar weights only, at
     # 512 x 512 and zeta = 8 eight strips of about 180 calls; one copy of a

@@ -281,14 +281,18 @@ class TestRenderStack:
 
     @pytest.mark.parametrize("field, value", [
         ("z_min", -np.inf), ("z_max", np.inf), ("h", np.inf),
-        ("h", np.nan)])
+        ("h", np.nan),
+        # Both ends finite, but not the width z_max - z_min.
+        pytest.param(None, {"z_min": -1e308, "z_max": 1e308},
+                     id="range-width")])
     def test_rejects_non_finite_geometry_before_rendering(self, monkeypatch,
                                                           field, value):
         def unreachable(*args):
             raise AssertionError("rendering started")
 
         monkeypatch.setattr(synth, "_gather", unreachable)
-        geometry = {**self.SMALL, field: value}
+        geometry = {**self.SMALL,
+                    **(value if field is None else {field: value})}
         with pytest.raises(ValueError, match="finite"):
             render_stack(self._plane(), BlurSpec(), **geometry)
 
@@ -302,6 +306,33 @@ class TestRenderStack:
         scene = self._plane(height=1.5)
         with pytest.raises(ValueError):
             render_stack(scene, BlurSpec(), **self.SMALL)
+
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(kind="ramp", ramp_lo=5.0, ramp_hi=6.0), "outside stack range"),
+        (dict(kind="ramp", ramp_lo=-2.0, ramp_hi=-1.0),
+         "outside stack range"),
+        (dict(kind="sphere", radius=5.0), "outside stack range"),
+        (dict(kind="ramp", ramp_lo=1e308, ramp_hi=1e308),
+         "outside stack range"),
+        # Meets the range, but sigma0 times its defocus overflows.
+        (dict(kind="ramp", ramp_lo=0.5, ramp_hi=1e308), "overflows")])
+    def test_rejects_any_scene_the_range_cannot_image(self, monkeypatch,
+                                                      overrides, message):
+        def unreachable(*args):
+            raise AssertionError("rendering started")
+
+        monkeypatch.setattr(synth, "_gather", unreachable)
+        with pytest.raises(ValueError, match=message):
+            render_slides(self._plane(**overrides), BlurSpec(), **self.SMALL)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(height=0.0), dict(height=1.0),
+        dict(kind="ramp", ramp_lo=-0.5, ramp_hi=0.0),
+        dict(kind="ramp", ramp_lo=1.0, ramp_hi=3.0)])
+    def test_scene_touching_the_range_renders(self, overrides):
+        stack = render_stack(self._plane(**overrides), BlurSpec(),
+                             **self.SMALL)
+        assert stack.data.shape == (5, 40, 40)
 
 
 class TestRenderSlides:
