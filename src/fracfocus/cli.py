@@ -19,8 +19,7 @@ from .depth import PeakSearch, parabolic_peak, recover_depth
 from .evaluate import axis_profile, comparison_table, rms_error_percent
 from .focus import focus_layers, local_focus_volume, nonlocalize_volume
 from .io import (StackFormatError, StackHeader, read_depth_csv,
-                 read_stack_dir, read_stack_header, write_depth_csv,
-                 write_stack)
+                 read_stack_header, write_depth_csv, write_stack)
 from .kernel2d import build_kernel, kernel_frequency_response
 from .synth import (BlurSpec, SceneSpec, ground_truth, render_slides,
                     render_stack)
@@ -131,8 +130,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.table is not None:
         if args.stack is None:
             raise ValueError("--table needs --stack to rerun the pipelines")
-        stack = read_stack_dir(args.stack)
-        table = comparison_table(stack, truth, args.q, args.alphas, args.zetas)
+        table = comparison_table(read_stack_header(args.stack), truth,
+                                 args.q, args.alphas, args.zetas)
         Path(args.table).write_text(table.format(), encoding="ascii")
         payload["table"] = {
             "q": table.q,

@@ -8,15 +8,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import kernel2d
 from .depth import PeakSearch
-from .focus import (_check_step, _modified_laplacian_into,
-                    _nonlocal_layer_into, local_focus_volume)
+from .focus import (_check_step, _focus_layer_into, _nonlocal_layer_into,
+                    local_focus_volume)
 from .grids import DepthMap, FocalStack, check_focus_values
 from .kernel2d import _scratch, build_kernel
+
+if TYPE_CHECKING:
+    from .io import StackHeader
 
 __all__ = [
     "ComparisonTable",
@@ -140,45 +144,51 @@ class ComparisonTable:
         return "\n".join(lines) + "\n"
 
 
-def comparison_table(stack: FocalStack, truth: DepthMap, q: int,
+def comparison_table(source: FocalStack | StackHeader, truth: DepthMap,
+                     q: int,
                      alphas: tuple[float, ...] = (0.0, 0.5, 1.0, 1.5, 2.0),
                      zetas: tuple[int, ...] = (1, 2, 3, 4),
                      local_strides: tuple[int, ...] | None = None,
                      ) -> ComparisonTable:
     """Run the local and nonlocal pipelines over a parameter grid.
 
-    Cell (zeta, alpha) is the error of ``recover_depth`` on
-    ``nonlocalize_volume(local_focus_volume(stack, q), build_kernel(alpha,
+    ``source`` is a slide source (see :mod:`fracfocus.focus`): a FocalStack
+    in memory, or the StackHeader of a stack directory, whose slides are
+    then read on the workers and never held all at once.  Cell (zeta,
+    alpha) is the error of ``recover_depth`` on
+    ``nonlocalize_volume(local_focus_volume(source, q), build_kernel(alpha,
     zeta))``, and the local entry at stride q' that of ``recover_depth`` on
-    ``local_focus_volume(stack, q')``, bit for bit.  ``local_strides``
+    ``local_focus_volume(source, q')``, bit for bit.  ``local_strides``
     defaults to the zeta list, giving the customary side-by-side column of
-    local errors at q' = zeta.  The depth range is the stack's, which every
+    local errors at q' = zeta.  The depth range is the source's, which every
     recovered map carries.
 
-    The local volume at stride q, the base, is computed once.  Every other
-    cell is one item of the slide pool (``kernel2d._slide_pool``): one
-    worker runs all slides of the cell in order, each a kernel pass of the
-    base's slide plus the zero frame (or the local measure at q'), checked
-    like a FocusVolume and pushed into the cell's own :class:`PeakSearch`,
-    and then scores the cell's depth map against the truth, so no cell
-    allocates a volume, no depth map leaves its worker and no cell's bits
-    depend on the CPU count.  The alpha = 0 cells and the local entry at
-    q' = q are the search of the base itself, since the delta kernel
-    returns an exact copy.  Every kernel is built, every stride and the
-    truth's grid checked before the first pass.
+    The local volume at stride q, the base, is computed once, on the slide
+    pool; it is the one volume the table holds.  Every other cell is one
+    item of the slide pool (``kernel2d._slide_pool``): one worker runs all
+    slides of the cell in order, each a kernel pass of the base's slide
+    plus the zero frame (or a read of the slide and the local measure at
+    q'), checked like a FocusVolume and pushed into the cell's own
+    :class:`PeakSearch`, and then scores the cell's depth map against the
+    truth, so no cell allocates a volume, no depth map leaves its worker
+    and no cell's bits depend on the CPU count.  The alpha = 0 cells and
+    the local entry at q' = q are the search of the base itself, since the
+    delta kernel returns an exact copy.  Every kernel is built, every
+    stride and the truth's grid checked before the first slide is read.
     """
     if not alphas or not zetas:
         raise ValueError("alphas and zetas must be non-empty")
     if local_strides is None:
         local_strides = zetas
+    shape = (source.height, source.width)
     for stride in local_strides:
-        _check_step(stack.data.shape, stride)
-    if truth.values.shape != stack.data.shape[1:]:
-        raise ValueError(f"shape mismatch: stack slides "
-                         f"{stack.data.shape[1:]}, truth {truth.values.shape}")
+        _check_step(shape, stride)
+    if truth.values.shape != shape:
+        raise ValueError(f"shape mismatch: stack slides {shape}, "
+                         f"truth {truth.values.shape}")
     kernels = {(zeta, float(alpha)): build_kernel(alpha, zeta)
                for zeta in zetas for alpha in alphas}
-    base = local_focus_volume(stack, q)
+    base = local_focus_volume(source, q)
 
     # One peak search per source of layers: None for the base's own slides,
     # a (zeta, alpha) key for their pass with that kernel, a stride q' for
@@ -186,38 +196,37 @@ def comparison_table(stack: FocalStack, truth: DepthMap, q: int,
     # (table key, depth-map parameters).
     searches: dict = {}
     for key, kernel in kernels.items():
-        source = None if kernel.alpha == 0.0 else key
-        searches.setdefault(source, []).append(
+        layers = None if kernel.alpha == 0.0 else key
+        searches.setdefault(layers, []).append(
             (key, {"q": q, "alpha": kernel.alpha, "zeta": kernel.zeta}))
     for stride in local_strides:
-        source = None if stride == q else stride
-        searches.setdefault(source, []).append((stride, {"q": stride}))
-    sources = list(searches)
+        layers = None if stride == q else stride
+        searches.setdefault(layers, []).append((stride, {"q": stride}))
+    cells = list(searches)
 
     def work(i: int, slot: list, space: dict) -> None:
-        source = sources[i]
-        kernel = kernels.get(source)
+        cell = cells[i]
+        kernel = kernels.get(cell)
         search = PeakSearch()
-        layer = _scratch(space, "layer", base.data.shape[1:])
+        layer = _scratch(space, "layer", shape)
         for k, local in enumerate(base.data):
-            if source is None:
+            if cell is None:
                 search.push(local)
                 continue
             if kernel is not None:
                 _nonlocal_layer_into(layer, local, kernel, q, space)
+                check_focus_values(layer)
             else:
-                _modified_laplacian_into(layer, stack.data[k], source,
-                                         stack.h, space)
-            check_focus_values(layer)
+                _focus_layer_into(layer, source, k, cell, space)
             search.push(layer)
         slot[:] = [(key, rms_error_percent(
                         search.depth_map(z_min=base.z_min, z_max=base.z_max,
                                          h=base.h, **params), truth))
-                   for key, params in searches[source]]
+                   for key, params in searches[cell]]
 
     reports = {}
-    ring = [[] for _ in sources]
-    for slot in kernel2d._slide_pool(len(sources), work, ring):
+    ring = [[] for _ in cells]
+    for slot in kernel2d._slide_pool(len(cells), work, ring):
         reports.update(slot)
     return ComparisonTable(q=q, alphas=tuple(float(a) for a in alphas),
                            zetas=tuple(zetas),

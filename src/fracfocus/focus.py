@@ -2,21 +2,29 @@
 
 The local measure at step q is the sum of absolute second differences at
 stride q in x and y, scaled by 1/(q h)^2, zero on a border frame of width
-q.  A focus volume is one (n_slides, height, width) array: the local
-measure is written into it slide by slide, and each nonlocal layer is the
-kernel pass over its local layer (``kernel2d._correlate_slide``, a
-separable pair-sum pass in which equal windows give equal bits, so exact
-ties between slides survive) followed by re-imposing the zero frame.  Local
-and nonlocal volumes therefore share the same support, and order 0 reduces
-bit-exactly to the local measure.
+q, computed in row strips with strip-sized temporaries.  A focus volume is
+one (n_slides, height, width) array: the local measure is written into it
+slide by slide, and each nonlocal layer is the kernel pass over its local
+layer (``kernel2d._correlate_slide``, a separable pair-sum pass in which
+equal windows give equal bits, so exact ties between slides survive)
+followed by re-imposing the zero frame.  Local and nonlocal volumes
+therefore share the same support, and order 0 reduces bit-exactly to the
+local measure.
 
-The slide pool of :mod:`kernel2d` runs :func:`_nonlocal_layer_into` over a
-volume (:func:`nonlocalize_volume`) and, after the read and the local
-measure, over a stack directory (:func:`focus_layers`), whose layers come
-back in slide order from a ring: ``recover`` holds O(CPUs * height * width)
-values, not O(n_slides * height * width), and the pass overwrites each
-local layer in its ring buffer.  Each slide's layer is bitwise the same on
-either path, because every step acts on each slide alone.
+Slides come from a slide source: a :class:`~fracfocus.io.StackHeader`,
+which reads each slide from its stack directory, or a
+:class:`~fracfocus.grids.FocalStack`, which copies it from memory.  Both
+give ``n_slides``, ``height``, ``width``, ``z_min``, ``z_max``, ``h``,
+``read_slide(k, out)`` and ``empty(n)``.  The slide pool of
+:mod:`kernel2d` runs read, local measure and check
+(:func:`_focus_layer_into`) over a source, into a volume
+(:func:`local_focus_volume`) or, with the pass, into a ring whose layers
+come back in slide order (:func:`focus_layers`): ``recover`` holds
+O(CPUs * height * width) values, not O(n_slides * height * width), and the
+pass overwrites each local layer in its ring buffer.  It also runs
+:func:`_nonlocal_layer_into` over a volume (:func:`nonlocalize_volume`).
+Each slide's layer is bitwise the same on every path, because every step
+acts on each slide alone.
 """
 
 from __future__ import annotations
@@ -54,47 +62,81 @@ def _check_step(shape: tuple[int, ...], q: int) -> None:
 def _modified_laplacian_into(out: np.ndarray, f: np.ndarray, q: int,
                              h: float, space: dict) -> None:
     """Write the stride-q measure of slide ``f`` into ``out``, zero frame
-    included.
+    included; ``out`` must not be ``f``.
 
-    The two temporaries are the workspace ``space``'s, allocated once and
-    contiguous (accumulating in ``out`` made each call 20-45% slower);
-    ``d2y`` holds 2 f until the y differences need it.
+    In row strips of ``kernel2d._strip_rows(width)`` rows, as the kernel
+    pass: the two temporaries are strip-sized buffers of the workspace
+    ``space``, allocated once and contiguous (accumulating in ``out`` made
+    each call 20-45% slower), and ``d2y`` holds 2 f until the y
+    differences need it.  Every sample gets the same ufuncs in the same
+    order on any strip height, so the bits do not depend on it
+    (``tests/laplacian_reference.py`` is the whole-slide version).
     """
     scale = 1.0 / (q * h) ** 2
-    shape = (f.shape[0] - 2 * q, f.shape[1] - 2 * q)
-    d2x, d2y = (_scratch(space, name, shape) for name in ("d2x", "d2y"))
-    # d2x = f[q:-q, 2q:] - 2 f[q:-q, q:-q] + f[q:-q, :-2q], d2y likewise,
-    # and out = (|d2x| + |d2y|) * scale, one rounding step at a time.
-    np.multiply(f[q:-q, q:-q], 2.0, out=d2y)
-    np.subtract(f[q:-q, 2 * q:], d2y, out=d2x)
-    np.add(d2x, f[q:-q, :-2 * q], out=d2x)
-    np.subtract(f[2 * q:, q:-q], d2y, out=d2y)
-    np.add(d2y, f[:-2 * q, q:-q], out=d2y)
-    np.abs(d2x, out=d2x)
-    np.abs(d2y, out=d2y)
-    np.add(d2x, d2y, out=d2x)
-    np.multiply(d2x, scale, out=out[q:-q, q:-q])
+    height, width = f.shape
+    rows = min(kernel2d._strip_rows(width), height - 2 * q)
+    d2x, d2y = (_scratch(space, name, (rows, width - 2 * q))
+                for name in ("d2x", "d2y"))
+    for top in range(q, height - q, rows):
+        n = min(rows, height - q - top)
+        dx, dy = d2x[:n], d2y[:n]
+        strip = f[top:top + n]
+        # dx = f[:, 2q:] - 2 f[:, q:-q] + f[:, :-2q] on the strip's rows,
+        # dy likewise q rows down and up, and out = (|dx| + |dy|) * scale,
+        # one rounding step at a time.
+        np.multiply(strip[:, q:-q], 2.0, out=dy)
+        np.subtract(strip[:, 2 * q:], dy, out=dx)
+        np.add(dx, strip[:, :-2 * q], out=dx)
+        np.subtract(f[top + q:top + q + n, q:-q], dy, out=dy)
+        np.add(dy, f[top - q:top - q + n, q:-q], out=dy)
+        np.abs(dx, out=dx)
+        np.abs(dy, out=dy)
+        np.add(dx, dy, out=dx)
+        np.multiply(dx, scale, out=out[top:top + n, q:-q])
     _zero_frame(out, q)
 
 
-def local_focus_volume(stack: FocalStack, q: int) -> FocusVolume:
-    """Local modified-Laplacian focus measure for every slide of a stack.
+def _focus_layer_into(out: np.ndarray, source: FocalStack | StackHeader,
+                      k: int, q: int, space: dict,
+                      kernel: Kernel | None = None) -> None:
+    """Read slide k of ``source`` and write its focus measure into ``out``.
+
+    The local measure at step q, then, given a kernel, the nonlocal one,
+    checked like a FocusVolume (finite, non-negative).  The slide is read
+    into the workspace buffer ``slide`` of ``space``, and the pass
+    overwrites the local measure in ``out``.
+    """
+    slide = _scratch(space, "slide", out.shape)
+    source.read_slide(k, slide)
+    _modified_laplacian_into(out, slide, q, source.h, space)
+    if kernel is not None:
+        _nonlocal_layer_into(out, out, kernel, q, space)
+    check_focus_values(out)
+
+
+def local_focus_volume(source: FocalStack | StackHeader,
+                       q: int) -> FocusVolume:
+    """Local modified-Laplacian focus measure for every slide of a source.
 
     Each slide f gets |d2x| + |d2y| at stride q: interior pixels get
     |f[j, i+q] - 2 f[j, i] + f[j, i-q]| / (q h)^2 plus the same expression
     along rows, and the frame of width q where the stencil would leave the
-    grid is exactly zero.  Raises ValueError for q < 1 or slides with no
-    pixel inside the frame.
+    grid is exactly zero.  ``source`` is a FocalStack or a StackHeader;
+    each slide is one item of the slide pool, read and measured straight
+    into its layer of the volume.  Raises ValueError for q < 1 or slides
+    with no pixel inside the frame, before any slide is read; a failing
+    slide raises when it is due, so the lowest-numbered one is named.
     """
-    _check_step(stack.data.shape, q)
-    data = np.empty(stack.data.shape)
-    # Slide by slide: a whole-stack expression would hold several
-    # volume-sized temporaries at once.
-    space: dict = {}
-    for f, layer in zip(stack.data, data):
-        _modified_laplacian_into(layer, f, q, stack.h, space)
-    return FocusVolume(data, q=q, z_min=stack.z_min, z_max=stack.z_max,
-                       h=stack.h)
+    _check_step((source.height, source.width), q)
+    data = source.empty(source.n_slides)
+
+    def work(k: int, out: np.ndarray, space: dict) -> None:
+        _focus_layer_into(out, source, k, q, space)
+
+    for _ in kernel2d._slide_pool(source.n_slides, work, data):
+        pass
+    return FocusVolume(data, q=q, z_min=source.z_min, z_max=source.z_max,
+                       h=source.h)
 
 
 def _zero_frame(layers: np.ndarray, q: int) -> None:
@@ -117,9 +159,9 @@ def _nonlocal_layer_into(out: np.ndarray, local: np.ndarray, kernel: Kernel,
     _zero_frame(out, q)
 
 
-def focus_layers(header: StackHeader, q: int,
+def focus_layers(source: FocalStack | StackHeader, q: int,
                  kernel: Kernel | None = None) -> Iterator[np.ndarray]:
-    """Yield the focus measure of each slide of a stack directory, in order.
+    """Yield the focus measure of each slide of a source, in order.
 
     The local measure at step q, then, given a kernel, the nonlocal one.
     Each slide is read, measured, passed and checked like a FocusVolume
@@ -129,23 +171,18 @@ def focus_layers(header: StackHeader, q: int,
     stays O(CPUs * height * width) however many slides there are; the
     pass overwrites the local measure there.  The step and the slide shape
     are checked when this is called, before any slide is read; a failing
-    slide raises when it is due, so the lowest-numbered one is named.  A yielded layer is bitwise that slide's layer of
-    ``local_focus_volume`` or ``nonlocalize_volume`` on the whole stack; it
-    may be overwritten once the next is requested.
+    slide raises when it is due, so the lowest-numbered one is named.  A
+    yielded layer is bitwise that slide's layer of ``local_focus_volume``
+    or ``nonlocalize_volume`` on the whole stack; it may be overwritten
+    once the next is requested.
     """
-    _check_step((header.height, header.width), q)
-    shape = (header.height, header.width)
-    ring = header.empty(kernel2d._ring_length(header.n_slides))
+    _check_step((source.height, source.width), q)
+    ring = source.empty(kernel2d._ring_length(source.n_slides))
 
     def work(k: int, out: np.ndarray, space: dict) -> None:
-        slide = _scratch(space, "slide", shape)
-        header.read_slide(k, slide)
-        _modified_laplacian_into(out, slide, q, header.h, space)
-        if kernel is not None:
-            _nonlocal_layer_into(out, out, kernel, q, space)
-        check_focus_values(out)
+        _focus_layer_into(out, source, k, q, space, kernel)
 
-    return kernel2d._slide_pool(header.n_slides, work, ring)
+    return kernel2d._slide_pool(source.n_slides, work, ring)
 
 
 def nonlocalize_volume(volume: FocusVolume, kernel: Kernel) -> FocusVolume:

@@ -69,7 +69,10 @@ def check_focus_values(data: np.ndarray) -> None:
 class FocalStack:
     """Slides of one scene at uniformly spaced focal distances.
 
-    Slide k of n sits at z_k = z_min + k * (z_max - z_min) / (n - 1).
+    Slide k of n sits at z_k = z_min + k * (z_max - z_min) / (n - 1).  A
+    FocalStack is a slide source, like ``io.StackHeader``: it gives the
+    geometry, ``read_slide`` and ``empty``, so the pipelines that read a
+    stack directory slide by slide read one held in memory the same way.
     """
 
     data: np.ndarray  # (n_slides, height, width)
@@ -85,6 +88,26 @@ class FocalStack:
         check_stack_geometry(data.shape[0], self.z_min, self.z_max, self.h)
         if finite_min(data) is None:
             raise ValueError("slide values must be finite")
+
+    @property
+    def n_slides(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def height(self) -> int:
+        return self.data.shape[1]
+
+    @property
+    def width(self) -> int:
+        return self.data.shape[2]
+
+    def empty(self, n_slides: int) -> np.ndarray:
+        """An uninitialized float64 buffer for ``n_slides`` slides."""
+        return np.empty((n_slides, self.height, self.width))
+
+    def read_slide(self, k: int, out: np.ndarray) -> None:
+        """Copy slide ``k`` into ``out``, a (height, width) float64 array."""
+        out[...] = self.data[k]
 
 
 @dataclass(frozen=True)

@@ -73,6 +73,11 @@ class SceneSpec:
         if not math.isfinite(self.radius * self.radius):
             raise ValueError("radius must be finite, and so must its square, "
                              f"got {self.radius}")
+        # ground_truth scales the ramp's rise, ramp_hi - ramp_lo.
+        if not math.isfinite(self.ramp_hi - self.ramp_lo):
+            raise ValueError("ramp_lo and ramp_hi must be finite, and so must "
+                             f"ramp_hi - ramp_lo, got {self.ramp_lo}, "
+                             f"{self.ramp_hi}")
         if self.kind not in _SCENE_KINDS:
             raise ValueError(f"unknown scene kind {self.kind!r}, "
                              f"expected one of {_SCENE_KINDS}")

@@ -18,8 +18,8 @@ from fracfocus.depth import recover_depth
 from fracfocus.evaluate import comparison_table
 from fracfocus.focus import local_focus_volume, nonlocalize_volume
 from fracfocus.grids import FocalStack
-from fracfocus.io import (read_depth_csv, read_stack_dir, write_depth_csv,
-                          write_stack_dir)
+from fracfocus.io import (StackHeader, read_depth_csv, read_stack_dir,
+                          write_depth_csv, write_stack_dir)
 from fracfocus.kernel2d import build_kernel
 
 SMALL_SYNTH = ["synth", "--scene", "plane", "--size", "16", "--slices", "5",
@@ -145,6 +145,9 @@ class TestSynthCommand:
         (["--scene", "ramp", "--ramp-hi", "inf"], "ramp_hi"),
         # Finite, but ground_truth would square it.
         (["--scene", "sphere", "--radius", "1e308"], "radius"),
+        # Finite ends, but ground_truth would scale their difference.
+        (["--scene", "ramp", "--ramp-lo=-1e308", "--ramp-hi", "1e308"],
+         "ramp_hi"),
     ])
     def test_non_finite_scene_is_a_clean_error(self, tmp_path, capsys, bad,
                                                field):
@@ -154,6 +157,21 @@ class TestSynthCommand:
         err = capsys.readouterr().err
         assert "fracfocus: error:" in err and f"{field} must be finite" in err
         assert not out.exists()
+
+    def test_overflowing_ramp_rise_warns_nothing(self, tmp_path):
+        # In a fresh interpreter, where numpy's warnings reach stderr.
+        proc = subprocess.run(
+            [sys.executable, "-m", "fracfocus", "synth", "--scene", "ramp",
+             "--ramp-lo=-1e308", "--ramp-hi", "1e308", "--size", "16",
+             "--slices", "3", "--wavelength", "0.5",
+             "--out", str(tmp_path / "stack")],
+            env=dict(os.environ,
+                     PYTHONPATH=str(Path(fracfocus.__file__).parents[1])),
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "fracfocus: error:" in proc.stderr
+        assert "Warning" not in proc.stderr
+        assert not (tmp_path / "stack").exists()
 
     def test_outputs_do_not_depend_on_worker_count(self, tmp_path,
                                                    monkeypatch):
@@ -400,6 +418,32 @@ def test_recover_memory_does_not_grow_with_the_stack(plane_stacks_128,
     assert large <= small + 2 ** 20, (small, large)
 
 
+def test_table_holds_one_volume_not_the_stack(plane_stacks_128, tmp_path,
+                                              monkeypatch):
+    """eval --table reads the slides on its workers: beyond the base local
+    volume, it holds no stack-sized array, so the traced peak stays well
+    below two volumes: 1.41 here, where loading the stack next to the base
+    made it 2.39.  One worker, as for recover above."""
+    monkeypatch.setattr(kernel2d, "_usable_cpus", lambda: 1)
+
+    def argv(n):
+        stack = plane_stacks_128[n]
+        depth = tmp_path / f"d{n}.csv"
+        assert main(["recover", "--stack", str(stack), "--q", "4",
+                     "--out", str(depth)]) == 0
+        return ["eval", "--depth", str(depth),
+                "--truth", str(stack / "truth.csv"),
+                "--report", str(tmp_path / f"r{n}.json"),
+                "--table", str(tmp_path / f"t{n}.csv"), "--stack", str(stack),
+                "--q", "4"]
+
+    # Warm-up: lazy imports and cached kernel rules stay out of the peak.
+    assert main(argv(8)) == 0
+    volume = 64 * 128 * 128 * 8
+    peak = _recover_peak_bytes(argv(64))
+    assert peak < 1.6 * volume, peak / volume
+
+
 class TestEvalCommand:
 
     def test_report_shows_small_plane_error(self, plane_dir, depth_csv,
@@ -502,6 +546,57 @@ class TestEvalCommand:
                    "--table", str(tmp_path / "t.csv")])
         assert rc == 1
         assert "--stack" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_table_names_the_first_bad_slide(self, tmp_path, capsys,
+                                             monkeypatch, cpus):
+        stack_dir = tmp_path / "stack"
+        synth = [a if a != "5" else "8" for a in SMALL_SYNTH]
+        assert main(synth + ["--out", str(stack_dir)]) == 0
+        depth = tmp_path / "d.csv"
+        assert main(["recover", "--stack", str(stack_dir), "--q", "2",
+                     "--out", str(depth)]) == 0
+        (stack_dir / "slide_003.npy").unlink()
+        slide = stack_dir / "slide_005.npy"
+        slide.write_bytes(slide.read_bytes()[:-100])
+        monkeypatch.setattr(kernel2d, "_usable_cpus", lambda: cpus)
+        threads = threading.active_count()
+        rc = main(["eval", "--depth", str(depth),
+                   "--truth", str(stack_dir / "truth.csv"),
+                   "--report", str(tmp_path / "r.json"),
+                   "--table", str(tmp_path / "t.csv"),
+                   "--stack", str(stack_dir), "--q", "2", "--zetas", "1,2"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "slide_003.npy: missing" in err and "slide_005" not in err
+        assert not (tmp_path / "t.csv").exists()
+        assert not (tmp_path / "r.json").exists()
+        assert threading.active_count() == threads
+
+    def test_table_checks_truth_before_any_slide(self, plane_dir, depth_csv,
+                                                 tmp_path, capsys,
+                                                 monkeypatch):
+        # The depth map and the truth agree with each other (48 x 48), not
+        # with the 16 x 16 stack.
+        stack_dir = tmp_path / "stack"
+        assert main(SMALL_SYNTH + ["--out", str(stack_dir)]) == 0
+        opened = []
+        original = StackHeader.read_slide
+
+        def counted(self, k, out):
+            opened.append(k)
+            original(self, k, out)
+
+        monkeypatch.setattr(StackHeader, "read_slide", counted)
+        rc = main(["eval", "--depth", str(depth_csv),
+                   "--truth", str(plane_dir / "truth.csv"),
+                   "--report", str(tmp_path / "r.json"),
+                   "--table", str(tmp_path / "t.csv"),
+                   "--stack", str(stack_dir)])
+        assert rc == 1
+        assert "shape mismatch" in capsys.readouterr().err
+        assert opened == []
+        assert not (tmp_path / "t.csv").exists()
 
     @pytest.mark.parametrize("sidecar", ['{"z_min": "0", "z_max": 1}',
                                          '{"z_min": 0, "z_max": Infinity}'])

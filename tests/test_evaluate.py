@@ -17,6 +17,7 @@ from fracfocus.evaluate import (EmptyMaskError, ComparisonTable, ErrorReport,
                                 rms_error_percent)
 from fracfocus.focus import local_focus_volume, nonlocalize_volume
 from fracfocus.grids import DepthMap, FocalStack
+from fracfocus.io import read_stack_dir, read_stack_header, write_stack_dir
 from fracfocus.kernel2d import build_kernel
 from fracfocus.synth import SceneSpec, ground_truth
 from table_reference import reference_table
@@ -322,6 +323,26 @@ def test_table_cells_under_thread_stress(monkeypatch, small_plane):
     finally:
         sys.setswitchinterval(interval)
     assert got == want
+
+
+@pytest.mark.parametrize("lossless", [False, True], ids=["pgm", "npy"])
+def test_table_from_stack_directory_matches_loaded_stack(tmp_path,
+                                                         small_plane,
+                                                         lossless):
+    """A stack directory's header as the slide source gives the table of
+    the stack loaded whole, report for report, for any CPU count."""
+    write_stack_dir(tmp_path, small_plane.stack, lossless=lossless)
+    header, stack = read_stack_header(tmp_path), read_stack_dir(tmp_path)
+    params = (small_plane.truth, 2, (0.0, 1.5, 2.0), (3, 1), (1, 2, 4))
+    want = reference_table(stack, *params)
+    for cpus in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernel2d, "_usable_cpus", lambda: cpus)
+            for source in (header, stack):
+                got = comparison_table(source, *params)
+                assert list(got.grid.items()) == list(want.grid.items())
+                assert list(got.local.items()) == list(want.local.items())
+                assert got == want
 
 
 def test_table_holds_no_volume_per_cell(monkeypatch):

@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 from fracfocus import kernel2d
 from fracfocus.focus import (
+    _modified_laplacian_into,
     _nonlocal_layer_into,
     focus_layers,
     local_focus_volume,
@@ -23,6 +24,7 @@ from fracfocus.grids import FocalStack, FocusVolume
 from fracfocus.io import StackHeader, read_stack_header, write_stack_dir
 from fracfocus.kernel2d import build_kernel
 
+from laplacian_reference import reference_modified_laplacian_into
 from pass_reference import reference_correlate_slide
 
 
@@ -105,6 +107,44 @@ class TestLocalModifiedLaplacian:
         # Compare away from both the frame and the wrap-around columns.
         assert np.array_equal(out_shift[:, q:-q, q + 3:-q],
                               out_base[:, q:-q, q:-q - 3])
+
+
+@st.composite
+def _laplacian_case(draw):
+    """A slide, a step q up to its limit (one interior row or column) and a
+    strip size from one-row strips to more rows than the slide has."""
+    q = draw(st.integers(1, 4))
+    height = draw(st.integers(2 * q + 1, 2 * q + 40))
+    width = draw(st.integers(2 * q + 1, 2 * q + 12))
+    slide = draw(arrays(np.float64, (height, width),
+                        elements=st.floats(-1e3, 1e3) | st.sampled_from(
+                            [0.0, 0.25, 1.0])))
+    strip_samples = draw(st.integers(1, 2 * height * width))
+    h = draw(st.sampled_from([1.0, 0.25, 0.0937]))
+    return slide, q, h, strip_samples
+
+
+@settings(max_examples=150, deadline=None)
+@given(_laplacian_case())
+def test_strips_match_whole_slide_measure(case):
+    """The row strips of the local measure give the whole-slide bits for
+    any strip height: uneven last strips, one-row strips and a one-row
+    interior (q at its limit) included.  A workspace used on another
+    shape first must not leak into the result."""
+    slide, q, h, strip_samples = case
+    want = np.full(slide.shape, np.nan)
+    reference_modified_laplacian_into(want, slide, q, h)
+    space = {}
+    got = np.full(slide.shape, np.nan)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel2d, "_STRIP_SAMPLES", strip_samples)
+        _modified_laplacian_into(np.empty((9, 9)), np.ones((9, 9)), 1, 1.0,
+                                 space)
+        _modified_laplacian_into(got, slide, q, h, space)
+    assert np.array_equal(got, want)
+    rows = max(1, strip_samples // slide.shape[1])
+    assert space["d2x"].shape == (min(rows, slide.shape[0] - 2 * q),
+                                  slide.shape[1] - 2 * q)
 
 
 class TestLocalFocusVolume:

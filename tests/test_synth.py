@@ -67,6 +67,17 @@ class TestSceneSpec:
         assert truth.valid.all()
         assert np.allclose(truth.values, 1e154, rtol=1e-15, atol=0)
 
+    def test_rejects_ramp_whose_rise_overflows(self):
+        # ground_truth scales the rise ramp_hi - ramp_lo; the widest finite
+        # rise is accepted and gives a finite height field.
+        for kind in ("sphere", "plane", "ramp"):
+            with pytest.raises(ValueError,
+                               match="and so must ramp_hi - ramp_lo"):
+                SceneSpec(kind=kind, ramp_lo=-1e308, ramp_hi=1e308)
+        truth = ground_truth(SceneSpec(kind="ramp", ramp_lo=-8e307,
+                                       ramp_hi=8e307), 5, 5, 0.5)
+        assert truth.values[0, 0] == -8e307 and truth.values[-1, 0] == 8e307
+
 
 class TestBlurSpec:
     def test_defaults(self):
