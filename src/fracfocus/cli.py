@@ -1,8 +1,9 @@
 """Command-line driver: synthesize stacks, recover depth, evaluate, dump kernels.
 
-Subcommands: kernel, synth, recover, eval, selftest.  All output files are
-deterministic given the arguments and seed; rerunning a command reproduces
-its outputs byte for byte.
+Subcommands: kernel, synth, recover, eval.  synth, recover and eval stream
+stack directories slide by slide, and none holds a whole stack.  All output
+files are deterministic given the arguments and seed; rerunning a command
+reproduces its outputs byte for byte.
 """
 
 from __future__ import annotations
@@ -13,16 +14,13 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from .depth import PeakSearch, parabolic_peak, recover_depth
+from .depth import PeakSearch
 from .evaluate import axis_profile, comparison_table, rms_error_percent
-from .focus import focus_layers, local_focus_volume, nonlocalize_volume
+from .focus import focus_layers
 from .io import (StackFormatError, StackHeader, read_depth_csv,
                  read_stack_header, write_depth_csv, write_stack)
-from .kernel2d import build_kernel, kernel_frequency_response
-from .synth import (BlurSpec, SceneSpec, ground_truth, render_slides,
-                    render_stack)
+from .kernel2d import build_kernel
+from .synth import BlurSpec, SceneSpec, ground_truth, render_slides
 
 __all__ = ["main"]
 
@@ -159,60 +157,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_selftest(args: argparse.Namespace) -> int:
-    failures = 0
-
-    def check(name: str, ok: bool, detail: str = "") -> None:
-        nonlocal failures
-        if ok:
-            print(f"ok: {name}")
-        else:
-            failures += 1
-            print(f"FAIL: {name}" + (f" ({detail})" if detail else ""))
-
-    scene = SceneSpec(kind="plane", height=0.5, texture_wavelength=0.3,
-                      seed=11)
-    blur = BlurSpec(sigma0=3.0)
-    size = 48
-    h = 2.0 / (size - 1)
-    stack = render_stack(scene, blur, size, size, 9, 0.0, 1.0, h)
-    base = local_focus_volume(stack, 3)
-
-    smoothed = nonlocalize_volume(base, build_kernel(0.0, 2))
-    check("delta kernel is the identity",
-          np.array_equal(smoothed.data, base.data))
-
-    vertex = 0.37
-    rho = [5.0 - (z - vertex) ** 2 for z in (-1.0, 0.0, 1.0)]
-    fit = parabolic_peak(rho[0], rho[1], rho[2])
-    err = abs(fit.offset - vertex)
-    check("parabolic fit recovers a true vertex", err <= 1e-12, f"err={err:g}")
-
-    unit = build_kernel(1.0, 4)
-    response = [kernel_frequency_response(unit, k, 0.0)
-                for k in (np.pi / 8, np.pi / 4, np.pi / 2, np.pi)]
-    check("smoothing kernel damps high frequencies",
-          all(a > b for a, b in zip(response, response[1:])))
-
-    depth_map = recover_depth(nonlocalize_volume(base, build_kernel(1.5, 4)))
-    truth = ground_truth(scene, size, size, h)
-    report = rms_error_percent(depth_map, truth, 1.0)
-    check("plane pipeline end to end", report.rms_percent <= 2.0,
-          f"rms={report.rms_percent:.3f}%")
-
-    scaled = recover_depth(replace(base, data=base.data * 4.0))
-    reference = recover_depth(base)
-    check("depth is invariant under focus rescaling",
-          np.array_equal(scaled.values, reference.values, equal_nan=True)
-          and np.array_equal(scaled.valid, reference.valid))
-
-    if failures:
-        print(f"selftest: {failures} check(s) failed")
-        return 1
-    print("selftest: all checks passed")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fracfocus",
@@ -296,9 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", choices=("x", "y"), default="y",
                    help="axis the profile runs along")
     p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("selftest", help="run quick built-in checks")
-    p.set_defaults(func=cmd_selftest)
     return parser
 
 

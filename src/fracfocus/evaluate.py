@@ -182,7 +182,7 @@ def comparison_table(source: FocalStack | StackHeader, truth: DepthMap,
         local_strides = zetas
     shape = (source.height, source.width)
     for stride in local_strides:
-        _check_step(shape, stride)
+        _check_step(shape, stride, source.h)
     if truth.values.shape != shape:
         raise ValueError(f"shape mismatch: stack slides {shape}, "
                          f"truth {truth.values.shape}")
@@ -215,9 +215,9 @@ def comparison_table(source: FocalStack | StackHeader, truth: DepthMap,
                 continue
             if kernel is not None:
                 _nonlocal_layer_into(layer, local, kernel, q, space)
-                check_focus_values(layer)
             else:
                 _focus_layer_into(layer, source, k, cell, space)
+            check_focus_values(layer)
             search.push(layer)
         slot[:] = [(key, rms_error_percent(
                         search.depth_map(z_min=base.z_min, z_max=base.z_max,

@@ -16,10 +16,11 @@ which reads each slide from its stack directory, or a
 :class:`~fracfocus.grids.FocalStack`, which copies it from memory.  Both
 give ``n_slides``, ``height``, ``width``, ``z_min``, ``z_max``, ``h``,
 ``read_slide(k, out)`` and ``empty(n)``.  The slide pool of
-:mod:`kernel2d` runs read, local measure and check
-(:func:`_focus_layer_into`) over a source, into a volume
-(:func:`local_focus_volume`) or, with the pass, into a ring whose layers
-come back in slide order (:func:`focus_layers`): ``recover`` holds
+:mod:`kernel2d` runs read and local measure (:func:`_focus_layer_into`)
+over a source, into a volume that :class:`~fracfocus.grids.FocusVolume`
+then checks once (:func:`local_focus_volume`) or, with the pass and a
+check per layer, into a ring whose layers come back in slide order
+(:func:`focus_layers`): ``recover`` holds
 O(CPUs * height * width) values, not O(n_slides * height * width), and the
 pass overwrites each local layer in its ring buffer.  It also runs
 :func:`_nonlocal_layer_into` over a volume (:func:`nonlocalize_volume`).
@@ -29,6 +30,7 @@ acts on each slide alone.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
@@ -48,8 +50,9 @@ __all__ = [
 ]
 
 
-def _check_step(shape: tuple[int, ...], q: int) -> None:
-    """Reject a step q < 1 or slides with no pixel inside the q-frame."""
+def _check_step(shape: tuple[int, ...], q: int, h: float) -> None:
+    """Reject a step q < 1, slides with no pixel inside the q-frame, or a
+    grid spacing h whose scale 1/(q h)^2 is not a finite positive number."""
     if q < 1:
         raise ValueError(f"step q must be >= 1, got {q}")
     height, width = shape[-2:]
@@ -57,6 +60,13 @@ def _check_step(shape: tuple[int, ...], q: int) -> None:
         raise ValueError(
             f"slide of shape {(height, width)} too small for step q={q}"
         )
+    try:
+        scale = 1.0 / (q * h) ** 2
+    except (OverflowError, ZeroDivisionError):
+        scale = math.inf
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"grid spacing h={h} at step q={q} gives no finite "
+                         f"positive scale 1/(q h)^2")
 
 
 def _modified_laplacian_into(out: np.ndarray, f: np.ndarray, q: int,
@@ -101,17 +111,18 @@ def _focus_layer_into(out: np.ndarray, source: FocalStack | StackHeader,
                       kernel: Kernel | None = None) -> None:
     """Read slide k of ``source`` and write its focus measure into ``out``.
 
-    The local measure at step q, then, given a kernel, the nonlocal one,
-    checked like a FocusVolume (finite, non-negative).  The slide is read
-    into the workspace buffer ``slide`` of ``space``, and the pass
-    overwrites the local measure in ``out``.
+    The local measure at step q, then, given a kernel, the nonlocal one;
+    the caller checks it (``check_focus_values``).  The slide is read into
+    the workspace buffer ``slide`` of ``space``, and the pass overwrites the
+    local measure in ``out``.  A measure that overflows is left as inf for
+    the check to refuse, without a numpy warning.
     """
     slide = _scratch(space, "slide", out.shape)
     source.read_slide(k, slide)
-    _modified_laplacian_into(out, slide, q, source.h, space)
+    with np.errstate(over="ignore"):
+        _modified_laplacian_into(out, slide, q, source.h, space)
     if kernel is not None:
         _nonlocal_layer_into(out, out, kernel, q, space)
-    check_focus_values(out)
 
 
 def local_focus_volume(source: FocalStack | StackHeader,
@@ -123,11 +134,13 @@ def local_focus_volume(source: FocalStack | StackHeader,
     along rows, and the frame of width q where the stencil would leave the
     grid is exactly zero.  ``source`` is a FocalStack or a StackHeader;
     each slide is one item of the slide pool, read and measured straight
-    into its layer of the volume.  Raises ValueError for q < 1 or slides
-    with no pixel inside the frame, before any slide is read; a failing
-    slide raises when it is due, so the lowest-numbered one is named.
+    into its layer of the volume, which FocusVolume checks once it is
+    full.  Raises ValueError for q < 1, slides with no pixel inside the
+    frame or a spacing with no finite 1/(q h)^2, before any slide is read;
+    a slide that fails to read raises when it is due, so the
+    lowest-numbered one is named.
     """
-    _check_step((source.height, source.width), q)
+    _check_step((source.height, source.width), q, source.h)
     data = source.empty(source.n_slides)
 
     def work(k: int, out: np.ndarray, space: dict) -> None:
@@ -153,9 +166,11 @@ def _nonlocal_layer_into(out: np.ndarray, local: np.ndarray, kernel: Kernel,
 
     The pair-sum pass with ``kernel``, then the zero frame of width q
     re-imposed.  The pass's scratch buffers are the workspace ``space``'s.
+    A sum that overflows is left as inf, without a numpy warning.
     """
-    _correlate_slide(kernel.weights[kernel.zeta:, kernel.zeta:], local, out,
-                     space)
+    with np.errstate(over="ignore"):
+        _correlate_slide(kernel.weights[kernel.zeta:, kernel.zeta:], local,
+                         out, space)
     _zero_frame(out, q)
 
 
@@ -169,18 +184,19 @@ def focus_layers(source: FocalStack | StackHeader, q: int,
     (``kernel2d._slide_pool``), in buffers the worker allocates once; the
     results come out of a ring of one buffer per worker plus one, so memory
     stays O(CPUs * height * width) however many slides there are; the
-    pass overwrites the local measure there.  The step and the slide shape
-    are checked when this is called, before any slide is read; a failing
-    slide raises when it is due, so the lowest-numbered one is named.  A
-    yielded layer is bitwise that slide's layer of ``local_focus_volume``
-    or ``nonlocalize_volume`` on the whole stack; it may be overwritten
-    once the next is requested.
+    pass overwrites the local measure there.  The step, the slide shape
+    and the spacing are checked when this is called, before any slide is
+    read; a failing slide raises when it is due, so the lowest-numbered
+    one is named.  A yielded layer is bitwise that slide's layer of
+    ``local_focus_volume`` or ``nonlocalize_volume`` on the whole stack; it
+    may be overwritten once the next is requested.
     """
-    _check_step((source.height, source.width), q)
+    _check_step((source.height, source.width), q, source.h)
     ring = source.empty(kernel2d._ring_length(source.n_slides))
 
     def work(k: int, out: np.ndarray, space: dict) -> None:
         _focus_layer_into(out, source, k, q, space, kernel)
+        check_focus_values(out)
 
     return kernel2d._slide_pool(source.n_slides, work, ring)
 

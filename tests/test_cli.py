@@ -27,6 +27,23 @@ SMALL_SYNTH = ["synth", "--scene", "plane", "--size", "16", "--slices", "5",
                "--max-radius", "4", "--lossless"]
 
 
+def _run_python(args: list[str], cwd: Path) -> subprocess.CompletedProcess:
+    """Run Python with ``args`` in a fresh interpreter that imports this
+    fracfocus, where numpy's warnings and any traceback reach stderr."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(fracfocus.__file__).parents[1]))
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True)
+
+
+def _assert_clean_error(proc: subprocess.CompletedProcess) -> None:
+    """Exit 1 with fracfocus's one-line error, and no traceback or warning."""
+    assert proc.returncode == 1
+    assert "fracfocus: error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "Warning" not in proc.stderr
+
+
 @pytest.fixture(scope="module")
 def plane_dir(tmp_path_factory):
     """A rendered 48x48 plane stack written through the CLI."""
@@ -35,6 +52,16 @@ def plane_dir(tmp_path_factory):
                "--wavelength", "0.3", "--seed", "11", "--sigma0", "2.0",
                "--max-radius", "8", "--lossless", "--out", str(out)])
     assert rc == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def tiny_spacing_dir(tmp_path_factory):
+    """A stack whose 1/(q h)^2 divides by zero: (q h)^2 underflows to 0."""
+    out = tmp_path_factory.mktemp("tiny_spacing") / "stack"
+    assert main(["synth", "--scene", "plane", "--size", "16", "--slices", "3",
+                 "--wavelength", "0.5", "--extent", "1e-198", "--lossless",
+                 "--out", str(out)]) == 0
     return out
 
 
@@ -159,18 +186,12 @@ class TestSynthCommand:
         assert not out.exists()
 
     def test_overflowing_ramp_rise_warns_nothing(self, tmp_path):
-        # In a fresh interpreter, where numpy's warnings reach stderr.
-        proc = subprocess.run(
-            [sys.executable, "-m", "fracfocus", "synth", "--scene", "ramp",
+        proc = _run_python(
+            ["-m", "fracfocus", "synth", "--scene", "ramp",
              "--ramp-lo=-1e308", "--ramp-hi", "1e308", "--size", "16",
              "--slices", "3", "--wavelength", "0.5",
-             "--out", str(tmp_path / "stack")],
-            env=dict(os.environ,
-                     PYTHONPATH=str(Path(fracfocus.__file__).parents[1])),
-            capture_output=True, text=True)
-        assert proc.returncode == 1
-        assert "fracfocus: error:" in proc.stderr
-        assert "Warning" not in proc.stderr
+             "--out", str(tmp_path / "stack")], tmp_path)
+        _assert_clean_error(proc)
         assert not (tmp_path / "stack").exists()
 
     def test_outputs_do_not_depend_on_worker_count(self, tmp_path,
@@ -343,7 +364,6 @@ class TestRecoverCommand:
         assert "stack.json" in err and "n_slides" in err
         assert not (tmp_path / "d.csv").exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_focus_measure_fails(self, tmp_path, capsys):
         # Finite +-1e308 stripes overflow the second differences to inf.
         stripes = np.where(np.arange(12) % 2 == 0, 1e308, -1e308)
@@ -355,6 +375,28 @@ class TestRecoverCommand:
                    "--out", str(tmp_path / "d.csv")])
         assert rc == 1
         assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "d.csv").exists()
+
+    @pytest.mark.parametrize("method", ["nonlocal", "local"])
+    def test_huge_slide_value_warns_nothing(self, tmp_path, method):
+        data = np.zeros((3, 12, 12))
+        data[1, 5, 5] = 1e308
+        write_stack_dir(tmp_path / "stack",
+                        FocalStack(data, z_min=0.0, z_max=1.0), lossless=True)
+        proc = _run_python(["-m", "fracfocus", "recover", "--stack", "stack",
+                            "--q", "1", "--method", method,
+                            "--out", "d.csv"], tmp_path)
+        _assert_clean_error(proc)
+        assert "must be finite" in proc.stderr
+        assert not (tmp_path / "d.csv").exists()
+
+    def test_tiny_grid_spacing_is_a_clean_error(self, tiny_spacing_dir,
+                                                tmp_path):
+        proc = _run_python(["-m", "fracfocus", "recover",
+                            "--stack", str(tiny_spacing_dir), "--q", "2",
+                            "--out", "d.csv"], tmp_path)
+        _assert_clean_error(proc)
+        assert "spacing" in proc.stderr
         assert not (tmp_path / "d.csv").exists()
 
 
@@ -598,6 +640,17 @@ class TestEvalCommand:
         assert opened == []
         assert not (tmp_path / "t.csv").exists()
 
+    def test_table_refuses_tiny_grid_spacing(self, tiny_spacing_dir,
+                                             tmp_path):
+        truth = str(tiny_spacing_dir / "truth.csv")
+        proc = _run_python(["-m", "fracfocus", "eval", "--depth", truth,
+                            "--truth", truth, "--report", "r.json",
+                            "--table", "t.csv",
+                            "--stack", str(tiny_spacing_dir)], tmp_path)
+        _assert_clean_error(proc)
+        assert "spacing" in proc.stderr
+        assert not (tmp_path / "t.csv").exists()
+
     @pytest.mark.parametrize("sidecar", ['{"z_min": "0", "z_max": 1}',
                                          '{"z_min": 0, "z_max": Infinity}'])
     def test_bad_sidecar_fails_by_name(self, plane_dir, tmp_path, capsys,
@@ -638,22 +691,26 @@ class TestEvalCommand:
         assert not report.exists()
 
 
-class TestSelftest:
+class TestCommands:
 
-    def test_all_checks_pass(self, capsys):
-        assert main(["selftest"]) == 0
-        out = capsys.readouterr().out
-        assert "all checks passed" in out
-        assert out.count("ok:") == 5
-        assert "FAIL" not in out
+    def test_there_are_four_commands(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        assert "{kernel,synth,recover,eval}" in capsys.readouterr().out
+
+    def test_selftest_is_not_a_command(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["selftest"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "selftest" in err
 
 
 def _fresh_interpreter(code: str, cwd: Path) -> str:
     """Run ``code`` in a new Python process that imports this fracfocus."""
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(fracfocus.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
-                          capture_output=True, text=True, check=True)
+    proc = _run_python(["-c", code], cwd)
+    assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
 
 
@@ -689,13 +746,22 @@ def test_nonlocal_recover_never_loads_scipy_integrate(tmp_path):
 
 def test_runs_with_scipy_blocked(tmp_path):
     """scipy is a test dependency only: with it blocked, the package
-    imports, the selftest passes and every 1D operator evaluates."""
+    imports, synth, a nonlocal recover and eval --table run, and every 1D
+    operator evaluates."""
+    recover = ["recover", "--stack", "stack", "--q", "2", "--alpha", "1.5",
+               "--out", "depth.csv"]
+    table = ["eval", "--depth", "depth.csv", "--truth", "stack/truth.csv",
+             "--report", "report.json", "--table", "table.csv",
+             "--stack", "stack", "--q", "2", "--zetas", "1,2",
+             "--alphas", "0,1.5,2"]
     probe = ("import math, sys\n"
              "sys.modules['scipy'] = None\n"
              "import fracfocus\n"
              "from fracfocus import frac1d\n"
              "from fracfocus.cli import main\n"
-             "assert main(['selftest']) == 0\n"
+             f"assert main({SMALL_SYNTH + ['--out', 'stack']!r}) == 0\n"
+             f"assert main({recover!r}) == 0\n"
+             f"assert main({table!r}) == 0\n"
              "gauss = frac1d.Function1D(lambda x: math.exp(-x * x),\n"
              "                          lambda x: -2 * x * math.exp(-x * x))\n"
              "values = [frac1d.regularized_integral(gauss, 0.3, 0.5),\n"
@@ -706,3 +772,4 @@ def test_runs_with_scipy_blocked(tmp_path):
              "assert all(math.isfinite(v) for v in values)\n"
              "print(sys.modules['scipy'])")
     assert _fresh_interpreter(probe, tmp_path).splitlines()[-1] == "None"
+    assert (tmp_path / "table.csv").is_file()

@@ -17,7 +17,8 @@ from fracfocus.evaluate import (EmptyMaskError, ComparisonTable, ErrorReport,
                                 rms_error_percent)
 from fracfocus.focus import local_focus_volume, nonlocalize_volume
 from fracfocus.grids import DepthMap, FocalStack
-from fracfocus.io import read_stack_dir, read_stack_header, write_stack_dir
+from fracfocus.io import (StackHeader, read_stack_dir, read_stack_header,
+                          write_stack_dir)
 from fracfocus.kernel2d import build_kernel
 from fracfocus.synth import SceneSpec, ground_truth
 from table_reference import reference_table
@@ -383,6 +384,51 @@ def test_bad_parameters_fail_before_the_first_pass(monkeypatch, small_plane,
                          **{"truth": small_plane.truth, "q": 2,
                             "alphas": (1.5,), "zetas": (1, 2), **bad})
     assert not passes
+
+
+# 1/(q h)^2 is finite at q = 2 and overflows at q = 1.
+@pytest.mark.parametrize("q, local_strides", [(2, (1,)), (1, (2,))])
+def test_spacing_is_checked_before_any_slide(tmp_path, q, local_strides):
+    # No slide file exists: a read would fail with another message.
+    header = StackHeader(directory=tmp_path, n_slides=3, height=12, width=12,
+                         z_min=0.0, z_max=1.0, h=7e-155, lossless=True)
+    with pytest.raises(ValueError, match="spacing"):
+        comparison_table(header, _map(np.zeros((12, 12))), q=q,
+                         alphas=(1.5,), zetas=(1,),
+                         local_strides=local_strides)
+
+
+def _overflow_case(name):
+    """A 12 x 12 stack of three equal slides and the table arguments under
+    which one source of layers overflows, named by ``name``."""
+    ii = np.arange(12.0)
+    if name == "base":
+        data = np.zeros((12, 12))
+        data[5, 5] = 1e308
+        return FocalStack(np.broadcast_to(data, (3, 12, 12)), 0.0, 1.0), {
+            "q": 1}
+    if name == "pass":
+        # The local measure at q = 1 is 2e300 / h^2 = 8e306; the alpha = 2
+        # kernel's weights sum to 81 at zeta = 4.
+        data = np.broadcast_to(1e300 * ii ** 2, (3, 12, 12))
+        return FocalStack(data, 0.0, 1.0, h=5e-4), {
+            "q": 1, "alphas": (2.0,), "zetas": (4,), "local_strides": (1,)}
+    # "stride": a checkerboard adds 8e300 / h^2 to the measure at q' = 1,
+    # which overflows, and nothing at the base stride q = 2.
+    checker = np.where((ii[:, None] + ii) % 2 == 0, 1e300, -1e300)
+    data = np.broadcast_to(checker + 1e299 * ii ** 2, (3, 12, 12))
+    return FocalStack(data, 0.0, 1.0, h=1e-4), {
+        "q": 2, "alphas": (0.0,), "zetas": (1,), "local_strides": (1,)}
+
+
+@pytest.mark.parametrize("name", ["base", "pass", "stride"])
+def test_overflowing_layers_are_refused(name):
+    # The suite turns any numpy warning into an error, so this also shows
+    # that the overflow warns of nothing.
+    stack, args = _overflow_case(name)
+    truth = _map(np.zeros((12, 12)))
+    with pytest.raises(ValueError, match="finite"):
+        comparison_table(stack, truth, **args)
 
 
 class TestAxisProfile:

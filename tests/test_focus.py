@@ -418,7 +418,9 @@ def test_workspace_keeps_scratch_for_one_kernel_only():
 
 
 class TestNonFiniteMeasure:
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    """An overflowing measure or pass is refused as non-finite, and numpy
+    warns of nothing: the suite turns any warning into an error."""
+
     def test_local_volume_rejects_overflow(self):
         # Finite +-1e308 stripes whose second differences overflow to inf.
         stripes = np.where(np.arange(12) % 2 == 0, 1e308, -1e308)
@@ -426,3 +428,51 @@ class TestNonFiniteMeasure:
                            z_min=0.0, z_max=1.0)
         with pytest.raises(ValueError, match="finite"):
             local_focus_volume(stack, 1)
+
+    def test_huge_slide_value_is_refused_on_every_path(self):
+        data = np.zeros((3, 12, 12))
+        data[1, 5, 5] = 1e308
+        stack = FocalStack(data, z_min=0.0, z_max=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            local_focus_volume(stack, 1)
+        for kernel in (None, build_kernel(1.5, 2)):
+            with pytest.raises(ValueError, match="finite"):
+                list(focus_layers(stack, 1, kernel))
+
+    def test_overflowing_pass_is_refused(self):
+        # Stripes a, a, -a, -a: the local measure at q = 1 is 2a = 1e308,
+        # finite, and the pass's pair sums of it overflow.
+        stripes = np.tile([5e307, 5e307, -5e307, -5e307], 3)
+        stack = FocalStack(np.broadcast_to(stripes, (3, 12, 12)),
+                           z_min=0.0, z_max=1.0)
+        volume = local_focus_volume(stack, 1)
+        assert volume.data.max() == 1e308
+        kernel = build_kernel(1.5, 1)
+        with pytest.raises(ValueError, match="finite"):
+            nonlocalize_volume(volume, kernel)
+        with pytest.raises(ValueError, match="finite"):
+            list(focus_layers(stack, 1, kernel))
+
+
+class TestGridSpacing:
+    """A spacing h whose 1/(q h)^2 is 0 or overflows is refused when the
+    pipeline is called, before any slide is read."""
+
+    # 1/(q h)^2 divides by zero, overflows in the square, or overflows in
+    # the division.
+    @pytest.mark.parametrize("h", [1e-199, 1e300, 1e-160])
+    def test_refused_before_any_slide(self, tmp_path, h):
+        # No slide file exists: a read would fail with another message.
+        header = StackHeader(directory=tmp_path, n_slides=3, height=12,
+                             width=12, z_min=0.0, z_max=1.0, h=h,
+                             lossless=True)
+        with pytest.raises(ValueError, match="spacing"):
+            local_focus_volume(header, 1)
+        with pytest.raises(ValueError, match="spacing"):
+            focus_layers(header, 2, build_kernel(1.5, 2))
+
+    def test_tiny_spacing_with_a_finite_scale_runs(self):
+        # 1/(q h)^2 = 1e300 is finite: the measure of a small slide is too.
+        stack = _random_stack(np.random.default_rng(30), h=1e-150)
+        volume = local_focus_volume(stack, 1)
+        assert np.isfinite(volume.data).all()
