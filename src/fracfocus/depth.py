@@ -26,6 +26,11 @@ __all__ = ["PeakFit", "PeakSearch", "parabolic_peak", "recover_depth"]
 # absolute floor so that an all-zero triple counts as degenerate too.
 _DEGENERATE_REL = 1e-12
 _DEGENERATE_ABS = 1e-300
+# The denominator can reach four times the largest magnitude of the triple,
+# which overflows from 2**1022 on: triples whose largest magnitude reaches
+# 2**1021 are fitted scaled by 1/8, which is exact and leaves the vertex
+# and the degeneracy test as they are.
+_HUGE = 2.0 ** 1021
 
 
 class PeakFit(NamedTuple):
@@ -37,10 +42,16 @@ def _vertex(rho_minus, rho_0, rho_plus):
     """Clamped vertex offsets and degeneracy flags of parabolas, elementwise.
 
     Shared by :func:`parabolic_peak` and :func:`recover_depth`, so the two
-    agree bit for bit.
+    agree bit for bit.  Triples below ``_HUGE`` are fitted as given, so
+    their results keep their bits; larger ones are scaled down first.
     """
     scale = np.maximum(np.maximum(np.abs(rho_minus), np.abs(rho_plus)),
                        np.maximum(np.abs(rho_0), _DEGENERATE_ABS))
+    huge = scale >= _HUGE
+    if np.any(huge):
+        factor = np.where(huge, 0.125, 1.0)
+        rho_minus, rho_0, rho_plus, scale = (
+            value * factor for value in (rho_minus, rho_0, rho_plus, scale))
     denom = rho_plus - 2.0 * rho_0 + rho_minus
     degenerate = np.abs(denom) <= _DEGENERATE_REL * scale
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -80,7 +91,10 @@ class PeakSearch:
     run is read (L - 2)/2 slides below its centre.  The benchmark's
     ``plane-large`` (8-bit 512 x 512 x 64 plane at true z = 0.37, nonlocal
     with q = 4, alpha = 1.5, zeta = 8) is recovered at z ~ 0.31 this way.
-    Memory is a few layers, however many slides are pushed.
+    Memory is a few layers, however many slides are pushed: four float64
+    layers, a boolean one, and ``k_hat`` in the smallest unsigned integer
+    type that holds the slides pushed so far (one byte per pixel up to 256
+    slides), widened when a push outgrows it.
     """
 
     def __init__(self) -> None:
@@ -97,7 +111,7 @@ class PeakSearch:
                              f"the first layer's {self._best.shape}")
         if not self._pushed:
             self._best = layer.copy()
-            self._k_hat = np.zeros(layer.shape, dtype=np.intp)
+            self._k_hat = np.zeros(layer.shape, dtype=np.uint8)
             self._rho_minus = layer.copy()
             self._rho_plus = layer.copy()
             self._previous = layer.copy()
@@ -105,6 +119,9 @@ class PeakSearch:
             # their rho_plus.
             self._fresh = np.ones(layer.shape, dtype=bool)
         else:
+            if self._pushed > np.iinfo(self._k_hat.dtype).max:
+                self._k_hat = self._k_hat.astype(
+                    np.min_scalar_type(self._pushed))
             np.copyto(self._rho_plus, layer, where=self._fresh)
             np.greater(layer, self._best, out=self._fresh)
             np.copyto(self._best, layer, where=self._fresh)

@@ -21,8 +21,11 @@ over a source, into a volume that :class:`~fracfocus.grids.FocusVolume`
 then checks once (:func:`local_focus_volume`) or, with the pass and a
 check per layer, into a ring whose layers come back in slide order
 (:func:`focus_layers`): ``recover`` holds
-O(CPUs * height * width) values, not O(n_slides * height * width), and the
-pass overwrites each local layer in its ring buffer.  It also runs
+O(CPUs * height * width) values, not O(n_slides * height * width).  There a
+worker holds two slide-sized buffers: its ring buffer takes the slide read,
+the local measure goes straight into the interior of the pass's padded
+input, and the pass writes the nonlocal layer back into the ring buffer.
+It also runs
 :func:`_nonlocal_layer_into` over a volume (:func:`nonlocalize_volume`).
 Each slide's layer is bitwise the same on every path, because every step
 acts on each slide alone.
@@ -38,7 +41,8 @@ import numpy as np
 
 from . import kernel2d
 from .grids import FocalStack, FocusVolume, check_focus_values
-from .kernel2d import Kernel, _correlate_slide, _scratch
+from .kernel2d import (Kernel, _correlate_slide, _pass_input, _pass_into,
+                       _scratch)
 
 if TYPE_CHECKING:
     from .io import StackHeader
@@ -112,17 +116,28 @@ def _focus_layer_into(out: np.ndarray, source: FocalStack | StackHeader,
     """Read slide k of ``source`` and write its focus measure into ``out``.
 
     The local measure at step q, then, given a kernel, the nonlocal one;
-    the caller checks it (``check_focus_values``).  The slide is read into
-    the workspace buffer ``slide`` of ``space``, and the pass overwrites the
-    local measure in ``out``.  A measure that overflows is left as inf for
-    the check to refuse, without a numpy warning.
+    the caller checks it (``check_focus_values``).  Without a kernel the
+    slide is read into the workspace buffer ``slide`` of ``space`` and
+    measured into ``out``.  With one it is read into ``out`` itself,
+    measured straight into the interior of the pass's padded input
+    (``kernel2d._pass_input``), and the pass writes back into ``out``:
+    either way a worker holds two slide-sized buffers.  A measure that
+    overflows is left as inf for the check to refuse, without a numpy
+    warning.
     """
-    slide = _scratch(space, "slide", out.shape)
-    source.read_slide(k, slide)
+    if kernel is None:
+        slide = _scratch(space, "slide", out.shape)
+        source.read_slide(k, slide)
+        with np.errstate(over="ignore"):
+            _modified_laplacian_into(out, slide, q, source.h, space)
+        return
+    source.read_slide(k, out)
+    local = _pass_input(kernel.weights[kernel.zeta:, kernel.zeta:],
+                        out.shape, space)
     with np.errstate(over="ignore"):
-        _modified_laplacian_into(out, slide, q, source.h, space)
-    if kernel is not None:
-        _nonlocal_layer_into(out, out, kernel, q, space)
+        _modified_laplacian_into(local, out, q, source.h, space)
+        _pass_into(out, space)
+    _zero_frame(out, q)
 
 
 def local_focus_volume(source: FocalStack | StackHeader,
@@ -183,8 +198,9 @@ def focus_layers(source: FocalStack | StackHeader, q: int,
     (finite, non-negative) by one worker of the slide pool
     (``kernel2d._slide_pool``), in buffers the worker allocates once; the
     results come out of a ring of one buffer per worker plus one, so memory
-    stays O(CPUs * height * width) however many slides there are; the
-    pass overwrites the local measure there.  The step, the slide shape
+    stays O(CPUs * height * width) however many slides there are; with a
+    kernel, a worker's ring buffer first takes the slide it reads (see
+    :func:`_focus_layer_into`).  The step, the slide shape
     and the spacing are checked when this is called, before any slide is
     read; a failing slide raises when it is due, so the lowest-numbered
     one is named.  A yielded layer is bitwise that slide's layer of

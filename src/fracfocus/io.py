@@ -49,10 +49,14 @@ def write_pgm(path: str | Path, values: np.ndarray) -> None:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2D field, got shape {arr.shape}")
-    pixels = np.rint(np.clip(arr, 0.0, 1.0) * 255.0).astype(np.uint8)
+    # One float temporary: clipped, then scaled and rounded in place.
+    scaled = np.clip(arr, 0.0, 1.0)
+    np.multiply(scaled, 255.0, out=scaled)
+    np.rint(scaled, out=scaled)
     height, width = arr.shape
-    header = f"P5\n{width} {height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + pixels.tobytes())
+    with open(path, "wb") as file:
+        file.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
+        file.write(scaled.astype(np.uint8, order="C"))
 
 
 def _pgm_tokens(raw: bytes):

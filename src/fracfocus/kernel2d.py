@@ -34,7 +34,10 @@ worker's workspace, appended by the strip loop once per kernel, shape and
 strip size.  A worker then spends almost no interpreter time between
 ufuncs, which release the GIL while they compute, so the workers seldom
 wait for one another.  A workspace keeps one schedule and the scratch
-buffers of one pass; another kernel or shape replaces both.
+buffers of one pass; another kernel or shape replaces both.  The pass's
+input is the interior of its padded buffer (``_pass_input``): a caller that
+computes the slide writes it there, and the pass fills only the mirror
+margins before it runs (``_pass_into``).
 """
 
 from __future__ import annotations
@@ -255,26 +258,25 @@ def _slide_pool(n: int, work: Callable[[int, object, dict], None],
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _mirror_pad(slide: np.ndarray, zeta: int, space: dict) -> np.ndarray:
-    """``np.pad(slide, zeta, mode="symmetric")``, into the workspace buffer
-    ``padded`` of ``space``.
+def _mirror_margins(padded: np.ndarray, zeta: int) -> None:
+    """Fill the margins of width zeta of ``padded`` by mirroring its
+    interior, as ``np.pad(interior, zeta, mode="symmetric")`` would.
 
-    Filled in place with mirror slices, columns first and then whole rows
-    (the corners), where one reflection reaches: zeta up to each side of
-    the slide.  A larger zeta, whose reflection repeats, is copied in from
+    In place with mirror slices, columns first and then whole rows (the
+    corners), where one reflection reaches: zeta up to each side of the
+    interior.  A larger zeta, whose reflection repeats, is copied in from
     ``np.pad``.
     """
-    height, width = slide.shape
-    padded = _scratch(space, "padded", (height + 2 * zeta, width + 2 * zeta))
+    height, width = padded.shape[0] - 2 * zeta, padded.shape[1] - 2 * zeta
+    rows = slice(zeta, zeta + height)
     if zeta > min(height, width):
-        padded[...] = np.pad(slide, zeta, mode="symmetric")
-        return padded
-    padded[zeta:zeta + height, zeta:zeta + width] = slide
-    padded[zeta:zeta + height, :zeta] = slide[:, :zeta][:, ::-1]
-    padded[zeta:zeta + height, zeta + width:] = slide[:, width - zeta:][:, ::-1]
+        padded[...] = np.pad(padded[rows, zeta:zeta + width], zeta,
+                             mode="symmetric")
+        return
+    padded[rows, :zeta] = padded[rows, zeta:2 * zeta][:, ::-1]
+    padded[rows, zeta + width:] = padded[rows, width:zeta + width][:, ::-1]
     padded[:zeta] = padded[zeta:2 * zeta][::-1]
     padded[zeta + height:] = padded[height:zeta + height][::-1]
-    return padded
 
 
 # Samples per row strip of the pair-sum pass and of the renderer: each of a
@@ -339,6 +341,46 @@ def _build_schedule(weights: np.ndarray, shape: tuple[int, int],
     return schedule
 
 
+def _pass_input(weights: np.ndarray, shape: tuple[int, int],
+                space: dict) -> np.ndarray:
+    """The interior of the padded slide ``P`` of a pass over a slide of
+    ``shape`` with the kernel quadrant ``weights``: write the slide there,
+    then run the pass with :func:`_pass_into`.
+
+    Builds the workspace's schedule (:func:`_build_schedule`) on the first
+    call for a quadrant, shape and ``_STRIP_SAMPLES``; another replaces it,
+    and its buffers with it, so no scratch of an earlier pass stays alive.
+    Only a new schedule allocates ``P`` (the workspace buffer ``padded``),
+    so the interior returned here is always the one the schedule reads.
+    """
+    key = (weights.tobytes(), shape, _STRIP_SAMPLES)
+    stored = space.get("schedule")
+    if stored is None or stored[0] != key:
+        # Dropped first, so that the old views do not pin the old buffers
+        # while the new ones are allocated.
+        space.pop("schedule", None)
+        space["schedule"] = (key, _build_schedule(weights, shape, space))
+    zeta = weights.shape[0] - 1
+    height, width = shape
+    return space["padded"][zeta:zeta + height, zeta:zeta + width]
+
+
+def _pass_into(out: np.ndarray, space: dict) -> None:
+    """Run the pass whose input :func:`_pass_input` returned, into ``out``.
+
+    Mirrors the margins of ``P`` from its interior (:func:`_mirror_margins`),
+    runs the schedule's calls and copies each finished strip into ``out``.
+    The schedule never points into ``out``, which may be a new buffer on
+    each call, or the slide that was written into ``P``.
+    """
+    padded = space["padded"]
+    _mirror_margins(padded, (padded.shape[0] - out.shape[0]) // 2)
+    for calls, rows, result in space["schedule"][1]:
+        for ufunc, x, y, o in calls:
+            ufunc(x, y, o)
+        out[rows] = result
+
+
 def _correlate_slide(weights: np.ndarray, slide: np.ndarray,
                      out: np.ndarray, space: dict) -> None:
     """Write the pair-sum pass of one 2D slide into ``out``.
@@ -357,29 +399,16 @@ def _correlate_slide(weights: np.ndarray, slide: np.ndarray,
 
     The pass runs from a schedule (:func:`_build_schedule`, about 1 ms at
     512 x 512 and zeta = 8): the ufunc calls above, strip by strip, every
-    operand a view into the workspace ``space``, built on the first call for
-    a kernel quadrant, slide shape and ``_STRIP_SAMPLES``.  A call then only
-    pads the slide into ``P`` (:func:`_mirror_pad`), runs the calls, and
-    copies each finished strip into ``out``, with no Python slicing between
-    the ufuncs, so that workers on other threads seldom wait for the
-    interpreter lock.  A workspace holds one schedule: another kernel, shape
-    or strip size replaces it, and its buffers with it, so no scratch of an
-    earlier pass stays alive.  The schedule never points into ``out``, which
-    may be a new buffer on each call, or ``slide``, as ``P`` is filled first.
+    operand a view into the workspace ``space``.  A call copies the slide
+    into the interior of ``P`` (:func:`_pass_input`), then fills its
+    margins and runs the calls (:func:`_pass_into`), with no Python slicing
+    between the ufuncs, so that workers on other threads seldom wait for
+    the interpreter lock.  A caller that computes the slide can write it
+    into ``P`` itself and skip the copy, as ``focus._focus_layer_into``
+    does.  A workspace holds one schedule.
     """
-    key = (weights.tobytes(), slide.shape, _STRIP_SAMPLES)
-    stored = space.get("schedule")
-    if stored is None or stored[0] != key:
-        # Dropped first, so that the old views do not pin the old buffers
-        # while the new ones are allocated.
-        space.pop("schedule", None)
-        stored = space["schedule"] = (
-            key, _build_schedule(weights, slide.shape, space))
-    _mirror_pad(slide, weights.shape[0] - 1, space)
-    for calls, rows, result in stored[1]:
-        for ufunc, x, y, o in calls:
-            ufunc(x, y, o)
-        out[rows] = result
+    _pass_input(weights, slide.shape, space)[...] = slide
+    _pass_into(out, space)
 
 
 def kernel_frequency_response(kernel: Kernel, k1: float, k2: float) -> float:

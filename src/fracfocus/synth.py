@@ -280,7 +280,8 @@ def _gather(tex: np.ndarray, margin: int, radius: np.ndarray,
     of rows it is gathered in.
 
     Its scratch buffers (``pairs``, ``ring``, ``group`` and, with more
-    than one level, ``factors`` and the ``reach`` map) are workspace
+    than one level, ``factors``, the ``reach`` map and the ``levels``, the
+    block's ``index`` as intp) are workspace
     buffers of ``space``, sized by a strip of ``kernel2d._strip_rows`` rows
     (or the block, if taller), the margin and the width, so a run of
     strips of one geometry allocates no array of a strip's size.
@@ -294,6 +295,11 @@ def _gather(tex: np.ndarray, margin: int, radius: np.ndarray,
     if one_level:
         r_max = int(radius[0])
     else:
+        # The levels as intp once: np.take would convert a narrower index
+        # on every call.
+        levels = _scratch(space, "levels", (rows, width), np.intp)[:height]
+        levels[...] = index
+        index = levels
         reach = np.take(radius, index, mode="clip",
                         out=_scratch(space, "reach", (rows, width),
                                      int)[:height])
@@ -388,9 +394,11 @@ def render_slides(scene: SceneSpec, blur: BlurSpec, width: int, height: int,
     margin = min(blur.max_radius, int(math.ceil(4.0 * sigma_cap)))
     tex = _texture(scene, width, height, h, margin)
 
-    # A pixel's PSF depends only on its height: one sigma level per height.
+    # A pixel's PSF depends only on its height: one sigma level per height,
+    # indexed in the narrowest unsigned type that holds every level.
     heights, index = np.unique(truth, return_inverse=True)
-    index = index.reshape(truth.shape)
+    index = index.reshape(truth.shape).astype(
+        np.min_scalar_type(len(heights) - 1))
     delta_z = (z_max - z_min) / (n_slides - 1)
     # Each pixel's arithmetic is the same whatever strip it is in.
     strip = _strip_rows(width)

@@ -390,6 +390,21 @@ class TestRecoverCommand:
         assert "must be finite" in proc.stderr
         assert not (tmp_path / "d.csv").exists()
 
+    def test_peak_fit_of_huge_focus_values_warns_nothing(self, tmp_path):
+        # Columns 5e307, 5e307, -5e307, -5e307 halved from slide to slide:
+        # focus values up to 1e308, whose 2 rho_0 in the peak fit would
+        # overflow.
+        stripes = np.tile([5e307, 5e307, -5e307, -5e307], (16, 4))
+        data = stripes * np.array([1.0, 0.5, 0.25])[:, None, None]
+        write_stack_dir(tmp_path / "stack",
+                        FocalStack(data, z_min=0.0, z_max=1.0), lossless=True)
+        proc = _run_python(["-m", "fracfocus", "recover", "--stack", "stack",
+                            "--q", "1", "--method", "local",
+                            "--out", "d.csv"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert "Warning" not in proc.stderr
+        assert read_depth_csv(tmp_path / "d.csv").valid.any()
+
     def test_tiny_grid_spacing_is_a_clean_error(self, tiny_spacing_dir,
                                                 tmp_path):
         proc = _run_python(["-m", "fracfocus", "recover",

@@ -67,6 +67,16 @@ class TestParabolicPeak:
         assert not fit.degenerate
         assert fit.offset == 0.0
 
+    @pytest.mark.parametrize("triple", [(1.0, 3.0, 2.0), (14.0, 15.0, 3.0),
+                                        (0.5, 15.0, 15.0), (-7.0, 1.0, 9.0),
+                                        (15.0, 15.0, 15.0), (2.0, 9.0, 1.0)])
+    def test_huge_triples_fit_like_their_scaled_down_copies(self, triple):
+        # Up to 15 * 2**1020, where 2 rho_0 and the denominator would
+        # overflow: the fit is that of the same triple at magnitude 1.
+        big = [value * 2.0 ** 1020 for value in triple]
+        with np.errstate(all="raise"):
+            assert parabolic_peak(*big) == parabolic_peak(*triple)
+
 
 class TestRecoverDepth:
     def test_symmetric_three_slide_column_lands_mid_range(self):
@@ -129,6 +139,19 @@ class TestRecoverDepth:
         a = recover_depth(base)
         b = recover_depth(scaled)
         assert np.array_equal(a.values, b.values, equal_nan=True)
+        assert np.array_equal(a.valid, b.valid)
+
+    def test_invariant_under_rescale_to_the_top_of_the_range(self):
+        # Focus values in [1, 2) * 2**1023, the largest finite binade.
+        rng = np.random.default_rng(37)
+        data = rng.uniform(1.0, 2.0, (8, 12, 12))
+        base = FocusVolume(data, q=2, z_min=0.0, z_max=1.0, h=1.0)
+        scaled = FocusVolume(data * 2.0 ** 1023, q=2, z_min=0.0, z_max=1.0,
+                             h=1.0)
+        a = recover_depth(base)
+        with np.errstate(all="raise"):
+            b = recover_depth(scaled)
+        assert a.values.tobytes() == b.values.tobytes()
         assert np.array_equal(a.valid, b.valid)
 
     def test_stable_under_arbitrary_positive_rescale(self):
@@ -247,6 +270,27 @@ def test_running_search_matches_batch_argmax(data, alpha, z_min, span):
     assert np.array_equal(got.valid, want.valid)
     assert (got.q, got.alpha, got.zeta, got.z_min, got.z_max, got.h) == (
         want.q, want.alpha, want.zeta, want.z_min, want.z_max, want.h)
+
+
+@pytest.mark.parametrize("n", [255, 256, 257])
+@pytest.mark.parametrize("before_last", [0, 1])
+def test_running_search_outgrows_its_index_type(n, before_last):
+    # k_hat starts as one byte a pixel and is widened when slide 256 is
+    # pushed; the peak is on the last slide or on the one before it.
+    peak = n - 1 - before_last
+    column = np.arange(1.0, n + 1.0)
+    column[peak + 1:] = peak + 0.25
+    search = PeakSearch()
+    for value in column:
+        search.push(np.full((1, 1), value))
+    assert search._k_hat[0, 0] == peak
+    assert search._k_hat.dtype == np.min_scalar_type(n - 1)
+    got = search.depth_map(q=1, z_min=0.0, z_max=n - 1.0)
+    if not before_last:
+        assert got.values[0, 0] == n - 1.0
+    want = batch_recover_depth(_column_volume([column], z_max=n - 1.0))
+    assert got.values.tobytes() == want.values.tobytes()
+    assert np.array_equal(got.valid, want.valid)
 
 
 def test_running_search_copies_each_layer():

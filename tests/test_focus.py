@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 from fracfocus import kernel2d
 from fracfocus.focus import (
+    _focus_layer_into,
     _modified_laplacian_into,
     _nonlocal_layer_into,
     focus_layers,
@@ -378,10 +379,10 @@ class TestFocusLayers:
 
     def test_worker_keeps_one_buffer_per_role(self, tmp_path, monkeypatch):
         # With one worker and zeta = 4, a 256 x 256 stream peaks at about
-        # 10 slides' worth of buffers: the ring of two, the slide read, the
-        # two differences of the measure and the pass's padded, pairs,
-        # row_sum, term and total.  A separate local layer and a 2 f
-        # temporary would add two slides more.
+        # 8 slides' worth of buffers: the ring of two, which also takes the
+        # slide read, the two differences of the measure and the pass's
+        # padded, pairs, row_sum, term and total.  A separate local layer
+        # and a 2 f temporary would add two slides more.
         rng = np.random.default_rng(24)
         write_stack_dir(tmp_path, _random_stack(rng, n_slides=8, height=256,
                                                 width=256), lossless=True)
@@ -396,6 +397,59 @@ class TestFocusLayers:
         finally:
             tracemalloc.stop()
         assert peak < 11 * 256 * 256 * 8
+
+    def test_worker_holds_two_slide_sized_buffers(self, monkeypatch):
+        """A worker of the read-measure-pass chain holds its ring buffer
+        and the pass's padded input, not a third buffer for the slide it
+        reads.  One worker, as in ``test_cli``'s memory tests, and strips
+        of 8 rows, so that the strip scratch and the schedule stay near a
+        fifth of a slide: the traced peak is at most the ring of two, the
+        padded input and half a slide, where a slide read buffer of its
+        own would add a whole one."""
+        height = width = 512
+        zeta = 1
+        monkeypatch.setattr(kernel2d, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(kernel2d, "_STRIP_SAMPLES", 8 * width)
+        stack = _random_stack(np.random.default_rng(26), n_slides=4,
+                              height=height, width=width)
+        kernel = build_kernel(1.5, zeta)
+        # Warm-up: lazy imports stay out of the peak.
+        for _ in focus_layers(stack, 2, kernel):
+            pass
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in focus_layers(stack, 2, kernel):
+                pass
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        slide = height * width * 8
+        padded = (height + 2 * zeta) * (width + 2 * zeta) * 8
+        assert peak <= 2 * slide + padded + slide // 2, peak / slide
+
+    def test_workspace_serves_both_chains(self):
+        """One workspace runs a nonlocal layer, a local-only one and the
+        same kernel again, as a table worker does; each layer is the one a
+        fresh workspace gives, and the stored schedule reads only the
+        workspace's current buffers, never a replaced padded input."""
+        stack = _random_stack(np.random.default_rng(27), n_slides=3,
+                              height=40, width=36)
+        kernel = build_kernel(1.5, 3)
+        space = {}
+        for k, layer_kernel in enumerate([kernel, None, kernel]):
+            got = np.full((40, 36), np.nan)
+            _focus_layer_into(got, stack, k, 2, space, layer_kernel)
+            want = np.full((40, 36), np.nan)
+            _focus_layer_into(want, stack, k, 2, {}, layer_kernel)
+            assert got.tobytes() == want.tobytes()
+            buffers = {id(value) for value in space.values()
+                       if isinstance(value, np.ndarray)}
+            _, strips = space["schedule"]
+            for calls, _, result in strips:
+                operands = [result] + [a for call in calls for a in call[1:]
+                                       if isinstance(a, np.ndarray)]
+                assert all(id(a.base) in buffers for a in operands)
 
 
 def test_workspace_keeps_scratch_for_one_kernel_only():

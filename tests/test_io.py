@@ -57,6 +57,16 @@ class TestPgm:
         assert back[0, 0] == 0.0
         assert back[1, 0] == 1.0
 
+    def test_bytes_are_the_rounded_scaled_clip(self, tmp_path):
+        # Ties at half a byte, values out of range, and a transposed view,
+        # which is written in row order like its copy.
+        field = np.array([[0.5 / 255, 1.5 / 255, -1.0, 2.0, 0.25],
+                          [254.5 / 255, 0.0, 1.0, 0.5, 0.75]]).T
+        target = tmp_path / "bytes.pgm"
+        write_pgm(target, field)
+        pixels = np.rint(np.clip(field, 0.0, 1.0) * 255.0).astype(np.uint8)
+        assert target.read_bytes() == b"P5\n2 5\n255\n" + pixels.tobytes()
+
     def test_header_comments_skipped(self, tmp_path):
         raw = b"P5\n# made by hand\n4 3\n# maxval next\n255\n" + bytes(range(12))
         target = tmp_path / "commented.pgm"
