@@ -7,7 +7,7 @@ its worker scores it, so only the error reports come back.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -173,8 +173,10 @@ def comparison_table(source: FocalStack | StackHeader, truth: DepthMap,
     truth, so no cell allocates a volume, no depth map leaves its worker
     and no cell's bits depend on the CPU count.  The alpha = 0 cells and
     the local entry at q' = q are the search of the base itself, since the
-    delta kernel returns an exact copy.  Every kernel is built, every
-    stride and the truth's grid checked before the first slide is read.
+    delta kernel returns an exact copy.  Each search builds and scores its
+    depth map once, and each cell it answers takes that report with its
+    own method, q, alpha and zeta.  Every kernel is built, every stride and
+    the truth's grid checked before the first slide is read.
     """
     if not alphas or not zetas:
         raise ValueError("alphas and zetas must be non-empty")
@@ -193,15 +195,18 @@ def comparison_table(source: FocalStack | StackHeader, truth: DepthMap,
     # One peak search per source of layers: None for the base's own slides,
     # a (zeta, alpha) key for their pass with that kernel, a stride q' for
     # the local measure at q'.  Each search lists the cells it answers, as
-    # (table key, depth-map parameters).
+    # (table key, the report's recovery parameters).
     searches: dict = {}
     for key, kernel in kernels.items():
         layers = None if kernel.alpha == 0.0 else key
         searches.setdefault(layers, []).append(
-            (key, {"q": q, "alpha": kernel.alpha, "zeta": kernel.zeta}))
+            (key, {"method": "nonlocal", "q": q, "alpha": kernel.alpha,
+                   "zeta": kernel.zeta}))
     for stride in local_strides:
         layers = None if stride == q else stride
-        searches.setdefault(layers, []).append((stride, {"q": stride}))
+        searches.setdefault(layers, []).append(
+            (stride, {"method": "local", "q": stride, "alpha": None,
+                      "zeta": None}))
     cells = list(searches)
 
     def work(i: int, slot: list, space: dict) -> None:
@@ -219,9 +224,12 @@ def comparison_table(source: FocalStack | StackHeader, truth: DepthMap,
                 _focus_layer_into(layer, source, k, cell, space)
             check_focus_values(layer)
             search.push(layer)
-        slot[:] = [(key, rms_error_percent(
-                        search.depth_map(z_min=base.z_min, z_max=base.z_max,
-                                         h=base.h, **params), truth))
+        # The map's values do not depend on the recovery parameters it
+        # records, so one score serves every cell of the search.
+        report = rms_error_percent(
+            search.depth_map(q=q, z_min=base.z_min, z_max=base.z_max,
+                             h=base.h), truth)
+        slot[:] = [(key, replace(report, **params))
                    for key, params in searches[cell]]
 
     reports = {}

@@ -2,26 +2,26 @@
 
 Scenes are height fields Z(x, y) over a centered grid: a sphere cap
 (radius r, apex at z = r), a constant-height plane, or a ramp linear in y.
-A textured version of the scene is imaged at each focal distance z_k by a
-per-pixel gather with a normalized Gaussian point-spread function whose
-width grows linearly with the defocus |z_k - Z(x, y)|.  One gather renders
-every slide, blurred or in focus, constant or varying defocus: it sums the
-taps in eight-fold symmetric groups, evaluates the Gaussian once per
-distinct height, crops each ring of taps to the pixels it reaches and
-copies in-focus pixels through exactly.  Everything is deterministic given
-the scene seed.
+A textured version of the scene is imaged at each focal distance z_k with
+a normalized Gaussian point-spread function whose width grows linearly
+with the defocus |z_k - Z(x, y)|.  A scene of one height (the plane) has
+one blur level a slide, and its Gaussian weight g(dx) g(dy) is separable:
+it is blurred in a row pass and then a column pass
+(:func:`_separable_blur`).  Every other scene goes through a per-pixel
+gather (:func:`_gather`) that sums the taps in eight-fold symmetric
+groups, evaluates the Gaussian once per distinct height and crops each
+ring of taps to the pixels it reaches.  Both copy in-focus pixels through
+exactly.  Everything is deterministic given the scene seed.
 
 :func:`render_slides` renders the slides on the slide pool of
 :mod:`kernel2d`, one per usable CPU, and yields them in order from a ring
 of a few buffers, so ``synth`` streams them to disk and its memory does
 not grow with the number of slides; :func:`render_stack` collects them.
 Each worker builds a slide's per-level tables once (:func:`_psf_tables`)
-and gathers the slide in row strips, straight into its output buffer,
+and blurs the slide in row strips, straight into its output buffer,
 from scratch buffers of its workspace that are sized once per call, so
-no strip allocates.  A slide with a single sigma level (every plane
-slide) multiplies by scalar factors instead of gathering them to every
-pixel.  The padded texture is also built in row strips on the pool
-before the first slide.
+no strip allocates.  The padded texture is also built in row strips on
+the pool before the first slide.
 """
 
 from __future__ import annotations
@@ -99,10 +99,11 @@ class BlurSpec:
 
     The PSF support is the square max(|dx|, |dy|) <= ceil(4 sigma) pixels,
     bounded by ``max_radius``, and renormalized per pixel; sigma = 0 copies
-    the texture through exactly.  Every slide goes through the same
-    symmetric-tap gather, whose summation order differs from a plain
-    tap-by-tap loop by at most a few units in the last place (4e-15 on the
-    standard 256x256x32 scenes).
+    the texture through exactly.  A slide with one sigma level (every
+    plane slide) is blurred in a separable row-then-column pass, and any
+    other in a symmetric-tap gather.  The summation order of either
+    differs from a plain tap-by-tap loop by at most a few units in the
+    last place (4e-15 on the standard 256x256x32 scenes).
     """
 
     sigma0: float = 3.0
@@ -224,7 +225,8 @@ def _texture(scene: SceneSpec, width: int, height: int, h: float,
 
 def _psf_tables(sigma: np.ndarray, radius: np.ndarray, margin: int,
                 space: dict) -> tuple[np.ndarray, np.ndarray]:
-    """The per-level tables of one slide for :func:`_gather`.
+    """The per-level tables of one slide for :func:`_gather` and, with one
+    level, for :func:`_separable_blur`.
 
     ``gauss[d]`` is exp(-d^2/(2 sigma^2)) for each level, 0 where the
     level's radius is below d, for d = 0 .. radius.max(); ``den`` is each
@@ -270,43 +272,41 @@ def _gather(tex: np.ndarray, margin: int, radius: np.ndarray,
     holds, for each a <= b, the up to eight taps (+-a, +-b) and (+-b, +-a),
     which share the weight gauss[a] * gauss[b]: their texture values are
     added first (from sums of +-d column pairs), multiplied by the
-    a-factor once, and each ring's total by the b-factor once.  With one
-    level the factors and the weight sum are scalars; otherwise they are
-    gathered to the pixels.  Ring b is cropped to the bounding box of the
-    pixels it reaches.  Pixels with sigma = 0 or radius 0 keep only the
+    a-factor once, and each ring's total by the b-factor once.  The
+    factors and the weight sums are gathered from the level tables to the
+    pixels.  Ring b is cropped to the bounding box of the pixels it
+    reaches.  Pixels with sigma = 0 or radius 0 keep only the
     center tap and copy the texture through exactly.  The summation order
     differs from a plain tap-by-tap loop; on the standard scenes the two
     agree to 4e-15.  Every pixel's arithmetic is the same whatever block
-    of rows it is gathered in.
+    of rows it is gathered in.  A slide with one level is the plane's,
+    which :func:`render_slides` blurs with :func:`_separable_blur`
+    instead; here it takes the same path as any other, with the same bits
+    as one level per pixel.
 
-    Its scratch buffers (``pairs``, ``ring``, ``group`` and, with more
-    than one level, ``factors``, the ``reach`` map and the ``levels``, the
-    block's ``index`` as intp) are workspace
-    buffers of ``space``, sized by a strip of ``kernel2d._strip_rows`` rows
-    (or the block, if taller), the margin and the width, so a run of
-    strips of one geometry allocates no array of a strip's size.
+    Its scratch buffers (``pairs``, ``ring``, ``group``, ``factors``, the
+    ``reach`` map and the ``levels``, the block's ``index`` as intp) are
+    workspace buffers of ``space``, sized by a strip of
+    ``kernel2d._strip_rows`` rows (or the block, if taller), the margin
+    and the width, so a run of strips of one geometry allocates no array
+    of a strip's size.
     """
     height, width = index.shape
     rows = max(height, _strip_rows(width))
-    one_level = den.size == 1
     pairs = _scratch(space, "pairs", (margin, rows + 2 * margin, width))
     ring_buffer = _scratch(space, "ring", (rows * width,))
     group_buffer = _scratch(space, "group", (rows * width,))
-    if one_level:
-        r_max = int(radius[0])
-    else:
-        # The levels as intp once: np.take would convert a narrower index
-        # on every call.
-        levels = _scratch(space, "levels", (rows, width), np.intp)[:height]
-        levels[...] = index
-        index = levels
-        reach = np.take(radius, index, mode="clip",
-                        out=_scratch(space, "reach", (rows, width),
-                                     int)[:height])
-        row_reach = reach.max(axis=1)
-        col_reach = reach.max(axis=0)
-        factors = _scratch(space, "factors", (margin, rows, width))
-        r_max = int(row_reach.max())
+    # The levels as intp once: np.take would convert a narrower index on
+    # every call.
+    levels = _scratch(space, "levels", (rows, width), np.intp)[:height]
+    levels[...] = index
+    index = levels
+    reach = np.take(radius, index, mode="clip",
+                    out=_scratch(space, "reach", (rows, width), int)[:height])
+    row_reach = reach.max(axis=1)
+    col_reach = reach.max(axis=0)
+    factors = _scratch(space, "factors", (margin, rows, width))
+    r_max = int(row_reach.max())
     out[...] = tex[margin:margin + height, margin:margin + width]
     # columns[d][i, j] = tex(i, j + d) + tex(i, j - d) on all padded rows.
     columns = [tex[:, margin:margin + width]]
@@ -315,19 +315,18 @@ def _gather(tex: np.ndarray, margin: int, radius: np.ndarray,
         columns.append(np.add(tex[:, margin + b:margin + b + width],
                               tex[:, margin - b:margin - b + width],
                               out=pairs[b - 1, :height + 2 * margin]))
-        if not one_level:
-            np.take(gauss[b], index, mode="clip", out=factors[b - 1, :height])
-            ys = np.flatnonzero(row_reach >= b)
-            xs = np.flatnonzero(col_reach >= b)
-            y0, y1, x0, x1 = ys[0], ys[-1] + 1, xs[0], xs[-1] + 1
+        np.take(gauss[b], index, mode="clip", out=factors[b - 1, :height])
+        ys = np.flatnonzero(row_reach >= b)
+        xs = np.flatnonzero(col_reach >= b)
+        y0, y1, x0, x1 = ys[0], ys[-1] + 1, xs[0], xs[-1] + 1
 
         def taps(d: int, dy: int) -> np.ndarray:
             """The pair sums at (dy, +-d) for every pixel of the box."""
             return columns[d][margin + y0 + dy:margin + y1 + dy, x0:x1]
 
-        def factor(a: int):
+        def factor(a: int) -> np.ndarray:
             """The a-factor of every pixel of the box."""
-            return gauss[a, 0] if one_level else factors[a - 1, y0:y1, x0:x1]
+            return factors[a - 1, y0:y1, x0:x1]
 
         box = (y1 - y0, x1 - x0)
         ring = ring_buffer[:box[0] * box[1]].reshape(box)
@@ -344,12 +343,52 @@ def _gather(tex: np.ndarray, margin: int, radius: np.ndarray,
             ring += group
         ring *= factor(b)
         out[y0:y1, x0:x1] += ring
-    if one_level:
-        out /= den[0]
-    else:
-        # The ring buffer is spent: it takes the weight sums instead.
-        out /= np.take(den, index, mode="clip",
-                       out=ring_buffer[:height * width].reshape(height, width))
+    # The ring buffer is spent: it takes the weight sums instead.
+    out /= np.take(den, index, mode="clip",
+                   out=ring_buffer[:height * width].reshape(height, width))
+
+
+def _separable_blur(tex: np.ndarray, margin: int, gauss: np.ndarray,
+                    den: float, out: np.ndarray, space: dict) -> None:
+    """Blur a block of rows with one Gaussian PSF into ``out``.
+
+    ``gauss`` is one level's column of the :func:`_psf_tables` weight
+    table, gauss[d] for d = 0 .. r, and ``den`` its weight sum; ``tex`` is
+    the texture padded by ``margin >= r`` on every side.  The weight
+    gauss[|dx|] * gauss[|dy|] of the square support is separable, so a row
+    pass sums gauss[d] * (tex(i, j + d) + tex(i, j - d)) over d on every
+    padded row the column pass reaches, and the column pass sums the same
+    weights over the row pass's rows into ``out``, which is then divided
+    by ``den``.  That is about 6r ufunc element-operations a pixel,
+    against about 2.5r^2 for the rings of :func:`_gather`.  Radius 0
+    copies the texture exactly, and so does sigma = 0 (every weight past
+    the center is 0).  Every pixel's arithmetic is the same whatever
+    block of rows it is blurred in.
+
+    Its two scratch buffers, ``rows`` (the row pass) and ``term``, are
+    workspace buffers of ``space`` of (strip + 2 margin) x width, where a
+    strip is ``kernel2d._strip_rows`` rows (or the block, if taller).
+    """
+    height, width = out.shape
+    r = gauss.size - 1
+    shape = (max(height, _strip_rows(width)) + 2 * margin, width)
+    rows = _scratch(space, "rows", shape)[:height + 2 * r]
+    term = _scratch(space, "term", shape)[:height + 2 * r]
+    band = tex[margin - r:margin + r + height]
+    rows[...] = band[:, margin:margin + width]
+    for d in range(1, r + 1):
+        np.add(band[:, margin + d:margin + d + width],
+               band[:, margin - d:margin - d + width], out=term)
+        term *= gauss[d]
+        rows += term
+    term = term[:height]
+    out[...] = rows[r:r + height]
+    for d in range(1, r + 1):
+        np.add(rows[r + d:r + d + height], rows[r - d:r - d + height],
+               out=term)
+        term *= gauss[d]
+        out += term
+    out /= den
 
 
 def render_slides(scene: SceneSpec, blur: BlurSpec, width: int, height: int,
@@ -370,10 +409,11 @@ def render_slides(scene: SceneSpec, blur: BlurSpec, width: int, height: int,
     of one buffer per worker plus one, so memory does not grow with
     ``n_slides``; a yielded slide may be overwritten once the next is
     requested.  A worker builds each slide's sigma levels, radii and
-    :func:`_psf_tables` once, then fills the slide strip by strip with
-    :func:`_gather`, whose scratch stays in the worker's workspace for the
-    whole call.  Bit-identical for identical scene, blur and grid
-    parameters, whatever the CPU count.
+    :func:`_psf_tables` once, then fills the slide strip by strip, with
+    :func:`_separable_blur` when the scene has one height (so each slide
+    one level) and with :func:`_gather` otherwise; their scratch stays in
+    the worker's workspace for the whole call.  Bit-identical for
+    identical scene, blur and grid parameters, whatever the CPU count.
     """
     check_stack_geometry(n_slides, z_min, z_max, h)
     if scene.texture_wavelength < 2.0 * h:
@@ -408,8 +448,13 @@ def render_slides(scene: SceneSpec, blur: BlurSpec, width: int, height: int,
         radius = np.minimum(np.ceil(4.0 * sigma), blur.max_radius).astype(int)
         gauss, den = _psf_tables(sigma, radius, margin, space)
         for y in range(0, height, strip):
-            _gather(tex[y:y + strip + 2 * margin], margin, radius, gauss,
-                    den, index[y:y + strip], out[y:y + strip], space)
+            band = tex[y:y + strip + 2 * margin]
+            if heights.size == 1:
+                _separable_blur(band, margin, gauss[:, 0], den[0],
+                                out[y:y + strip], space)
+            else:
+                _gather(band, margin, radius, gauss, den,
+                        index[y:y + strip], out[y:y + strip], space)
 
     ring = np.empty((kernel2d._ring_length(n_slides), height, width))
     return kernel2d._slide_pool(n_slides, render, ring)

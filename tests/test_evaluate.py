@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fracfocus import focus, kernel2d
+from fracfocus import depth, evaluate, focus, kernel2d
 from fracfocus.depth import recover_depth
 from fracfocus.evaluate import (EmptyMaskError, ComparisonTable, ErrorReport,
                                 axis_profile, comparison_table,
@@ -201,6 +201,30 @@ class TestComparisonTable:
         direct = rms_error_percent(recover_depth(local_focus_volume(stack, 1)),
                                    truth, z_range=stack.z_max - stack.z_min)
         assert table.local[1].rms_percent == direct.rms_percent
+
+    def test_each_search_is_scored_once(self, monkeypatch, small_plane):
+        """The default grid at q = 4 has 20 cells and 4 local entries, and
+        20 peak searches answer them: the base (the four alpha = 0 cells
+        and q' = 4), 16 kernel passes and the local measure at q' = 1, 2,
+        3.  Each search builds one depth map and scores it once."""
+        calls = []  # appended to from the pool's threads
+        depth_map = depth.PeakSearch.depth_map
+        score = evaluate.rms_error_percent
+
+        def counted_map(self, **params):
+            calls.append("depth_map")
+            return depth_map(self, **params)
+
+        def counted_score(*args):
+            calls.append("rms_error_percent")
+            return score(*args)
+
+        monkeypatch.setattr(depth.PeakSearch, "depth_map", counted_map)
+        monkeypatch.setattr(evaluate, "rms_error_percent", counted_score)
+        table = comparison_table(small_plane.stack, small_plane.truth, q=4)
+        assert len(table.grid) + len(table.local) == 24
+        assert calls.count("depth_map") == 20
+        assert calls.count("rms_error_percent") == 20
 
     def test_cells_carry_method_metadata(self, table):
         cell = table.grid[(3, 1.5)]

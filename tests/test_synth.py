@@ -16,7 +16,7 @@ from fracfocus import kernel2d, synth
 from fracfocus.focus import local_focus_volume
 from fracfocus.synth import (BlurSpec, SceneSpec, ground_truth, render_slides,
                              render_stack)
-from fracfocus.synth import _gather, _psf_tables, _texture
+from fracfocus.synth import _gather, _psf_tables, _separable_blur, _texture
 
 
 class TestSceneSpec:
@@ -302,6 +302,7 @@ class TestRenderStack:
             raise AssertionError("rendering started")
 
         monkeypatch.setattr(synth, "_gather", unreachable)
+        monkeypatch.setattr(synth, "_separable_blur", unreachable)
         geometry = {**self.SMALL,
                     **(value if field is None else {field: value})}
         with pytest.raises(ValueError, match="finite"):
@@ -333,6 +334,7 @@ class TestRenderStack:
             raise AssertionError("rendering started")
 
         monkeypatch.setattr(synth, "_gather", unreachable)
+        monkeypatch.setattr(synth, "_separable_blur", unreachable)
         with pytest.raises(ValueError, match=message):
             render_slides(self._plane(**overrides), BlurSpec(), **self.SMALL)
 
@@ -349,10 +351,12 @@ class TestRenderStack:
 class TestRenderSlides:
     SMALL = TestRenderStack.SMALL
 
+    @pytest.mark.parametrize("kind", ["plane", "sphere"])
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_stream_is_the_stack_for_any_cpu_count(self, monkeypatch,
-                                                   workers):
-        scene = SceneSpec(kind="sphere", radius=0.8, texture_wavelength=0.3,
+                                                   workers, kind):
+        # The plane takes the separable blur, the sphere the gather.
+        scene = SceneSpec(kind=kind, radius=0.8, texture_wavelength=0.3,
                           seed=2)
         blur = BlurSpec(sigma0=3.0)
         monkeypatch.setattr(kernel2d, "_usable_cpus", lambda: 1)
@@ -372,6 +376,7 @@ class TestRenderSlides:
             raise AssertionError("rendering started")
 
         monkeypatch.setattr(synth, "_gather", unreachable)
+        monkeypatch.setattr(synth, "_separable_blur", unreachable)
         scene = SceneSpec(kind="plane", texture_wavelength=0.3)
         with pytest.raises(ValueError):
             render_slides(scene, BlurSpec(), **{**self.SMALL, **overrides})
@@ -381,8 +386,9 @@ class TestRenderSlides:
         """After the first slide the render workspace keeps one set of
         buffers, and later slides allocate no more than a few per-level
         arrays: strips of 60 x 160 samples (77 KB each, 36 rows last)
-        would show.  The plane takes the one-level path, the ramp (96
-        levels) the gathered one.  numpy's ufunc buffers (128 KB at the
+        would show.  The plane takes the separable blur, whose only
+        strip-sized buffers are ``rows`` and ``term``, the ramp (96 levels)
+        the gather.  numpy's ufunc buffers (128 KB at the
         default size, for strided operands) are numpy's, not the
         renderer's: they are shrunk to 8 KB so that they do not hide a
         strip-sized allocation."""
@@ -418,8 +424,11 @@ class TestRenderSlides:
         assert growth < 64 * 1024, growth
         assert len(spaces) == 9
         first = spaces[0]
-        assert {"pairs", "ring", "group", "gauss", "den"} <= first.keys()
-        assert ("factors" in first) == (kind == "ramp")
+        if kind == "plane":
+            assert first.keys() == {"rows", "term", "gauss", "den"}
+        else:
+            assert first.keys() == {"pairs", "ring", "group", "factors",
+                                    "reach", "levels", "gauss", "den"}
         for space in spaces[1:]:
             assert space.keys() == first.keys()
             for name, buffer in first.items():
@@ -563,3 +572,64 @@ def test_workspace_gather_matches_level_reference(run):
                 _gather(tex[y:y + rows + 2 * margin], margin, radius, gauss,
                         den, index[y:y + rows], out[y:y + rows], space)
             assert np.array_equal(out, expected)
+
+
+@st.composite
+def _one_level_inputs(draw):
+    """A padded texture and one PSF: sigma 0 or positive, and a square
+    support of any radius up to the margin."""
+    height = draw(st.integers(1, 12))
+    width = draw(st.integers(1, 12))
+    margin = draw(st.integers(0, 6))
+    tex = draw(arrays(np.float64, (height + 2 * margin, width + 2 * margin),
+                      elements=st.floats(0.0, 1.0)))
+    sigma = draw(st.one_of(st.just(0.0), st.floats(0.05, 3.0)))
+    radius = draw(st.integers(0, margin))
+    return tex, margin, sigma, radius, (height, width)
+
+
+def _one_level_tables(sigma, radius, margin, space):
+    """The weight column and weight sum of one level, as render_slides
+    passes them to the separable blur."""
+    gauss, den = _psf_tables(np.array([sigma]), np.array([radius]), margin,
+                             space)
+    return gauss[:, 0], den[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_one_level_inputs())
+def test_separable_blur_matches_direct_reference(inputs):
+    tex, margin, sigma, radius, shape = inputs
+    space = {}
+    out = np.full(shape, np.nan)
+    _separable_blur(tex, margin, *_one_level_tables(sigma, radius, margin,
+                                                    space), out, space)
+    expected = reference_gather(tex, margin, np.full(shape, sigma),
+                                np.full(shape, radius))
+    assert np.allclose(out, expected, rtol=0, atol=1e-12)
+    if sigma == 0.0 or radius == 0:
+        # Only the center tap: the texture is copied bit for bit.
+        height, width = shape
+        core = tex[margin:margin + height, margin:margin + width]
+        assert np.array_equal(out, core)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_one_level_inputs(), st.data())
+def test_separable_blur_rows_are_independent(inputs, data):
+    # Any split of the rows into blocks, each blurred on its own with the
+    # slide's tables in one workspace, gives the bits of the whole block,
+    # which is what lets render_slides work in strips.
+    tex, margin, sigma, radius, (height, width) = inputs
+    cuts = (data.draw(st.sets(st.integers(1, height - 1))) if height > 1
+            else set())
+    space = {}
+    gauss, den = _one_level_tables(sigma, radius, margin, space)
+    whole = np.empty((height, width))
+    _separable_blur(tex, margin, gauss, den, whole, space)
+    bounds = [0, *sorted(cuts), height]
+    blocks = np.full((height, width), np.nan)
+    for top, bottom in zip(bounds, bounds[1:]):
+        _separable_blur(tex[top:bottom + 2 * margin], margin, gauss, den,
+                        blocks[top:bottom], space)
+    assert np.array_equal(blocks, whole)
