@@ -28,13 +28,15 @@ read-measure-pass chain (``focus.focus_layers``) and the renderer
 all run on it, and so does ``evaluate.comparison_table``, whose items are
 whole table cells.
 
-The pass itself (``_correlate_slide``) runs from a schedule: the ufunc
+The pass itself (``_correlate_slide``) runs from a schedule: the numpy
 calls of its row strips, strip after strip, each operand a view into the
 worker's workspace, appended by the strip loop once per kernel, shape and
-strip size.  A worker then spends almost no interpreter time between
-ufuncs, which release the GIL while they compute, so the workers seldom
-wait for one another.  A workspace keeps one schedule and the scratch
-buffers of one pass; another kernel or shape replaces both.  The pass's
+strip size.  Each kernel row's weighted sum of column pair sums is one
+``np.einsum`` call, so a strip takes 4 zeta + 2 calls.  A worker then
+spends almost no interpreter time between calls, which release the GIL
+while they compute, so the workers seldom wait for one another.  A
+workspace keeps one schedule and the scratch buffers of one pass; another
+kernel or shape replaces both.  The pass's
 input is the interior of its padded buffer (``_pass_input``): a caller that
 computes the slide writes it there, and the pass fills only the mirror
 margins before it runs (``_pass_into``).
@@ -289,54 +291,73 @@ def _strip_rows(width: int) -> int:
     return max(1, _STRIP_SAMPLES // width)
 
 
+# The row sum D_a = sum_b w[a, b] C_b of one kernel row in one call, over a
+# stack of column pair sums flattened to (taps, samples).  Without
+# ``optimize`` this is numpy's own sum-of-products loop, not BLAS: it starts
+# from zero and adds each rounded product in order of b, the bits of a
+# multiply and then an add per tap.
+_weighted_rows = functools.partial(np.einsum, "bn,b->n")
+
+
 def _build_schedule(weights: np.ndarray, shape: tuple[int, int],
                     space: dict) -> list:
-    """The ufunc calls of the pair-sum pass over a slide of ``shape``.
+    """The numpy calls of the pair-sum pass over a slide of ``shape``.
 
     One entry per row strip: ``(calls, rows, result)``, where ``calls`` is
-    the list of ``(ufunc, x, y, o)`` to run as ``ufunc(x, y, o)`` in order,
-    every array a view into the workspace buffers ``padded``, ``pairs``,
-    ``row_sum``, ``term`` and ``total`` of ``space``, and ``result``, a
-    view of ``total``, holds the strip's output rows ``rows`` once the calls
-    are done.  See :func:`_correlate_slide` for the arithmetic, and
-    ``tests/pass_reference.py`` for the strip loop these calls replay.
+    the list of ``(function, x, y, o)`` to run as ``function(x, y, out=o)``
+    in order, every array a view into the workspace buffers ``padded``,
+    ``pairs``, ``quadrant``, ``row_sum``, ``term`` and ``total`` of
+    ``space``, and ``result``, a view of ``total``, holds the strip's
+    output rows ``rows`` once the calls are done.  A strip of a kernel with
+    no zero weight takes 4 zeta + 2 calls: the copy of ``C_0``, zeta column
+    pair sums, one ``np.einsum`` per kernel row and two adds per row a > 0.
+    See :func:`_correlate_slide` for the arithmetic, and
+    ``tests/pass_reference.py`` for the strip loop whose bits these calls
+    reproduce.
     """
     zeta = weights.shape[0] - 1
     height, width = shape
     rows = _strip_rows(width)
     span = min(rows, height) + 2 * zeta
-    taps = [(a, np.flatnonzero(row)) for a, row in enumerate(weights)
-            if row.any()]
     padded = _scratch(space, "padded", (height + 2 * zeta, width + 2 * zeta))
-    pairs = _scratch(space, "pairs", (zeta, span, width))
+    pairs = _scratch(space, "pairs", (zeta + 1, span, width))
+    quadrant = _scratch(space, "quadrant", weights.shape)
+    quadrant[...] = weights
     row_sum = _scratch(space, "row_sum", (span, width))
-    term = _scratch(space, "term", (span, width))
+    term = _scratch(space, "term", (min(rows, height), width))
     total = _scratch(space, "total", (min(rows, height), width))
+    ranges = [(a, nonzero[0], nonzero[-1])
+              for a, nonzero in enumerate(map(np.flatnonzero, weights))
+              if nonzero.size]
 
     schedule = []
     for top in range(0, height, rows):
         n = min(rows, height - top)
         strip = padded[top:top + n + 2 * zeta]
-        result = total[:n]
-        columns = [strip[:, zeta:zeta + width], *pairs[:, :n + 2 * zeta]]
-        calls = [(np.add, strip[:, zeta + b:zeta + b + width],
-                  strip[:, zeta - b:zeta - b + width], columns[b])
-                 for b in range(1, zeta + 1)]
-        for a, (first, *rest) in taps:
+        result, tmp = total[:n], term[:n]
+        # C_0 joins the pair sums C_1 .. C_zeta as the slab pairs[0], so that
+        # any run of taps of a row is one array; times 1.0 copies it exactly.
+        columns = pairs[:, :n + 2 * zeta]
+        calls = [(np.multiply, strip[:, zeta:zeta + width], 1.0, columns[0])]
+        calls += [(np.add, strip[:, zeta + b:zeta + b + width],
+                   strip[:, zeta - b:zeta - b + width], columns[b])
+                  for b in range(1, zeta + 1)]
+        for a, first, last in ranges:
             # D_a is needed on rows zeta-a .. zeta+a+n-1 of the strip only;
             # D_0 is built in the strip's total itself.
             lo, hi = zeta - a, zeta + a + n
             acc = result if a == 0 else row_sum[:hi - lo]
-            tmp = term[:hi - lo]
-            calls.append((np.multiply, columns[first][lo:hi],
-                          weights[a, first], acc))
-            for b in rest:
-                calls.append((np.multiply, columns[b][lo:hi], weights[a, b],
-                              tmp))
-                calls.append((np.add, acc, tmp, acc))
+            if first == last:
+                calls.append((np.multiply, columns[first][lo:hi],
+                              weights[a, first], acc))
+            else:
+                stack = columns[first:last + 1, lo:hi]
+                calls.append((_weighted_rows,
+                              stack.reshape(last + 1 - first, -1),
+                              quadrant[a, first:last + 1], acc.reshape(-1)))
             if a:
-                calls.append((np.add, acc[:n], acc[2 * a:], tmp[:n]))
-                calls.append((np.add, result, tmp[:n], result))
+                calls.append((np.add, acc[:n], acc[2 * a:], tmp))
+                calls.append((np.add, result, tmp, result))
         schedule.append((calls, slice(top, top + n), result))
     return schedule
 
@@ -376,8 +397,8 @@ def _pass_into(out: np.ndarray, space: dict) -> None:
     padded = space["padded"]
     _mirror_margins(padded, (padded.shape[0] - out.shape[0]) // 2)
     for calls, rows, result in space["schedule"][1]:
-        for ufunc, x, y, o in calls:
-            ufunc(x, y, o)
+        for function, x, y, o in calls:
+            function(x, y, out=o)
         out[rows] = result
 
 
@@ -392,18 +413,28 @@ def _correlate_slide(weights: np.ndarray, slide: np.ndarray,
 
     ``weights`` is the kernel quadrant ``w[a, b]``, a, b = 0..zeta.  In row
     strips, the column pair sums ``C_b = P[:, c+b] + P[:, c-b]`` of the
-    mirror-padded slide ``P`` (``C_0 = P[:, c]``) give the row sums
-    ``D_a = sum_b w[a, b] C_b``, and each output row ``r`` is
-    ``D_0[r] + sum_a (D_a[r+a] + D_a[r-a])``.  Zero weights are skipped, so
-    the delta kernel leaves a copy.
+    mirror-padded slide ``P`` (``C_0 = P[:, c]``, copied next to them) give
+    the row sums ``D_a = sum_b w[a, b] C_b``, and each output row ``r`` is
+    ``D_0[r] + sum_a (D_a[r+a] + D_a[r-a])``.  Each ``D_a`` is one
+    ``np.einsum`` over the taps from the row's first non-zero weight to its
+    last, which adds each rounded product in order of b; a row with no
+    weight is skipped, and a row with one is a multiply, so the delta kernel
+    leaves a copy.  On finite non-negative input these are the bits of a
+    multiply and an add per non-zero tap (``tests/pass_reference.py``).
+    Two results can differ from that loop: a -0.0 can come out +0.0, since
+    einsum starts its sum from +0.0, which compares equal and which the
+    local measure (a sum of absolute values) never makes; and an inf sample
+    or pair sum under a zero weight inside a row's taps (no kernel of
+    :func:`build_kernel` has one) can give NaN where the loop gave inf,
+    both of which ``grids.check_focus_values`` refuses.
 
-    The pass runs from a schedule (:func:`_build_schedule`, about 1 ms at
-    512 x 512 and zeta = 8): the ufunc calls above, strip by strip, every
+    The pass runs from a schedule (:func:`_build_schedule`, about 0.3 ms at
+    512 x 512 and zeta = 8): the calls above, strip by strip, every
     operand a view into the workspace ``space``.  A call copies the slide
     into the interior of ``P`` (:func:`_pass_input`), then fills its
     margins and runs the calls (:func:`_pass_into`), with no Python slicing
-    between the ufuncs, so that workers on other threads seldom wait for
-    the interpreter lock.  A caller that computes the slide can write it
+    between them, so that workers on other threads seldom wait for the
+    interpreter lock.  A caller that computes the slide can write it
     into ``P`` itself and skip the copy, as ``focus._focus_layer_into``
     does.  A workspace holds one schedule.
     """

@@ -1,9 +1,12 @@
 """Reference for the pair-sum pass: the strip loop written out directly.
 
-Each row strip slices the mirror-padded slide afresh and calls the same
-numpy ufuncs, on the same operands and in the same order, as the schedule
-that ``kernel2d._correlate_slide`` runs, so the two must agree bit for bit.
-Its buffers are allocated on every call and padding comes from ``np.pad``.
+Each row strip slices the mirror-padded slide afresh and builds each row
+sum ``D_a`` with a multiply and then an add per non-zero tap, in order of
+the tap.  The schedule that ``kernel2d._correlate_slide`` runs makes each
+row sum one ``np.einsum`` call instead, which adds the same rounded
+products in the same order, so on finite non-negative slides the two must
+agree bit for bit.  Its buffers are allocated on every call and padding
+comes from ``np.pad``.
 """
 
 import numpy as np

@@ -166,6 +166,15 @@ class TestApplyKernel:
         out = _correlate(kernels_zeta4[0.0], values)
         assert np.array_equal(out, values)
 
+    def test_delta_kernel_copies_every_value_bit_for_bit(self, kernels_zeta4):
+        # The delta kernel's one tap is a multiply by 1.0, not a sum that
+        # starts from +0.0, so -0.0, infinities and NaN come out unchanged.
+        values = np.array([[-0.0, 0.0, np.inf, -np.inf],
+                           [np.nan, 5e-324, -1.5, 1.7e308]])
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = _correlate(kernels_zeta4[0.0], values)
+        assert np.array_equal(out.view(np.uint64), values.view(np.uint64))
+
     def test_constant_field_scales_by_weight_sum(self, kernels_zeta4):
         out = _correlate(kernels_zeta4[2.0], np.ones((10, 10)))
         # All-ones 9x9 kernel and mirror padding: every output is 81.
@@ -280,7 +289,7 @@ def _schedule_arrays(space):
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(st.integers(1, 16),
-                          st.sampled_from([0.0, 0.5, 1.5, 2.0]),
+                          st.sampled_from([0.0, 0.5, 1.0, 1.5, 1.9, 2.0]),
                           st.integers(1, 40), st.integers(1, 40),
                           st.one_of(st.integers(1, 80),
                                     st.integers(1, 2**15))),
@@ -347,9 +356,59 @@ def test_pass_may_overwrite_its_input(zeta, alpha, height, width,
     assert np.array_equal(slide.view(np.uint64), expected.view(np.uint64))
 
 
+# An eight-fold-symmetric quadrant with zeros inside the tap ranges of rows
+# 0, 1 and 3, a row with one tap off the centre (row 2) and an empty row (4).
+_GAPPED_QUADRANT = np.array([[1.0, 0.5, 0.0, 0.25, 0.0],
+                             [0.5, 0.0, 0.125, 0.0, 0.0],
+                             [0.0, 0.125, 0.0, 0.0, 0.0],
+                             [0.25, 0.0, 0.0, 0.75, 0.0],
+                             [0.0, 0.0, 0.0, 0.0, 0.0]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 30), st.integers(1, 30),
+       st.one_of(st.integers(1, 80), st.integers(1, 2**15)),
+       st.integers(0, 2**32 - 1))
+# Strips of 3, 3 and 1 rows, narrower than the reach.
+@example(7, 3, 9, 0)
+def test_zero_weights_inside_a_row_keep_the_bits(height, width,
+                                                 strip_samples, seed):
+    # A row's einsum runs over every tap from its first non-zero weight to
+    # its last, zeros included; on finite non-negative slides a zero product
+    # adds nothing, so the bits are still those of the loop that skips it.
+    # Kernel refuses weights that are not eight-fold symmetric.
+    offsets = np.abs(np.arange(-4, 5))
+    Kernel(alpha=1.0, zeta=4,
+           weights=_GAPPED_QUADRANT[offsets[:, np.newaxis], offsets])
+    rng = np.random.default_rng(seed)
+    slide = rng.choice([0.0, 0.25, 1.0, 3.0], size=(height, width))
+    slide = np.where(rng.random((height, width)) < 0.5, slide,
+                     rng.random((height, width)) * 10.0 ** rng.integers(
+                         -300, 300, (height, width)))
+    expected = np.full((height, width), np.nan)
+    reference_correlate_slide(_GAPPED_QUADRANT, slide, expected,
+                              strip_samples)
+    got = np.full((height, width), np.nan)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel2d, "_STRIP_SAMPLES", strip_samples)
+        kernel2d._correlate_slide(_GAPPED_QUADRANT, slide, got, {})
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5, 2.0])
+@pytest.mark.parametrize("zeta", [1, 2, 8, 12])
+def test_strip_takes_4_zeta_plus_2_calls(alpha, zeta):
+    # The copy of C_0, zeta column pair sums, one einsum per kernel row and
+    # two adds per row a > 0: 34 calls a strip at zeta = 8.
+    weights = _cached_kernel(alpha, zeta).weights[zeta:, zeta:]
+    schedule = kernel2d._build_schedule(weights, (400, 200), {})
+    assert len(schedule) == 3
+    assert [len(calls) for calls, _, _ in schedule] == [4 * zeta + 2] * 3
+
+
 def test_schedule_holds_views_not_copies():
     # A schedule holds views of the workspace and scalar weights only, at
-    # 512 x 512 and zeta = 8 eight strips of about 180 calls; one copy of a
+    # 512 x 512 and zeta = 8 eight strips of 34 calls; one copy of a
     # 64-row strip at that width would be 256 KiB.
     weights = _cached_kernel(1.5, 8).weights[8:, 8:]
     slide = np.random.default_rng(3).random((512, 512))
