@@ -132,11 +132,10 @@ def _focus_layer_into(out: np.ndarray, source: FocalStack | StackHeader,
             _modified_laplacian_into(out, slide, q, source.h, space)
         return
     source.read_slide(k, out)
-    local = _pass_input(kernel.weights[kernel.zeta:, kernel.zeta:],
-                        out.shape, space)
+    local = _pass_input(out.shape, kernel.zeta, space)
     with np.errstate(over="ignore"):
         _modified_laplacian_into(local, out, q, source.h, space)
-        _pass_into(out, space)
+        _pass_into(kernel.weights[kernel.zeta:, kernel.zeta:], out, space)
     _zero_frame(out, q)
 
 

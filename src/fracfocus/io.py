@@ -45,10 +45,16 @@ class StackFormatError(ValueError):
 
 
 def write_pgm(path: str | Path, values: np.ndarray) -> None:
-    """Write a 2D float field as binary PGM, clipping to [0, 1]."""
+    """Write a 2D float field as binary PGM, clipping to [0, 1].
+
+    Raises ValueError, before the file is opened, for a field that is not
+    2D or holds a NaN or an infinity.
+    """
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2D field, got shape {arr.shape}")
+    if finite_min(arr) is None:
+        raise ValueError("PGM values must be finite")
     # One float temporary: clipped, then scaled and rounded in place.
     scaled = np.clip(arr, 0.0, 1.0)
     np.multiply(scaled, 255.0, out=scaled)

@@ -28,18 +28,14 @@ read-measure-pass chain (``focus.focus_layers``) and the renderer
 all run on it, and so does ``evaluate.comparison_table``, whose items are
 whole table cells.
 
-The pass itself (``_correlate_slide``) runs from a schedule: the numpy
-calls of its row strips, strip after strip, each operand a view into the
-worker's workspace, appended by the strip loop once per kernel, shape and
-strip size.  Each kernel row's weighted sum of column pair sums is one
-``np.einsum`` call, so a strip takes 4 zeta + 2 calls.  A worker then
-spends almost no interpreter time between calls, which release the GIL
-while they compute, so the workers seldom wait for one another.  A
-workspace keeps one schedule and the scratch buffers of one pass; another
-kernel or shape replaces both.  The pass's
-input is the interior of its padded buffer (``_pass_input``): a caller that
-computes the slide writes it there, and the pass fills only the mirror
-margins before it runs (``_pass_into``).
+The pass itself (``_correlate_slide``) is a plain loop over row strips.
+Each kernel row's weighted sum of column pair sums is one ``np.einsum``
+call, so a strip takes 4 zeta + 2 numpy calls, which release the GIL while
+they compute, and the workers seldom wait for one another.  A workspace
+keeps the scratch buffers of one pass; another kernel or shape replaces
+them.  The pass's input is the interior of its padded buffer
+(``_pass_input``): a caller that computes the slide writes it there, and
+the pass fills only the mirror margins before it runs (``_pass_into``).
 """
 
 from __future__ import annotations
@@ -299,107 +295,71 @@ def _strip_rows(width: int) -> int:
 _weighted_rows = functools.partial(np.einsum, "bn,b->n")
 
 
-def _build_schedule(weights: np.ndarray, shape: tuple[int, int],
-                    space: dict) -> list:
-    """The numpy calls of the pair-sum pass over a slide of ``shape``.
-
-    One entry per row strip: ``(calls, rows, result)``, where ``calls`` is
-    the list of ``(function, x, y, o)`` to run as ``function(x, y, out=o)``
-    in order, every array a view into the workspace buffers ``padded``,
-    ``pairs``, ``quadrant``, ``row_sum``, ``term`` and ``total`` of
-    ``space``, and ``result``, a view of ``total``, holds the strip's
-    output rows ``rows`` once the calls are done.  A strip of a kernel with
-    no zero weight takes 4 zeta + 2 calls: the copy of ``C_0``, zeta column
-    pair sums, one ``np.einsum`` per kernel row and two adds per row a > 0.
-    See :func:`_correlate_slide` for the arithmetic, and
-    ``tests/pass_reference.py`` for the strip loop whose bits these calls
-    reproduce.
-    """
-    zeta = weights.shape[0] - 1
+def _pass_input(shape: tuple[int, int], zeta: int,
+                space: dict) -> np.ndarray:
+    """The interior of the padded slide ``P`` of a pass of reach ``zeta``
+    over a slide of ``shape``: write the slide there, then run the pass with
+    :func:`_pass_into`.  ``P`` is the workspace buffer ``padded``."""
     height, width = shape
+    padded = _scratch(space, "padded", (height + 2 * zeta, width + 2 * zeta))
+    return padded[zeta:zeta + height, zeta:zeta + width]
+
+
+def _pass_into(weights: np.ndarray, out: np.ndarray, space: dict) -> None:
+    """Run the pass with the kernel quadrant ``weights`` whose input
+    :func:`_pass_input` returned, into ``out``.
+
+    Mirrors the margins of ``P`` from its interior (:func:`_mirror_margins`),
+    then runs the calls of :func:`_correlate_slide` strip by strip, each
+    strip's row sums in the workspace buffers ``pairs``, ``row_sum`` and
+    ``term`` and its result straight in its rows of ``out``.  ``out`` may be
+    a new buffer on each call, or the slide that was written into ``P``; it
+    must be C-contiguous, since ``D_0`` is written through a flat view of
+    its rows.  A strip of a kernel with no zero weight takes 4 zeta + 2
+    calls: the copy of ``C_0``, zeta column pair sums, one ``np.einsum`` per
+    kernel row and two adds per row a > 0.
+    """
+    if not out.flags.c_contiguous:
+        raise ValueError("the kernel pass needs a C-contiguous output")
+    zeta = weights.shape[0] - 1
+    height, width = out.shape
+    padded = space["padded"]
+    _mirror_margins(padded, zeta)
     rows = _strip_rows(width)
     span = min(rows, height) + 2 * zeta
-    padded = _scratch(space, "padded", (height + 2 * zeta, width + 2 * zeta))
     pairs = _scratch(space, "pairs", (zeta + 1, span, width))
-    quadrant = _scratch(space, "quadrant", weights.shape)
-    quadrant[...] = weights
     row_sum = _scratch(space, "row_sum", (span, width))
     term = _scratch(space, "term", (min(rows, height), width))
-    total = _scratch(space, "total", (min(rows, height), width))
     ranges = [(a, nonzero[0], nonzero[-1])
               for a, nonzero in enumerate(map(np.flatnonzero, weights))
               if nonzero.size]
-
-    schedule = []
     for top in range(0, height, rows):
         n = min(rows, height - top)
         strip = padded[top:top + n + 2 * zeta]
-        result, tmp = total[:n], term[:n]
+        result, tmp = out[top:top + n], term[:n]
         # C_0 joins the pair sums C_1 .. C_zeta as the slab pairs[0], so that
         # any run of taps of a row is one array; times 1.0 copies it exactly.
         columns = pairs[:, :n + 2 * zeta]
-        calls = [(np.multiply, strip[:, zeta:zeta + width], 1.0, columns[0])]
-        calls += [(np.add, strip[:, zeta + b:zeta + b + width],
-                   strip[:, zeta - b:zeta - b + width], columns[b])
-                  for b in range(1, zeta + 1)]
+        np.multiply(strip[:, zeta:zeta + width], 1.0, out=columns[0])
+        for b in range(1, zeta + 1):
+            np.add(strip[:, zeta + b:zeta + b + width],
+                   strip[:, zeta - b:zeta - b + width], out=columns[b])
         for a, first, last in ranges:
             # D_a is needed on rows zeta-a .. zeta+a+n-1 of the strip only;
-            # D_0 is built in the strip's total itself.
+            # D_0 is built in the strip's rows of out itself.
             lo, hi = zeta - a, zeta + a + n
             acc = result if a == 0 else row_sum[:hi - lo]
             if first == last:
-                calls.append((np.multiply, columns[first][lo:hi],
-                              weights[a, first], acc))
+                np.multiply(columns[first][lo:hi], weights[a, first],
+                            out=acc)
             else:
                 stack = columns[first:last + 1, lo:hi]
-                calls.append((_weighted_rows,
-                              stack.reshape(last + 1 - first, -1),
-                              quadrant[a, first:last + 1], acc.reshape(-1)))
+                _weighted_rows(stack.reshape(last + 1 - first, -1),
+                               weights[a, first:last + 1],
+                               out=acc.reshape(-1))
             if a:
-                calls.append((np.add, acc[:n], acc[2 * a:], tmp))
-                calls.append((np.add, result, tmp, result))
-        schedule.append((calls, slice(top, top + n), result))
-    return schedule
-
-
-def _pass_input(weights: np.ndarray, shape: tuple[int, int],
-                space: dict) -> np.ndarray:
-    """The interior of the padded slide ``P`` of a pass over a slide of
-    ``shape`` with the kernel quadrant ``weights``: write the slide there,
-    then run the pass with :func:`_pass_into`.
-
-    Builds the workspace's schedule (:func:`_build_schedule`) on the first
-    call for a quadrant, shape and ``_STRIP_SAMPLES``; another replaces it,
-    and its buffers with it, so no scratch of an earlier pass stays alive.
-    Only a new schedule allocates ``P`` (the workspace buffer ``padded``),
-    so the interior returned here is always the one the schedule reads.
-    """
-    key = (weights.tobytes(), shape, _STRIP_SAMPLES)
-    stored = space.get("schedule")
-    if stored is None or stored[0] != key:
-        # Dropped first, so that the old views do not pin the old buffers
-        # while the new ones are allocated.
-        space.pop("schedule", None)
-        space["schedule"] = (key, _build_schedule(weights, shape, space))
-    zeta = weights.shape[0] - 1
-    height, width = shape
-    return space["padded"][zeta:zeta + height, zeta:zeta + width]
-
-
-def _pass_into(out: np.ndarray, space: dict) -> None:
-    """Run the pass whose input :func:`_pass_input` returned, into ``out``.
-
-    Mirrors the margins of ``P`` from its interior (:func:`_mirror_margins`),
-    runs the schedule's calls and copies each finished strip into ``out``.
-    The schedule never points into ``out``, which may be a new buffer on
-    each call, or the slide that was written into ``P``.
-    """
-    padded = space["padded"]
-    _mirror_margins(padded, (padded.shape[0] - out.shape[0]) // 2)
-    for calls, rows, result in space["schedule"][1]:
-        for function, x, y, o in calls:
-            function(x, y, out=o)
-        out[rows] = result
+                np.add(acc[:n], acc[2 * a:], out=tmp)
+                np.add(result, tmp, out=result)
 
 
 def _correlate_slide(weights: np.ndarray, slide: np.ndarray,
@@ -428,18 +388,15 @@ def _correlate_slide(weights: np.ndarray, slide: np.ndarray,
     :func:`build_kernel` has one) can give NaN where the loop gave inf,
     both of which ``grids.check_focus_values`` refuses.
 
-    The pass runs from a schedule (:func:`_build_schedule`, about 0.3 ms at
-    512 x 512 and zeta = 8): the calls above, strip by strip, every
-    operand a view into the workspace ``space``.  A call copies the slide
-    into the interior of ``P`` (:func:`_pass_input`), then fills its
-    margins and runs the calls (:func:`_pass_into`), with no Python slicing
-    between them, so that workers on other threads seldom wait for the
-    interpreter lock.  A caller that computes the slide can write it
-    into ``P`` itself and skip the copy, as ``focus._focus_layer_into``
-    does.  A workspace holds one schedule.
+    The slide is copied into the interior of ``P`` (:func:`_pass_input`),
+    and the pass fills its margins and runs (:func:`_pass_into`), every
+    scratch buffer the workspace ``space``'s, allocated once per shape and
+    reach.  A caller that computes the slide can write it into ``P`` itself
+    and skip the copy, as ``focus._focus_layer_into`` does.  ``out`` must
+    be C-contiguous; it may be ``slide`` itself.
     """
-    _pass_input(weights, slide.shape, space)[...] = slide
-    _pass_into(out, space)
+    _pass_input(slide.shape, weights.shape[0] - 1, space)[...] = slide
+    _pass_into(weights, out, space)
 
 
 def kernel_frequency_response(kernel: Kernel, k1: float, k2: float) -> float:

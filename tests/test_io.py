@@ -107,6 +107,15 @@ class TestPgm:
         with pytest.raises(ValueError, match="2D"):
             write_pgm(tmp_path / "bad.pgm", np.zeros(5))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_input_and_writes_nothing(self, tmp_path,
+                                                          bad):
+        # The cast to bytes would turn a NaN into 0 with a numpy warning.
+        target = tmp_path / "bad.pgm"
+        with pytest.raises(ValueError, match="finite"):
+            write_pgm(target, [[0.25, 0.5], [bad, 1.0]])
+        assert not target.exists()
+
 
 def _reference_pgm_tokens(raw):
     """Byte-at-a-time PGM header scanner: tokens end at whitespace, and a #

@@ -275,18 +275,6 @@ def test_equal_windows_give_equal_bits_across_strips(
     assert np.array_equal(got.ravel(), representative[group])
 
 
-def _schedule_arrays(space):
-    """Every array the workspace's stored schedules read or write."""
-    for value in space.values():
-        if isinstance(value, np.ndarray):
-            continue
-        _, schedule = value
-        for calls, _, result in schedule:
-            yield result
-            for _, x, y, o in calls:
-                yield from (a for a in (x, y, o) if isinstance(a, np.ndarray))
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(st.integers(1, 16),
                           st.sampled_from([0.0, 0.5, 1.0, 1.5, 1.9, 2.0]),
@@ -299,10 +287,10 @@ def _schedule_arrays(space):
 @example([(16, 1.5, 3, 5, 7), (2, 0.5, 40, 9, 1), (2, 0.5, 40, 9, 2**15)], 0)
 # Strips of 16, 16 and 8 rows.
 @example([(3, 1.5, 40, 9, 144)], 0)
-def test_schedule_matches_the_strip_loop(calls, seed):
+def test_pass_matches_the_strip_loop(calls, seed):
     # One workspace across a sequence of passes, as a worker keeps it, and
-    # each pass run twice so the second reuses the stored schedule; every
-    # pass writes a fresh output, which the schedule must not point into.
+    # each pass run twice so the second reuses the workspace's buffers;
+    # every pass writes a fresh output.
     rng = np.random.default_rng(seed)
     space = {}
     for zeta, alpha, height, width, strip_samples in calls:
@@ -319,14 +307,12 @@ def test_schedule_matches_the_strip_loop(calls, seed):
                 kernel2d._correlate_slide(weights, slide, got, space)
             assert np.array_equal(got.view(np.uint64),
                                   expected.view(np.uint64))
-        # At most one schedule, and it points only into the workspace's
-        # current buffers: no scratch of an earlier pass stays alive.
-        assert sum(not isinstance(value, np.ndarray)
-                   for value in space.values()) <= 1
-        buffers = {id(value) for value in space.values()
-                   if isinstance(value, np.ndarray)}
-        assert all(id(array.base) in buffers
-                   for array in _schedule_arrays(space))
+        # One buffer per role, sized for this pass: no scratch of an
+        # earlier pass stays alive.
+        assert sorted(space) == ["padded", "pairs", "row_sum", "term"]
+        assert space["padded"].shape == (height + 2 * zeta,
+                                         width + 2 * zeta)
+        assert space["pairs"].shape[0] == zeta + 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -395,34 +381,73 @@ def test_zero_weights_inside_a_row_keep_the_bits(height, width,
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
+class _CallCounter:
+    """Stands in for numpy in kernel2d and counts its add and multiply
+    calls; everything else is numpy's own."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def count(self, function):
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return function(*args, **kwargs)
+        return counted
+
+    def __getattr__(self, name):
+        function = getattr(np, name)
+        return self.count(function) if name in ("add", "multiply") else function
+
+
 @pytest.mark.parametrize("alpha", [0.5, 1.5, 2.0])
 @pytest.mark.parametrize("zeta", [1, 2, 8, 12])
-def test_strip_takes_4_zeta_plus_2_calls(alpha, zeta):
+def test_strip_takes_4_zeta_plus_2_calls(alpha, zeta, monkeypatch):
     # The copy of C_0, zeta column pair sums, one einsum per kernel row and
-    # two adds per row a > 0: 34 calls a strip at zeta = 8.
+    # two adds per row a > 0: 34 calls a strip at zeta = 8.  Three strips
+    # at 200 wide: 163, 163 and 74 rows.
     weights = _cached_kernel(alpha, zeta).weights[zeta:, zeta:]
-    schedule = kernel2d._build_schedule(weights, (400, 200), {})
-    assert len(schedule) == 3
-    assert [len(calls) for calls, _, _ in schedule] == [4 * zeta + 2] * 3
+    slide = np.random.default_rng(4).random((400, 200))
+    expected = np.empty_like(slide)
+    kernel2d._correlate_slide(weights, slide, expected, {})
+    counter = _CallCounter()
+    monkeypatch.setattr(kernel2d, "np", counter)
+    monkeypatch.setattr(kernel2d, "_weighted_rows",
+                        counter.count(kernel2d._weighted_rows))
+    got = np.empty_like(slide)
+    kernel2d._correlate_slide(weights, slide, got, {})
+    assert counter.calls == 3 * (4 * zeta + 2)
+    assert got.tobytes() == expected.tobytes()
 
 
-def test_schedule_holds_views_not_copies():
-    # A schedule holds views of the workspace and scalar weights only, at
-    # 512 x 512 and zeta = 8 eight strips of 34 calls; one copy of a
-    # 64-row strip at that width would be 256 KiB.
+def test_warm_pass_allocates_no_strip_copies():
+    # Every operand of a pass is a view into the workspace or into out, so
+    # a pass with warm buffers allocates less than one copy of a strip
+    # would: 256 KiB for the 64 rows of a strip at 512 x 512 and zeta = 8.
     weights = _cached_kernel(1.5, 8).weights[8:, 8:]
     slide = np.random.default_rng(3).random((512, 512))
+    out = np.empty_like(slide)
     space = {}
-    kernel2d._correlate_slide(weights, slide, np.empty_like(slide), space)
-    del space["schedule"]
+    kernel2d._correlate_slide(weights, slide, out, space)
+    expected = out.copy()
     tracemalloc.start()
     try:
-        schedule = kernel2d._build_schedule(weights, slide.shape, space)
-        held = tracemalloc.get_traced_memory()[0]
+        kernel2d._correlate_slide(weights, slide, out, space)
+        held = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(schedule) == 8
-    assert held <= 512 * 1024
+    assert held < 256 * 1024
+    assert out.tobytes() == expected.tobytes()
+
+
+def test_pass_refuses_an_output_that_is_not_c_contiguous():
+    # D_0 is written through a flat view of out's rows; on a transposed
+    # out that view would be a copy, and the result would be lost.
+    weights = _cached_kernel(1.5, 2).weights[2:, 2:]
+    slide = np.random.default_rng(5).random((12, 12))
+    out = np.full((12, 12), np.nan).T
+    with pytest.raises(ValueError, match="C-contiguous"):
+        kernel2d._correlate_slide(weights, slide, out, {})
+    assert np.isnan(out).all()
 
 
 class TestFrequencyResponse:
