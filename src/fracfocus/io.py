@@ -76,7 +76,12 @@ def _pgm_tokens(raw: bytes):
 
 
 def _read_pgm_pixels(path: str | Path) -> tuple[np.ndarray, int]:
-    """The 8-bit raster of a binary PGM and its maxval."""
+    """The 8-bit raster of a binary PGM and its maxval.
+
+    Raises ValueError naming the file for a header that is truncated, of
+    another magic or not decimal, a zero dimension, a maxval outside
+    1..255, a truncated raster, or a sample above the maxval.
+    """
     raw = Path(path).read_bytes()
     tokens = _pgm_tokens(raw)
     try:
@@ -86,19 +91,29 @@ def _read_pgm_pixels(path: str | Path) -> tuple[np.ndarray, int]:
         raise ValueError(f"{path}: truncated PGM header") from None
     if magic != b"P5":
         raise ValueError(f"{path}: not a binary PGM (magic {magic!r})")
+    if not (w_tok.isdigit() and h_tok.isdigit() and max_tok.isdigit()):
+        raise ValueError(f"{path}: bad PGM header")
     width, height, maxval = int(w_tok), int(h_tok), int(max_tok)
-    if width < 1 or height < 1 or not 0 < maxval < 256:
-        raise ValueError(f"{path}: bad PGM dimensions {width}x{height}"
-                         f" maxval {maxval}")
+    if width < 1 or height < 1:
+        raise ValueError(f"{path}: bad PGM dimensions {width}x{height}")
+    if not 0 < maxval < 256:
+        raise ValueError(f"{path}: PGM maxval {maxval} outside 1..255")
     data = raw[end + 1:end + 1 + width * height]
     if len(data) != width * height:
         raise ValueError(f"{path}: PGM raster truncated "
                          f"({len(data)} of {width * height} bytes)")
-    return np.frombuffer(data, dtype=np.uint8).reshape(height, width), maxval
+    pixels = np.frombuffer(data, dtype=np.uint8).reshape(height, width)
+    top = pixels.max()
+    if top > maxval:
+        raise ValueError(f"{path}: PGM sample {top} above maxval {maxval}")
+    return pixels, maxval
 
 
 def read_pgm(path: str | Path) -> np.ndarray:
-    """Read a binary PGM into floats in [0, 1] (pixel / maxval)."""
+    """Read a binary PGM into floats in [0, 1] (pixel / maxval).
+
+    Raises ValueError naming the file if it is not an 8-bit binary PGM.
+    """
     pixels, maxval = _read_pgm_pixels(path)
     return pixels.astype(float) / maxval
 

@@ -10,7 +10,7 @@ it is blurred in a row pass and then a column pass
 (:func:`_separable_blur`).  Every other scene goes through a per-pixel
 gather (:func:`_gather`) that sums the taps in eight-fold symmetric
 groups, evaluates the Gaussian once per distinct height and crops each
-ring of taps to the pixels it reaches.  Both copy in-focus pixels through
+ring of taps to the rows it reaches.  Both copy in-focus pixels through
 exactly.  Everything is deterministic given the scene seed.
 
 :func:`render_slides` renders the slides on the slide pool of
@@ -274,12 +274,15 @@ def _gather(tex: np.ndarray, margin: int, radius: np.ndarray,
     added first (from sums of +-d column pairs), multiplied by the
     a-factor once, and each ring's total by the b-factor once.  The
     factors and the weight sums are gathered from the level tables to the
-    pixels.  Ring b is cropped to the bounding box of the pixels it
-    reaches.  Pixels with sigma = 0 or radius 0 keep only the
-    center tap and copy the texture through exactly.  The summation order
-    differs from a plain tap-by-tap loop; on the standard scenes the two
-    agree to 4e-15.  Every pixel's arithmetic is the same whatever block
-    of rows it is gathered in.  A slide with one level is the plane's,
+    pixels.  Ring b is cropped to the span of whole rows that hold a pixel
+    it reaches.  A pixel of those rows that it does not reach adds the
+    ring times a b-factor of exactly 0 (gauss[b] is 0 past a level's
+    radius), and since the texture is non-negative that +0 changes no
+    bit.  Pixels with sigma = 0 or radius 0 keep only the center tap and
+    copy the texture through exactly.  The summation order differs from a
+    plain tap-by-tap loop; on the standard scenes the two agree to 4e-15.
+    Every pixel's arithmetic is the same whatever block of rows it is
+    gathered in.  A slide with one level is the plane's,
     which :func:`render_slides` blurs with :func:`_separable_blur`
     instead; here it takes the same path as any other, with the same bits
     as one level per pixel.
@@ -294,8 +297,8 @@ def _gather(tex: np.ndarray, margin: int, radius: np.ndarray,
     height, width = index.shape
     rows = max(height, _strip_rows(width))
     pairs = _scratch(space, "pairs", (margin, rows + 2 * margin, width))
-    ring_buffer = _scratch(space, "ring", (rows * width,))
-    group_buffer = _scratch(space, "group", (rows * width,))
+    ring_buffer = _scratch(space, "ring", (rows, width))
+    group_buffer = _scratch(space, "group", (rows, width))
     # The levels as intp once: np.take would convert a narrower index on
     # every call.
     levels = _scratch(space, "levels", (rows, width), np.intp)[:height]
@@ -304,33 +307,25 @@ def _gather(tex: np.ndarray, margin: int, radius: np.ndarray,
     reach = np.take(radius, index, mode="clip",
                     out=_scratch(space, "reach", (rows, width), int)[:height])
     row_reach = reach.max(axis=1)
-    col_reach = reach.max(axis=0)
     factors = _scratch(space, "factors", (margin, rows, width))
     r_max = int(row_reach.max())
     out[...] = tex[margin:margin + height, margin:margin + width]
     # columns[d][i, j] = tex(i, j + d) + tex(i, j - d) on all padded rows.
     columns = [tex[:, margin:margin + width]]
-    y0, y1, x0, x1 = 0, height, 0, width
     for b in range(1, r_max + 1):
         columns.append(np.add(tex[:, margin + b:margin + b + width],
                               tex[:, margin - b:margin - b + width],
                               out=pairs[b - 1, :height + 2 * margin]))
         np.take(gauss[b], index, mode="clip", out=factors[b - 1, :height])
         ys = np.flatnonzero(row_reach >= b)
-        xs = np.flatnonzero(col_reach >= b)
-        y0, y1, x0, x1 = ys[0], ys[-1] + 1, xs[0], xs[-1] + 1
+        y0, y1 = ys[0], ys[-1] + 1
 
         def taps(d: int, dy: int) -> np.ndarray:
-            """The pair sums at (dy, +-d) for every pixel of the box."""
-            return columns[d][margin + y0 + dy:margin + y1 + dy, x0:x1]
+            """The pair sums at (dy, +-d) for every pixel of the rows."""
+            return columns[d][margin + y0 + dy:margin + y1 + dy]
 
-        def factor(a: int) -> np.ndarray:
-            """The a-factor of every pixel of the box."""
-            return factors[a - 1, y0:y1, x0:x1]
-
-        box = (y1 - y0, x1 - x0)
-        ring = ring_buffer[:box[0] * box[1]].reshape(box)
-        group = group_buffer[:box[0] * box[1]].reshape(box)
+        ring = ring_buffer[y0:y1]
+        group = group_buffer[y0:y1]
         # a = 0: the four taps (0, +-b) and (+-b, 0), a-factor 1.
         np.add(taps(b, 0), taps(0, -b), out=ring)
         ring += taps(0, b)
@@ -339,13 +334,12 @@ def _gather(tex: np.ndarray, margin: int, radius: np.ndarray,
             if a < b:
                 group += taps(a, -b)
                 group += taps(a, b)
-            group *= factor(a)
+            group *= factors[a - 1, y0:y1]
             ring += group
-        ring *= factor(b)
-        out[y0:y1, x0:x1] += ring
+        ring *= factors[b - 1, y0:y1]
+        out[y0:y1] += ring
     # The ring buffer is spent: it takes the weight sums instead.
-    out /= np.take(den, index, mode="clip",
-                   out=ring_buffer[:height * width].reshape(height, width))
+    out /= np.take(den, index, mode="clip", out=ring_buffer[:height])
 
 
 def _separable_blur(tex: np.ndarray, margin: int, gauss: np.ndarray,

@@ -1,6 +1,7 @@
 """Tests for PGM, depth CSV and stack-directory serialization."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -101,6 +102,34 @@ class TestPgm:
         target = tmp_path / "cut.pgm"
         target.write_bytes(b"P5\n4 3\n255\n" + bytes(7))
         with pytest.raises(ValueError, match="truncated"):
+            read_pgm(target)
+
+    def test_rejects_sample_above_maxval(self, tmp_path):
+        # 200 / 100 would read back as 2.0, outside [0, 1].
+        target = tmp_path / "over.pgm"
+        target.write_bytes(b"P5\n2 1\n100\n" + bytes([0, 200]))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{target}: PGM sample 200 above maxval 100")):
+            read_pgm(target)
+
+    @pytest.mark.parametrize("header", [b"P5\n4x 4\n255\n",
+                                        b"P5\n+4 4\n255\n",
+                                        b"P5\n4 4\n2_55\n",
+                                        b"P5\n4 -4\n255\n"])
+    def test_rejects_header_number_that_is_not_decimal(self, tmp_path,
+                                                       header):
+        target = tmp_path / "garbled.pgm"
+        target.write_bytes(header + bytes(16))
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{target}: bad PGM header")):
+            read_pgm(target)
+
+    @pytest.mark.parametrize("maxval", [0, 256, 65535])
+    def test_rejects_maxval_outside_one_byte(self, tmp_path, maxval):
+        target = tmp_path / "deep.pgm"
+        target.write_bytes(f"P5\n2 1\n{maxval}\n".encode() + bytes(4))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{target}: PGM maxval {maxval} outside 1..255")):
             read_pgm(target)
 
     def test_rejects_non_2d_input(self, tmp_path):
@@ -552,6 +581,15 @@ class TestStackDir:
         self._write(tmp_path, rng, lossless=True)
         (tmp_path / "slide_001.npy").write_text("not,numbers\n")
         with pytest.raises(StackFormatError, match="slide_001"):
+            read_stack_dir(tmp_path)
+
+    def test_pgm_slide_above_its_maxval_is_named(self, tmp_path):
+        rng = np.random.default_rng(15)
+        self._write(tmp_path, rng, lossless=False)
+        (tmp_path / "slide_001.pgm").write_bytes(b"P5\n5 6\n100\n"
+                                                 + bytes([200] * 30))
+        with pytest.raises(StackFormatError,
+                           match="slide_001.pgm.*above maxval 100"):
             read_stack_dir(tmp_path)
 
     def test_wrong_shape_slide_rejected(self, tmp_path):

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -551,13 +551,34 @@ def _slide_runs(draw):
     return tex, rows, margin, slides
 
 
+def _banded_run(axis):
+    """A run of one slide whose PSF reach varies only along ``axis``, in
+    strips of 4 rows and an uneven last strip of 2.  Along the columns
+    (axis 1), ring b reaches a band of columns in every row; along the
+    rows (axis 0), a band of whole rows, as on a ramp."""
+    height, width, margin = 6, 8, 3
+    tex = np.random.default_rng(axis).random((height + 2 * margin,
+                                              width + 2 * margin))
+    sigma = np.array([0.0, 0.2, 0.5, 1.5])
+    radius = np.array([0, 1, 2, 3])
+    profile = np.array([0, 0, 1, 2, 3, 2, 1, 0])[:(height, width)[axis]]
+    index = np.broadcast_to(np.expand_dims(profile, 1 - axis),
+                            (height, width)).astype(np.intp)
+    return tex, 4, margin, [(sigma, radius, index)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(_slide_runs())
+@example(_banded_run(axis=1))
+@example(_banded_run(axis=0))
 def test_workspace_gather_matches_level_reference(run):
     """One workspace through a run of slides, gathered in strips as
     render_slides does, from one row to the whole slide a strip: every
     slide is bit-equal to the level gather that builds its own tables and
-    scratch."""
+    scratch.  The reference crops each ring to the bounding box of the
+    pixels it reaches, the gather to whole rows, so the examples whose
+    reach varies along one axis show that the rest of a row adds only
+    exact zeros."""
     tex, rows, margin, slides = run
     height, width = slides[0][2].shape
     space = {}
