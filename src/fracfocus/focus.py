@@ -15,20 +15,17 @@ Slides come from a slide source: a :class:`~fracfocus.io.StackHeader`,
 which reads each slide from its stack directory, or a
 :class:`~fracfocus.grids.FocalStack`, which copies it from memory.  Both
 give ``n_slides``, ``height``, ``width``, ``z_min``, ``z_max``, ``h``,
-``read_slide(k, out)`` and ``empty(n)``.  The slide pool of
-:mod:`kernel2d` runs read and local measure (:func:`_focus_layer_into`)
-over a source, into a volume that :class:`~fracfocus.grids.FocusVolume`
-then checks once (:func:`local_focus_volume`) or, with the pass and a
-check per layer, into a ring whose layers come back in slide order
-(:func:`focus_layers`): ``recover`` holds
-O(CPUs * height * width) values, not O(n_slides * height * width).  There a
-worker holds two slide-sized buffers: its ring buffer takes the slide read,
-the local measure goes straight into the interior of the pass's padded
-input, and the pass writes the nonlocal layer back into the ring buffer.
-It also runs
-:func:`_nonlocal_layer_into` over a volume (:func:`nonlocalize_volume`).
-Each slide's layer is bitwise the same on every path, because every step
-acts on each slide alone.
+``read_slide(k, out)`` and ``empty(n)``.  The slide pool of :mod:`kernel2d`
+runs one chain (:func:`_focus_layer_into`) over a source: read, local
+measure into the pass's padded input, pass (a copy, for the local measure)
+back into the buffer read, zero frame.  Its layers go into a volume that
+:class:`~fracfocus.grids.FocusVolume` then checks once
+(:func:`local_focus_volume`) or, checked one by one, into a ring whose
+layers come back in slide order (:func:`focus_layers`): ``recover`` holds
+O(CPUs * height * width) values, not O(n_slides * height * width).  The
+pool also runs :func:`_nonlocal_layer_into` over a volume
+(:func:`nonlocalize_volume`).  Each slide's layer is bitwise the same on
+every path, because every step acts on each slide alone.
 """
 
 from __future__ import annotations
@@ -110,32 +107,29 @@ def _modified_laplacian_into(out: np.ndarray, f: np.ndarray, q: int,
     _zero_frame(out, q)
 
 
+# The kernel quadrant of the local measure: its pass is an exact copy.
+_IDENTITY = np.ones((1, 1))
+
+
 def _focus_layer_into(out: np.ndarray, source: FocalStack | StackHeader,
                       k: int, q: int, space: dict,
                       kernel: Kernel | None = None) -> None:
     """Read slide k of ``source`` and write its focus measure into ``out``.
 
     The local measure at step q, then, given a kernel, the nonlocal one;
-    the caller checks it (``check_focus_values``).  Without a kernel the
-    slide is read into the workspace buffer ``slide`` of ``space`` and
-    measured into ``out``.  With one it is read into ``out`` itself,
-    measured straight into the interior of the pass's padded input
-    (``kernel2d._pass_input``), and the pass writes back into ``out``:
-    either way a worker holds two slide-sized buffers.  A measure that
-    overflows is left as inf for the check to refuse, without a numpy
-    warning.
+    the caller checks it (``check_focus_values``).  The slide is read into
+    ``out``, measured into the pass's padded input (``_pass_input``), and
+    the pass, without a kernel with ``_IDENTITY``, writes back into ``out``:
+    a worker holds two slide-sized buffers.  A measure that overflows is
+    left as inf for the check to refuse, without a numpy warning.
     """
-    if kernel is None:
-        slide = _scratch(space, "slide", out.shape)
-        source.read_slide(k, slide)
-        with np.errstate(over="ignore"):
-            _modified_laplacian_into(out, slide, q, source.h, space)
-        return
+    weights = (_IDENTITY if kernel is None
+               else kernel.weights[kernel.zeta:, kernel.zeta:])
     source.read_slide(k, out)
-    local = _pass_input(out.shape, kernel.zeta, space)
+    local = _pass_input(out.shape, weights.shape[0] - 1, space)
     with np.errstate(over="ignore"):
         _modified_laplacian_into(local, out, q, source.h, space)
-        _pass_into(kernel.weights[kernel.zeta:, kernel.zeta:], out, space)
+        _pass_into(weights, out, space)
     _zero_frame(out, q)
 
 
@@ -197,12 +191,11 @@ def focus_layers(source: FocalStack | StackHeader, q: int,
     (finite, non-negative) by one worker of the slide pool
     (``kernel2d._slide_pool``), in buffers the worker allocates once; the
     results come out of a ring of one buffer per worker plus one, so memory
-    stays O(CPUs * height * width) however many slides there are; with a
-    kernel, a worker's ring buffer first takes the slide it reads (see
-    :func:`_focus_layer_into`).  The step, the slide shape
-    and the spacing are checked when this is called, before any slide is
-    read; a failing slide raises when it is due, so the lowest-numbered
-    one is named.  A yielded layer is bitwise that slide's layer of
+    stays O(CPUs * height * width) however many slides there are; a
+    worker's ring buffer first takes the slide it reads (see
+    :func:`_focus_layer_into`).  The step, the slide shape and the spacing
+    are checked when this is called, before any slide is read; a failing
+    slide raises when it is due, so the lowest-numbered one is named.  A yielded layer is bitwise that slide's layer of
     ``local_focus_volume`` or ``nonlocalize_volume`` on the whole stack; it
     may be overwritten once the next is requested.
     """

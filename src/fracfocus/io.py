@@ -124,10 +124,13 @@ def write_depth_csv(path: str | Path, depth_map: DepthMap) -> None:
     Values go out with 17 significant digits, so they round-trip
     bit-exactly, and invalid pixels as the literal token NaN; the sidecar
     ``<name>.json`` records the method and recovery parameters so the map
-    can be interpreted without the stack it came from.  Raises ValueError
-    if a parameter is not finite, which the reader would refuse.
+    can be interpreted without the stack it came from.  Raises ValueError,
+    before any file is written, for a parameter that is not finite, which
+    the reader would refuse, or a ``.json`` path, its own sidecar.
     """
     path = Path(path)
+    if path.with_suffix(".json") == path:
+        raise ValueError(f"{path}: a depth CSV named .json is its sidecar")
     meta = {"method": depth_map.method}
     meta.update((key, getattr(depth_map, key)) for key in _DEPTH_META_KEYS)
     # Made first: a non-finite field raises before any file is written.
@@ -161,12 +164,16 @@ def read_depth_csv(path: str | Path) -> DepthMap:
 
     Blank lines are skipped and NaN tokens may be in any case; non-finite
     values become invalid pixels.  Raises ValueError naming the file if it
-    is empty, a row is ragged or a value does not parse.  The JSON sidecar
-    is optional; a bare CSV loads with empty metadata.
+    is empty, holds a byte that is not ASCII, a row is ragged or a value
+    does not parse.  The JSON sidecar is optional; a bare CSV loads with
+    empty metadata.
     """
     path = Path(path)
-    lines = [line for line in path.read_text(encoding="ascii").splitlines()
-             if line.strip()]
+    try:
+        text = path.read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ValueError(f"{path}: empty CSV")
     try:

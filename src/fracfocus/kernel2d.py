@@ -31,9 +31,10 @@ whole table cells.
 The pass itself (``_correlate_slide``) is a plain loop over row strips.
 Each kernel row's weighted sum of column pair sums is one ``np.einsum``
 call, so a strip takes 4 zeta + 2 numpy calls, which release the GIL while
-they compute, and the workers seldom wait for one another.  A workspace
-keeps the scratch buffers of one pass; another kernel or shape replaces
-them.  The pass's input is the interior of its padded buffer
+they compute, and the workers seldom wait for one another; the identity
+(the local measure's, or alpha = 0) takes none, as its pass is a copy.  A
+workspace keeps the scratch buffers of one pass; another kernel or shape
+replaces them.  The pass's input is the interior of its padded buffer
 (``_pass_input``): a caller that computes the slide writes it there, and
 the pass fills only the mirror margins before it runs (``_pass_into``).
 """
@@ -315,48 +316,44 @@ def _pass_into(weights: np.ndarray, out: np.ndarray, space: dict) -> None:
     ``term`` and its result straight in its rows of ``out``.  ``out`` may be
     a new buffer on each call, or the slide that was written into ``P``; it
     must be C-contiguous, since ``D_0`` is written through a flat view of
-    its rows.  A strip of a kernel with no zero weight takes 4 zeta + 2
-    calls: the copy of ``C_0``, zeta column pair sums, one ``np.einsum`` per
-    kernel row and two adds per row a > 0.
+    its rows.  A strip takes 4 zeta + 2 calls: the copy of ``C_0``, zeta
+    column pair sums, one ``np.einsum`` per kernel row and two adds per row
+    a > 0.  The identity (1 at the centre, 0 elsewhere) takes none: after
+    the buffer lookups, so that the workspace keeps one buffer per role,
+    the interior of ``P`` is copied into ``out``, every bit kept.
     """
     if not out.flags.c_contiguous:
         raise ValueError("the kernel pass needs a C-contiguous output")
     zeta = weights.shape[0] - 1
     height, width = out.shape
     padded = space["padded"]
-    _mirror_margins(padded, zeta)
     rows = _strip_rows(width)
     span = min(rows, height) + 2 * zeta
     pairs = _scratch(space, "pairs", (zeta + 1, span, width))
     row_sum = _scratch(space, "row_sum", (span, width))
     term = _scratch(space, "term", (min(rows, height), width))
-    ranges = [(a, nonzero[0], nonzero[-1])
-              for a, nonzero in enumerate(map(np.flatnonzero, weights))
-              if nonzero.size]
+    if weights[0, 0] == 1.0 and np.count_nonzero(weights) == 1:
+        np.copyto(out, padded[zeta:zeta + height, zeta:zeta + width])
+        return
+    _mirror_margins(padded, zeta)
     for top in range(0, height, rows):
         n = min(rows, height - top)
         strip = padded[top:top + n + 2 * zeta]
         result, tmp = out[top:top + n], term[:n]
         # C_0 joins the pair sums C_1 .. C_zeta as the slab pairs[0], so that
-        # any run of taps of a row is one array; times 1.0 copies it exactly.
+        # all taps of a row are one array; times 1.0 copies it exactly.
         columns = pairs[:, :n + 2 * zeta]
         np.multiply(strip[:, zeta:zeta + width], 1.0, out=columns[0])
         for b in range(1, zeta + 1):
             np.add(strip[:, zeta + b:zeta + b + width],
                    strip[:, zeta - b:zeta - b + width], out=columns[b])
-        for a, first, last in ranges:
+        for a in range(zeta + 1):
             # D_a is needed on rows zeta-a .. zeta+a+n-1 of the strip only;
             # D_0 is built in the strip's rows of out itself.
             lo, hi = zeta - a, zeta + a + n
             acc = result if a == 0 else row_sum[:hi - lo]
-            if first == last:
-                np.multiply(columns[first][lo:hi], weights[a, first],
-                            out=acc)
-            else:
-                stack = columns[first:last + 1, lo:hi]
-                _weighted_rows(stack.reshape(last + 1 - first, -1),
-                               weights[a, first:last + 1],
-                               out=acc.reshape(-1))
+            _weighted_rows(columns[:, lo:hi].reshape(zeta + 1, -1),
+                           weights[a], out=acc.reshape(-1))
             if a:
                 np.add(acc[:n], acc[2 * a:], out=tmp)
                 np.add(result, tmp, out=result)
@@ -376,17 +373,17 @@ def _correlate_slide(weights: np.ndarray, slide: np.ndarray,
     mirror-padded slide ``P`` (``C_0 = P[:, c]``, copied next to them) give
     the row sums ``D_a = sum_b w[a, b] C_b``, and each output row ``r`` is
     ``D_0[r] + sum_a (D_a[r+a] + D_a[r-a])``.  Each ``D_a`` is one
-    ``np.einsum`` over the taps from the row's first non-zero weight to its
-    last, which adds each rounded product in order of b; a row with no
-    weight is skipped, and a row with one is a multiply, so the delta kernel
-    leaves a copy.  On finite non-negative input these are the bits of a
-    multiply and an add per non-zero tap (``tests/pass_reference.py``).
-    Two results can differ from that loop: a -0.0 can come out +0.0, since
-    einsum starts its sum from +0.0, which compares equal and which the
-    local measure (a sum of absolute values) never makes; and an inf sample
-    or pair sum under a zero weight inside a row's taps (no kernel of
-    :func:`build_kernel` has one) can give NaN where the loop gave inf,
-    both of which ``grids.check_focus_values`` refuses.
+    ``np.einsum`` over all zeta + 1 taps, which adds each rounded product in
+    order of b (the identity is a copy).  On finite non-negative input these
+    are the bits of a multiply and an add per non-zero tap, as a zero
+    product adds +0.0 (``tests/pass_reference.py``).  Two results can
+    differ from that loop: a -0.0 can come out +0.0, since einsum starts
+    its sum from +0.0, which compares equal and which the local measure (a
+    sum of absolute values) never makes; and an inf sample or pair sum under
+    a zero weight of a hand-made quadrant gives NaN where the loop gave inf
+    (only an order alpha so small that weights underflow gives
+    :func:`build_kernel` a zero weight), both of which
+    ``grids.check_focus_values`` refuses.
 
     The slide is copied into the interior of ``P`` (:func:`_pass_input`),
     and the pass fills its margins and runs (:func:`_pass_into`), every

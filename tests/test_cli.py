@@ -283,6 +283,15 @@ class TestRecoverCommand:
                             out.with_suffix(".json").read_bytes()) == want, (
                         lossless, method, cpus())
 
+    def test_json_output_name_is_refused(self, plane_dir, tmp_path, capsys):
+        # depth.json is the sidecar name of depth.json itself: writing both
+        # would leave only the sidecar.
+        out = tmp_path / "depth.json"
+        assert main(["recover", "--stack", str(plane_dir), "--q", "2",
+                     "--out", str(out)]) == 1
+        assert "depth.json" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_stack_fails(self, tmp_path, capsys):
         rc = main(["recover", "--stack", str(tmp_path / "nowhere"),
                    "--out", str(tmp_path / "d.csv")])
@@ -516,6 +525,17 @@ class TestEvalCommand:
         assert report["z_range"] == 1.0
         assert report["parameters"]["method"] == "nonlocal"
         assert report["table"] is None
+
+    def test_non_ascii_depth_is_refused_by_name(self, plane_dir, depth_csv,
+                                                tmp_path, capsys):
+        # The map with a UTF-8 byte-order mark in front.
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + depth_csv.read_bytes())
+        assert main(["eval", "--depth", str(marked),
+                     "--truth", str(plane_dir / "truth.csv"),
+                     "--report", str(tmp_path / "report.json")]) == 1
+        err = capsys.readouterr().err
+        assert f"fracfocus: error: {marked}: " in err
 
     def test_profile_walks_central_row(self, plane_dir, depth_csv, tmp_path):
         profile_path = tmp_path / "profile.csv"

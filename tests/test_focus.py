@@ -2,9 +2,11 @@
 
 import functools
 import sys
+import tempfile
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -401,32 +403,32 @@ class TestFocusLayers:
     def test_worker_holds_two_slide_sized_buffers(self, monkeypatch):
         """A worker of the read-measure-pass chain holds its ring buffer
         and the pass's padded input, not a third buffer for the slide it
-        reads.  One worker, as in ``test_cli``'s memory tests, and strips
-        of 8 rows, so that the strip scratch stays near a fifth of a
-        slide: the traced peak is at most the ring of two, the padded
-        input and half a slide, where a slide read buffer of its own would
-        add a whole one."""
+        reads, with a kernel and without one (the local measure passes
+        with the 1 x 1 identity, whose padded input is one slide).  One
+        worker, as in ``test_cli``'s memory tests, and strips of 8 rows, so
+        that the strip scratch stays near a fifth of a slide: the traced
+        peak is at most the ring of two, the padded input and half a slide,
+        where a slide read buffer of its own would add a whole one."""
         height = width = 512
-        zeta = 1
         monkeypatch.setattr(kernel2d, "_usable_cpus", lambda: 1)
         monkeypatch.setattr(kernel2d, "_STRIP_SAMPLES", 8 * width)
         stack = _random_stack(np.random.default_rng(26), n_slides=4,
                               height=height, width=width)
-        kernel = build_kernel(1.5, zeta)
-        # Warm-up: lazy imports stay out of the peak.
-        for _ in focus_layers(stack, 2, kernel):
-            pass
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
+        slide = height * width * 8
+        for zeta, kernel in [(1, build_kernel(1.5, 1)), (0, None)]:
+            # Warm-up: lazy imports stay out of the peak.
             for _ in focus_layers(stack, 2, kernel):
                 pass
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        slide = height * width * 8
-        padded = (height + 2 * zeta) * (width + 2 * zeta) * 8
-        assert peak <= 2 * slide + padded + slide // 2, peak / slide
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                for _ in focus_layers(stack, 2, kernel):
+                    pass
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            padded = (height + 2 * zeta) * (width + 2 * zeta) * 8
+            assert peak <= 2 * slide + padded + slide // 2, peak / slide
 
     def test_workspace_serves_both_chains(self):
         """One workspace runs a nonlocal layer, a local-only one and the
@@ -442,6 +444,45 @@ class TestFocusLayers:
             want = np.full((40, 36), np.nan)
             _focus_layer_into(want, stack, k, 2, {}, layer_kernel)
             assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 8), st.integers(3, 6),
+       st.integers(0, 12), st.integers(0, 12),
+       st.one_of(st.integers(1, 200), st.just(2**15)), st.data())
+def test_local_layers_are_the_alpha_zero_pass(q, zeta, n_slides, extra_height,
+                                              extra_width, strip_samples,
+                                              data):
+    """Without a kernel a layer passes with the 1 x 1 identity, and with
+    the delta kernel of alpha = 0 it is copied as well: both give each
+    slide's local measure bit for bit.  From a FocalStack and from stack
+    directories of 8-bit PGM and of .npy slides, whose few levels make
+    ties between slides common."""
+    height, width = 2 * q + 1 + extra_height, 2 * q + 1 + extra_width
+    slides = data.draw(arrays(np.float64, (n_slides, height, width),
+                              elements=st.sampled_from([0.0, 0.2, 0.6, 1.0])))
+    stack = FocalStack(slides, z_min=0.0, z_max=1.0, h=0.5)
+    delta = _cached_kernel(0.0, zeta)
+    with tempfile.TemporaryDirectory() as directory, \
+            pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel2d, "_STRIP_SAMPLES", strip_samples)
+        sources = [stack]
+        for lossless in (False, True):
+            path = Path(directory) / f"lossless_{lossless}"
+            write_stack_dir(path, stack, lossless=lossless)
+            sources.append(read_stack_header(path))
+        for source in sources:
+            local = [layer.copy() for layer in focus_layers(source, q)]
+            passed = [layer.copy()
+                      for layer in focus_layers(source, q, delta)]
+            assert len(local) == len(passed) == n_slides
+            for k in range(n_slides):
+                slide = np.empty((height, width))
+                source.read_slide(k, slide)
+                expected = np.empty((height, width))
+                _modified_laplacian_into(expected, slide, q, source.h, {})
+                assert local[k].tobytes() == expected.tobytes()
+                assert passed[k].tobytes() == expected.tobytes()
 
 
 def test_workspace_keeps_scratch_for_one_kernel_only():

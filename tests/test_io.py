@@ -320,6 +320,23 @@ class TestDepthCsv:
         with pytest.raises(ValueError, match="empty"):
             read_depth_csv(target)
 
+    @pytest.mark.parametrize("raw", [b"\xef\xbb\xbf0.5,0.25\n",
+                                     b"0.5,0.25\n0.5,\xff0.25\n"],
+                             ids=["byte-order-mark", "0xff-in-a-row"])
+    def test_non_ascii_byte_rejected_by_name(self, tmp_path, raw):
+        target = tmp_path / "bytes.csv"
+        target.write_bytes(raw)
+        with pytest.raises(ValueError, match="bytes.csv: 'ascii' codec"):
+            read_depth_csv(target)
+
+    def test_json_name_is_refused_before_any_write(self, tmp_path):
+        # The sidecar of depth.json is depth.json itself: it would
+        # overwrite the map, so nothing is written.
+        target = tmp_path / "depth.json"
+        with pytest.raises(ValueError, match="depth.json"):
+            write_depth_csv(target, _depth_map(np.random.default_rng(7)))
+        assert not target.exists()
+
     def test_blank_lines_skipped(self, tmp_path):
         target = tmp_path / "gaps.csv"
         target.write_text("1,2\n\n3,4\n")

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fracfocus import kernel2d
+from fracfocus.focus import _IDENTITY
 from fracfocus.kernel2d import Kernel, build_kernel, kernel_frequency_response
 
 from kernel_reference import REFERENCE_QUADRANTS, adaptive_kernel_weights
@@ -167,13 +168,23 @@ class TestApplyKernel:
         assert np.array_equal(out, values)
 
     def test_delta_kernel_copies_every_value_bit_for_bit(self, kernels_zeta4):
-        # The delta kernel's one tap is a multiply by 1.0, not a sum that
-        # starts from +0.0, so -0.0, infinities and NaN come out unchanged.
+        # A quadrant with 1 at the centre and 0 elsewhere is answered by a
+        # copy, not a sum that starts from +0.0, so -0.0, infinities and
+        # NaN come out unchanged: the delta kernel, the 1 x 1 identity of
+        # the local measure and a kernel whose off-centre weights underflow.
         values = np.array([[-0.0, 0.0, np.inf, -np.inf],
                            [np.nan, 5e-324, -1.5, 1.7e308]])
         with np.errstate(invalid="ignore", over="ignore"):
             out = _correlate(kernels_zeta4[0.0], values)
         assert np.array_equal(out.view(np.uint64), values.view(np.uint64))
+        underflowing = build_kernel(5e-324, 4)
+        assert np.array_equal(underflowing.weights, kernels_zeta4[0.0].weights)
+        for weights in (_IDENTITY, underflowing.weights[4:, 4:]):
+            out = np.full(values.shape, 7.0)
+            with np.errstate(invalid="ignore", over="ignore"):
+                kernel2d._correlate_slide(weights, values, out, {})
+            assert np.array_equal(out.view(np.uint64),
+                                  values.view(np.uint64))
 
     def test_constant_field_scales_by_weight_sum(self, kernels_zeta4):
         out = _correlate(kernels_zeta4[2.0], np.ones((10, 10)))
@@ -399,12 +410,15 @@ class _CallCounter:
         return self.count(function) if name in ("add", "multiply") else function
 
 
-@pytest.mark.parametrize("alpha", [0.5, 1.5, 2.0])
-@pytest.mark.parametrize("zeta", [1, 2, 8, 12])
+@pytest.mark.parametrize("zeta,alpha",
+                         [(zeta, alpha) for zeta in (1, 2, 8, 12)
+                          for alpha in (0.5, 1.5, 2.0)]
+                         + [(1, 0.0), (8, 0.0)])
 def test_strip_takes_4_zeta_plus_2_calls(alpha, zeta, monkeypatch):
     # The copy of C_0, zeta column pair sums, one einsum per kernel row and
     # two adds per row a > 0: 34 calls a strip at zeta = 8.  Three strips
-    # at 200 wide: 163, 163 and 74 rows.
+    # at 200 wide: 163, 163 and 74 rows.  The delta kernel of alpha = 0 is
+    # answered by a copy of the slide, with no call at all.
     weights = _cached_kernel(alpha, zeta).weights[zeta:, zeta:]
     slide = np.random.default_rng(4).random((400, 200))
     expected = np.empty_like(slide)
@@ -415,7 +429,7 @@ def test_strip_takes_4_zeta_plus_2_calls(alpha, zeta, monkeypatch):
                         counter.count(kernel2d._weighted_rows))
     got = np.empty_like(slide)
     kernel2d._correlate_slide(weights, slide, got, {})
-    assert counter.calls == 3 * (4 * zeta + 2)
+    assert counter.calls == (3 * (4 * zeta + 2) if alpha else 0)
     assert got.tobytes() == expected.tobytes()
 
 
