@@ -91,6 +91,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_recover(args: argparse.Namespace) -> int:
     header = read_stack_header(args.stack)
+    for target in (Path(args.out), Path(args.out).with_suffix(".json")):
+        if header.holds(target):
+            raise ValueError(f"{target}: a file of the stack recover reads")
     _log(f"streaming stack {args.stack} ({header.n_slides} slides of "
          f"{header.width}x{header.height})")
     kernel = (build_kernel(args.alpha, args.zeta)

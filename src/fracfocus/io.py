@@ -300,6 +300,16 @@ class StackHeader:
         if finite_min(out) is None:
             raise StackFormatError(f"{target}: slide values must be finite")
 
+    def holds(self, path: str | Path) -> bool:
+        """Whether ``path`` resolves to stack.json, a slide or a truth file of
+        this stack."""
+        path = Path(path).resolve()
+        k = path.stem.removeprefix("slide_")
+        return path.parent == self.directory.resolve() and (
+            path.name in ("stack.json", "truth.csv", "truth.json")
+            or k.isdecimal() and int(k) < self.n_slides
+            and path.name == _slide_name(int(k), self.lossless))
+
 
 def write_stack(header: StackHeader, slides: Iterable[np.ndarray],
                 truth: DepthMap | None = None, scene=None,

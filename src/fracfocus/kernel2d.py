@@ -13,20 +13,20 @@ integral comes from one fixed 24-point Gauss-Legendre rule
 (``numpy.polynomial.legendre.leggauss``): a tensor rule on the offset
 cells and a 1D rule on the polar wedge of the center cell.
 
-alpha = 0 is the delta kernel (local limit), alpha = 2 the uniform
-"pinhole" limit; in between the weights fall off monotonically with radius
-and the operator acts as a low-pass filter.
+alpha = 0 is the delta kernel (local limit), which the rule gives exactly;
+alpha = 2 the uniform "pinhole" limit; in between the weights fall off
+monotonically with radius and the operator acts as a low-pass filter.
 
 Slides are independent until the peak search, so they go through one
-ordered slide pool (``_slide_pool``): one worker per usable CPU, each with
-a workspace of scratch buffers it allocates once, results yielded in slide
-order from a ring of output buffers.  An item is queued as soon as its ring
-buffer is free, so the ring's length alone bounds the look-ahead.  The
-whole-volume pass (``focus.nonlocalize_volume``), ``recover``'s
-read-measure-pass chain (``focus.focus_layers``) and the renderer
-(``synth.render_slides``, and its texture, whose items are row strips)
-all run on it, and so does ``evaluate.comparison_table``, whose items are
-whole table cells.
+ordered slide pool (``_slide_pool``): one worker per usable CPU (no thread
+starts on one CPU), each with a workspace of scratch buffers it allocates
+once, results yielded in slide order from a ring of output buffers.  An
+item is queued as soon as its ring buffer is free, so the ring's length
+alone bounds the look-ahead.  The whole-volume pass
+(``focus.nonlocalize_volume``), ``recover``'s read-measure-pass chain
+(``focus.focus_layers``) and the renderer (``synth.render_slides``, and
+its texture, whose items are row strips) all run on it, and so does
+``evaluate.comparison_table``, whose items are whole table cells.
 
 The pass itself (``_correlate_slide``) is a plain loop over row strips.
 Each kernel row's weighted sum of column pair sums is one ``np.einsum``
@@ -106,23 +106,18 @@ def build_kernel(alpha: float, zeta: int) -> Kernel:
     """Build the center-normalized nonlocalization kernel for order alpha.
 
     ``alpha`` must lie in [0, 2] (the 2D validity range) and ``zeta``, the
-    pixel-offset cutoff, must be a positive integer.  alpha = 0 yields the
-    exact delta kernel and alpha = 2 the exact all-ones kernel; in between
-    each entry is the cell integral of r^(alpha-2) divided by the
-    center-cell integral.
+    pixel-offset cutoff, must be a positive integer.  alpha = 2 yields the
+    exact all-ones kernel; below it each entry is the cell integral of
+    r^(alpha-2) divided by the center-cell integral, which gives alpha = 0
+    the exact delta kernel, +0.0 off the center.
     """
     if not 0.0 <= alpha <= 2.0:
         raise ValueError(f"2D fractional order must lie in [0, 2], got {alpha}")
     if not (zeta >= 1 and float(zeta).is_integer()):
         raise ValueError(f"cutoff zeta must be an integer >= 1, got {zeta}")
-    zeta = int(zeta)
-    size = 2 * zeta + 1
-
-    if alpha == 0.0:
-        weights = np.zeros((size, size))
-        weights[zeta, zeta] = 1.0
-        return Kernel(alpha=0.0, zeta=zeta, weights=weights)
+    alpha, zeta = float(alpha), int(zeta)
     if alpha == 2.0:
+        size = 2 * zeta + 1
         return Kernel(alpha=2.0, zeta=zeta, weights=np.ones((size, size)))
 
     # Center cell: in polar coordinates the integrand is r^(alpha-1), and
@@ -130,7 +125,7 @@ def build_kernel(alpha: float, zeta: int) -> Kernel:
     # r <= 1/(2 cos theta), so the cell integral is
     # 8 * int_0^(pi/4) (0.5/cos theta)^alpha / alpha dtheta.  Its 1/alpha is
     # carried as a factor alpha on the offset cells instead, so that no
-    # alpha in (0, 2) overflows.
+    # alpha in [0, 2) overflows, and alpha = 0 gives them +0.0.
     nodes, gauss_weights = _gauss_rule()
     theta = np.pi / 8.0 * (1.0 + nodes)
     center = np.pi * (gauss_weights @ (0.5 / np.cos(theta)) ** alpha)
@@ -193,27 +188,21 @@ def _slide_pool(n: int, work: Callable[[int, object, dict], None],
     so a ring of at least n buffers queues every item at once.  There is
     one worker per usable CPU, never more than there are items or than the
     ring leaves free: the calling thread and a thread pool for the rest
-    (numpy releases the GIL in each ufunc).  Rather than wait for an item,
-    the calling thread takes the first queued item that no pool thread has
-    started.  A worker's exception is raised when its item is due, so the
-    lowest-numbered failing item is the one reported, and no thread
-    outlives the generator.  ``work`` must
-    give each item the same bits whichever worker runs it; then so does
-    the pool.  The calling thread works, rather than only consume, to save
-    memory: a pool that ran every item gave the same outputs and times, but
-    ``ru_maxrss`` rose 2.2-5.4 MB on ``synth`` and ``eval --table``,
-    probably (not verified) from glibc's per-thread malloc arenas.
+    (numpy releases the GIL in each ufunc), or for one worker no pool, whose
+    queued items are Futures no thread starts.  Rather than wait for an
+    item, the calling thread takes the first queued item that no pool
+    thread has started.  A worker's exception is raised when its item is
+    due, so the lowest-numbered failing item is the one reported, and no
+    thread outlives the generator.  ``work`` must give each item the same
+    bits whichever worker runs it; then so does the pool.  The calling
+    thread works, rather than only consume, to save memory: a pool that ran
+    every item gave the same outputs and times, but ``ru_maxrss`` rose
+    2.2-5.4 MB on ``synth`` and ``eval --table``, probably (not verified)
+    from glibc's per-thread malloc arenas.
     """
     size = len(ring)
     workers = min(_usable_cpus(), n if size >= n else size - 1)
     space: dict = {}
-    if workers <= 1:
-        for k in range(n):
-            out = ring[k % size]
-            work(k, out, space)
-            yield out
-        return
-
     # Imported here: concurrent.futures pulls in logging, which would
     # otherwise slow every CLI start.
     from concurrent.futures import Future, ThreadPoolExecutor
@@ -235,14 +224,14 @@ def _slide_pool(n: int, work: Callable[[int, object, dict], None],
             done.set_result(None)
         return done
 
-    pool = ThreadPoolExecutor(max_workers=workers - 1)
+    pool = ThreadPoolExecutor(max_workers=workers - 1) if workers > 1 else None
     try:
         pending: deque = deque()
         for k in range(n):
             # An item is queued as soon as its buffer is free: asking for
             # item k releases that of item k - 1, item k + size - 1's.
             for j in range(k + len(pending), min(k + size, n)):
-                pending.append(pool.submit(run, j))
+                pending.append(pool.submit(run, j) if pool else Future())
             # While item k is not done, the calling thread takes the
             # first item that no pool thread has started.
             while not pending[0].done():
@@ -254,28 +243,25 @@ def _slide_pool(n: int, work: Callable[[int, object, dict], None],
             pending.popleft().result()
             yield ring[k % size]
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        if pool:
+            pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _mirror_margins(padded: np.ndarray, zeta: int) -> None:
     """Fill the margins of width zeta of ``padded`` by mirroring its
     interior, as ``np.pad(interior, zeta, mode="symmetric")`` would.
 
-    In place with mirror slices, columns first and then whole rows (the
-    corners), where one reflection reaches: zeta up to each side of the
-    interior.  A larger zeta, whose reflection repeats, is copied in from
-    ``np.pad``.
+    In place, columns of the interior rows first, then whole rows (the
+    corners).  Each side is mirrored outward from its filled edge, lo or
+    hi, at most one interior length a step: every step starts on a mirror
+    point, so a longer reach repeats the reflection.
     """
-    height, width = padded.shape[0] - 2 * zeta, padded.shape[1] - 2 * zeta
-    rows = slice(zeta, zeta + height)
-    if zeta > min(height, width):
-        padded[...] = np.pad(padded[rows, zeta:zeta + width], zeta,
-                             mode="symmetric")
-        return
-    padded[rows, :zeta] = padded[rows, zeta:2 * zeta][:, ::-1]
-    padded[rows, zeta + width:] = padded[rows, width:zeta + width][:, ::-1]
-    padded[:zeta] = padded[zeta:2 * zeta][::-1]
-    padded[zeta + height:] = padded[height:zeta + height][::-1]
+    for view in (padded[zeta:padded.shape[0] - zeta], padded.T):
+        length = view.shape[1] - 2 * zeta
+        for lo in range(zeta, 0, -length):
+            n, hi = min(length, lo), view.shape[1] - lo
+            view[:, lo - n:lo] = view[:, lo:lo + n][:, ::-1]
+            view[:, hi:hi + n] = view[:, hi - n:hi][:, ::-1]
 
 
 # Samples per row strip of the pair-sum pass and of the renderer: each of a

@@ -292,6 +292,33 @@ class TestRecoverCommand:
         assert "depth.json" in capsys.readouterr().err
         assert not out.exists()
 
+    @staticmethod
+    def _assert_out_refused(stack_dir, name, named, tmp_path, capsys):
+        files = {p.name: p.read_bytes() for p in stack_dir.iterdir()}
+        assert main(["recover", "--stack", str(stack_dir), "--q", "2",
+                     "--out", str(stack_dir / name)]) == 1
+        assert str(stack_dir / named) in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in stack_dir.iterdir()} == files
+        read_stack_dir(stack_dir)
+        assert main(["recover", "--stack", str(stack_dir), "--q", "2",
+                     "--out", str(tmp_path / "d.csv")]) == 0
+
+    def test_out_whose_sidecar_is_stack_json_is_refused(self, tmp_path,
+                                                        capsys):
+        # stack.csv's sidecar is stack.json: writing it would leave a
+        # stack that no longer reads.
+        stack_dir = tmp_path / "stack"
+        assert main(SMALL_SYNTH + ["--out", str(stack_dir)]) == 0
+        self._assert_out_refused(stack_dir, "stack.csv", "stack.json",
+                                 tmp_path, capsys)
+
+    def test_out_named_as_a_slide_is_refused(self, tmp_path, capsys):
+        stack_dir = tmp_path / "stack"
+        pgm_synth = [arg for arg in SMALL_SYNTH if arg != "--lossless"]
+        assert main(pgm_synth + ["--out", str(stack_dir)]) == 0
+        self._assert_out_refused(stack_dir, "slide_002.pgm", "slide_002.pgm",
+                                 tmp_path, capsys)
+
     def test_missing_stack_fails(self, tmp_path, capsys):
         rc = main(["recover", "--stack", str(tmp_path / "nowhere"),
                    "--out", str(tmp_path / "d.csv")])

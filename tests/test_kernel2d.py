@@ -33,10 +33,16 @@ class TestReferenceWeights:
             assert kernel.at(i, j) == pytest.approx(expected, abs=5e-6), (i, j)
 
     def test_alpha_zero_is_exact_delta(self, kernels_zeta4):
-        weights = kernels_zeta4[0.0].weights
-        expected = np.zeros((9, 9))
-        expected[4, 4] = 1.0
-        assert np.array_equal(weights, expected)
+        # The rule's offset weights carry a factor alpha: +0.0, never -0.0,
+        # so the bytes are those of the delta.
+        kernels = {4: kernels_zeta4[0.0]}
+        kernels.update((zeta, build_kernel(0, zeta)) for zeta in (1, 2, 8, 16))
+        for zeta, kernel in kernels.items():
+            expected = np.zeros((2 * zeta + 1, 2 * zeta + 1))
+            expected[zeta, zeta] = 1.0
+            assert kernel.weights.tobytes() == expected.tobytes(), zeta
+            assert not np.any(np.signbit(kernel.weights)), zeta
+            assert type(kernel.alpha) is float and kernel.alpha == 0.0
 
     def test_alpha_two_is_exact_ones(self, kernels_zeta4):
         assert np.array_equal(kernels_zeta4[2.0].weights, np.ones((9, 9)))
@@ -521,16 +527,24 @@ class TestFrequencyResponse:
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 9), st.integers(1, 9), st.data())
 def test_mirror_pad_equals_numpy_symmetric_pad(height, width, data):
-    # Reaches from 1 to past the longer side: single reflections in place,
-    # repeated ones through np.pad.  The buffer is reused for a second
-    # slide, as a worker reuses its workspace across slides.
-    zeta = data.draw(st.integers(1, max(height, width) + 3))
+    # Reaches from 1 to past three times the longer side, so that both axes
+    # repeat their reflection, all in place: np.pad is the reference only.
+    # The buffer is reused for a second slide, as a worker reuses its
+    # workspace across slides.
+    zeta = data.draw(st.integers(1, 3 * max(height, width) + 3))
     padded = np.full((height + 2 * zeta, width + 2 * zeta), np.nan)
     for seed in (0, 1):
         slide = np.random.default_rng(seed).random((height, width))
+        expected = np.pad(slide, zeta, mode="symmetric")
         padded[zeta:zeta + height, zeta:zeta + width] = slide
-        kernel2d._mirror_margins(padded, zeta)
-        assert np.array_equal(padded, np.pad(slide, zeta, mode="symmetric"))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np, "pad", _no_pad)
+            kernel2d._mirror_margins(padded, zeta)
+        assert np.array_equal(padded, expected)
+
+
+def _no_pad(*args, **kwargs):
+    raise AssertionError("the mirror pad called np.pad")
 
 
 def _numbering_work(k, out, space):
@@ -616,6 +630,31 @@ def test_slide_pool_raises_the_first_failing_slide(monkeypatch, workers):
         for out in kernel2d._slide_pool(9, work, np.zeros((workers + 1, 1))):
             seen.append(int(out[0]))
     assert seen == [0, 1, 2]
+    assert threading.active_count() == threads
+
+
+def test_one_worker_pool_starts_no_thread(monkeypatch):
+    # With one usable CPU the calling thread runs every item: no thread is
+    # started, results come in order, and the lowest failing item raises.
+    monkeypatch.setattr(kernel2d, "_usable_cpus", lambda: 1)
+    threads = threading.active_count()
+    runners = set()
+
+    def work(k, out, space):
+        runners.add(threading.get_ident())
+        assert threading.active_count() == threads
+        if k in (5, 6):
+            raise ValueError(f"slide {k} failed")
+        out[...] = k
+
+    for ring in (2, 9):
+        seen = []
+        with pytest.raises(ValueError, match="slide 5 failed"):
+            for out in kernel2d._slide_pool(9, work, np.zeros((ring, 1))):
+                assert threading.active_count() == threads
+                seen.append(int(out[0]))
+        assert seen == [0, 1, 2, 3, 4]
+    assert runners == {threading.get_ident()}
     assert threading.active_count() == threads
 
 
