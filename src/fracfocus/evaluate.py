@@ -1,23 +1,23 @@
 """Depth-map error metrics and local-versus-nonlocal comparison grids.
 
-Each cell of a grid is one item of the slide pool of :mod:`kernel2d`, and
-its worker scores it, so only the error reports come back.
+A grid is a sequence of streams over the stack, one per order and one per
+local stride, each on the slide pool of :mod:`kernel2d`: one kernel pass a
+slide serves every cutoff of an order, and no stack-sized volume is held.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import kernel2d
 from .depth import PeakSearch
-from .focus import (_check_step, _focus_layer_into, _nonlocal_layer_into,
-                    local_focus_volume)
-from .grids import DepthMap, FocalStack, check_focus_values
-from .kernel2d import _scratch, build_kernel
+from .focus import _check_step, _has_interior, focus_layers
+from .grids import DepthMap, FocalStack
+from .kernel2d import _check_cutoff, build_kernel
 
 if TYPE_CHECKING:
     from .io import StackHeader
@@ -160,85 +160,83 @@ def comparison_table(source: FocalStack | StackHeader, truth: DepthMap,
     zeta))``, and the local entry at stride q' that of ``recover_depth`` on
     ``local_focus_volume(source, q')``, bit for bit.  ``local_strides``
     defaults to the zeta list, giving the customary side-by-side column of
-    local errors at q' = zeta.  The depth range is the source's, which every
-    recovered map carries.
+    local errors at q' = zeta; a default stride that leaves no pixel inside
+    its frame has no entry, and its cell of the formatted column is empty.
+    The depth range is the source's, which every recovered map carries.
 
-    The local volume at stride q, the base, is computed once, on the slide
-    pool; it is the one volume the table holds.  Every other cell is one
-    item of the slide pool (``kernel2d._slide_pool``): one worker runs all
-    slides of the cell in order, each a kernel pass of the base's slide
-    plus the zero frame (or a read of the slide and the local measure at
-    q'), checked like a FocusVolume and pushed into the cell's own
-    :class:`PeakSearch`, and then scores the cell's depth map against the
-    truth, so no cell allocates a volume, no depth map leaves its worker
-    and no cell's bits depend on the CPU count.  The alpha = 0 cells and
-    the local entry at q' = q are the search of the base itself, since the
-    delta kernel returns an exact copy.  Each search builds and scores its
-    depth map once, and each cell it answers takes that report with its
-    own method, q, alpha and zeta.  Every kernel is built, every stride and
-    the truth's grid checked before the first slide is read.
+    The table is a sequence of streams over the stack, each
+    ``focus_layers`` on the slide pool: one per order alpha > 0, whose one
+    kernel pass a slide gives the layers of all its cutoffs; one of the
+    local measure at q, which answers the alpha = 0 cells (the delta kernel
+    returns an exact copy) and the local entry at q' = q; and one for each
+    other local stride.  The calling thread pushes each layer into the
+    :class:`PeakSearch` of its cutoff, and when a stream ends each search
+    builds and scores its depth map once; each cell it answers takes that
+    report with its own method, q, alpha and zeta.  No volume is held: the
+    table holds O((CPUs + 1) * cutoffs * height * width) values, however
+    many slides there are.  Every order and cutoff, q, every explicit
+    stride, the spacing and the truth's grid are checked before the first
+    slide is read.
     """
     if not alphas or not zetas:
         raise ValueError("alphas and zetas must be non-empty")
-    if local_strides is None:
-        local_strides = zetas
     shape = (source.height, source.width)
+    _check_step(shape, q, source.h)
+    if local_strides is None:
+        local_strides = tuple(s for s in zetas if _has_interior(shape, s))
     for stride in local_strides:
         _check_step(shape, stride, source.h)
     if truth.values.shape != shape:
         raise ValueError(f"shape mismatch: stack slides {shape}, "
                          f"truth {truth.values.shape}")
-    kernels = {(zeta, float(alpha)): build_kernel(alpha, zeta)
-               for zeta in zetas for alpha in alphas}
-    base = local_focus_volume(source, q)
-
-    # One peak search per source of layers: None for the base's own slides,
-    # a (zeta, alpha) key for their pass with that kernel, a stride q' for
-    # the local measure at q'.  Each search lists the cells it answers, as
-    # (table key, the report's recovery parameters).
-    searches: dict = {}
-    for key, kernel in kernels.items():
-        layers = None if kernel.alpha == 0.0 else key
-        searches.setdefault(layers, []).append(
-            (key, {"method": "nonlocal", "q": q, "alpha": kernel.alpha,
-                   "zeta": kernel.zeta}))
-    for stride in local_strides:
-        layers = None if stride == q else stride
-        searches.setdefault(layers, []).append(
-            (stride, {"method": "local", "q": stride, "alpha": None,
-                      "zeta": None}))
-    cells = list(searches)
-
-    def work(i: int, slot: list, space: dict) -> None:
-        cell = cells[i]
-        kernel = kernels.get(cell)
-        search = PeakSearch()
-        layer = _scratch(space, "layer", shape)
-        for k, local in enumerate(base.data):
-            if cell is None:
-                search.push(local)
-                continue
-            if kernel is not None:
-                _nonlocal_layer_into(layer, local, kernel, q, space)
-            else:
-                _focus_layer_into(layer, source, k, cell, space)
-            check_focus_values(layer)
-            search.push(layer)
-        # The map's values do not depend on the recovery parameters it
-        # records, so one score serves every cell of the search.
-        report = rms_error_percent(
-            search.depth_map(q=q, z_min=base.z_min, z_max=base.z_max,
-                             h=base.h), truth)
-        slot[:] = [(key, replace(report, **params))
-                   for key, params in searches[cell]]
+    cutoffs = sorted({_check_cutoff(zeta) for zeta in zetas})
+    kernels = {float(alpha): build_kernel(alpha, cutoffs[-1])
+               for alpha in alphas}
 
     reports = {}
-    ring = [[] for _ in cells]
-    for slot in kernel2d._slide_pool(len(cells), work, ring):
-        reports.update(slot)
+
+    def score(layers: Iterable, answers: list[list[tuple]]) -> None:
+        """Push the i-th layer of each item of ``layers`` into search i,
+        then score each search once for the cells ``answers[i]`` lists, as
+        (table key, the report's recovery parameters)."""
+        searches = [PeakSearch() for _ in answers]
+        for stack in layers:
+            for search, layer in zip(searches, stack):
+                search.push(layer)
+        for search, cells in zip(searches, answers):
+            # The map's values do not depend on the recovery parameters it
+            # records, so one score serves every cell of the search.
+            report = rms_error_percent(
+                search.depth_map(q=q, z_min=source.z_min, z_max=source.z_max,
+                                 h=source.h), truth)
+            reports.update((key, replace(report, **params))
+                           for key, params in cells)
+
+    def local(stride: int) -> tuple:
+        return stride, {"method": "local", "q": stride, "alpha": None,
+                        "zeta": None}
+
+    def nonlocal_(zeta: int, alpha: float) -> tuple:
+        return (zeta, alpha), {"method": "nonlocal", "q": q, "alpha": alpha,
+                               "zeta": int(zeta)}
+
+    base = [nonlocal_(zeta, alpha) for alpha in kernels if alpha == 0.0
+            for zeta in zetas] + [local(q)] * (q in local_strides)
+    if base:
+        score(([layer] for layer in focus_layers(source, q)), [base])
+    for alpha, kernel in kernels.items():
+        if alpha > 0.0:
+            score(focus_layers(source, q, kernel, cutoffs),
+                  [[nonlocal_(zeta, alpha) for zeta in zetas
+                    if zeta == cutoff] for cutoff in cutoffs])
+    for stride in dict.fromkeys(local_strides):
+        if stride != q:
+            score(([layer] for layer in focus_layers(source, stride)),
+                  [[local(stride)]])
     return ComparisonTable(q=q, alphas=tuple(float(a) for a in alphas),
                            zetas=tuple(zetas),
-                           grid={key: reports[key] for key in kernels},
+                           grid={(zeta, alpha): reports[(zeta, alpha)]
+                                 for zeta in zetas for alpha in kernels},
                            local={s: reports[s] for s in local_strides})
 
 

@@ -22,16 +22,20 @@ back into the buffer read, zero frame.  Its layers go into a volume that
 :class:`~fracfocus.grids.FocusVolume` then checks once
 (:func:`local_focus_volume`) or, checked one by one, into a ring whose
 layers come back in slide order (:func:`focus_layers`): ``recover`` holds
-O(CPUs * height * width) values, not O(n_slides * height * width).  The
-pool also runs :func:`_nonlocal_layer_into` over a volume
-(:func:`nonlocalize_volume`).  Each slide's layer is bitwise the same on
-every path, because every step acts on each slide alone.
+O(CPUs * height * width) values, not O(n_slides * height * width).  Given
+several cutoffs of one kernel, the chain's one pass writes a layer for
+each, and ``focus_layers`` yields them as one stack a slide: each stream
+of ``evaluate.comparison_table`` is such a call, and holds
+O(CPUs * cutoffs * height * width) values.  The pool also runs
+:func:`_nonlocal_layer_into` over a volume (:func:`nonlocalize_volume`).
+Each slide's layer is bitwise the same on every path, because every step
+acts on each slide alone.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -51,15 +55,20 @@ __all__ = [
 ]
 
 
+def _has_interior(shape: tuple[int, ...], q: int) -> bool:
+    """Whether slides of ``shape`` keep a pixel inside the frame of width
+    q."""
+    return 2 * q < min(shape[-2:])
+
+
 def _check_step(shape: tuple[int, ...], q: int, h: float) -> None:
     """Reject a step q < 1, slides with no pixel inside the q-frame, or a
     grid spacing h whose scale 1/(q h)^2 is not a finite positive number."""
     if q < 1:
         raise ValueError(f"step q must be >= 1, got {q}")
-    height, width = shape[-2:]
-    if width <= 2 * q or height <= 2 * q:
+    if not _has_interior(shape, q):
         raise ValueError(
-            f"slide of shape {(height, width)} too small for step q={q}"
+            f"slide of shape {tuple(shape[-2:])} too small for step q={q}"
         )
     try:
         scale = 1.0 / (q * h) ** 2
@@ -113,23 +122,29 @@ _IDENTITY = np.ones((1, 1))
 
 def _focus_layer_into(out: np.ndarray, source: FocalStack | StackHeader,
                       k: int, q: int, space: dict,
-                      kernel: Kernel | None = None) -> None:
+                      kernel: Kernel | None = None,
+                      cutoffs: Sequence[int] | None = None) -> None:
     """Read slide k of ``source`` and write its focus measure into ``out``.
 
     The local measure at step q, then, given a kernel, the nonlocal one;
     the caller checks it (``check_focus_values``).  The slide is read into
     ``out``, measured into the pass's padded input (``_pass_input``), and
     the pass, without a kernel with ``_IDENTITY``, writes back into ``out``:
-    a worker holds two slide-sized buffers.  A measure that overflows is
-    left as inf for the check to refuse, without a numpy warning.
+    a worker holds two slide-sized buffers.  Given an ascending list of
+    ``cutoffs`` up to ``kernel.zeta``, ``out`` holds one layer per cutoff,
+    the slide is read into the first, and one pass writes them all
+    (``kernel2d._pass_into``).  A measure that overflows is left as inf for
+    the check to refuse, without a numpy warning.
     """
     weights = (_IDENTITY if kernel is None
                else kernel.weights[kernel.zeta:, kernel.zeta:])
-    source.read_slide(k, out)
-    local = _pass_input(out.shape, weights.shape[0] - 1, space)
+    slide = out if cutoffs is None else out[0]
+    source.read_slide(k, slide)
+    reach = weights.shape[0] - 1 if cutoffs is None else cutoffs[-1]
+    local = _pass_input(slide.shape, reach, space)
     with np.errstate(over="ignore"):
-        _modified_laplacian_into(local, out, q, source.h, space)
-        _pass_into(weights, out, space)
+        _modified_laplacian_into(local, slide, q, source.h, space)
+        _pass_into(weights, out, space, cutoffs)
     _zero_frame(out, q)
 
 
@@ -183,7 +198,9 @@ def _nonlocal_layer_into(out: np.ndarray, local: np.ndarray, kernel: Kernel,
 
 
 def focus_layers(source: FocalStack | StackHeader, q: int,
-                 kernel: Kernel | None = None) -> Iterator[np.ndarray]:
+                 kernel: Kernel | None = None,
+                 cutoffs: Sequence[int] | None = None,
+                 ) -> Iterator[np.ndarray]:
     """Yield the focus measure of each slide of a source, in order.
 
     The local measure at step q, then, given a kernel, the nonlocal one.
@@ -193,17 +210,34 @@ def focus_layers(source: FocalStack | StackHeader, q: int,
     results come out of a ring of one buffer per worker plus one, so memory
     stays O(CPUs * height * width) however many slides there are; a
     worker's ring buffer first takes the slide it reads (see
-    :func:`_focus_layer_into`).  The step, the slide shape and the spacing
-    are checked when this is called, before any slide is read; a failing
-    slide raises when it is due, so the lowest-numbered one is named.  A yielded layer is bitwise that slide's layer of
-    ``local_focus_volume`` or ``nonlocalize_volume`` on the whole stack; it
-    may be overwritten once the next is requested.
+    :func:`_focus_layer_into`).  Given a strictly ascending list of
+    ``cutoffs`` from 1 to at most ``kernel.zeta``, each yield is a
+    ``(len(cutoffs), height, width)`` stack whose layer i is the slide's
+    layer with ``build_kernel(kernel.alpha, cutoffs[i])``, all from one
+    pass, and the ring holds O(CPUs * cutoffs * height * width) values.
+    The step, the slide shape, the spacing and the cutoffs are checked when
+    this is called, before any slide is read; a failing slide raises when
+    it is due, so the lowest-numbered one is named.  A yielded layer is
+    bitwise that slide's layer of ``local_focus_volume`` or
+    ``nonlocalize_volume`` on the whole stack; it may be overwritten once
+    the next is requested.
     """
     _check_step((source.height, source.width), q, source.h)
-    ring = source.empty(kernel2d._ring_length(source.n_slides))
+    n = kernel2d._ring_length(source.n_slides)
+    if cutoffs is None:
+        ring = source.empty(n)
+    else:
+        cutoffs = tuple(cutoffs)
+        if (kernel is None or not cutoffs or cutoffs[0] < 1
+                or cutoffs[-1] > kernel.zeta
+                or any(a >= b for a, b in zip(cutoffs, cutoffs[1:]))):
+            raise ValueError(f"cutoffs {cutoffs} must ascend strictly from 1 "
+                             f"to at most the kernel's zeta")
+        ring = source.empty(n * len(cutoffs)).reshape(
+            n, len(cutoffs), source.height, source.width)
 
     def work(k: int, out: np.ndarray, space: dict) -> None:
-        _focus_layer_into(out, source, k, q, space, kernel)
+        _focus_layer_into(out, source, k, q, space, kernel, cutoffs)
         check_focus_values(out)
 
     return kernel2d._slide_pool(source.n_slides, work, ring)

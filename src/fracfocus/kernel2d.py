@@ -11,7 +11,11 @@ cells are integrated whole, which is what makes the top of the validity
 range (alpha = 2, constant weight) the exact all-ones matrix.  Every cell
 integral comes from one fixed 24-point Gauss-Legendre rule
 (``numpy.polynomial.legendre.leggauss``): a tensor rule on the offset
-cells and a 1D rule on the polar wedge of the center cell.
+cells and a 1D rule on the polar wedge of the center cell.  Each offset
+cell is reduced on its own, by two ``np.einsum`` reductions whose rounding
+does not depend on how many cells there are, so a kernel's weights do not
+depend on its cutoff: the quadrant of a smaller zeta is the top-left block
+of a larger one's, bit for bit.
 
 alpha = 0 is the delta kernel (local limit), which the rule gives exactly;
 alpha = 2 the uniform "pinhole" limit; in between the weights fall off
@@ -24,19 +28,23 @@ once, results yielded in slide order from a ring of output buffers.  An
 item is queued as soon as its ring buffer is free, so the ring's length
 alone bounds the look-ahead.  The whole-volume pass
 (``focus.nonlocalize_volume``), ``recover``'s read-measure-pass chain
-(``focus.focus_layers``) and the renderer (``synth.render_slides``, and
-its texture, whose items are row strips) all run on it, and so does
-``evaluate.comparison_table``, whose items are whole table cells.
+(``focus.focus_layers``, on which ``evaluate.comparison_table`` runs
+each of its streams) and the renderer (``synth.render_slides``, and its
+texture, whose items are row strips) all run on it.
 
 The pass itself (``_correlate_slide``) is a plain loop over row strips.
 Each kernel row's weighted sum of column pair sums is one ``np.einsum``
 call, so a strip takes 4 zeta + 2 numpy calls, which release the GIL while
 they compute, and the workers seldom wait for one another; the identity
-(the local measure's, or alpha = 0) takes none, as its pass is a copy.  A
-workspace keeps the scratch buffers of one pass; another kernel or shape
-replaces them.  The pass's input is the interior of its padded buffer
-(``_pass_input``): a caller that computes the slide writes it there, and
-the pass fills only the mirror margins before it runs (``_pass_into``).
+(the local measure's, or alpha = 0) takes none, as its pass is a copy.
+Since the weights nest, one pass can serve an ascending list of cutoffs of
+one order: the mirror pad and the pair sums are built once at the largest
+reach, and each row sum once, as a prefix over the taps that each
+cutoff's layer takes when the prefix reaches it.  A workspace keeps the
+scratch buffers of one pass; another kernel or shape replaces them.  The
+pass's input is the interior of its padded buffer (``_pass_input``): a
+caller that computes the slide writes it there, and the pass fills only
+the mirror margins before it runs (``_pass_into``).
 """
 
 from __future__ import annotations
@@ -102,6 +110,14 @@ class Kernel:
         return float(self.weights[self.zeta + i, self.zeta + j])
 
 
+def _check_cutoff(zeta: int) -> int:
+    """The cutoff ``zeta`` as an int; ValueError unless it is an integer
+    >= 1."""
+    if not (zeta >= 1 and float(zeta).is_integer()):
+        raise ValueError(f"cutoff zeta must be an integer >= 1, got {zeta}")
+    return int(zeta)
+
+
 def build_kernel(alpha: float, zeta: int) -> Kernel:
     """Build the center-normalized nonlocalization kernel for order alpha.
 
@@ -113,9 +129,7 @@ def build_kernel(alpha: float, zeta: int) -> Kernel:
     """
     if not 0.0 <= alpha <= 2.0:
         raise ValueError(f"2D fractional order must lie in [0, 2], got {alpha}")
-    if not (zeta >= 1 and float(zeta).is_integer()):
-        raise ValueError(f"cutoff zeta must be an integer >= 1, got {zeta}")
-    alpha, zeta = float(alpha), int(zeta)
+    alpha, zeta = float(alpha), _check_cutoff(zeta)
     if alpha == 2.0:
         size = 2 * zeta + 1
         return Kernel(alpha=2.0, zeta=zeta, weights=np.ones((size, size)))
@@ -134,11 +148,15 @@ def build_kernel(alpha: float, zeta: int) -> Kernel:
     # One value per cell (i, j) with i <= j, computed from (min, max) of its
     # indices, gives the eight-fold symmetry exactly.  The rule's value for
     # the singular center cell is computed too and then replaced by 1.
+    # Each cell is reduced on its own by einsum's sum-of-products loop; a
+    # batched @ rounds by how many cells the batch holds, which made a
+    # weight's bits depend on zeta.
     lo, hi = np.triu_indices(zeta + 1)
     x = lo[:, np.newaxis, np.newaxis] + 0.5 * nodes[:, np.newaxis]
     y = hi[:, np.newaxis, np.newaxis] + 0.5 * nodes
-    cells = ((x * x + y * y) ** (0.5 * alpha - 1.0) @ gauss_weights
-             @ gauss_weights)
+    integrand = (x * x + y * y) ** (0.5 * alpha - 1.0)
+    cells = np.einsum("ki,i->k", np.einsum("kij,j->ki", integrand,
+                                           gauss_weights), gauss_weights)
     quadrant = np.empty((zeta + 1, zeta + 1))
     quadrant[lo, hi] = quadrant[hi, lo] = 0.25 * alpha * cells / center
     quadrant[0, 0] = 1.0
@@ -177,28 +195,26 @@ def _slide_pool(n: int, work: Callable[[int, object, dict], None],
     """Run ``work(k, out, space)`` for items k = 0 .. n-1 and yield each
     ``out`` in order of k.
 
-    An item is a slide, or a whole cell of ``evaluate.comparison_table``,
-    whose worker runs all slides of that cell.  ``out`` is
-    ``ring[k % len(ring)]``, a buffer ``work`` fills in place (an array
-    for a slide, a list for a cell): a ring of at least n buffers keeps
-    every result; in a shorter one, a yielded buffer may be overwritten once
-    the next is requested.  ``space`` is a dict the worker keeps for the
-    whole call, for scratch buffers that it allocates once (see
-    :func:`_scratch`).  An item is queued as soon as its buffer is free,
-    so a ring of at least n buffers queues every item at once.  There is
-    one worker per usable CPU, never more than there are items or than the
-    ring leaves free: the calling thread and a thread pool for the rest
-    (numpy releases the GIL in each ufunc), or for one worker no pool, whose
-    queued items are Futures no thread starts.  Rather than wait for an
-    item, the calling thread takes the first queued item that no pool
-    thread has started.  A worker's exception is raised when its item is
-    due, so the lowest-numbered failing item is the one reported, and no
-    thread outlives the generator.  ``work`` must give each item the same
-    bits whichever worker runs it; then so does the pool.  The calling
-    thread works, rather than only consume, to save memory: a pool that ran
-    every item gave the same outputs and times, but ``ru_maxrss`` rose
-    2.2-5.4 MB on ``synth`` and ``eval --table``, probably (not verified)
-    from glibc's per-thread malloc arenas.
+    An item is a slide, or a row strip of the renderer's texture.  ``out``
+    is ``ring[k % len(ring)]``, a buffer ``work`` fills in place: a ring of
+    at least n buffers keeps every result; in a shorter one, a yielded
+    buffer may be overwritten once the next is requested.  ``space`` is a
+    dict the worker keeps for the whole call, for scratch buffers that it
+    allocates once (see :func:`_scratch`).  An item is queued as soon as
+    its buffer is free, so a ring of at least n buffers queues every item
+    at once.  There is one worker per usable CPU, never more than there are
+    items or than the ring leaves free: the calling thread and a thread
+    pool for the rest (numpy releases the GIL in each ufunc), or for one
+    worker no pool, whose queued items are Futures no thread starts.
+    Rather than wait for an item, the calling thread takes the first queued
+    item that no pool thread has started.  A worker's exception is raised
+    when its item is due, so the lowest-numbered failing item is the one
+    reported, and no thread outlives the generator.  ``work`` must give
+    each item the same bits whichever worker runs it; then so does the
+    pool.  The calling thread works, rather than only consume, to save
+    memory: a pool that ran every item gave the same outputs and times, but
+    ``ru_maxrss`` rose 2.2-5.4 MB on ``synth`` and ``eval --table``,
+    probably (not verified) from glibc's per-thread malloc arenas.
     """
     size = len(ring)
     workers = min(_usable_cpus(), n if size >= n else size - 1)
@@ -292,32 +308,48 @@ def _pass_input(shape: tuple[int, int], zeta: int,
     return padded[zeta:zeta + height, zeta:zeta + width]
 
 
-def _pass_into(weights: np.ndarray, out: np.ndarray, space: dict) -> None:
+def _pass_into(weights: np.ndarray, out: np.ndarray, space: dict,
+               cutoffs: Sequence[int] | None = None) -> None:
     """Run the pass with the kernel quadrant ``weights`` whose input
     :func:`_pass_input` returned, into ``out``.
+
+    Without ``cutoffs``, ``out`` is one layer and the reach that of
+    ``weights``.  With an ascending list of ``cutoffs``, ``out`` holds one
+    layer per cutoff, ``(len(cutoffs), height, width)``, and layer i is the
+    pass with the leading ``cutoffs[i] + 1`` square block of ``weights``:
+    the pass of ``build_kernel(alpha, cutoffs[i])``, whose quadrant is that
+    block bit for bit.  ``P`` must then have the reach of the last cutoff.
 
     Mirrors the margins of ``P`` from its interior (:func:`_mirror_margins`),
     then runs the calls of :func:`_correlate_slide` strip by strip, each
     strip's row sums in the workspace buffers ``pairs``, ``row_sum`` and
-    ``term`` and its result straight in its rows of ``out``.  ``out`` may be
-    a new buffer on each call, or the slide that was written into ``P``; it
-    must be C-contiguous, since ``D_0`` is written through a flat view of
-    its rows.  A strip takes 4 zeta + 2 calls: the copy of ``C_0``, zeta
-    column pair sums, one ``np.einsum`` per kernel row and two adds per row
-    a > 0.  The identity (1 at the centre, 0 elsewhere) takes none: after
-    the buffer lookups, so that the workspace keeps one buffer per role,
-    the interior of ``P`` is copied into ``out``, every bit kept.
+    ``term`` and its results straight in their rows of ``out``.  The pair
+    sums serve every cutoff, and so does each row sum ``D_a``, built once
+    as a prefix over the taps b: one ``np.einsum`` up to the first cutoff
+    that reaches row a, then a multiply and an add per further tap, the
+    rounded steps einsum takes, and each cutoff's layer takes ``D_a`` when
+    the prefix reaches it.  ``out`` may be a new buffer on each call, or
+    the slide that was written into ``P``; it must be C-contiguous, since
+    ``D_0`` is written through a flat view of its rows.  With one cutoff a
+    strip takes 4 zeta + 2 calls: the copy of ``C_0``, zeta column pair
+    sums, one ``np.einsum`` per kernel row and two adds per row a > 0.  The
+    identity (1 at the centre, 0 elsewhere) takes none: after the buffer
+    lookups, so that the workspace keeps one buffer per role, the interior
+    of ``P`` is copied into each layer, every bit kept.
     """
     if not out.flags.c_contiguous:
         raise ValueError("the kernel pass needs a C-contiguous output")
-    zeta = weights.shape[0] - 1
-    height, width = out.shape
+    if cutoffs is None:
+        cutoffs, out = (weights.shape[0] - 1,), out[np.newaxis]
+    zeta = cutoffs[-1]
+    weights = weights[:zeta + 1, :zeta + 1]
+    height, width = out.shape[1:]
     padded = space["padded"]
     rows = _strip_rows(width)
     span = min(rows, height) + 2 * zeta
     pairs = _scratch(space, "pairs", (zeta + 1, span, width))
     row_sum = _scratch(space, "row_sum", (span, width))
-    term = _scratch(space, "term", (min(rows, height), width))
+    term = _scratch(space, "term", (span, width))
     if weights[0, 0] == 1.0 and np.count_nonzero(weights) == 1:
         np.copyto(out, padded[zeta:zeta + height, zeta:zeta + width])
         return
@@ -325,7 +357,7 @@ def _pass_into(weights: np.ndarray, out: np.ndarray, space: dict) -> None:
     for top in range(0, height, rows):
         n = min(rows, height - top)
         strip = padded[top:top + n + 2 * zeta]
-        result, tmp = out[top:top + n], term[:n]
+        results = out[:, top:top + n]
         # C_0 joins the pair sums C_1 .. C_zeta as the slab pairs[0], so that
         # all taps of a row are one array; times 1.0 copies it exactly.
         columns = pairs[:, :n + 2 * zeta]
@@ -335,14 +367,29 @@ def _pass_into(weights: np.ndarray, out: np.ndarray, space: dict) -> None:
                    strip[:, zeta - b:zeta - b + width], out=columns[b])
         for a in range(zeta + 1):
             # D_a is needed on rows zeta-a .. zeta+a+n-1 of the strip only;
-            # D_0 is built in the strip's rows of out itself.
+            # D_0 is built in each layer's own rows of out.
             lo, hi = zeta - a, zeta + a + n
-            acc = result if a == 0 else row_sum[:hi - lo]
-            _weighted_rows(columns[:, lo:hi].reshape(zeta + 1, -1),
-                           weights[a], out=acc.reshape(-1))
-            if a:
-                np.add(acc[:n], acc[2 * a:], out=tmp)
-                np.add(result, tmp, out=result)
+            product, tmp, taps = term[:hi - lo], term[:n], 0
+            for layer, cutoff in zip(results, cutoffs):
+                if cutoff < a:
+                    continue
+                acc = layer if a == 0 else row_sum[:hi - lo]
+                if not taps:
+                    _weighted_rows(
+                        columns[:cutoff + 1, lo:hi].reshape(cutoff + 1, -1),
+                        weights[a, :cutoff + 1], out=acc.reshape(-1))
+                else:
+                    # The last cutoff's D_a, extended tap by tap as einsum
+                    # would have.
+                    for b in range(taps, cutoff + 1):
+                        np.multiply(columns[b, lo:hi], weights[a, b],
+                                    out=product)
+                        np.add(prefix, product, out=acc)
+                        prefix = acc
+                prefix, taps = acc, cutoff + 1
+                if a:
+                    np.add(acc[:n], acc[2 * a:], out=tmp)
+                    np.add(layer, tmp, out=layer)
 
 
 def _correlate_slide(weights: np.ndarray, slide: np.ndarray,

@@ -307,6 +307,11 @@ _FEW = st.sampled_from([0.0, 0.25, 1.0, 1.0, 3.0])
 @example(np.multiply.outer([0.25, 1.0, 3.0, 3.0, 1.0],
                            np.indices((8, 8)).sum(axis=0) % 2),
          2, [0.0, 2.0, 0.5], [3, 1, 3], [1, 3], 0)
+# The claims grid: unsorted cutoffs, alpha 0 and 1.9, and default strides
+# of which 12 leaves no pixel inside its frame.
+@example(np.multiply.outer([0.25, 1.0, 3.0, 3.0, 1.0, 0.25],
+                           np.indices((20, 20)).sum(axis=0) % 3),
+         1, [0.0, 0.5, 1.0, 1.5, 1.9, 2.0], [12, 2, 8, 4], None, 0)
 def test_table_matches_one_volume_per_cell(data, q, alphas, zetas,
                                            local_strides, seed):
     rng = np.random.default_rng(seed)
@@ -335,8 +340,8 @@ def test_table_matches_one_volume_per_cell(data, q, alphas, zetas,
 
 
 def test_table_cells_under_thread_stress(monkeypatch, small_plane):
-    """More workers than cells and a short switch interval: a cell that
-    read another's slot or workspace would not match the reference."""
+    """Eight workers and a short switch interval: a layer that came from
+    another's ring slot or workspace would not match the reference."""
     args = (small_plane.stack, small_plane.truth, 2, (0.0, 0.5, 2.0), (1, 3),
             (1, 2, 4))
     want = reference_table(*args)
@@ -371,24 +376,29 @@ def test_table_from_stack_directory_matches_loaded_stack(tmp_path,
 
 
 def test_table_holds_no_volume_per_cell(monkeypatch):
-    """Beyond the base volume, the cells stream: the traced peak of a 4 x 5
-    grid on 64 slides stays below 1.75 volumes (one volume per cell took
-    more than 2)."""
+    """The table streams every cell from the stack and holds no volume:
+    the traced peak of a 4 x 5 grid on 64 slides is within 1 MiB of its
+    peak on 8 slides of the same size (the 56 more slides are 1.75 MiB
+    of focus measure)."""
     monkeypatch.setattr(kernel2d, "_usable_cpus", lambda: 1)
     rng = np.random.default_rng(21)
     stack = FocalStack(rng.random((64, 64, 64)), z_min=0.0, z_max=1.0)
     truth = _map(rng.random((64, 64)))
-    # A first table on a small stack makes the imports that the kernel
-    # build needs, whose objects would otherwise count towards the peak.
-    comparison_table(FocalStack(stack.data[:3, :16, :16], z_min=0.0,
-                                z_max=1.0), _map(truth.values[:16, :16]), q=2)
-    tracemalloc.start()
-    try:
-        comparison_table(stack, truth, q=2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.75 * stack.data.nbytes
+
+    def peak(n: int) -> int:
+        part = FocalStack(stack.data[:n], z_min=0.0, z_max=1.0)
+        tracemalloc.start()
+        try:
+            comparison_table(part, truth, q=2)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # A first table makes the imports that the kernel build needs, whose
+    # objects would otherwise count towards the peak.
+    peak(3)
+    small, large = peak(8), peak(64)
+    assert large <= small + 2 ** 20, (small, large)
 
 
 @pytest.mark.parametrize("bad", [{"local_strides": (1, 24)},
@@ -397,16 +407,22 @@ def test_table_holds_no_volume_per_cell(monkeypatch):
                                  {"truth": _map(np.zeros((5, 7)))}])
 def test_bad_parameters_fail_before_the_first_pass(monkeypatch, small_plane,
                                                     bad):
+    # Every layer of the table goes through kernel2d._pass_into, the local
+    # measure's identity pass included: the good grid makes 27 passes (the
+    # 9 slides of three streams), a bad one none.
     passes = []
     for module in (kernel2d, focus):
-        def counted(*args, _original=module._correlate_slide):
+        def counted(*args, _original=module._pass_into):
             passes.append(1)
             return _original(*args)
-        monkeypatch.setattr(module, "_correlate_slide", counted)
+        monkeypatch.setattr(module, "_pass_into", counted)
+    args = {"truth": small_plane.truth, "q": 2, "alphas": (1.5,),
+            "zetas": (1, 2)}
+    comparison_table(small_plane.stack, **args)
+    assert len(passes) == 27
+    passes.clear()
     with pytest.raises(ValueError):
-        comparison_table(small_plane.stack,
-                         **{"truth": small_plane.truth, "q": 2,
-                            "alphas": (1.5,), "zetas": (1, 2), **bad})
+        comparison_table(small_plane.stack, **{**args, **bad})
     assert not passes
 
 

@@ -328,6 +328,34 @@ class TestFocusLayers:
         with pytest.raises(ValueError, match="step|too small"):
             focus_layers(header, q, build_kernel(1.0, 2))
 
+    @pytest.mark.parametrize("kernel, cutoffs", [
+        (None, (1,)), (build_kernel(1.0, 4), ()),
+        (build_kernel(1.0, 4), (0, 2)), (build_kernel(1.0, 4), (2, 2)),
+        (build_kernel(1.0, 4), (3, 1)), (build_kernel(1.0, 4), (2, 5))])
+    def test_cutoffs_are_checked_when_called(self, tmp_path, kernel,
+                                             cutoffs):
+        header = StackHeader(directory=tmp_path, n_slides=3, height=12,
+                             width=12, z_min=0.0, z_max=1.0, h=1.0,
+                             lossless=True)
+        with pytest.raises(ValueError, match="cutoffs"):
+            focus_layers(header, 1, kernel, cutoffs)
+
+    @pytest.mark.parametrize("cutoffs", [(1, 3), (2,), (1, 2, 4)])
+    def test_several_cutoffs_give_each_cutoffs_layers(self, monkeypatch,
+                                                      cutoffs):
+        # One pass a slide at the kernel's reach of 4 gives, for each
+        # cutoff, the layers of the stream with that cutoff's own kernel.
+        monkeypatch.setattr(kernel2d, "_usable_cpus", lambda: 2)
+        stack = _random_stack(np.random.default_rng(5), n_slides=5,
+                              height=30, width=27)
+        got = np.array([stacked.copy() for stacked in
+                        focus_layers(stack, 2, build_kernel(1.9, 4),
+                                     cutoffs)])
+        for i, cutoff in enumerate(cutoffs):
+            want = [layer.copy() for layer in
+                    focus_layers(stack, 2, build_kernel(1.9, cutoff))]
+            assert got[:, i].tobytes() == np.array(want).tobytes()
+
     def test_workers_keep_their_own_workspaces(self, tmp_path, monkeypatch):
         # More workers than cores, switching threads as often as the
         # interpreter allows, on slides of several strips: a scratch buffer

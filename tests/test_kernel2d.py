@@ -90,6 +90,23 @@ def test_build_matches_adaptive_quadrature(alpha, zeta):
     assert np.max(np.abs(got - adaptive_kernel_weights(alpha, zeta))) <= 1e-14
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.0, 2.0),
+       st.lists(st.integers(1, 20), min_size=2, max_size=2,
+                unique=True).map(sorted))
+@example(1.9, [4, 12])
+@example(0.5, [1, 20])
+@example(1e-310, [2, 3])
+def test_kernels_of_one_order_nest(alpha, cutoffs):
+    # Every cell integral is reduced one cell at a time, so the quadrant of
+    # a smaller cutoff is the top-left block of a larger one's, bit for bit:
+    # one pass at the largest cutoff serves them all.
+    small, large = cutoffs
+    inner = build_kernel(alpha, small).weights[small:, small:]
+    outer = build_kernel(alpha, large).weights[large:, large:]
+    assert inner.tobytes() == outer[:small + 1, :small + 1].tobytes()
+
+
 class TestKernelValidation:
     def test_at_matches_array_layout(self, kernels_zeta4):
         kernel = kernels_zeta4[1.0]
@@ -357,6 +374,40 @@ def test_pass_may_overwrite_its_input(zeta, alpha, height, width,
         kernel2d._correlate_slide(weights, slide, expected, space)
         kernel2d._correlate_slide(weights, slide, slide, space)
     assert np.array_equal(slide.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("cutoffs", [(1,), (2, 3), (1, 2, 3, 4),
+                                     (2, 4, 8, 12)])
+@pytest.mark.parametrize("alpha", [0.5, 1.5, 1.9, 2.0])
+@settings(max_examples=8, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 40),
+       st.one_of(st.integers(1, 80), st.integers(1, 2**15)),
+       st.integers(0, 2**32 - 1))
+# 200 wide: strips of 163 and 37 rows, an uneven last strip.
+@example(200, 200, 2**15, 0)
+def test_pass_with_several_cutoffs_matches_one_pass_each(
+        cutoffs, alpha, height, width, strip_samples, seed):
+    # One pass at the largest cutoff writes one layer per cutoff, each the
+    # strip loop's pass of that cutoff's own kernel, bit for bit.  Run twice
+    # on one workspace, so that the second reuses its buffers.
+    rng = np.random.default_rng(seed)
+    zeta = cutoffs[-1]
+    weights = _cached_kernel(alpha, zeta).weights[zeta:, zeta:]
+    space = {}
+    for _ in range(2):
+        slide = rng.random((height, width)) * rng.choice([1.0, 1e-3, 1e3],
+                                                         (height, width))
+        expected = np.full((len(cutoffs), height, width), np.nan)
+        for layer, cutoff in zip(expected, cutoffs):
+            reference_correlate_slide(
+                _cached_kernel(alpha, cutoff).weights[cutoff:, cutoff:],
+                slide, layer, strip_samples)
+        got = np.full((len(cutoffs), height, width), np.nan)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernel2d, "_STRIP_SAMPLES", strip_samples)
+            kernel2d._pass_input(slide.shape, zeta, space)[...] = slide
+            kernel2d._pass_into(weights, got, space, cutoffs)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 # An eight-fold-symmetric quadrant with zeros inside the tap ranges of rows
