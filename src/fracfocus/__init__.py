@@ -12,7 +12,7 @@ re-exported here.
 from .depth import PeakFit, PeakSearch, parabolic_peak, recover_depth
 from .evaluate import (ComparisonTable, EmptyMaskError, ErrorReport,
                        axis_profile, comparison_table, rms_error_percent)
-from .focus import focus_layers, local_focus_volume, nonlocalize_volume
+from .focus import focus_layers, focus_volume
 from .frac1d import (Function1D, QuadratureError, QuadratureSpec,
                      regularized_derivative, regularized_integral,
                      riesz_second_derivative)
@@ -47,10 +47,9 @@ __all__ = [
     "build_kernel",
     "comparison_table",
     "focus_layers",
+    "focus_volume",
     "ground_truth",
     "kernel_frequency_response",
-    "local_focus_volume",
-    "nonlocalize_volume",
     "parabolic_peak",
     "read_depth_csv",
     "read_pgm",

@@ -113,7 +113,33 @@ def cmd_recover(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_eval_outputs(args: argparse.Namespace,
+                        header: StackHeader | None) -> None:
+    """Refuse an eval output that would overwrite an input (either depth
+    map or its sidecar, or a file of the table's stack) or another output,
+    before a depth map or a slide is read."""
+    inputs = {Path(name).resolve()
+              for depth in (args.depth, args.truth)
+              for name in (depth, Path(depth).with_suffix(".json"))}
+    written = set()
+    for output in (args.report, args.table, args.profile):
+        if output is None:
+            continue
+        target = Path(output).resolve()
+        if target in inputs or header is not None and header.holds(target):
+            raise ValueError(f"{output}: a file eval reads")
+        if target in written:
+            raise ValueError(f"{output}: named for two outputs of eval")
+        written.add(target)
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
+    header = None
+    if args.table is not None:
+        if args.stack is None:
+            raise ValueError("--table needs --stack to rerun the pipelines")
+        header = read_stack_header(args.stack)
+    _check_eval_outputs(args, header)
     recovered = read_depth_csv(args.depth)
     truth = read_depth_csv(args.truth)
     report = rms_error_percent(recovered, truth, args.z_range)
@@ -128,11 +154,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
                        "alpha": report.alpha, "zeta": report.zeta},
         "table": None,
     }
-    if args.table is not None:
-        if args.stack is None:
-            raise ValueError("--table needs --stack to rerun the pipelines")
-        table = comparison_table(read_stack_header(args.stack), truth,
-                                 args.q, args.alphas, args.zetas)
+    if header is not None:
+        table = comparison_table(header, truth, args.q, args.alphas,
+                                 args.zetas)
         Path(args.table).write_text(table.format(), encoding="ascii")
         payload["table"] = {
             "q": table.q,

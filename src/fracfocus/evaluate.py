@@ -3,6 +3,8 @@
 A grid is a sequence of streams over the stack, one per order and one per
 local stride, each on the slide pool of :mod:`kernel2d`: one kernel pass a
 slide serves every cutoff of an order, and no stack-sized volume is held.
+Each cell is still, bit for bit, the error of the depth map of one
+``focus.focus_volume`` with that cell's q and kernel.
 """
 
 from __future__ import annotations
@@ -156,9 +158,9 @@ def comparison_table(source: FocalStack | StackHeader, truth: DepthMap,
     in memory, or the StackHeader of a stack directory, whose slides are
     then read on the workers and never held all at once.  Cell (zeta,
     alpha) is the error of ``recover_depth`` on
-    ``nonlocalize_volume(local_focus_volume(source, q), build_kernel(alpha,
-    zeta))``, and the local entry at stride q' that of ``recover_depth`` on
-    ``local_focus_volume(source, q')``, bit for bit.  ``local_strides``
+    ``focus_volume(source, q, build_kernel(alpha, zeta))``, and the local
+    entry at stride q' that of ``recover_depth`` on
+    ``focus_volume(source, q')``, bit for bit.  ``local_strides``
     defaults to the zeta list, giving the customary side-by-side column of
     local errors at q' = zeta; a default stride that leaves no pixel inside
     its frame has no entry, and its cell of the formatted column is empty.

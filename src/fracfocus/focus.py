@@ -2,14 +2,12 @@
 
 The local measure at step q is the sum of absolute second differences at
 stride q in x and y, scaled by 1/(q h)^2, zero on a border frame of width
-q, computed in row strips with strip-sized temporaries.  A focus volume is
-one (n_slides, height, width) array: the local measure is written into it
-slide by slide, and each nonlocal layer is the kernel pass over its local
-layer (``kernel2d._correlate_slide``, a separable pair-sum pass in which
-equal windows give equal bits, so exact ties between slides survive)
-followed by re-imposing the zero frame.  Local and nonlocal volumes
-therefore share the same support, and order 0 reduces bit-exactly to the
-local measure.
+q, computed in row strips with strip-sized temporaries.  Each nonlocal
+layer is the kernel pass over its local layer (``kernel2d._pass_into``, a
+separable pair-sum pass in which equal windows give equal bits, so exact
+ties between slides survive) followed by re-imposing the zero frame.
+Local and nonlocal layers therefore share the same support, and order 0
+reduces bit-exactly to the local measure.
 
 Slides come from a slide source: a :class:`~fracfocus.io.StackHeader`,
 which reads each slide from its stack directory, or a
@@ -20,16 +18,14 @@ runs one chain (:func:`_focus_layer_into`) over a source: read, local
 measure into the pass's padded input, pass (a copy, for the local measure)
 back into the buffer read, zero frame.  Its layers go into a volume that
 :class:`~fracfocus.grids.FocusVolume` then checks once
-(:func:`local_focus_volume`) or, checked one by one, into a ring whose
-layers come back in slide order (:func:`focus_layers`): ``recover`` holds
+(:func:`focus_volume`) or, checked one by one, into a ring whose layers
+come back in slide order (:func:`focus_layers`): ``recover`` holds
 O(CPUs * height * width) values, not O(n_slides * height * width).  Given
 several cutoffs of one kernel, the chain's one pass writes a layer for
 each, and ``focus_layers`` yields them as one stack a slide: each stream
 of ``evaluate.comparison_table`` is such a call, and holds
-O(CPUs * cutoffs * height * width) values.  The pool also runs
-:func:`_nonlocal_layer_into` over a volume (:func:`nonlocalize_volume`).
-Each slide's layer is bitwise the same on every path, because every step
-acts on each slide alone.
+O(CPUs * cutoffs * height * width) values.  Each slide's layer is bitwise
+the same on both paths, because every step acts on each slide alone.
 """
 
 from __future__ import annotations
@@ -42,16 +38,14 @@ import numpy as np
 
 from . import kernel2d
 from .grids import FocalStack, FocusVolume, check_focus_values
-from .kernel2d import (Kernel, _correlate_slide, _pass_input, _pass_into,
-                       _scratch)
+from .kernel2d import Kernel, _pass_input, _pass_into, _scratch
 
 if TYPE_CHECKING:
     from .io import StackHeader
 
 __all__ = [
     "focus_layers",
-    "local_focus_volume",
-    "nonlocalize_volume",
+    "focus_volume",
 ]
 
 
@@ -148,31 +142,37 @@ def _focus_layer_into(out: np.ndarray, source: FocalStack | StackHeader,
     _zero_frame(out, q)
 
 
-def local_focus_volume(source: FocalStack | StackHeader,
-                       q: int) -> FocusVolume:
-    """Local modified-Laplacian focus measure for every slide of a source.
+def focus_volume(source: FocalStack | StackHeader, q: int,
+                 kernel: Kernel | None = None) -> FocusVolume:
+    """Focus measure of every slide of a source, as one volume.
 
-    Each slide f gets |d2x| + |d2y| at stride q: interior pixels get
-    |f[j, i+q] - 2 f[j, i] + f[j, i-q]| / (q h)^2 plus the same expression
-    along rows, and the frame of width q where the stencil would leave the
-    grid is exactly zero.  ``source`` is a FocalStack or a StackHeader;
-    each slide is one item of the slide pool, read and measured straight
-    into its layer of the volume, which FocusVolume checks once it is
-    full.  Raises ValueError for q < 1, slides with no pixel inside the
-    frame or a spacing with no finite 1/(q h)^2, before any slide is read;
-    a slide that fails to read raises when it is due, so the
-    lowest-numbered one is named.
+    The local measure at step q: each slide f gets |d2x| + |d2y| at stride
+    q, interior pixels |f[j, i+q] - 2 f[j, i] + f[j, i-q]| / (q h)^2 plus
+    the same expression along rows, and the frame of width q where the
+    stencil would leave the grid is exactly zero.  Given a kernel, each
+    layer is then the kernel pass over its local layer with the zero frame
+    re-imposed, so the nonlocal volume has the local one's support (the
+    mirror pad would otherwise smear measure into the frame).  ``source``
+    is a FocalStack or a StackHeader; each slide is one item of the slide
+    pool, read, measured and passed straight into its layer of the volume
+    (:func:`_focus_layer_into`), which FocusVolume checks once it is full.
+    Raises ValueError for q < 1, slides with no pixel inside the frame or a
+    spacing with no finite 1/(q h)^2, before any slide is read; a slide
+    that fails to read raises when it is due, so the lowest-numbered one is
+    named.
     """
     _check_step((source.height, source.width), q, source.h)
     data = source.empty(source.n_slides)
 
     def work(k: int, out: np.ndarray, space: dict) -> None:
-        _focus_layer_into(out, source, k, q, space)
+        _focus_layer_into(out, source, k, q, space, kernel)
 
     for _ in kernel2d._slide_pool(source.n_slides, work, data):
         pass
     return FocusVolume(data, q=q, z_min=source.z_min, z_max=source.z_max,
-                       h=source.h)
+                       h=source.h,
+                       alpha=None if kernel is None else kernel.alpha,
+                       zeta=None if kernel is None else kernel.zeta)
 
 
 def _zero_frame(layers: np.ndarray, q: int) -> None:
@@ -181,20 +181,6 @@ def _zero_frame(layers: np.ndarray, q: int) -> None:
     layers[..., -q:, :] = 0.0
     layers[..., :, :q] = 0.0
     layers[..., :, -q:] = 0.0
-
-
-def _nonlocal_layer_into(out: np.ndarray, local: np.ndarray, kernel: Kernel,
-                         q: int, space: dict) -> None:
-    """Write the nonlocal layer of the local layer ``local`` into ``out``.
-
-    The pair-sum pass with ``kernel``, then the zero frame of width q
-    re-imposed.  The pass's scratch buffers are the workspace ``space``'s.
-    A sum that overflows is left as inf, without a numpy warning.
-    """
-    with np.errstate(over="ignore"):
-        _correlate_slide(kernel.weights[kernel.zeta:, kernel.zeta:], local,
-                         out, space)
-    _zero_frame(out, q)
 
 
 def focus_layers(source: FocalStack | StackHeader, q: int,
@@ -218,9 +204,8 @@ def focus_layers(source: FocalStack | StackHeader, q: int,
     The step, the slide shape, the spacing and the cutoffs are checked when
     this is called, before any slide is read; a failing slide raises when
     it is due, so the lowest-numbered one is named.  A yielded layer is
-    bitwise that slide's layer of ``local_focus_volume`` or
-    ``nonlocalize_volume`` on the whole stack; it may be overwritten once
-    the next is requested.
+    bitwise that slide's layer of ``focus_volume(source, q, kernel)``; it
+    may be overwritten once the next is requested.
     """
     _check_step((source.height, source.width), q, source.h)
     n = kernel2d._ring_length(source.n_slides)
@@ -241,25 +226,3 @@ def focus_layers(source: FocalStack | StackHeader, q: int,
         check_focus_values(out)
 
     return kernel2d._slide_pool(source.n_slides, work, ring)
-
-
-def nonlocalize_volume(volume: FocusVolume, kernel: Kernel) -> FocusVolume:
-    """Apply a nonlocalization kernel to every layer of a local focus volume.
-
-    Each layer is a slide pool item, passed into its place in the output.
-    The zero frame of width q is re-imposed after the kernel pass so the
-    nonlocal volume has exactly the support of the local one (mirror
-    padding would otherwise smear measure into the masked frame).
-    """
-    if volume.alpha is not None:
-        raise ValueError("volume has already been nonlocalized")
-    q = volume.q
-    data = np.empty(volume.data.shape)
-
-    def work(k: int, out: np.ndarray, space: dict) -> None:
-        _nonlocal_layer_into(out, volume.data[k], kernel, q, space)
-
-    for _ in kernel2d._slide_pool(len(data), work, data):
-        pass
-    return FocusVolume(data, q=q, z_min=volume.z_min, z_max=volume.z_max,
-                       h=volume.h, alpha=kernel.alpha, zeta=kernel.zeta)

@@ -26,13 +26,13 @@ ordered slide pool (``_slide_pool``): one worker per usable CPU (no thread
 starts on one CPU), each with a workspace of scratch buffers it allocates
 once, results yielded in slide order from a ring of output buffers.  An
 item is queued as soon as its ring buffer is free, so the ring's length
-alone bounds the look-ahead.  The whole-volume pass
-(``focus.nonlocalize_volume``), ``recover``'s read-measure-pass chain
-(``focus.focus_layers``, on which ``evaluate.comparison_table`` runs
-each of its streams) and the renderer (``synth.render_slides``, and its
-texture, whose items are row strips) all run on it.
+alone bounds the look-ahead.  The read-measure-pass chain of the focus
+measure (``focus.focus_volume``, and ``focus.focus_layers``, on which
+``recover`` and each stream of ``evaluate.comparison_table`` run) and the
+renderer (``synth.render_slides``, and its texture, whose items are row
+strips) both run on it.
 
-The pass itself (``_correlate_slide``) is a plain loop over row strips.
+The pass itself (``_pass_into``) is a plain loop over row strips.
 Each kernel row's weighted sum of column pair sums is one ``np.einsum``
 call, so a strip takes 4 zeta + 2 numpy calls, which release the GIL while
 they compute, and the workers seldom wait for one another; the identity
@@ -320,22 +320,39 @@ def _pass_into(weights: np.ndarray, out: np.ndarray, space: dict,
     the pass of ``build_kernel(alpha, cutoffs[i])``, whose quadrant is that
     block bit for bit.  ``P`` must then have the reach of the last cutoff.
 
-    Mirrors the margins of ``P`` from its interior (:func:`_mirror_margins`),
-    then runs the calls of :func:`_correlate_slide` strip by strip, each
-    strip's row sums in the workspace buffers ``pairs``, ``row_sum`` and
-    ``term`` and its results straight in their rows of ``out``.  The pair
-    sums serve every cutoff, and so does each row sum ``D_a``, built once
-    as a prefix over the taps b: one ``np.einsum`` up to the first cutoff
-    that reaches row a, then a multiply and an add per further tap, the
-    rounded steps einsum takes, and each cutoff's layer takes ``D_a`` when
-    the prefix reaches it.  ``out`` may be a new buffer on each call, or
-    the slide that was written into ``P``; it must be C-contiguous, since
-    ``D_0`` is written through a flat view of its rows.  With one cutoff a
-    strip takes 4 zeta + 2 calls: the copy of ``C_0``, zeta column pair
-    sums, one ``np.einsum`` per kernel row and two adds per row a > 0.  The
-    identity (1 at the centre, 0 elsewhere) takes none: after the buffer
-    lookups, so that the workspace keeps one buffer per role, the interior
-    of ``P`` is copied into each layer, every bit kept.
+    Samples beyond the border are mirrored, edge included (``d c b a |
+    a b c d | d c b a``, as often as the reach needs): the pass fills the
+    margins of ``P`` from its interior (:func:`_mirror_margins`).  Every
+    sample goes through the same operations on its own window, so equal
+    windows give equal bits and exact ties between focus layers survive
+    the pass.  In row strips, the column pair sums ``C_b = P[:, c+b] +
+    P[:, c-b]`` (``C_0 = P[:, c]``, copied next to them) give the row sums
+    ``D_a = sum_b w[a, b] C_b`` of the quadrant ``w``, and each output row
+    ``r`` is ``D_0[r] + sum_a (D_a[r+a] + D_a[r-a])``, each strip's sums
+    in the workspace buffers ``pairs``, ``row_sum`` and ``term`` and its
+    results straight in their rows of ``out``.  The pair sums serve every
+    cutoff, and so does each row sum ``D_a``, built once as a prefix over
+    the taps b: one ``np.einsum`` up to the first cutoff that reaches row
+    a, then a multiply and an add per further tap, the rounded steps
+    einsum takes, and each cutoff's layer takes ``D_a`` when the prefix
+    reaches it.  On finite non-negative input these are the bits of a
+    multiply and an add per non-zero tap, as a zero product adds +0.0
+    (``tests/pass_reference.py``).  Two results can differ from that loop:
+    a -0.0 can come out +0.0, since einsum starts its sum from +0.0, which
+    compares equal and which the local measure (a sum of absolute values)
+    never makes; and an inf sample or pair sum under a zero weight of a
+    hand-made quadrant gives NaN where the loop gave inf (only an order
+    alpha so small that weights underflow gives :func:`build_kernel` a
+    zero weight), both of which ``grids.check_focus_values`` refuses.
+
+    ``out`` may be a new buffer on each call, or the slide that was
+    written into ``P``; it must be C-contiguous, since ``D_0`` is written
+    through a flat view of its rows.  With one cutoff a strip takes
+    4 zeta + 2 calls: the copy of ``C_0``, zeta column pair sums, one
+    ``np.einsum`` per kernel row and two adds per row a > 0.  The identity
+    (1 at the centre, 0 elsewhere) takes none: after the buffer lookups,
+    so that the workspace keeps one buffer per role, the interior of ``P``
+    is copied into each layer, every bit kept.
     """
     if not out.flags.c_contiguous:
         raise ValueError("the kernel pass needs a C-contiguous output")
@@ -390,43 +407,6 @@ def _pass_into(weights: np.ndarray, out: np.ndarray, space: dict,
                 if a:
                     np.add(acc[:n], acc[2 * a:], out=tmp)
                     np.add(layer, tmp, out=layer)
-
-
-def _correlate_slide(weights: np.ndarray, slide: np.ndarray,
-                     out: np.ndarray, space: dict) -> None:
-    """Write the pair-sum pass of one 2D slide into ``out``.
-
-    Samples beyond the border are mirrored, edge included (``d c b a |
-    a b c d | d c b a``, as often as the reach needs).  Every sample goes
-    through the same operations on its own window, so equal windows give
-    equal bits and exact ties between focus layers survive the pass.
-
-    ``weights`` is the kernel quadrant ``w[a, b]``, a, b = 0..zeta.  In row
-    strips, the column pair sums ``C_b = P[:, c+b] + P[:, c-b]`` of the
-    mirror-padded slide ``P`` (``C_0 = P[:, c]``, copied next to them) give
-    the row sums ``D_a = sum_b w[a, b] C_b``, and each output row ``r`` is
-    ``D_0[r] + sum_a (D_a[r+a] + D_a[r-a])``.  Each ``D_a`` is one
-    ``np.einsum`` over all zeta + 1 taps, which adds each rounded product in
-    order of b (the identity is a copy).  On finite non-negative input these
-    are the bits of a multiply and an add per non-zero tap, as a zero
-    product adds +0.0 (``tests/pass_reference.py``).  Two results can
-    differ from that loop: a -0.0 can come out +0.0, since einsum starts
-    its sum from +0.0, which compares equal and which the local measure (a
-    sum of absolute values) never makes; and an inf sample or pair sum under
-    a zero weight of a hand-made quadrant gives NaN where the loop gave inf
-    (only an order alpha so small that weights underflow gives
-    :func:`build_kernel` a zero weight), both of which
-    ``grids.check_focus_values`` refuses.
-
-    The slide is copied into the interior of ``P`` (:func:`_pass_input`),
-    and the pass fills its margins and runs (:func:`_pass_into`), every
-    scratch buffer the workspace ``space``'s, allocated once per shape and
-    reach.  A caller that computes the slide can write it into ``P`` itself
-    and skip the copy, as ``focus._focus_layer_into`` does.  ``out`` must
-    be C-contiguous; it may be ``slide`` itself.
-    """
-    _pass_input(slide.shape, weights.shape[0] - 1, space)[...] = slide
-    _pass_into(weights, out, space)
 
 
 def kernel_frequency_response(kernel: Kernel, k1: float, k2: float) -> float:

@@ -2,7 +2,7 @@
 
 Each row strip slices the mirror-padded slide afresh and builds each row
 sum ``D_a`` with a multiply and then an add per non-zero tap, in order of
-the tap.  ``kernel2d._correlate_slide`` makes each row sum one
+the tap.  ``kernel2d._pass_into`` makes each row sum one
 ``np.einsum`` call instead, which adds the same rounded products in the
 same order, so on finite non-negative slides the two must agree bit for
 bit.  Its buffers are allocated on every call and padding

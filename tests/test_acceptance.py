@@ -17,7 +17,7 @@ from kernel_reference import REFERENCE_QUADRANTS
 from fracfocus.cli import main
 from fracfocus.depth import recover_depth
 from fracfocus.evaluate import comparison_table, rms_error_percent
-from fracfocus.focus import local_focus_volume, nonlocalize_volume
+from fracfocus.focus import focus_volume
 from fracfocus.frac1d import (Function1D, regularized_derivative,
                               regularized_integral, riesz_second_derivative)
 from fracfocus.grids import FocalStack, FocusVolume
@@ -71,10 +71,10 @@ def test_local_limit_bit_equality(announce):
     for shape, q in [((6, 24, 20), 2), ((5, 17, 23), 1)]:
         stack = FocalStack(rng.uniform(0.0, 1.0, size=shape),
                            z_min=0.0, z_max=1.0, h=0.05)
-        base = local_focus_volume(stack, q)
+        base = focus_volume(stack, q)
         reference = recover_depth(base)
         for zeta in (1, 4, 8):
-            smoothed = nonlocalize_volume(base, build_kernel(0.0, zeta))
+            smoothed = focus_volume(stack, q, build_kernel(0.0, zeta))
             depth = recover_depth(smoothed)
             ok &= np.array_equal(smoothed.data, base.data)
             ok &= np.array_equal(depth.values, reference.values,
@@ -110,10 +110,10 @@ def test_parabolic_vertex_exactness(announce):
 def test_plane_recovery_accuracy(announce, plane_scene):
     """Textured plane: local rms within 2%, nonlocal within 0.5%."""
     start = time.monotonic()
-    base = local_focus_volume(plane_scene.stack, 4)
+    base = focus_volume(plane_scene.stack, 4)
     local_report = rms_error_percent(recover_depth(base), plane_scene.truth,
                                      z_range=1.0)
-    smoothed = nonlocalize_volume(base, build_kernel(1.5, 4))
+    smoothed = focus_volume(plane_scene.stack, 4, build_kernel(1.5, 4))
     nonlocal_report = rms_error_percent(recover_depth(smoothed),
                                         plane_scene.truth, z_range=1.0)
     elapsed = plane_scene.render_seconds + (time.monotonic() - start)
@@ -209,9 +209,9 @@ def _write_run(out_dir, scene, blur, stack, truth):
     """Write everything the accuracy scenarios produce for one run."""
     write_stack_dir(out_dir / "stack", stack, truth=truth, scene=scene,
                     blur=blur, lossless=True)
-    base = local_focus_volume(stack, 4)
+    base = focus_volume(stack, 4)
     write_depth_csv(out_dir / "local.csv", recover_depth(base))
-    smoothed = nonlocalize_volume(base, build_kernel(1.5, 4))
+    smoothed = focus_volume(stack, 4, build_kernel(1.5, 4))
     write_depth_csv(out_dir / "nonlocal.csv", recover_depth(smoothed))
 
 
@@ -274,7 +274,8 @@ def test_default_cli_path_accuracy(announce, tmp_path):
     for method, extra in (("nonlocal", ("--alpha", 1.5, "--zeta", 4)),
                           ("local", ())):
         depth = tmp_path / f"{method}.csv"
-        report = tmp_path / f"{method}.json"
+        # Not {method}.json: that is the depth map's sidecar, an input.
+        report = tmp_path / f"{method}-report.json"
         run("recover", "--stack", stack, "--method", method, "--q", 4, *extra,
             "--out", depth)
         run("eval", "--depth", depth, "--truth", truth, "--report", report)

@@ -24,7 +24,7 @@ import pytest
 
 from fracfocus.depth import recover_depth
 from fracfocus.evaluate import rms_error_percent
-from fracfocus.focus import local_focus_volume, nonlocalize_volume
+from fracfocus.focus import focus_volume
 from fracfocus.kernel2d import build_kernel
 from fracfocus.synth import BlurSpec, SceneSpec, ground_truth, render_stack
 
@@ -42,16 +42,14 @@ def _sphere_rms(scene, blur, cells):
     ``(alpha, zeta)`` of ``cells``."""
     stack = render_stack(scene, blur, SIZE, SIZE, SLIDES, 0.0, 1.0, H)
     truth = ground_truth(scene, SIZE, SIZE, H)
-    base = local_focus_volume(stack, Q)
-    del stack
 
-    def rms(volume):
-        return rms_error_percent(recover_depth(volume), truth,
-                                 z_range=1.0).rms_percent
+    def rms(kernel=None):
+        return rms_error_percent(recover_depth(focus_volume(stack, Q, kernel)),
+                                 truth, z_range=1.0).rms_percent
 
-    return {"local": rms(base),
-            **{(alpha, zeta): rms(nonlocalize_volume(
-                base, build_kernel(alpha, zeta))) for alpha, zeta in cells}}
+    return {"local": rms(),
+            **{(alpha, zeta): rms(build_kernel(alpha, zeta))
+               for alpha, zeta in cells}}
 
 
 @pytest.fixture(scope="module")

@@ -16,7 +16,7 @@ from fracfocus import kernel2d
 from fracfocus.cli import main
 from fracfocus.depth import recover_depth
 from fracfocus.evaluate import comparison_table
-from fracfocus.focus import local_focus_volume, nonlocalize_volume
+from fracfocus.focus import focus_volume
 from fracfocus.grids import FocalStack
 from fracfocus.io import (StackHeader, read_depth_csv, read_stack_dir,
                           write_depth_csv, write_stack_dir)
@@ -265,9 +265,8 @@ class TestRecoverCommand:
             stack = read_stack_dir(stack_dir)
             assert stack.data.shape[0] == 5
             for method, extra in methods.items():
-                volume = local_focus_volume(stack, 2)
-                if method == "nonlocal":
-                    volume = nonlocalize_volume(volume, build_kernel(1.5, 4))
+                volume = focus_volume(stack, 2, build_kernel(1.5, 4)
+                                      if method == "nonlocal" else None)
                 batch = tmp_path / "batch.csv"
                 write_depth_csv(batch, recover_depth(volume))
                 want = (batch.read_bytes(),
@@ -662,6 +661,47 @@ class TestEvalCommand:
         table = json.loads((tmp_path / "r.json").read_text())["table"]
         assert [entry["q"] for entry in table["local"]] == [3]
         assert len(table["grid"]) == 10
+
+    @pytest.mark.parametrize("outputs, named", [
+        # The depth map read, and its sidecar.
+        (["--report", "d.csv"], "d.csv"),
+        (["--report", "r.json", "--profile", "d.json"], "d.json"),
+        # The truth read, and its sidecar.
+        (["--report", "r.json", "--table", "s/truth.csv", "--stack", "s"],
+         "s/truth.csv"),
+        (["--report", "s/truth.json"], "s/truth.json"),
+        # Files of the stack the table reads.
+        (["--report", "r.json", "--table", "t.csv", "--stack", "s",
+          "--profile", "s/stack.json"], "s/stack.json"),
+        (["--report", "r.json", "--table", "t.csv", "--stack", "s",
+          "--profile", "s/slide_001.npy"], "s/slide_001.npy"),
+        # Two outputs on one path, also when spelled differently.
+        (["--report", "r.json", "--table", "r.json", "--stack", "s"],
+         "r.json"),
+        (["--report", "p.csv", "--profile", "sub/../p.csv"], "sub/../p.csv"),
+    ])
+    def test_output_on_a_file_eval_reads_or_writes_is_refused(
+            self, tmp_path, capsys, outputs, named):
+        """An output that resolves to an input (a depth map, its sidecar or
+        a file of the stack) or to another output is refused by name before
+        anything is read or written: every file keeps its bytes, and no
+        output is made."""
+        assert main(SMALL_SYNTH + ["--out", str(tmp_path / "s")]) == 0
+        assert main(["recover", "--stack", str(tmp_path / "s"), "--q", "2",
+                     "--out", str(tmp_path / "d.csv")]) == 0
+        (tmp_path / "sub").mkdir()
+        files = {p: p.read_bytes() for p in tmp_path.rglob("*")
+                 if p.is_file()}
+        paths = [str(tmp_path / arg) if not arg.startswith("--") else arg
+                 for arg in outputs]
+        capsys.readouterr()
+        assert main(["eval", "--depth", str(tmp_path / "d.csv"),
+                     "--truth", str(tmp_path / "s" / "truth.csv"),
+                     "--q", "2", "--zetas", "1", *paths]) == 1
+        err = capsys.readouterr().err
+        assert f"fracfocus: error: {tmp_path / named}: " in err
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*")
+                if p.is_file()} == files
 
     def test_table_requires_stack(self, plane_dir, depth_csv, tmp_path,
                                   capsys):

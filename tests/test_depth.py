@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from depth_reference import batch_recover_depth
 
 from fracfocus.depth import PeakFit, PeakSearch, parabolic_peak, recover_depth
-from fracfocus.focus import local_focus_volume
+from fracfocus.focus import focus_volume
 from fracfocus.grids import FocalStack, FocusVolume
 
 
@@ -180,7 +180,7 @@ class TestRecoverDepth:
         rng = np.random.default_rng(37)
         stack = FocalStack(rng.random((4, 16, 16)), z_min=0.0, z_max=1.0, h=1.0)
         q = 2
-        depth = recover_depth(local_focus_volume(stack, q))
+        depth = recover_depth(focus_volume(stack, q))
         assert not depth.valid[:q, :].any()
         assert not depth.valid[-q:, :].any()
         assert not depth.valid[:, :q].any()

@@ -15,7 +15,7 @@ from fracfocus.depth import recover_depth
 from fracfocus.evaluate import (EmptyMaskError, ComparisonTable, ErrorReport,
                                 axis_profile, comparison_table,
                                 rms_error_percent)
-from fracfocus.focus import local_focus_volume, nonlocalize_volume
+from fracfocus.focus import focus_volume
 from fracfocus.grids import DepthMap, FocalStack
 from fracfocus.io import (StackHeader, read_stack_dir, read_stack_header,
                           write_stack_dir)
@@ -177,7 +177,7 @@ class TestComparisonTable:
         """The alpha = 0 kernel is a delta, so every alpha = 0 cell must
         reproduce the plain local result at the table's stride exactly."""
         stack, truth = small_plane.stack, small_plane.truth
-        direct = rms_error_percent(recover_depth(local_focus_volume(stack, 2)),
+        direct = rms_error_percent(recover_depth(focus_volume(stack, 2)),
                                    truth, z_range=stack.z_max - stack.z_min)
         for zeta in table.zetas:
             assert table.rms(zeta, 0.0) == direct.rms_percent
@@ -187,18 +187,18 @@ class TestComparisonTable:
         z_range = stack.z_max - stack.z_min
         table = comparison_table(stack, truth, q=2, alphas=(1.5,), zetas=(3,),
                                  local_strides=(2,))
-        base = local_focus_volume(stack, 2)
         cell = rms_error_percent(
-            recover_depth(nonlocalize_volume(base, build_kernel(1.5, 3))),
+            recover_depth(focus_volume(stack, 2, build_kernel(1.5, 3))),
             truth, z_range)
         assert table.rms(3, 1.5) == cell.rms_percent
-        loc = rms_error_percent(recover_depth(base), truth, z_range)
+        loc = rms_error_percent(recover_depth(focus_volume(stack, 2)), truth,
+                                z_range)
         assert table.local[2].rms_percent == loc.rms_percent
 
     def test_local_column_defaults_to_zetas(self, table, small_plane):
         assert set(table.local) == {1, 3}
         stack, truth = small_plane.stack, small_plane.truth
-        direct = rms_error_percent(recover_depth(local_focus_volume(stack, 1)),
+        direct = rms_error_percent(recover_depth(focus_volume(stack, 1)),
                                    truth, z_range=stack.z_max - stack.z_min)
         assert table.local[1].rms_percent == direct.rms_percent
 

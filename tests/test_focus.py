@@ -18,10 +18,9 @@ from fracfocus import kernel2d
 from fracfocus.focus import (
     _focus_layer_into,
     _modified_laplacian_into,
-    _nonlocal_layer_into,
+    _zero_frame,
     focus_layers,
-    local_focus_volume,
-    nonlocalize_volume,
+    focus_volume,
 )
 from fracfocus.grids import FocalStack, FocusVolume
 from fracfocus.io import StackHeader, read_stack_header, write_stack_dir
@@ -42,10 +41,10 @@ def _random_stack(rng, n_slides=5, height=24, width=24, h=1.0):
 
 
 def _measure(slides, q, h=1.0):
-    """Layers of ``local_focus_volume`` on a stack of three slides:
+    """Layers of the local ``focus_volume`` on a stack of three slides:
     ``slides`` itself, or three copies of one 2D slide."""
     slides = np.broadcast_to(slides, (3,) + np.shape(slides)[-2:])
-    return local_focus_volume(FocalStack(slides, 0.0, 1.0, h), q).data
+    return focus_volume(FocalStack(slides, 0.0, 1.0, h), q).data
 
 
 class TestLocalModifiedLaplacian:
@@ -154,7 +153,7 @@ class TestLocalFocusVolume:
     def test_layers_match_per_slide_measure(self):
         rng = np.random.default_rng(3)
         stack = _random_stack(rng, h=0.25)
-        volume = local_focus_volume(stack, 2)
+        volume = focus_volume(stack, 2)
         assert volume.data.shape == (5, 24, 24)
         # The stride-q stencil written out, in the same rounding order.
         f, q = stack.data, 2
@@ -169,7 +168,7 @@ class TestLocalFocusVolume:
     def test_metadata(self):
         rng = np.random.default_rng(4)
         stack = _random_stack(rng, h=0.5)
-        volume = local_focus_volume(stack, 3)
+        volume = focus_volume(stack, 3)
         assert volume.q == 3
         assert volume.alpha is None and volume.zeta is None
         assert (volume.z_min, volume.z_max, volume.h) == (0.0, 1.0, 0.5)
@@ -177,8 +176,8 @@ class TestLocalFocusVolume:
     def test_scale_covariance_dyadic(self):
         rng = np.random.default_rng(5)
         stack = _random_stack(rng)
-        base = local_focus_volume(stack, 2)
-        scaled = local_focus_volume(
+        base = focus_volume(stack, 2)
+        scaled = focus_volume(
             FocalStack(stack.data * 4.0, z_min=0.0, z_max=1.0, h=stack.h), 2
         )
         # A power-of-two gain commutes with every operation exactly.
@@ -190,26 +189,16 @@ class TestNonlocalization:
     def test_order_zero_reduces_to_local(self, zeta):
         rng = np.random.default_rng(6)
         stack = _random_stack(rng, height=26, width=26)
-        local = local_focus_volume(stack, 2)
-        nonlocal_ = nonlocalize_volume(local_focus_volume(stack, 2),
-                                       build_kernel(0.0, zeta))
+        local = focus_volume(stack, 2)
+        nonlocal_ = focus_volume(stack, 2, build_kernel(0.0, zeta))
         assert np.array_equal(nonlocal_.data, local.data)
         assert nonlocal_.alpha == 0.0 and nonlocal_.zeta == zeta
-
-    def test_rejects_double_nonlocalization(self):
-        rng = np.random.default_rng(8)
-        stack = _random_stack(rng)
-        once = nonlocalize_volume(local_focus_volume(stack, 2),
-                                  build_kernel(1.0, 2))
-        with pytest.raises(ValueError):
-            nonlocalize_volume(once, build_kernel(1.0, 2))
 
     def test_zero_frame_survives_kernel_pass(self):
         rng = np.random.default_rng(9)
         stack = _random_stack(rng)
         q = 2
-        volume = nonlocalize_volume(local_focus_volume(stack, q),
-                                    build_kernel(1.5, 3))
+        volume = focus_volume(stack, q, build_kernel(1.5, 3))
         for k in range(len(volume.data)):
             layer = volume.data[k]
             assert np.all(layer[:q, :] == 0.0)
@@ -224,16 +213,14 @@ class TestNonlocalization:
         ii, jj = _index_grid(16, 16)
         data = np.stack([ii * ii + jj * jj] * 3)
         stack = FocalStack(data, z_min=0.0, z_max=1.0, h=1.0)
-        volume = nonlocalize_volume(local_focus_volume(stack, 1),
-                                    build_kernel(2.0, 1))
+        volume = focus_volume(stack, 1, build_kernel(2.0, 1))
         deep = volume.data[:, 2:-2, 2:-2]
         assert np.allclose(deep, 36.0, rtol=1e-12, atol=0)
 
     def test_non_negative(self):
         rng = np.random.default_rng(10)
         stack = _random_stack(rng)
-        volume = nonlocalize_volume(local_focus_volume(stack, 2),
-                                    build_kernel(1.5, 2))
+        volume = focus_volume(stack, 2, build_kernel(1.5, 2))
         assert np.all(volume.data >= 0.0)
 
     def test_pooling_smooths_layers(self):
@@ -242,8 +229,8 @@ class TestNonlocalization:
         rng = np.random.default_rng(11)
         stack = _random_stack(rng, height=30, width=30)
         q = 2
-        local = local_focus_volume(stack, q)
-        pooled = nonlocalize_volume(local, build_kernel(2.0, 2))
+        local = focus_volume(stack, q)
+        pooled = focus_volume(stack, q, build_kernel(2.0, 2))
         for k in range(len(stack.data)):
             a = local.data[k][q + 2:-q - 2, q + 2:-q - 2]
             b = pooled.data[k][q + 2:-q - 2, q + 2:-q - 2]
@@ -257,15 +244,15 @@ def _cached_kernel(alpha, zeta):
 
 @st.composite
 def _volumes(draw, max_slides=4):
-    """A small local-style focus volume (zero q-frame) and a kernel."""
+    """A small local-style focus volume (zero q-frame) and a kernel; at
+    least 3 layers, so that its layers also make a FocalStack."""
     q = draw(st.integers(1, 3))
-    n_slides = draw(st.integers(1, max_slides))
+    n_slides = draw(st.integers(3, max_slides))
     height = draw(st.integers(2 * q + 1, 2 * q + 9))
     width = draw(st.integers(2 * q + 1, 2 * q + 9))
     data = draw(arrays(np.float64, (n_slides, height, width),
                        elements=st.floats(0.0, 1e6)))
-    data[:, :q, :] = data[:, -q:, :] = 0.0
-    data[:, :, :q] = data[:, :, -q:] = 0.0
+    _zero_frame(data, q)
     volume = FocusVolume(data, q=q, z_min=0.0, z_max=1.0)
     # Reaches up to 16 also cover axes shorter than a quarter of zeta.
     kernel = _cached_kernel(draw(st.sampled_from([0.0, 0.5, 1.5, 2.0])),
@@ -273,21 +260,42 @@ def _volumes(draw, max_slides=4):
     return volume, kernel
 
 
+def _pass_layers(volume, kernel):
+    """The kernel pass of each layer of ``volume``, zero frame re-imposed,
+    written into the pass input and passed on one workspace, as a worker
+    of ``focus_volume`` does after the local measure."""
+    out = np.full(volume.data.shape, np.nan)
+    space = {}
+    for layer, passed in zip(volume.data, out):
+        kernel2d._pass_input(layer.shape, kernel.zeta, space)[...] = layer
+        kernel2d._pass_into(kernel.weights[kernel.zeta:, kernel.zeta:],
+                            passed, space)
+    _zero_frame(out, volume.q)
+    return out
+
+
+def _slides(volume):
+    """A stack whose slides are the layers of ``volume``."""
+    return FocalStack(volume.data, z_min=0.0, z_max=1.0)
+
+
 class TestWholeVolumePass:
     @settings(max_examples=60, deadline=None)
     @given(_volumes())
     def test_equals_per_layer_reference_pass(self, case):
+        # On any layers, and on the local layers of focus_volume.
         volume, kernel = case
-        q, zeta = volume.q, kernel.zeta
-        got = nonlocalize_volume(volume, kernel).data
-        for k in range(len(volume.data)):
-            expected = np.empty(volume.data.shape[1:])
-            reference_correlate_slide(kernel.weights[zeta:, zeta:],
-                                      volume.data[k], expected,
-                                      kernel2d._STRIP_SAMPLES)
-            expected[:q, :] = expected[-q:, :] = 0.0
-            expected[:, :q] = expected[:, -q:] = 0.0
-            assert np.array_equal(got[k], expected)
+        q, weights = volume.q, kernel.weights[kernel.zeta:, kernel.zeta:]
+        local = focus_volume(_slides(volume), q)
+        for layers, got in (
+                (volume, _pass_layers(volume, kernel)),
+                (local, focus_volume(_slides(volume), q, kernel).data)):
+            for k in range(len(layers.data)):
+                expected = np.empty(layers.data.shape[1:])
+                reference_correlate_slide(weights, layers.data[k], expected,
+                                          kernel2d._STRIP_SAMPLES)
+                _zero_frame(expected, q)
+                assert np.array_equal(got[k], expected)
 
     @settings(max_examples=60, deadline=None)
     @given(_volumes())
@@ -297,8 +305,10 @@ class TestWholeVolumePass:
         volume, kernel = case
         tied = np.concatenate([volume.data, volume.data[-1:]])
         tied_volume = FocusVolume(tied, q=volume.q, z_min=0.0, z_max=1.0)
-        out = nonlocalize_volume(tied_volume, kernel).data
-        assert np.array_equal(out[-1], out[-2])
+        for out in (_pass_layers(tied_volume, kernel),
+                    focus_volume(_slides(tied_volume), volume.q,
+                                 kernel).data):
+            assert np.array_equal(out[-1], out[-2])
 
     @settings(max_examples=60, deadline=None)
     @given(_volumes(max_slides=7), st.integers(2, 4), st.booleans())
@@ -309,9 +319,9 @@ class TestWholeVolumePass:
             volume = FocusVolume(data, q=volume.q, z_min=0.0, z_max=1.0)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernel2d, "_usable_cpus", lambda: 1)
-            expected = nonlocalize_volume(volume, kernel).data
+            expected = focus_volume(_slides(volume), volume.q, kernel).data
             mp.setattr(kernel2d, "_usable_cpus", lambda: workers)
-            got = nonlocalize_volume(volume, kernel).data
+            got = focus_volume(_slides(volume), volume.q, kernel).data
         assert np.array_equal(got, expected)
         if tied:
             assert all(np.array_equal(layer, got[0]) for layer in got)
@@ -514,18 +524,20 @@ def test_local_layers_are_the_alpha_zero_pass(q, zeta, n_slides, extra_height,
 
 
 def test_workspace_keeps_scratch_for_one_kernel_only():
-    # A workspace passed through several reaches must hold the scratch of
-    # the last one only: a cache per kernel would pin a set per reach.
-    local = np.random.default_rng(22).random((256, 256))
+    # A workspace that measures and passes a slide through several reaches
+    # must hold the scratch of the last one only: a cache per kernel would
+    # pin a set per reach.
+    stack = _random_stack(np.random.default_rng(22), n_slides=3, height=256,
+                          width=256)
     kernels = [build_kernel(1.5, zeta) for zeta in (4, 1, 3, 2, 4)]
-    out = np.empty_like(local)
+    out = np.empty((256, 256))
     space = {}
     tracemalloc.start()
     try:
-        _nonlocal_layer_into(out, local, kernels[0], 4, space)
+        _focus_layer_into(out, stack, 0, 4, space, kernels[0])
         first = tracemalloc.get_traced_memory()[0]
         for kernel in kernels[1:]:
-            _nonlocal_layer_into(out, local, kernel, 4, space)
+            _focus_layer_into(out, stack, 0, 4, space, kernel)
         last = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -542,14 +554,14 @@ class TestNonFiniteMeasure:
         stack = FocalStack(np.broadcast_to(stripes, (3, 12, 12)),
                            z_min=0.0, z_max=1.0)
         with pytest.raises(ValueError, match="finite"):
-            local_focus_volume(stack, 1)
+            focus_volume(stack, 1)
 
     def test_huge_slide_value_is_refused_on_every_path(self):
         data = np.zeros((3, 12, 12))
         data[1, 5, 5] = 1e308
         stack = FocalStack(data, z_min=0.0, z_max=1.0)
         with pytest.raises(ValueError, match="finite"):
-            local_focus_volume(stack, 1)
+            focus_volume(stack, 1)
         for kernel in (None, build_kernel(1.5, 2)):
             with pytest.raises(ValueError, match="finite"):
                 list(focus_layers(stack, 1, kernel))
@@ -560,11 +572,10 @@ class TestNonFiniteMeasure:
         stripes = np.tile([5e307, 5e307, -5e307, -5e307], 3)
         stack = FocalStack(np.broadcast_to(stripes, (3, 12, 12)),
                            z_min=0.0, z_max=1.0)
-        volume = local_focus_volume(stack, 1)
-        assert volume.data.max() == 1e308
+        assert focus_volume(stack, 1).data.max() == 1e308
         kernel = build_kernel(1.5, 1)
         with pytest.raises(ValueError, match="finite"):
-            nonlocalize_volume(volume, kernel)
+            focus_volume(stack, 1, kernel)
         with pytest.raises(ValueError, match="finite"):
             list(focus_layers(stack, 1, kernel))
 
@@ -582,12 +593,12 @@ class TestGridSpacing:
                              width=12, z_min=0.0, z_max=1.0, h=h,
                              lossless=True)
         with pytest.raises(ValueError, match="spacing"):
-            local_focus_volume(header, 1)
+            focus_volume(header, 1)
         with pytest.raises(ValueError, match="spacing"):
             focus_layers(header, 2, build_kernel(1.5, 2))
 
     def test_tiny_spacing_with_a_finite_scale_runs(self):
         # 1/(q h)^2 = 1e300 is finite: the measure of a small slide is too.
         stack = _random_stack(np.random.default_rng(30), h=1e-150)
-        volume = local_focus_volume(stack, 1)
+        volume = focus_volume(stack, 1)
         assert np.isfinite(volume.data).all()

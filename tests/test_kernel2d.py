@@ -174,12 +174,19 @@ def _brute_force_apply(kernel, values):
     return out
 
 
+def _pass(weights, slide, out, space):
+    """Write ``slide`` into the input of the pass with the kernel quadrant
+    ``weights`` and run that pass into ``out``, on the workspace
+    ``space``."""
+    kernel2d._pass_input(slide.shape, weights.shape[0] - 1, space)[...] = slide
+    kernel2d._pass_into(weights, out, space)
+
+
 def _correlate(kernel, slide):
     """The pass of ``kernel`` over one 2D slide, into a fresh output and
     with a fresh workspace."""
     out = np.empty(slide.shape)
-    kernel2d._correlate_slide(kernel.weights[kernel.zeta:, kernel.zeta:],
-                              slide, out, {})
+    _pass(kernel.weights[kernel.zeta:, kernel.zeta:], slide, out, {})
     return out
 
 
@@ -205,7 +212,7 @@ class TestApplyKernel:
         for weights in (_IDENTITY, underflowing.weights[4:, 4:]):
             out = np.full(values.shape, 7.0)
             with np.errstate(invalid="ignore", over="ignore"):
-                kernel2d._correlate_slide(weights, values, out, {})
+                _pass(weights, values, out, {})
             assert np.array_equal(out.view(np.uint64),
                                   values.view(np.uint64))
 
@@ -338,7 +345,7 @@ def test_pass_matches_the_strip_loop(calls, seed):
             got = np.full((height, width), np.nan)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(kernel2d, "_STRIP_SAMPLES", strip_samples)
-                kernel2d._correlate_slide(weights, slide, got, space)
+                _pass(weights, slide, got, space)
             assert np.array_equal(got.view(np.uint64),
                                   expected.view(np.uint64))
         # One buffer per role, sized for this pass: no scratch of an
@@ -354,14 +361,15 @@ def test_pass_matches_the_strip_loop(calls, seed):
        st.integers(1, 40), st.integers(1, 40),
        st.one_of(st.integers(1, 80), st.integers(1, 2**15)),
        st.integers(0, 2**32 - 1))
-# A reach beyond both sides: the pad comes from np.pad.
+# A reach beyond both sides: the mirror repeats its reflection.
 @example(16, 1.5, 3, 5, 7, 0)
 # Strips of 16, 16 and 8 rows.
 @example(3, 1.5, 40, 9, 144, 0)
 def test_pass_may_overwrite_its_input(zeta, alpha, height, width,
                                       strip_samples, seed):
-    # focus.focus_layers passes each local layer in place: the slide must
-    # be read whole before the first strip of the output is written.
+    # focus._focus_layer_into passes each layer back into the buffer its
+    # slide was read into: the output may be the slide that was written
+    # into the pass input.
     rng = np.random.default_rng(seed)
     slide = rng.choice([0.0, 0.25, 1.0, 3.0], size=(height, width))
     slide = np.where(rng.random((height, width)) < 0.5, slide,
@@ -371,8 +379,8 @@ def test_pass_may_overwrite_its_input(zeta, alpha, height, width,
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernel2d, "_STRIP_SAMPLES", strip_samples)
         expected = np.full((height, width), np.nan)
-        kernel2d._correlate_slide(weights, slide, expected, space)
-        kernel2d._correlate_slide(weights, slide, slide, space)
+        _pass(weights, slide, expected, space)
+        _pass(weights, slide, slide, space)
     assert np.array_equal(slide.view(np.uint64), expected.view(np.uint64))
 
 
@@ -445,7 +453,7 @@ def test_zero_weights_inside_a_row_keep_the_bits(height, width,
     got = np.full((height, width), np.nan)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernel2d, "_STRIP_SAMPLES", strip_samples)
-        kernel2d._correlate_slide(_GAPPED_QUADRANT, slide, got, {})
+        _pass(_GAPPED_QUADRANT, slide, got, {})
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
@@ -479,13 +487,13 @@ def test_strip_takes_4_zeta_plus_2_calls(alpha, zeta, monkeypatch):
     weights = _cached_kernel(alpha, zeta).weights[zeta:, zeta:]
     slide = np.random.default_rng(4).random((400, 200))
     expected = np.empty_like(slide)
-    kernel2d._correlate_slide(weights, slide, expected, {})
+    _pass(weights, slide, expected, {})
     counter = _CallCounter()
     monkeypatch.setattr(kernel2d, "np", counter)
     monkeypatch.setattr(kernel2d, "_weighted_rows",
                         counter.count(kernel2d._weighted_rows))
     got = np.empty_like(slide)
-    kernel2d._correlate_slide(weights, slide, got, {})
+    _pass(weights, slide, got, {})
     assert counter.calls == (3 * (4 * zeta + 2) if alpha else 0)
     assert got.tobytes() == expected.tobytes()
 
@@ -498,11 +506,11 @@ def test_warm_pass_allocates_no_strip_copies():
     slide = np.random.default_rng(3).random((512, 512))
     out = np.empty_like(slide)
     space = {}
-    kernel2d._correlate_slide(weights, slide, out, space)
+    _pass(weights, slide, out, space)
     expected = out.copy()
     tracemalloc.start()
     try:
-        kernel2d._correlate_slide(weights, slide, out, space)
+        _pass(weights, slide, out, space)
         held = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -517,7 +525,7 @@ def test_pass_refuses_an_output_that_is_not_c_contiguous():
     slide = np.random.default_rng(5).random((12, 12))
     out = np.full((12, 12), np.nan).T
     with pytest.raises(ValueError, match="C-contiguous"):
-        kernel2d._correlate_slide(weights, slide, out, {})
+        _pass(weights, slide, out, {})
     assert np.isnan(out).all()
 
 
