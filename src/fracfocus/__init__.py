@@ -12,11 +12,11 @@ re-exported here.
 from .depth import PeakFit, PeakSearch, parabolic_peak, recover_depth
 from .evaluate import (ComparisonTable, EmptyMaskError, ErrorReport,
                        axis_profile, comparison_table, rms_error_percent)
-from .focus import focus_layers, focus_volume
+from .focus import focus_layers
 from .frac1d import (Function1D, QuadratureError, QuadratureSpec,
                      regularized_derivative, regularized_integral,
                      riesz_second_derivative)
-from .grids import DepthMap, FocalStack, FocusVolume
+from .grids import DepthMap, FocalStack
 from .io import (StackFormatError, StackHeader, read_depth_csv, read_pgm,
                  read_stack_dir, read_stack_header, write_depth_csv,
                  write_pgm, write_stack, write_stack_dir)
@@ -33,7 +33,6 @@ __all__ = [
     "EmptyMaskError",
     "ErrorReport",
     "FocalStack",
-    "FocusVolume",
     "Function1D",
     "Kernel",
     "PeakFit",
@@ -47,7 +46,6 @@ __all__ = [
     "build_kernel",
     "comparison_table",
     "focus_layers",
-    "focus_volume",
     "ground_truth",
     "kernel_frequency_response",
     "parabolic_peak",

@@ -14,9 +14,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .depth import PeakSearch
+from .depth import recover_depth
 from .evaluate import axis_profile, comparison_table, rms_error_percent
-from .focus import focus_layers
 from .io import (StackFormatError, StackHeader, read_depth_csv,
                  read_stack_header, write_depth_csv, write_stack)
 from .kernel2d import build_kernel
@@ -98,14 +97,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
          f"{header.width}x{header.height})")
     kernel = (build_kernel(args.alpha, args.zeta)
               if args.method == "nonlocal" else None)
-    search = PeakSearch()
-    for layer in focus_layers(header, args.q, kernel):
-        search.push(layer)
-    depth_map = search.depth_map(
-        q=args.q, z_min=header.z_min, z_max=header.z_max, h=header.h,
-        alpha=None if kernel is None else kernel.alpha,
-        zeta=None if kernel is None else kernel.zeta)
-    write_depth_csv(args.out, depth_map)
+    write_depth_csv(args.out, recover_depth(header, args.q, kernel))
     _log(f"recovered depth ({args.method}, q={args.q}"
          + (f", alpha={args.alpha}, zeta={args.zeta}"
             if args.method == "nonlocal" else "")

@@ -8,17 +8,24 @@ is entirely zero (the masked frame, untextured regions) come out invalid.
 The scan is one running search, :class:`PeakSearch`, fed one slide at a
 time: it keeps per pixel the maximum so far, its slide and the slides on
 either side of it, so its memory does not grow with the number of slides.
-``recover`` feeds it straight from a stack directory; :func:`recover_depth`
-feeds it the slides of a volume held in memory.
+:func:`recover_depth` feeds it the layers ``focus.focus_layers`` streams
+from a slide source; ``recover`` and each stream of ``comparison_table``
+run that one loop.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections.abc import Iterator, Sequence
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .grids import DepthMap, FocusVolume
+from .focus import focus_layers
+from .grids import DepthMap, FocalStack
+from .kernel2d import Kernel
+
+if TYPE_CHECKING:
+    from .io import StackHeader
 
 __all__ = ["PeakFit", "PeakSearch", "parabolic_peak", "recover_depth"]
 
@@ -41,9 +48,10 @@ class PeakFit(NamedTuple):
 def _vertex(rho_minus, rho_0, rho_plus):
     """Clamped vertex offsets and degeneracy flags of parabolas, elementwise.
 
-    Shared by :func:`parabolic_peak` and :func:`recover_depth`, so the two
-    agree bit for bit.  Triples below ``_HUGE`` are fitted as given, so
-    their results keep their bits; larger ones are scaled down first.
+    Shared by :func:`parabolic_peak` and :meth:`PeakSearch.depth_map`, so
+    the two agree bit for bit.  Triples below ``_HUGE`` are fitted as
+    given, so their results keep their bits; larger ones are scaled down
+    first.
     """
     scale = np.maximum(np.maximum(np.abs(rho_minus), np.abs(rho_plus)),
                        np.maximum(np.abs(rho_0), _DEGENERATE_ABS))
@@ -158,15 +166,34 @@ class PeakSearch:
                         zeta=zeta, z_min=z_min, z_max=z_max, h=h)
 
 
-def recover_depth(volume: FocusVolume) -> DepthMap:
-    """Depth map from a focus volume by first maximum plus parabolic fit.
+def _recover_depths(source: FocalStack | StackHeader, q: int,
+                    kernel: Kernel | None = None,
+                    cutoffs: Sequence[int] | None = None,
+                    ) -> Iterator[DepthMap]:
+    """Depth map of each search of ``focus_layers(source, q, kernel,
+    cutoffs)``, one per cutoff (one without cutoffs), in that order, each
+    stamped with q, alpha, zeta (its cutoff), the z range and h."""
+    zetas = ((None if kernel is None else kernel.zeta,) if cutoffs is None
+             else tuple(cutoffs))
+    searches = [PeakSearch() for _ in zetas]
+    for layers in focus_layers(source, q, kernel, cutoffs):
+        for search, layer in zip(searches,
+                                 (layers,) if cutoffs is None else layers):
+            search.push(layer)
+    for search, zeta in zip(searches, zetas):
+        yield search.depth_map(
+            q=q, z_min=source.z_min, z_max=source.z_max, h=source.h,
+            alpha=None if kernel is None else kernel.alpha, zeta=zeta)
 
-    Feeds the volume's slides through a :class:`PeakSearch`; see
-    :meth:`PeakSearch.depth_map` for the rules.
+
+def recover_depth(source: FocalStack | StackHeader, q: int,
+                  kernel: Kernel | None = None) -> DepthMap:
+    """Depth map of a slide source by first maximum plus parabolic fit.
+
+    Each slide's focus layer (``focus.focus_layers``) goes into a
+    :class:`PeakSearch` as it is made, so no focus volume is held; see
+    :meth:`PeakSearch.depth_map` for the rules.  The map records q, the
+    kernel's alpha and zeta (None without one), the z range and h.
     """
-    search = PeakSearch()
-    for layer in volume.data:
-        search.push(layer)
-    return search.depth_map(q=volume.q, z_min=volume.z_min,
-                            z_max=volume.z_max, h=volume.h,
-                            alpha=volume.alpha, zeta=volume.zeta)
+    [depth_map] = _recover_depths(source, q, kernel)
+    return depth_map

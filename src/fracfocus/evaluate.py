@@ -3,21 +3,21 @@
 A grid is a sequence of streams over the stack, one per order and one per
 local stride, each on the slide pool of :mod:`kernel2d`: one kernel pass a
 slide serves every cutoff of an order, and no stack-sized volume is held.
-Each cell is still, bit for bit, the error of the depth map of one
-``focus.focus_volume`` with that cell's q and kernel.
+Each stream is the push-and-stamp loop of ``depth.recover_depth`` with one
+peak search per cutoff, so each cell is, bit for bit, the error of
+``recover_depth`` with that cell's q and kernel.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .depth import PeakSearch
-from .focus import _check_step, _has_interior, focus_layers
+from .depth import _recover_depths
+from .focus import _check_step, _has_interior
 from .grids import DepthMap, FocalStack
 from .kernel2d import _check_cutoff, build_kernel
 
@@ -157,31 +157,30 @@ def comparison_table(source: FocalStack | StackHeader, truth: DepthMap,
     ``source`` is a slide source (see :mod:`fracfocus.focus`): a FocalStack
     in memory, or the StackHeader of a stack directory, whose slides are
     then read on the workers and never held all at once.  Cell (zeta,
-    alpha) is the error of ``recover_depth`` on
-    ``focus_volume(source, q, build_kernel(alpha, zeta))``, and the local
-    entry at stride q' that of ``recover_depth`` on
-    ``focus_volume(source, q')``, bit for bit.  ``local_strides``
-    defaults to the zeta list, giving the customary side-by-side column of
-    local errors at q' = zeta; a default stride that leaves no pixel inside
-    its frame has no entry, and its cell of the formatted column is empty.
-    The depth range is the source's, which every recovered map carries.
+    alpha) is the error of ``recover_depth(source, q, build_kernel(alpha,
+    zeta))``, and the local entry at stride q' that of
+    ``recover_depth(source, q')``, bit for bit.  ``local_strides`` defaults
+    to the zeta list, giving the customary side-by-side column of local
+    errors at q' = zeta; a default stride that leaves no pixel inside its
+    frame has no entry, and its cell of the formatted column is empty.  The
+    depth range is the source's, which every recovered map carries.
 
-    The table is a sequence of streams over the stack, each
-    ``focus_layers`` on the slide pool: one per order alpha > 0, whose one
-    kernel pass a slide gives the layers of all its cutoffs; one of the
-    local measure at q, which answers the alpha = 0 cells (the delta kernel
-    returns an exact copy) and the local entry at q' = q; and one for each
-    other local stride.  The calling thread pushes each layer into the
-    :class:`PeakSearch` of its cutoff, and when a stream ends each search
-    builds and scores its depth map once; each cell it answers takes that
-    report with its own method, q, alpha and zeta.  No volume is held: the
-    table holds O((CPUs + 1) * cutoffs * height * width) values, however
-    many slides there are.  Every order and cutoff, q, every explicit
-    stride, the spacing and the truth's grid are checked before the first
-    slide is read.
+    The table is a sequence of streams over the stack, each the loop of
+    ``recover_depth`` (``depth._recover_depths``): one per order alpha > 0,
+    whose one kernel pass a slide feeds the peak search of each cutoff; one
+    of the local measure at q, which answers the alpha = 0 cells (the delta
+    kernel returns an exact copy, so it is not built) and the local entry
+    at q' = q; and one for each other local stride.  Each search's map is
+    scored once, and each cell it answers takes that report with its own
+    method, q, alpha and zeta.  No volume is held: the table holds
+    O((CPUs + 1) * cutoffs * height * width) values, however many slides
+    there are.  Every cutoff (first: the default strides come from them),
+    order, q, explicit stride, the spacing and the truth's grid are checked
+    before the first slide is read.
     """
     if not alphas or not zetas:
         raise ValueError("alphas and zetas must be non-empty")
+    cutoffs = sorted({_check_cutoff(zeta) for zeta in zetas})
     shape = (source.height, source.width)
     _check_step(shape, q, source.h)
     if local_strides is None:
@@ -191,28 +190,10 @@ def comparison_table(source: FocalStack | StackHeader, truth: DepthMap,
     if truth.values.shape != shape:
         raise ValueError(f"shape mismatch: stack slides {shape}, "
                          f"truth {truth.values.shape}")
-    cutoffs = sorted({_check_cutoff(zeta) for zeta in zetas})
-    kernels = {float(alpha): build_kernel(alpha, cutoffs[-1])
-               for alpha in alphas}
-
-    reports = {}
-
-    def score(layers: Iterable, answers: list[list[tuple]]) -> None:
-        """Push the i-th layer of each item of ``layers`` into search i,
-        then score each search once for the cells ``answers[i]`` lists, as
-        (table key, the report's recovery parameters)."""
-        searches = [PeakSearch() for _ in answers]
-        for stack in layers:
-            for search, layer in zip(searches, stack):
-                search.push(layer)
-        for search, cells in zip(searches, answers):
-            # The map's values do not depend on the recovery parameters it
-            # records, so one score serves every cell of the search.
-            report = rms_error_percent(
-                search.depth_map(q=q, z_min=source.z_min, z_max=source.z_max,
-                                 h=source.h), truth)
-            reports.update((key, replace(report, **params))
-                           for key, params in cells)
+    orders = tuple(dict.fromkeys(float(alpha) for alpha in alphas))
+    # build_kernel refuses an order outside [0, 2]; order 0 needs none.
+    kernels = {alpha: build_kernel(alpha, cutoffs[-1]) for alpha in orders
+               if alpha != 0.0}
 
     def local(stride: int) -> tuple:
         return stride, {"method": "local", "q": stride, "alpha": None,
@@ -222,23 +203,30 @@ def comparison_table(source: FocalStack | StackHeader, truth: DepthMap,
         return (zeta, alpha), {"method": "nonlocal", "q": q, "alpha": alpha,
                                "zeta": int(zeta)}
 
-    base = [nonlocal_(zeta, alpha) for alpha in kernels if alpha == 0.0
+    # Each stream: its stride, kernel and cutoffs, and for each of its maps
+    # the cells it answers, as (table key, the report's parameters).
+    base = [nonlocal_(zeta, alpha) for alpha in orders if alpha == 0.0
             for zeta in zetas] + [local(q)] * (q in local_strides)
-    if base:
-        score(([layer] for layer in focus_layers(source, q)), [base])
-    for alpha, kernel in kernels.items():
-        if alpha > 0.0:
-            score(focus_layers(source, q, kernel, cutoffs),
-                  [[nonlocal_(zeta, alpha) for zeta in zetas
-                    if zeta == cutoff] for cutoff in cutoffs])
-    for stride in dict.fromkeys(local_strides):
-        if stride != q:
-            score(([layer] for layer in focus_layers(source, stride)),
-                  [[local(stride)]])
+    streams = [(q, None, None, [base])] if base else []
+    streams += [(q, kernel, cutoffs,
+                 [[nonlocal_(zeta, alpha) for zeta in zetas if zeta == cutoff]
+                  for cutoff in cutoffs]) for alpha, kernel in kernels.items()]
+    streams += [(stride, None, None, [[local(stride)]])
+                for stride in dict.fromkeys(local_strides) if stride != q]
+    reports = {}
+    for stride, kernel, stream_cutoffs, answers in streams:
+        maps = _recover_depths(source, stride, kernel, stream_cutoffs)
+        for cells in answers:
+            # The map's values do not depend on the recovery parameters it
+            # records, so one score serves every cell it answers; the map
+            # goes once it is scored, before the next is built.
+            report = rms_error_percent(next(maps), truth)
+            reports.update((key, replace(report, **params))
+                           for key, params in cells)
     return ComparisonTable(q=q, alphas=tuple(float(a) for a in alphas),
                            zetas=tuple(zetas),
                            grid={(zeta, alpha): reports[(zeta, alpha)]
-                                 for zeta in zetas for alpha in kernels},
+                                 for zeta in zetas for alpha in orders},
                            local={s: reports[s] for s in local_strides})
 
 

@@ -13,19 +13,17 @@ Slides come from a slide source: a :class:`~fracfocus.io.StackHeader`,
 which reads each slide from its stack directory, or a
 :class:`~fracfocus.grids.FocalStack`, which copies it from memory.  Both
 give ``n_slides``, ``height``, ``width``, ``z_min``, ``z_max``, ``h``,
-``read_slide(k, out)`` and ``empty(n)``.  The slide pool of :mod:`kernel2d`
-runs one chain (:func:`_focus_layer_into`) over a source: read, local
-measure into the pass's padded input, pass (a copy, for the local measure)
-back into the buffer read, zero frame.  Its layers go into a volume that
-:class:`~fracfocus.grids.FocusVolume` then checks once
-(:func:`focus_volume`) or, checked one by one, into a ring whose layers
-come back in slide order (:func:`focus_layers`): ``recover`` holds
-O(CPUs * height * width) values, not O(n_slides * height * width).  Given
-several cutoffs of one kernel, the chain's one pass writes a layer for
-each, and ``focus_layers`` yields them as one stack a slide: each stream
-of ``evaluate.comparison_table`` is such a call, and holds
-O(CPUs * cutoffs * height * width) values.  Each slide's layer is bitwise
-the same on both paths, because every step acts on each slide alone.
+``read_slide(k, out)`` and ``empty(n)``.  :func:`focus_layers` runs one
+chain (:func:`_focus_layer_into`) over a source on the slide pool of
+:mod:`kernel2d`: read, local measure into the pass's padded input, pass (a
+copy, for the local measure) back into the buffer read, zero frame.  Its
+checked layers come back in slide order from a ring, so a stream holds
+O(CPUs * height * width) values, not O(n_slides * height * width), and
+``depth.recover_depth`` pushes each into its peak search as it comes.
+Given several cutoffs of one kernel, the chain's one pass writes a layer
+for each, and ``focus_layers`` yields them as one stack a slide: each
+stream of ``evaluate.comparison_table`` is such a call, and holds
+O(CPUs * cutoffs * height * width) values.
 """
 
 from __future__ import annotations
@@ -37,16 +35,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import kernel2d
-from .grids import FocalStack, FocusVolume, check_focus_values
+from .grids import FocalStack, check_focus_values
 from .kernel2d import Kernel, _pass_input, _pass_into, _scratch
 
 if TYPE_CHECKING:
     from .io import StackHeader
 
-__all__ = [
-    "focus_layers",
-    "focus_volume",
-]
+__all__ = ["focus_layers"]
 
 
 def _has_interior(shape: tuple[int, ...], q: int) -> bool:
@@ -142,39 +137,6 @@ def _focus_layer_into(out: np.ndarray, source: FocalStack | StackHeader,
     _zero_frame(out, q)
 
 
-def focus_volume(source: FocalStack | StackHeader, q: int,
-                 kernel: Kernel | None = None) -> FocusVolume:
-    """Focus measure of every slide of a source, as one volume.
-
-    The local measure at step q: each slide f gets |d2x| + |d2y| at stride
-    q, interior pixels |f[j, i+q] - 2 f[j, i] + f[j, i-q]| / (q h)^2 plus
-    the same expression along rows, and the frame of width q where the
-    stencil would leave the grid is exactly zero.  Given a kernel, each
-    layer is then the kernel pass over its local layer with the zero frame
-    re-imposed, so the nonlocal volume has the local one's support (the
-    mirror pad would otherwise smear measure into the frame).  ``source``
-    is a FocalStack or a StackHeader; each slide is one item of the slide
-    pool, read, measured and passed straight into its layer of the volume
-    (:func:`_focus_layer_into`), which FocusVolume checks once it is full.
-    Raises ValueError for q < 1, slides with no pixel inside the frame or a
-    spacing with no finite 1/(q h)^2, before any slide is read; a slide
-    that fails to read raises when it is due, so the lowest-numbered one is
-    named.
-    """
-    _check_step((source.height, source.width), q, source.h)
-    data = source.empty(source.n_slides)
-
-    def work(k: int, out: np.ndarray, space: dict) -> None:
-        _focus_layer_into(out, source, k, q, space, kernel)
-
-    for _ in kernel2d._slide_pool(source.n_slides, work, data):
-        pass
-    return FocusVolume(data, q=q, z_min=source.z_min, z_max=source.z_max,
-                       h=source.h,
-                       alpha=None if kernel is None else kernel.alpha,
-                       zeta=None if kernel is None else kernel.zeta)
-
-
 def _zero_frame(layers: np.ndarray, q: int) -> None:
     """Zero the frame of width q of every layer (last two axes)."""
     layers[..., :q, :] = 0.0
@@ -189,23 +151,28 @@ def focus_layers(source: FocalStack | StackHeader, q: int,
                  ) -> Iterator[np.ndarray]:
     """Yield the focus measure of each slide of a source, in order.
 
-    The local measure at step q, then, given a kernel, the nonlocal one.
-    Each slide is read, measured, passed and checked like a FocusVolume
-    (finite, non-negative) by one worker of the slide pool
-    (``kernel2d._slide_pool``), in buffers the worker allocates once; the
-    results come out of a ring of one buffer per worker plus one, so memory
-    stays O(CPUs * height * width) however many slides there are; a
-    worker's ring buffer first takes the slide it reads (see
-    :func:`_focus_layer_into`).  Given a strictly ascending list of
+    The local measure at step q: each slide f gets |d2x| + |d2y| at stride
+    q, interior pixels |f[j, i+q] - 2 f[j, i] + f[j, i-q]| / (q h)^2 plus
+    the same expression along rows, and the frame of width q where the
+    stencil would leave the grid is exactly zero.  Given a kernel, each
+    layer is then the kernel pass over its local layer with the zero frame
+    re-imposed, so the nonlocal layers have the local ones' support (the
+    mirror pad would otherwise smear measure into the frame).  Each slide
+    is read, measured, passed and checked (``check_focus_values``) by one
+    worker of the slide pool (``kernel2d._slide_pool``), in buffers the
+    worker allocates once; the results come out of a ring of one buffer per
+    worker plus one, so memory stays O(CPUs * height * width) however many
+    slides there are; a worker's ring buffer first takes the slide it reads
+    (see :func:`_focus_layer_into`).  Given a strictly ascending list of
     ``cutoffs`` from 1 to at most ``kernel.zeta``, each yield is a
     ``(len(cutoffs), height, width)`` stack whose layer i is the slide's
     layer with ``build_kernel(kernel.alpha, cutoffs[i])``, all from one
     pass, and the ring holds O(CPUs * cutoffs * height * width) values.
     The step, the slide shape, the spacing and the cutoffs are checked when
     this is called, before any slide is read; a failing slide raises when
-    it is due, so the lowest-numbered one is named.  A yielded layer is
-    bitwise that slide's layer of ``focus_volume(source, q, kernel)``; it
-    may be overwritten once the next is requested.
+    it is due, so the lowest-numbered one is named.  A yielded layer may
+    be overwritten once the next is requested; it does not depend on the
+    number of workers, bit for bit, as each step acts on its slide alone.
     """
     _check_step((source.height, source.width), q, source.h)
     n = kernel2d._ring_length(source.n_slides)

@@ -1,8 +1,10 @@
-"""Data carriers shared by the reconstruction pipeline.
+"""Data carriers shared by the reconstruction pipeline, and their checks.
 
-All raster data is stored row-major with shape (height, width): element
-[j, i] samples position (x_i, y_j), x running along columns and y along
-rows, with the same spacing h in both directions.
+A :class:`FocalStack` goes in and a :class:`DepthMap` comes out; the focus
+layers between them are plain arrays, checked by
+:func:`check_focus_values`.  All raster data is stored row-major with shape
+(height, width): element [j, i] samples position (x_i, y_j), x running
+along columns and y along rows, with the same spacing h in both directions.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["DepthMap", "FocalStack", "FocusVolume", "check_focus_values",
+__all__ = ["DepthMap", "FocalStack", "check_focus_values",
            "check_stack_geometry", "finite_min"]
 
 
@@ -52,11 +54,11 @@ def finite_min(x: np.ndarray) -> float | None:
 
 
 def check_focus_values(data: np.ndarray) -> None:
-    """Reject focus measures that no focus volume may hold.
+    """Reject focus measures that no focus layer may hold.
 
     Focus measures are finite and non-negative by construction; raises
-    ValueError otherwise.  A :class:`FocusVolume` checks its data with it,
-    and the streamed paths check each layer with it as it is made.
+    ValueError otherwise.  ``focus.focus_layers`` checks each layer with it
+    as it is made.
     """
     lowest = finite_min(data)
     if lowest is None:
@@ -108,32 +110,6 @@ class FocalStack:
     def read_slide(self, k: int, out: np.ndarray) -> None:
         """Copy slide ``k`` into ``out``, a (height, width) float64 array."""
         out[...] = self.data[k]
-
-
-@dataclass(frozen=True)
-class FocusVolume:
-    """Per-slide focus-measure fields, with a zero frame of width q.
-
-    ``alpha``/``zeta`` are None for the plain local measure and record the
-    nonlocalization parameters otherwise.
-    """
-
-    data: np.ndarray  # (n_slides, height, width), non-negative
-    q: int
-    z_min: float
-    z_max: float
-    h: float = 1.0
-    alpha: float | None = None
-    zeta: int | None = None
-
-    def __post_init__(self) -> None:
-        data = np.asarray(self.data, dtype=float)
-        object.__setattr__(self, "data", data)
-        if data.ndim != 3:
-            raise ValueError(f"volume data must be 3D, got shape {data.shape}")
-        if self.q < 1:
-            raise ValueError(f"step q must be positive, got {self.q}")
-        check_focus_values(data)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Discrete 2D nonlocalization kernel and its pass over the layers of a volume.
+"""Discrete 2D nonlocalization kernel and its pass over a slide's focus layer.
 
 The continuous nonlocalization operator of order ``alpha`` acts by the
 radial weight (xi1^2 + xi2^2)^((alpha-2)/2).  On a pixel grid with
@@ -27,10 +27,10 @@ starts on one CPU), each with a workspace of scratch buffers it allocates
 once, results yielded in slide order from a ring of output buffers.  An
 item is queued as soon as its ring buffer is free, so the ring's length
 alone bounds the look-ahead.  The read-measure-pass chain of the focus
-measure (``focus.focus_volume``, and ``focus.focus_layers``, on which
-``recover`` and each stream of ``evaluate.comparison_table`` run) and the
-renderer (``synth.render_slides``, and its texture, whose items are row
-strips) both run on it.
+measure (``focus.focus_layers``, on which ``depth.recover_depth`` and each
+stream of ``evaluate.comparison_table`` run) and the renderer
+(``synth.render_slides``, and its texture, whose items are row strips)
+both run on it.
 
 The pass itself (``_pass_into``) is a plain loop over row strips.
 Each kernel row's weighted sum of column pair sums is one ``np.einsum``

@@ -1,4 +1,5 @@
-"""Shared fixtures: rendered stacks at the standard evaluation geometry.
+"""Shared fixtures and helpers: rendered stacks at the standard evaluation
+geometry, whole focus volumes, and depth maps of hand-made focus data.
 
 The full-size plane and sphere stacks are expensive enough (a few seconds
 each) to render once per session. Render wall time is recorded so the
@@ -8,10 +9,32 @@ acceptance tests can count it against their runtime budgets.
 import time
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
+from fracfocus.depth import PeakSearch
+from fracfocus.focus import focus_layers
 from fracfocus.grids import DepthMap, FocalStack
 from fracfocus.synth import BlurSpec, SceneSpec, ground_truth, render_stack
+
+
+def collect_layers(source, q, kernel=None):
+    """The focus layers of every slide of ``source`` as one
+    (n_slides, height, width) array: copies of what ``focus_layers``
+    yields, which may be overwritten once the next is requested."""
+    return np.array([layer.copy() for layer in focus_layers(source, q,
+                                                            kernel)])
+
+
+def search_depth(data, *, q=1, z_min=0.0, z_max=1.0, h=1.0, alpha=None,
+                 zeta=None):
+    """Depth map of hand-made focus data, (n_slides, height, width),
+    pushed slide by slide through a ``PeakSearch``."""
+    search = PeakSearch()
+    for layer in np.asarray(data, dtype=float):
+        search.push(layer)
+    return search.depth_map(q=q, z_min=z_min, z_max=z_max, h=h, alpha=alpha,
+                            zeta=zeta)
 
 FULL_SIZE = 256
 FULL_SLIDES = 32

@@ -1,6 +1,6 @@
 """Reference depth recovery: the whole-volume argmax peak search.
 
-This is how ``recover_depth`` found each pixel's peak before the running
+This is how depth recovery found each pixel's peak before the running
 search (``depth.PeakSearch``) replaced it: ``np.argmax`` over the slide
 axis, then ``np.take_along_axis`` for the peak and its two neighbours, with
 edge slides standing in for the missing ones.  Tests hold the running
@@ -10,12 +10,13 @@ search to it bit for bit.
 import numpy as np
 
 from fracfocus.depth import _vertex
-from fracfocus.grids import DepthMap, FocusVolume
+from fracfocus.grids import DepthMap
 
 
-def batch_recover_depth(volume: FocusVolume) -> DepthMap:
-    """Depth map by whole-volume argmax plus parabolic refinement."""
-    data = volume.data
+def batch_recover_depth(data, *, q, z_min, z_max, h, alpha=None, zeta=None,
+                        ) -> DepthMap:
+    """Depth map of focus data (n_slides, height, width) by whole-volume
+    argmax plus parabolic refinement, recording the given parameters."""
     n = data.shape[0]
     k_hat = np.argmax(data, axis=0)
     k_flat = k_hat[None, :, :]
@@ -26,10 +27,9 @@ def batch_recover_depth(volume: FocusVolume) -> DepthMap:
 
     interior = (k_hat > 0) & (k_hat < n - 1)
     offset = np.where(interior, offset, 0.0)
-    delta_z = (volume.z_max - volume.z_min) / (n - 1)
-    values = volume.z_min + (k_hat + offset) * delta_z
+    delta_z = (z_max - z_min) / (n - 1)
+    values = z_min + (k_hat + offset) * delta_z
     valid = interior | (peak > 0.0)
     values = np.where(valid, values, np.nan)
-    return DepthMap(values=values, valid=valid, q=volume.q,
-                    alpha=volume.alpha, zeta=volume.zeta,
-                    z_min=volume.z_min, z_max=volume.z_max, h=volume.h)
+    return DepthMap(values=values, valid=valid, q=q, alpha=alpha, zeta=zeta,
+                    z_min=z_min, z_max=z_max, h=h)

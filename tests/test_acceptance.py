@@ -12,15 +12,15 @@ import time
 import numpy as np
 import pytest
 
+from conftest import collect_layers, search_depth
 from kernel_reference import REFERENCE_QUADRANTS
 
 from fracfocus.cli import main
 from fracfocus.depth import recover_depth
 from fracfocus.evaluate import comparison_table, rms_error_percent
-from fracfocus.focus import focus_volume
 from fracfocus.frac1d import (Function1D, regularized_derivative,
                               regularized_integral, riesz_second_derivative)
-from fracfocus.grids import FocalStack, FocusVolume
+from fracfocus.grids import FocalStack
 from fracfocus.io import write_depth_csv, write_stack_dir
 from fracfocus.kernel2d import build_kernel, kernel_frequency_response
 from fracfocus.synth import ground_truth, render_stack
@@ -71,12 +71,12 @@ def test_local_limit_bit_equality(announce):
     for shape, q in [((6, 24, 20), 2), ((5, 17, 23), 1)]:
         stack = FocalStack(rng.uniform(0.0, 1.0, size=shape),
                            z_min=0.0, z_max=1.0, h=0.05)
-        base = focus_volume(stack, q)
-        reference = recover_depth(base)
+        base = collect_layers(stack, q)
+        reference = recover_depth(stack, q)
         for zeta in (1, 4, 8):
-            smoothed = focus_volume(stack, q, build_kernel(0.0, zeta))
-            depth = recover_depth(smoothed)
-            ok &= np.array_equal(smoothed.data, base.data)
+            smoothed = collect_layers(stack, q, build_kernel(0.0, zeta))
+            depth = recover_depth(stack, q, build_kernel(0.0, zeta))
+            ok &= np.array_equal(smoothed, base)
             ok &= np.array_equal(depth.values, reference.values,
                                  equal_nan=True)
             ok &= np.array_equal(depth.valid, reference.valid)
@@ -94,9 +94,8 @@ def test_parabolic_vertex_exactness(announce):
     curvature = rng.uniform(0.05, 0.15, size=(height, width))
     crest = rng.uniform(10.0, 20.0, size=(height, width))
     k = np.arange(n_slides)[:, None, None]
-    volume = FocusVolume(data=crest - curvature * (k - vertex) ** 2,
+    depth = search_depth(crest - curvature * (k - vertex) ** 2,
                          q=1, z_min=0.0, z_max=1.0, h=0.05)
-    depth = recover_depth(volume)
     # Delta-z is exactly 1/8, so scaling back to slice units is lossless.
     worst = float(np.max(np.abs(depth.values * (n_slides - 1) - vertex)))
     ok = bool(depth.valid.all()) and worst <= 1e-12
@@ -110,11 +109,10 @@ def test_parabolic_vertex_exactness(announce):
 def test_plane_recovery_accuracy(announce, plane_scene):
     """Textured plane: local rms within 2%, nonlocal within 0.5%."""
     start = time.monotonic()
-    base = focus_volume(plane_scene.stack, 4)
-    local_report = rms_error_percent(recover_depth(base), plane_scene.truth,
-                                     z_range=1.0)
-    smoothed = focus_volume(plane_scene.stack, 4, build_kernel(1.5, 4))
-    nonlocal_report = rms_error_percent(recover_depth(smoothed),
+    local_report = rms_error_percent(recover_depth(plane_scene.stack, 4),
+                                     plane_scene.truth, z_range=1.0)
+    smoothed = recover_depth(plane_scene.stack, 4, build_kernel(1.5, 4))
+    nonlocal_report = rms_error_percent(smoothed,
                                         plane_scene.truth, z_range=1.0)
     elapsed = plane_scene.render_seconds + (time.monotonic() - start)
     ok = (local_report.rms_percent <= 2.0
@@ -209,10 +207,9 @@ def _write_run(out_dir, scene, blur, stack, truth):
     """Write everything the accuracy scenarios produce for one run."""
     write_stack_dir(out_dir / "stack", stack, truth=truth, scene=scene,
                     blur=blur, lossless=True)
-    base = focus_volume(stack, 4)
-    write_depth_csv(out_dir / "local.csv", recover_depth(base))
-    smoothed = focus_volume(stack, 4, build_kernel(1.5, 4))
-    write_depth_csv(out_dir / "nonlocal.csv", recover_depth(smoothed))
+    write_depth_csv(out_dir / "local.csv", recover_depth(stack, 4))
+    write_depth_csv(out_dir / "nonlocal.csv",
+                    recover_depth(stack, 4, build_kernel(1.5, 4)))
 
 
 def test_deterministic_outputs(announce, plane_scene, sphere_scene, tmp_path):

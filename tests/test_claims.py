@@ -24,7 +24,6 @@ import pytest
 
 from fracfocus.depth import recover_depth
 from fracfocus.evaluate import rms_error_percent
-from fracfocus.focus import focus_volume
 from fracfocus.kernel2d import build_kernel
 from fracfocus.synth import BlurSpec, SceneSpec, ground_truth, render_stack
 
@@ -44,8 +43,8 @@ def _sphere_rms(scene, blur, cells):
     truth = ground_truth(scene, SIZE, SIZE, H)
 
     def rms(kernel=None):
-        return rms_error_percent(recover_depth(focus_volume(stack, Q, kernel)),
-                                 truth, z_range=1.0).rms_percent
+        return rms_error_percent(recover_depth(stack, Q, kernel), truth,
+                                 z_range=1.0).rms_percent
 
     return {"local": rms(),
             **{(alpha, zeta): rms(build_kernel(alpha, zeta))

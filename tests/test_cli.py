@@ -14,13 +14,14 @@ import pytest
 import fracfocus
 from fracfocus import kernel2d
 from fracfocus.cli import main
-from fracfocus.depth import recover_depth
 from fracfocus.evaluate import comparison_table
-from fracfocus.focus import focus_volume
 from fracfocus.grids import FocalStack
 from fracfocus.io import (StackHeader, read_depth_csv, read_stack_dir,
                           write_depth_csv, write_stack_dir)
 from fracfocus.kernel2d import build_kernel
+
+from conftest import collect_layers
+from depth_reference import batch_recover_depth
 
 SMALL_SYNTH = ["synth", "--scene", "plane", "--size", "16", "--slices", "5",
                "--wavelength", "0.5", "--seed", "3", "--sigma0", "1.5",
@@ -255,7 +256,8 @@ class TestRecoverCommand:
         """recover streams the slides in blocks of one per usable CPU; with
         5 slides and 2 or 3 CPUs the last block is partial.  For PGM and
         .npy stacks, both methods and any CPU count, the CLI writes the
-        bytes of the batch pipeline run on the whole stack."""
+        bytes of the batch pipeline run on the whole stack: its whole focus
+        volume, then the argmax peak search of ``depth_reference``."""
         default_cpus = kernel2d._usable_cpus
         methods = {"local": [], "nonlocal": ["--alpha", "1.5", "--zeta", "4"]}
         for lossless in (False, True):
@@ -265,10 +267,14 @@ class TestRecoverCommand:
             stack = read_stack_dir(stack_dir)
             assert stack.data.shape[0] == 5
             for method, extra in methods.items():
-                volume = focus_volume(stack, 2, build_kernel(1.5, 4)
-                                      if method == "nonlocal" else None)
+                kernel = (build_kernel(1.5, 4) if method == "nonlocal"
+                          else None)
                 batch = tmp_path / "batch.csv"
-                write_depth_csv(batch, recover_depth(volume))
+                write_depth_csv(batch, batch_recover_depth(
+                    collect_layers(stack, 2, kernel), q=2, z_min=stack.z_min,
+                    z_max=stack.z_max, h=stack.h,
+                    alpha=None if kernel is None else kernel.alpha,
+                    zeta=None if kernel is None else kernel.zeta))
                 want = (batch.read_bytes(),
                         batch.with_suffix(".json").read_bytes())
                 assert b"NaN" in want[0] and want[0].count(b"NaN") < 16 * 16

@@ -1,23 +1,30 @@
 """Tests for sub-slice peak fitting and depth-map recovery."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import search_depth
 from depth_reference import batch_recover_depth
 
+from fracfocus import kernel2d
 from fracfocus.depth import PeakFit, PeakSearch, parabolic_peak, recover_depth
-from fracfocus.focus import focus_volume
-from fracfocus.grids import FocalStack, FocusVolume
+from fracfocus.grids import FocalStack
+from fracfocus.kernel2d import build_kernel
 
 
-def _column_volume(columns, z_min=0.0, z_max=1.0, q=1, alpha=None, zeta=None):
-    """Volume whose (0, i) pixel carries the i-th of the given focus columns."""
-    data = np.array(columns, dtype=float).T[:, None, :]
-    return FocusVolume(data, q=q, z_min=z_min, z_max=z_max, h=1.0,
-                       alpha=alpha, zeta=zeta)
+def _columns(columns):
+    """Focus data whose (0, i) pixel carries the i-th of the given columns."""
+    return np.array(columns, dtype=float).T[:, None, :]
+
+
+def _column_depth(columns, **params):
+    """Depth map of the given focus columns, one pixel each."""
+    return search_depth(_columns(columns), **params)
 
 
 class TestParabolicPeak:
@@ -80,34 +87,29 @@ class TestParabolicPeak:
 
 class TestRecoverDepth:
     def test_symmetric_three_slide_column_lands_mid_range(self):
-        volume = _column_volume([[0.1, 0.9, 0.1]])
-        depth = recover_depth(volume)
+        depth = _column_depth([[0.1, 0.9, 0.1]])
         assert depth.valid[0, 0]
         assert depth.values[0, 0] == 0.5
 
     def test_boundary_peaks_snap_to_range_ends(self):
-        volume = _column_volume([[3.0, 2.0, 1.0], [1.0, 2.0, 5.0]])
-        depth = recover_depth(volume)
+        depth = _column_depth([[3.0, 2.0, 1.0], [1.0, 2.0, 5.0]])
         assert depth.valid.all()
         assert depth.values[0, 0] == 0.0
         assert depth.values[0, 1] == 1.0
 
     def test_all_zero_column_is_invalid_not_fatal(self):
-        volume = _column_volume([[0.0, 0.0, 0.0], [0.1, 0.9, 0.1]])
-        depth = recover_depth(volume)
+        depth = _column_depth([[0.0, 0.0, 0.0], [0.1, 0.9, 0.1]])
         assert not depth.valid[0, 0]
         assert np.isnan(depth.values[0, 0])
         assert depth.valid[0, 1]
 
     def test_tie_breaks_to_first_maximum(self):
-        volume = _column_volume([[1.0, 5.0, 5.0, 1.0]], z_max=3.0)
-        depth = recover_depth(volume)
+        depth = _column_depth([[1.0, 5.0, 5.0, 1.0]], z_max=3.0)
         # argmax picks k = 1; the flat-topped triple leans right by half.
         assert depth.values[0, 0] == 1.5
 
     def test_nearly_flat_interior_peak_stays_valid(self):
-        volume = _column_volume([[1.0 - 1e-13, 1.0, 1.0 - 1e-13]])
-        depth = recover_depth(volume)
+        depth = _column_depth([[1.0 - 1e-13, 1.0, 1.0 - 1e-13]])
         assert depth.valid[0, 0]
         assert depth.values[0, 0] == 0.5
 
@@ -117,8 +119,7 @@ class TestRecoverDepth:
         vertices = rng.uniform(2.5, 3.5, width)
         k = np.arange(n)[:, None]
         data = (50.0 - (k - vertices[None, :]) ** 2)[:, None, :]
-        volume = FocusVolume(data, q=1, z_min=0.0, z_max=3.0, h=1.0)
-        depth = recover_depth(volume)
+        depth = search_depth(data, z_max=3.0)
         expected = vertices * (3.0 / (n - 1))
         assert depth.valid.all()
         assert np.max(np.abs(depth.values[0] - expected)) <= 1e-12
@@ -126,18 +127,15 @@ class TestRecoverDepth:
     def test_values_stay_inside_z_range(self):
         rng = np.random.default_rng(34)
         data = rng.random((6, 10, 10))
-        volume = FocusVolume(data, q=1, z_min=0.2, z_max=0.8, h=1.0)
-        depth = recover_depth(volume)
+        depth = search_depth(data, z_min=0.2, z_max=0.8)
         assert np.all(depth.values[depth.valid] >= 0.2)
         assert np.all(depth.values[depth.valid] <= 0.8)
 
     def test_invariant_under_power_of_two_rescale(self):
         rng = np.random.default_rng(35)
         data = rng.random((8, 12, 12))
-        base = FocusVolume(data, q=2, z_min=0.0, z_max=1.0, h=1.0)
-        scaled = FocusVolume(data * 4.0, q=2, z_min=0.0, z_max=1.0, h=1.0)
-        a = recover_depth(base)
-        b = recover_depth(scaled)
+        a = search_depth(data, q=2)
+        b = search_depth(data * 4.0, q=2)
         assert np.array_equal(a.values, b.values, equal_nan=True)
         assert np.array_equal(a.valid, b.valid)
 
@@ -145,42 +143,42 @@ class TestRecoverDepth:
         # Focus values in [1, 2) * 2**1023, the largest finite binade.
         rng = np.random.default_rng(37)
         data = rng.uniform(1.0, 2.0, (8, 12, 12))
-        base = FocusVolume(data, q=2, z_min=0.0, z_max=1.0, h=1.0)
-        scaled = FocusVolume(data * 2.0 ** 1023, q=2, z_min=0.0, z_max=1.0,
-                             h=1.0)
-        a = recover_depth(base)
+        a = search_depth(data, q=2)
         with np.errstate(all="raise"):
-            b = recover_depth(scaled)
+            b = search_depth(data * 2.0 ** 1023, q=2)
         assert a.values.tobytes() == b.values.tobytes()
         assert np.array_equal(a.valid, b.valid)
 
     def test_stable_under_arbitrary_positive_rescale(self):
         rng = np.random.default_rng(36)
         data = rng.random((8, 12, 12))
-        base = FocusVolume(data, q=2, z_min=0.0, z_max=1.0, h=1.0)
-        scaled = FocusVolume(data * np.pi, q=2, z_min=0.0, z_max=1.0, h=1.0)
-        a = recover_depth(base)
-        b = recover_depth(scaled)
+        a = search_depth(data, q=2)
+        b = search_depth(data * np.pi, q=2)
         assert np.array_equal(a.valid, b.valid)
         assert np.allclose(a.values, b.values, rtol=0, atol=1e-12, equal_nan=True)
 
     def test_metadata_propagates_from_volume(self):
-        volume = _column_volume([[0.1, 0.9, 0.1]], z_min=0.5, z_max=2.0,
-                                q=3, alpha=1.5, zeta=4)
-        depth = recover_depth(volume)
+        # q, the kernel's alpha and zeta, and the source's z range and h.
+        rng = np.random.default_rng(39)
+        stack = FocalStack(rng.random((4, 16, 16)), z_min=0.5, z_max=2.0,
+                           h=0.25)
+        depth = recover_depth(stack, 3, build_kernel(1.5, 4))
         assert (depth.q, depth.alpha, depth.zeta) == (3, 1.5, 4)
-        assert (depth.z_min, depth.z_max, depth.h) == (0.5, 2.0, 1.0)
+        assert (depth.z_min, depth.z_max, depth.h) == (0.5, 2.0, 0.25)
         assert depth.method == "nonlocal"
 
     def test_local_volume_yields_local_method(self):
-        volume = _column_volume([[0.1, 0.9, 0.1]])
-        assert recover_depth(volume).method == "local"
+        rng = np.random.default_rng(40)
+        stack = FocalStack(rng.random((4, 16, 16)), z_min=0.0, z_max=1.0)
+        depth = recover_depth(stack, 2)
+        assert (depth.q, depth.alpha, depth.zeta) == (2, None, None)
+        assert depth.method == "local"
 
     def test_masked_frame_comes_out_invalid(self):
         rng = np.random.default_rng(37)
         stack = FocalStack(rng.random((4, 16, 16)), z_min=0.0, z_max=1.0, h=1.0)
         q = 2
-        depth = recover_depth(focus_volume(stack, q))
+        depth = recover_depth(stack, q)
         assert not depth.valid[:q, :].any()
         assert not depth.valid[-q:, :].any()
         assert not depth.valid[:, :q].any()
@@ -189,12 +187,37 @@ class TestRecoverDepth:
 
     def test_deterministic(self):
         rng = np.random.default_rng(38)
-        data = rng.random((5, 9, 9))
-        volume = FocusVolume(data, q=1, z_min=0.0, z_max=1.0, h=1.0)
-        a = recover_depth(volume)
-        b = recover_depth(volume)
+        stack = FocalStack(rng.random((5, 9, 9)), z_min=0.0, z_max=1.0)
+        a = recover_depth(stack, 1, build_kernel(1.5, 2))
+        b = recover_depth(stack, 1, build_kernel(1.5, 2))
         assert np.array_equal(a.values, b.values, equal_nan=True)
         assert np.array_equal(a.valid, b.valid)
+
+
+def test_recovery_holds_no_volume(monkeypatch):
+    """recover_depth streams the stack through its peak search and holds
+    no focus volume: the traced peak on 64 slides is within 1 MiB of its
+    peak on 8 slides of the same size (the 56 more slides are 1.75 MiB of
+    focus measure)."""
+    monkeypatch.setattr(kernel2d, "_usable_cpus", lambda: 1)
+    rng = np.random.default_rng(41)
+    stack = FocalStack(rng.random((64, 64, 64)), z_min=0.0, z_max=1.0)
+    kernel = build_kernel(1.5, 4)
+
+    def peak(n: int) -> int:
+        part = FocalStack(stack.data[:n], z_min=0.0, z_max=1.0)
+        tracemalloc.start()
+        try:
+            recover_depth(part, 2, kernel)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # A first recovery makes the lazy imports, whose objects would
+    # otherwise count towards the peak.
+    peak(3)
+    small, large = peak(8), peak(64)
+    assert large <= small + 2 ** 20, (small, large)
 
 
 _FOCUS = st.one_of(st.sampled_from([0.0, 5e-324, 1.0, 1e300]),
@@ -222,15 +245,15 @@ def _middle_peak_triples(draw):
 @given(st.lists(_middle_peak_triples(), min_size=1, max_size=8),
        st.floats(-10.0, 10.0), st.floats(1e-3, 10.0))
 def test_middle_peak_depth_is_the_parabolic_vertex(columns, z_min, span):
-    # recover_depth and parabolic_peak share one vertex formula, so the
+    # The peak search and parabolic_peak share one vertex formula, so the
     # depth of a middle-slide peak is the vertex bit for bit.
-    volume = _column_volume(columns, z_min=z_min, z_max=z_min + span)
-    depth = recover_depth(volume)
-    assert (np.argmax(volume.data, axis=0) == 1).all()
+    data = _columns(columns)
+    depth = search_depth(data, z_min=z_min, z_max=z_min + span)
+    assert (np.argmax(data, axis=0) == 1).all()
     assert depth.valid.all()
     for i, triple in enumerate(columns):
         offset = parabolic_peak(*triple).offset
-        delta_z = (volume.z_max - volume.z_min) / (len(volume.data) - 1)
+        delta_z = (depth.z_max - depth.z_min) / (len(data) - 1)
         expected = z_min + (1 + offset) * delta_z
         assert depth.values[0, i].tobytes() == np.float64(expected).tobytes()
 
@@ -262,10 +285,10 @@ def _tied_volumes(draw):
 @given(_tied_volumes(), st.sampled_from([None, 0.0, 1.5]),
        st.floats(-10.0, 10.0), st.floats(1e-3, 10.0))
 def test_running_search_matches_batch_argmax(data, alpha, z_min, span):
-    volume = FocusVolume(data, q=1, z_min=z_min, z_max=z_min + span, h=0.5,
-                         alpha=alpha, zeta=None if alpha is None else 2)
-    got = recover_depth(volume)
-    want = batch_recover_depth(volume)
+    params = {"q": 1, "z_min": z_min, "z_max": z_min + span, "h": 0.5,
+              "alpha": alpha, "zeta": None if alpha is None else 2}
+    got = search_depth(data, **params)
+    want = batch_recover_depth(data, **params)
     assert got.values.tobytes() == want.values.tobytes()
     assert np.array_equal(got.valid, want.valid)
     assert (got.q, got.alpha, got.zeta, got.z_min, got.z_max, got.h) == (
@@ -288,7 +311,8 @@ def test_running_search_outgrows_its_index_type(n, before_last):
     got = search.depth_map(q=1, z_min=0.0, z_max=n - 1.0)
     if not before_last:
         assert got.values[0, 0] == n - 1.0
-    want = batch_recover_depth(_column_volume([column], z_max=n - 1.0))
+    want = batch_recover_depth(_columns([column]), q=1, z_min=0.0,
+                               z_max=n - 1.0, h=1.0)
     assert got.values.tobytes() == want.values.tobytes()
     assert np.array_equal(got.valid, want.valid)
 
@@ -303,7 +327,7 @@ def test_running_search_copies_each_layer():
         search.push(buffer)
         buffer[0] = -1.0
     got = search.depth_map(q=1, z_min=0.0, z_max=3.0)
-    want = recover_depth(_column_volume(columns.T.tolist(), z_max=3.0))
+    want = _column_depth(columns.T.tolist(), z_max=3.0)
     assert got.values.tobytes() == want.values.tobytes()
 
 

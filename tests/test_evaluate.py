@@ -15,7 +15,6 @@ from fracfocus.depth import recover_depth
 from fracfocus.evaluate import (EmptyMaskError, ComparisonTable, ErrorReport,
                                 axis_profile, comparison_table,
                                 rms_error_percent)
-from fracfocus.focus import focus_volume
 from fracfocus.grids import DepthMap, FocalStack
 from fracfocus.io import (StackHeader, read_stack_dir, read_stack_header,
                           write_stack_dir)
@@ -177,8 +176,8 @@ class TestComparisonTable:
         """The alpha = 0 kernel is a delta, so every alpha = 0 cell must
         reproduce the plain local result at the table's stride exactly."""
         stack, truth = small_plane.stack, small_plane.truth
-        direct = rms_error_percent(recover_depth(focus_volume(stack, 2)),
-                                   truth, z_range=stack.z_max - stack.z_min)
+        direct = rms_error_percent(recover_depth(stack, 2), truth,
+                                   z_range=stack.z_max - stack.z_min)
         for zeta in table.zetas:
             assert table.rms(zeta, 0.0) == direct.rms_percent
 
@@ -188,18 +187,16 @@ class TestComparisonTable:
         table = comparison_table(stack, truth, q=2, alphas=(1.5,), zetas=(3,),
                                  local_strides=(2,))
         cell = rms_error_percent(
-            recover_depth(focus_volume(stack, 2, build_kernel(1.5, 3))),
-            truth, z_range)
+            recover_depth(stack, 2, build_kernel(1.5, 3)), truth, z_range)
         assert table.rms(3, 1.5) == cell.rms_percent
-        loc = rms_error_percent(recover_depth(focus_volume(stack, 2)), truth,
-                                z_range)
+        loc = rms_error_percent(recover_depth(stack, 2), truth, z_range)
         assert table.local[2].rms_percent == loc.rms_percent
 
     def test_local_column_defaults_to_zetas(self, table, small_plane):
         assert set(table.local) == {1, 3}
         stack, truth = small_plane.stack, small_plane.truth
-        direct = rms_error_percent(recover_depth(focus_volume(stack, 1)),
-                                   truth, z_range=stack.z_max - stack.z_min)
+        direct = rms_error_percent(recover_depth(stack, 1), truth,
+                                   z_range=stack.z_max - stack.z_min)
         assert table.local[1].rms_percent == direct.rms_percent
 
     def test_each_search_is_scored_once(self, monkeypatch, small_plane):
@@ -404,12 +401,14 @@ def test_table_holds_no_volume_per_cell(monkeypatch):
 @pytest.mark.parametrize("bad", [{"local_strides": (1, 24)},
                                  {"alphas": (1.5, 3.0)},
                                  {"zetas": (2, 0)},
-                                 {"truth": _map(np.zeros((5, 7)))}])
+                                 {"truth": _map(np.zeros((5, 7)))},
+                                 {"alphas": (0.0, -0.5)}])
 def test_bad_parameters_fail_before_the_first_pass(monkeypatch, small_plane,
                                                     bad):
     # Every layer of the table goes through kernel2d._pass_into, the local
     # measure's identity pass included: the good grid makes 27 passes (the
-    # 9 slides of three streams), a bad one none.
+    # 9 slides of three streams), a bad one none.  The error names what is
+    # bad: a zeta of 0 is a bad cutoff, not a bad default stride.
     passes = []
     for module in (kernel2d, focus):
         def counted(*args, _original=module._pass_into):
@@ -421,9 +420,28 @@ def test_bad_parameters_fail_before_the_first_pass(monkeypatch, small_plane,
     comparison_table(small_plane.stack, **args)
     assert len(passes) == 27
     passes.clear()
-    with pytest.raises(ValueError):
+    match = {"local_strides": "too small", "alphas": "order",
+             "zetas": "cutoff", "truth": "shape"}[next(iter(bad))]
+    with pytest.raises(ValueError, match=match):
         comparison_table(small_plane.stack, **{**args, **bad})
     assert not passes
+
+
+def test_kernels_are_built_for_positive_orders_only(monkeypatch,
+                                                     small_plane):
+    """The alpha = 0 cells come from the local stream, which passes no
+    kernel, so the table builds one kernel per order alpha > 0, at the
+    largest cutoff."""
+    built = []
+
+    def counted(alpha, zeta):
+        built.append((alpha, zeta))
+        return build_kernel(alpha, zeta)
+
+    monkeypatch.setattr(evaluate, "build_kernel", counted)
+    comparison_table(small_plane.stack, small_plane.truth, q=2,
+                     alphas=(0.0, 1.5, 0.0, 2.0), zetas=(3, 1))
+    assert built == [(1.5, 3), (2.0, 3)]
 
 
 # 1/(q h)^2 is finite at q = 2 and overflows at q = 1.

@@ -15,17 +15,18 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fracfocus import kernel2d
+from fracfocus.depth import recover_depth
 from fracfocus.focus import (
     _focus_layer_into,
     _modified_laplacian_into,
     _zero_frame,
     focus_layers,
-    focus_volume,
 )
-from fracfocus.grids import FocalStack, FocusVolume
+from fracfocus.grids import FocalStack
 from fracfocus.io import StackHeader, read_stack_header, write_stack_dir
 from fracfocus.kernel2d import build_kernel
 
+from conftest import collect_layers
 from laplacian_reference import reference_modified_laplacian_into
 from pass_reference import reference_correlate_slide
 
@@ -41,10 +42,10 @@ def _random_stack(rng, n_slides=5, height=24, width=24, h=1.0):
 
 
 def _measure(slides, q, h=1.0):
-    """Layers of the local ``focus_volume`` on a stack of three slides:
-    ``slides`` itself, or three copies of one 2D slide."""
+    """Local focus layers of a stack of three slides: ``slides`` itself, or
+    three copies of one 2D slide."""
     slides = np.broadcast_to(slides, (3,) + np.shape(slides)[-2:])
-    return focus_volume(FocalStack(slides, 0.0, 1.0, h), q).data
+    return collect_layers(FocalStack(slides, 0.0, 1.0, h), q)
 
 
 class TestLocalModifiedLaplacian:
@@ -153,8 +154,8 @@ class TestLocalFocusVolume:
     def test_layers_match_per_slide_measure(self):
         rng = np.random.default_rng(3)
         stack = _random_stack(rng, h=0.25)
-        volume = focus_volume(stack, 2)
-        assert volume.data.shape == (5, 24, 24)
+        volume = collect_layers(stack, 2)
+        assert volume.shape == (5, 24, 24)
         # The stride-q stencil written out, in the same rounding order.
         f, q = stack.data, 2
         centre = f[:, q:-q, q:-q]
@@ -163,25 +164,27 @@ class TestLocalFocusVolume:
         expected = np.zeros(f.shape)
         expected[:, q:-q, q:-q] = ((np.abs(d2x) + np.abs(d2y))
                                    * (1.0 / (q * stack.h) ** 2))
-        assert np.array_equal(volume.data, expected)
+        assert np.array_equal(volume, expected)
 
     def test_metadata(self):
+        # The local depth map records the step, no kernel, and the
+        # source's z range and spacing.
         rng = np.random.default_rng(4)
         stack = _random_stack(rng, h=0.5)
-        volume = focus_volume(stack, 3)
-        assert volume.q == 3
-        assert volume.alpha is None and volume.zeta is None
-        assert (volume.z_min, volume.z_max, volume.h) == (0.0, 1.0, 0.5)
+        depth = recover_depth(stack, 3)
+        assert depth.q == 3
+        assert depth.alpha is None and depth.zeta is None
+        assert (depth.z_min, depth.z_max, depth.h) == (0.0, 1.0, 0.5)
 
     def test_scale_covariance_dyadic(self):
         rng = np.random.default_rng(5)
         stack = _random_stack(rng)
-        base = focus_volume(stack, 2)
-        scaled = focus_volume(
+        base = collect_layers(stack, 2)
+        scaled = collect_layers(
             FocalStack(stack.data * 4.0, z_min=0.0, z_max=1.0, h=stack.h), 2
         )
         # A power-of-two gain commutes with every operation exactly.
-        assert np.array_equal(scaled.data, base.data * 4.0)
+        assert np.array_equal(scaled, base * 4.0)
 
 
 class TestNonlocalization:
@@ -189,18 +192,18 @@ class TestNonlocalization:
     def test_order_zero_reduces_to_local(self, zeta):
         rng = np.random.default_rng(6)
         stack = _random_stack(rng, height=26, width=26)
-        local = focus_volume(stack, 2)
-        nonlocal_ = focus_volume(stack, 2, build_kernel(0.0, zeta))
-        assert np.array_equal(nonlocal_.data, local.data)
-        assert nonlocal_.alpha == 0.0 and nonlocal_.zeta == zeta
+        local = collect_layers(stack, 2)
+        nonlocal_ = collect_layers(stack, 2, build_kernel(0.0, zeta))
+        assert np.array_equal(nonlocal_, local)
+        depth = recover_depth(stack, 2, build_kernel(0.0, zeta))
+        assert depth.alpha == 0.0 and depth.zeta == zeta
 
     def test_zero_frame_survives_kernel_pass(self):
         rng = np.random.default_rng(9)
         stack = _random_stack(rng)
         q = 2
-        volume = focus_volume(stack, q, build_kernel(1.5, 3))
-        for k in range(len(volume.data)):
-            layer = volume.data[k]
+        volume = collect_layers(stack, q, build_kernel(1.5, 3))
+        for layer in volume:
             assert np.all(layer[:q, :] == 0.0)
             assert np.all(layer[-q:, :] == 0.0)
             assert np.all(layer[:, :q] == 0.0)
@@ -213,15 +216,15 @@ class TestNonlocalization:
         ii, jj = _index_grid(16, 16)
         data = np.stack([ii * ii + jj * jj] * 3)
         stack = FocalStack(data, z_min=0.0, z_max=1.0, h=1.0)
-        volume = focus_volume(stack, 1, build_kernel(2.0, 1))
-        deep = volume.data[:, 2:-2, 2:-2]
+        volume = collect_layers(stack, 1, build_kernel(2.0, 1))
+        deep = volume[:, 2:-2, 2:-2]
         assert np.allclose(deep, 36.0, rtol=1e-12, atol=0)
 
     def test_non_negative(self):
         rng = np.random.default_rng(10)
         stack = _random_stack(rng)
-        volume = focus_volume(stack, 2, build_kernel(1.5, 2))
-        assert np.all(volume.data >= 0.0)
+        volume = collect_layers(stack, 2, build_kernel(1.5, 2))
+        assert np.all(volume >= 0.0)
 
     def test_pooling_smooths_layers(self):
         # The kernel pass is a weighted average over a neighbourhood, so
@@ -229,11 +232,11 @@ class TestNonlocalization:
         rng = np.random.default_rng(11)
         stack = _random_stack(rng, height=30, width=30)
         q = 2
-        local = focus_volume(stack, q)
-        pooled = focus_volume(stack, q, build_kernel(2.0, 2))
+        local = collect_layers(stack, q)
+        pooled = collect_layers(stack, q, build_kernel(2.0, 2))
         for k in range(len(stack.data)):
-            a = local.data[k][q + 2:-q - 2, q + 2:-q - 2]
-            b = pooled.data[k][q + 2:-q - 2, q + 2:-q - 2]
+            a = local[k][q + 2:-q - 2, q + 2:-q - 2]
+            b = pooled[k][q + 2:-q - 2, q + 2:-q - 2]
             assert np.std(b / 25.0) < np.std(a)
 
 
@@ -244,8 +247,8 @@ def _cached_kernel(alpha, zeta):
 
 @st.composite
 def _volumes(draw, max_slides=4):
-    """A small local-style focus volume (zero q-frame) and a kernel; at
-    least 3 layers, so that its layers also make a FocalStack."""
+    """A small local-style focus volume (zero q-frame), its q and a kernel;
+    at least 3 layers, so that its layers also make a FocalStack."""
     q = draw(st.integers(1, 3))
     n_slides = draw(st.integers(3, max_slides))
     height = draw(st.integers(2 * q + 1, 2 * q + 9))
@@ -253,46 +256,45 @@ def _volumes(draw, max_slides=4):
     data = draw(arrays(np.float64, (n_slides, height, width),
                        elements=st.floats(0.0, 1e6)))
     _zero_frame(data, q)
-    volume = FocusVolume(data, q=q, z_min=0.0, z_max=1.0)
     # Reaches up to 16 also cover axes shorter than a quarter of zeta.
     kernel = _cached_kernel(draw(st.sampled_from([0.0, 0.5, 1.5, 2.0])),
                             draw(st.integers(1, 16)))
-    return volume, kernel
+    return data, q, kernel
 
 
-def _pass_layers(volume, kernel):
+def _pass_layers(volume, q, kernel):
     """The kernel pass of each layer of ``volume``, zero frame re-imposed,
     written into the pass input and passed on one workspace, as a worker
-    of ``focus_volume`` does after the local measure."""
-    out = np.full(volume.data.shape, np.nan)
+    of ``focus_layers`` does after the local measure."""
+    out = np.full(volume.shape, np.nan)
     space = {}
-    for layer, passed in zip(volume.data, out):
+    for layer, passed in zip(volume, out):
         kernel2d._pass_input(layer.shape, kernel.zeta, space)[...] = layer
         kernel2d._pass_into(kernel.weights[kernel.zeta:, kernel.zeta:],
                             passed, space)
-    _zero_frame(out, volume.q)
+    _zero_frame(out, q)
     return out
 
 
 def _slides(volume):
     """A stack whose slides are the layers of ``volume``."""
-    return FocalStack(volume.data, z_min=0.0, z_max=1.0)
+    return FocalStack(volume, z_min=0.0, z_max=1.0)
 
 
 class TestWholeVolumePass:
     @settings(max_examples=60, deadline=None)
     @given(_volumes())
     def test_equals_per_layer_reference_pass(self, case):
-        # On any layers, and on the local layers of focus_volume.
-        volume, kernel = case
-        q, weights = volume.q, kernel.weights[kernel.zeta:, kernel.zeta:]
-        local = focus_volume(_slides(volume), q)
+        # On any layers, and on the local layers of focus_layers.
+        volume, q, kernel = case
+        weights = kernel.weights[kernel.zeta:, kernel.zeta:]
+        local = collect_layers(_slides(volume), q)
         for layers, got in (
-                (volume, _pass_layers(volume, kernel)),
-                (local, focus_volume(_slides(volume), q, kernel).data)):
-            for k in range(len(layers.data)):
-                expected = np.empty(layers.data.shape[1:])
-                reference_correlate_slide(weights, layers.data[k], expected,
+                (volume, _pass_layers(volume, q, kernel)),
+                (local, collect_layers(_slides(volume), q, kernel))):
+            for k in range(len(layers)):
+                expected = np.empty(layers.shape[1:])
+                reference_correlate_slide(weights, layers[k], expected,
                                           kernel2d._STRIP_SAMPLES)
                 _zero_frame(expected, q)
                 assert np.array_equal(got[k], expected)
@@ -302,26 +304,23 @@ class TestWholeVolumePass:
     def test_equal_layers_stay_bitwise_equal(self, case):
         # Exact slide ties decide the peak search (first maximum wins), so
         # the pass must not let rounding depend on the layer index.
-        volume, kernel = case
-        tied = np.concatenate([volume.data, volume.data[-1:]])
-        tied_volume = FocusVolume(tied, q=volume.q, z_min=0.0, z_max=1.0)
-        for out in (_pass_layers(tied_volume, kernel),
-                    focus_volume(_slides(tied_volume), volume.q,
-                                 kernel).data):
+        volume, q, kernel = case
+        tied = np.concatenate([volume, volume[-1:]])
+        for out in (_pass_layers(tied, q, kernel),
+                    collect_layers(_slides(tied), q, kernel)):
             assert np.array_equal(out[-1], out[-2])
 
     @settings(max_examples=60, deadline=None)
     @given(_volumes(max_slides=7), st.integers(2, 4), st.booleans())
     def test_bits_do_not_depend_on_worker_count(self, case, workers, tied):
-        volume, kernel = case
+        volume, q, kernel = case
         if tied:
-            data = np.repeat(volume.data[:1], len(volume.data), axis=0)
-            volume = FocusVolume(data, q=volume.q, z_min=0.0, z_max=1.0)
+            volume = np.repeat(volume[:1], len(volume), axis=0)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernel2d, "_usable_cpus", lambda: 1)
-            expected = focus_volume(_slides(volume), volume.q, kernel).data
+            expected = collect_layers(_slides(volume), q, kernel)
             mp.setattr(kernel2d, "_usable_cpus", lambda: workers)
-            got = focus_volume(_slides(volume), volume.q, kernel).data
+            got = collect_layers(_slides(volume), q, kernel)
         assert np.array_equal(got, expected)
         if tied:
             assert all(np.array_equal(layer, got[0]) for layer in got)
@@ -554,17 +553,17 @@ class TestNonFiniteMeasure:
         stack = FocalStack(np.broadcast_to(stripes, (3, 12, 12)),
                            z_min=0.0, z_max=1.0)
         with pytest.raises(ValueError, match="finite"):
-            focus_volume(stack, 1)
+            recover_depth(stack, 1)
 
     def test_huge_slide_value_is_refused_on_every_path(self):
         data = np.zeros((3, 12, 12))
         data[1, 5, 5] = 1e308
         stack = FocalStack(data, z_min=0.0, z_max=1.0)
-        with pytest.raises(ValueError, match="finite"):
-            focus_volume(stack, 1)
         for kernel in (None, build_kernel(1.5, 2)):
             with pytest.raises(ValueError, match="finite"):
                 list(focus_layers(stack, 1, kernel))
+            with pytest.raises(ValueError, match="finite"):
+                recover_depth(stack, 1, kernel)
 
     def test_overflowing_pass_is_refused(self):
         # Stripes a, a, -a, -a: the local measure at q = 1 is 2a = 1e308,
@@ -572,10 +571,10 @@ class TestNonFiniteMeasure:
         stripes = np.tile([5e307, 5e307, -5e307, -5e307], 3)
         stack = FocalStack(np.broadcast_to(stripes, (3, 12, 12)),
                            z_min=0.0, z_max=1.0)
-        assert focus_volume(stack, 1).data.max() == 1e308
+        assert collect_layers(stack, 1).max() == 1e308
         kernel = build_kernel(1.5, 1)
         with pytest.raises(ValueError, match="finite"):
-            focus_volume(stack, 1, kernel)
+            recover_depth(stack, 1, kernel)
         with pytest.raises(ValueError, match="finite"):
             list(focus_layers(stack, 1, kernel))
 
@@ -593,12 +592,12 @@ class TestGridSpacing:
                              width=12, z_min=0.0, z_max=1.0, h=h,
                              lossless=True)
         with pytest.raises(ValueError, match="spacing"):
-            focus_volume(header, 1)
+            recover_depth(header, 1)
         with pytest.raises(ValueError, match="spacing"):
             focus_layers(header, 2, build_kernel(1.5, 2))
 
     def test_tiny_spacing_with_a_finite_scale_runs(self):
         # 1/(q h)^2 = 1e300 is finite: the measure of a small slide is too.
         stack = _random_stack(np.random.default_rng(30), h=1e-150)
-        volume = focus_volume(stack, 1)
-        assert np.isfinite(volume.data).all()
+        volume = collect_layers(stack, 1)
+        assert np.isfinite(volume).all()

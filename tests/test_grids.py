@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays, array_shapes
 
-from fracfocus.grids import DepthMap, FocalStack, FocusVolume, finite_min
+from fracfocus.grids import (DepthMap, FocalStack, check_focus_values,
+                             finite_min)
 
 
 class TestFiniteMin:
@@ -72,28 +73,19 @@ class TestFocalStack:
         assert peak < 64 * 1024
 
 
-class TestFocusVolume:
-    def test_layer_access(self):
-        volume = FocusVolume(np.ones((3, 5, 5)), q=2, z_min=0.0, z_max=1.0, h=0.3)
-        assert volume.data[1].shape == (5, 5)
-        assert volume.h == 0.3
-
+class TestCheckFocusValues:
     def test_rejects_negative_measure(self):
         data = np.ones((3, 4, 4))
         data[0, 0, 0] = -1e-9
-        with pytest.raises(ValueError):
-            FocusVolume(data, q=1, z_min=0.0, z_max=1.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            check_focus_values(data)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_rejects_non_finite_measure(self, bad):
         data = np.ones((3, 4, 4))
         data[1, 2, 2] = bad
         with pytest.raises(ValueError, match="finite"):
-            FocusVolume(data, q=1, z_min=0.0, z_max=1.0)
-
-    def test_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            FocusVolume(np.ones((3, 4, 4)), q=0, z_min=0.0, z_max=1.0)
+            check_focus_values(data)
 
 
 class TestDepthMap:

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from blur_reference import reference_gather
+from conftest import collect_layers
 from gather_reference import reference_level_gather
 from texture_reference import reference_texture
 
 from fracfocus import kernel2d, synth
-from fracfocus.focus import focus_volume
 from fracfocus.synth import (BlurSpec, SceneSpec, ground_truth, render_slides,
                              render_stack)
 from fracfocus.synth import _gather, _psf_tables, _separable_blur, _texture
@@ -230,7 +230,7 @@ class TestRenderStack:
         # overwhelming majority of interior pixels.
         stack = render_stack(self._plane(), BlurSpec(sigma0=3.0), **self.SMALL)
         q = 2
-        measure = focus_volume(stack, q).data
+        measure = collect_layers(stack, q)
         a = measure[2, q:-q, q:-q]
         b = measure[0, q:-q, q:-q]
         assert np.mean(a > b) >= 0.90
