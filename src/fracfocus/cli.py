@@ -60,7 +60,8 @@ def cmd_kernel(args: argparse.Namespace) -> int:
         sys.stdout.write(text)
     else:
         Path(args.out).write_text(text, encoding="ascii")
-        _log(f"wrote kernel alpha={args.alpha} zeta={args.zeta} to {args.out}")
+        _log(f"wrote kernel alpha={kernel.alpha} zeta={args.zeta} to "
+             f"{args.out}")
     return 0
 
 
@@ -99,8 +100,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
               if args.method == "nonlocal" else None)
     write_depth_csv(args.out, recover_depth(header, args.q, kernel))
     _log(f"recovered depth ({args.method}, q={args.q}"
-         + (f", alpha={args.alpha}, zeta={args.zeta}"
-            if args.method == "nonlocal" else "")
+         + (f", alpha={kernel.alpha}, zeta={args.zeta}" if kernel else "")
          + f"), wrote {args.out}")
     return 0
 

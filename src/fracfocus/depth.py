@@ -9,8 +9,8 @@ The scan is one running search, :class:`PeakSearch`, fed one slide at a
 time: it keeps per pixel the maximum so far, its slide and the slides on
 either side of it, so its memory does not grow with the number of slides.
 :func:`recover_depth` feeds it the layers ``focus.focus_layers`` streams
-from a slide source; ``recover`` and each stream of ``comparison_table``
-run that one loop.
+from a slide source, one search per cutoff of the stream's stacks (one
+for ``recover``, one per cutoff for each stream of ``comparison_table``).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .focus import focus_layers
+from .focus import _own_cutoffs, focus_layers
 from .grids import DepthMap, FocalStack
 from .kernel2d import Kernel
 
@@ -167,23 +167,20 @@ class PeakSearch:
 
 
 def _recover_depths(source: FocalStack | StackHeader, q: int,
-                    kernel: Kernel | None = None,
-                    cutoffs: Sequence[int] | None = None,
+                    kernel: Kernel | None, cutoffs: Sequence[int],
                     ) -> Iterator[DepthMap]:
-    """Depth map of each search of ``focus_layers(source, q, kernel,
-    cutoffs)``, one per cutoff (one without cutoffs), in that order, each
-    stamped with q, alpha, zeta (its cutoff), the z range and h."""
-    zetas = ((None if kernel is None else kernel.zeta,) if cutoffs is None
-             else tuple(cutoffs))
-    searches = [PeakSearch() for _ in zetas]
+    """Depth map of each cutoff of ``focus_layers(source, q, kernel,
+    cutoffs)``, in that order, each stamped with q, alpha and zeta (its
+    cutoff; both None without a kernel), the z range and h."""
+    searches = [PeakSearch() for _ in cutoffs]
     for layers in focus_layers(source, q, kernel, cutoffs):
-        for search, layer in zip(searches,
-                                 (layers,) if cutoffs is None else layers):
+        for search, layer in zip(searches, layers):
             search.push(layer)
-    for search, zeta in zip(searches, zetas):
+    for search, cutoff in zip(searches, cutoffs):
         yield search.depth_map(
             q=q, z_min=source.z_min, z_max=source.z_max, h=source.h,
-            alpha=None if kernel is None else kernel.alpha, zeta=zeta)
+            alpha=None if kernel is None else kernel.alpha,
+            zeta=None if kernel is None else cutoff)
 
 
 def recover_depth(source: FocalStack | StackHeader, q: int,
@@ -195,5 +192,5 @@ def recover_depth(source: FocalStack | StackHeader, q: int,
     :meth:`PeakSearch.depth_map` for the rules.  The map records q, the
     kernel's alpha and zeta (None without one), the z range and h.
     """
-    [depth_map] = _recover_depths(source, q, kernel)
+    [depth_map] = _recover_depths(source, q, kernel, _own_cutoffs(kernel))
     return depth_map

@@ -176,11 +176,20 @@ def comparison_table(source: FocalStack | StackHeader, truth: DepthMap,
     O((CPUs + 1) * cutoffs * height * width) values, however many slides
     there are.  Every cutoff (first: the default strides come from them),
     order, q, explicit stride, the spacing and the truth's grid are checked
-    before the first slide is read.
+    before the first slide is read; a cutoff or an order given twice is
+    refused (-0 is order 0, and is recorded as +0.0).
     """
     if not alphas or not zetas:
         raise ValueError("alphas and zetas must be non-empty")
-    cutoffs = sorted({_check_cutoff(zeta) for zeta in zetas})
+    cutoffs = [_check_cutoff(zeta) for zeta in zetas]
+    # + 0.0 turns an order of -0.0, which equals 0, into +0.0.
+    orders = tuple(float(alpha) + 0.0 for alpha in alphas)
+    for name, values in (("cutoff zeta", cutoffs), ("order alpha", orders)):
+        repeats = [value for i, value in enumerate(values)
+                   if value in values[:i]]
+        if repeats:
+            raise ValueError(f"{name} {repeats[0]:g} is given more than once")
+    cutoffs.sort()
     shape = (source.height, source.width)
     _check_step(shape, q, source.h)
     if local_strides is None:
@@ -190,7 +199,6 @@ def comparison_table(source: FocalStack | StackHeader, truth: DepthMap,
     if truth.values.shape != shape:
         raise ValueError(f"shape mismatch: stack slides {shape}, "
                          f"truth {truth.values.shape}")
-    orders = tuple(dict.fromkeys(float(alpha) for alpha in alphas))
     # build_kernel refuses an order outside [0, 2]; order 0 needs none.
     kernels = {alpha: build_kernel(alpha, cutoffs[-1]) for alpha in orders
                if alpha != 0.0}
@@ -203,15 +211,15 @@ def comparison_table(source: FocalStack | StackHeader, truth: DepthMap,
         return (zeta, alpha), {"method": "nonlocal", "q": q, "alpha": alpha,
                                "zeta": int(zeta)}
 
-    # Each stream: its stride, kernel and cutoffs, and for each of its maps
-    # the cells it answers, as (table key, the report's parameters).
+    # Each stream: stride, kernel, cutoffs ((0,): the local measure) and,
+    # per map, the cells it answers as (table key, report parameters).
     base = [nonlocal_(zeta, alpha) for alpha in orders if alpha == 0.0
             for zeta in zetas] + [local(q)] * (q in local_strides)
-    streams = [(q, None, None, [base])] if base else []
+    streams = [(q, None, (0,), [base])] if base else []
     streams += [(q, kernel, cutoffs,
-                 [[nonlocal_(zeta, alpha) for zeta in zetas if zeta == cutoff]
-                  for cutoff in cutoffs]) for alpha, kernel in kernels.items()]
-    streams += [(stride, None, None, [[local(stride)]])
+                 [[nonlocal_(zeta, alpha)] for zeta in cutoffs])
+                for alpha, kernel in kernels.items()]
+    streams += [(stride, None, (0,), [[local(stride)]])
                 for stride in dict.fromkeys(local_strides) if stride != q]
     reports = {}
     for stride, kernel, stream_cutoffs, answers in streams:
@@ -223,8 +231,7 @@ def comparison_table(source: FocalStack | StackHeader, truth: DepthMap,
             report = rms_error_percent(next(maps), truth)
             reports.update((key, replace(report, **params))
                            for key, params in cells)
-    return ComparisonTable(q=q, alphas=tuple(float(a) for a in alphas),
-                           zetas=tuple(zetas),
+    return ComparisonTable(q=q, alphas=orders, zetas=tuple(zetas),
                            grid={(zeta, alpha): reports[(zeta, alpha)]
                                  for zeta in zetas for alpha in orders},
                            local={s: reports[s] for s in local_strides})

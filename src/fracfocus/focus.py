@@ -15,15 +15,15 @@ which reads each slide from its stack directory, or a
 give ``n_slides``, ``height``, ``width``, ``z_min``, ``z_max``, ``h``,
 ``read_slide(k, out)`` and ``empty(n)``.  :func:`focus_layers` runs one
 chain (:func:`_focus_layer_into`) over a source on the slide pool of
-:mod:`kernel2d`: read, local measure into the pass's padded input, pass (a
-copy, for the local measure) back into the buffer read, zero frame.  Its
-checked layers come back in slide order from a ring, so a stream holds
-O(CPUs * height * width) values, not O(n_slides * height * width), and
-``depth.recover_depth`` pushes each into its peak search as it comes.
-Given several cutoffs of one kernel, the chain's one pass writes a layer
-for each, and ``focus_layers`` yields them as one stack a slide: each
-stream of ``evaluate.comparison_table`` is such a call, and holds
-O(CPUs * cutoffs * height * width) values.
+:mod:`kernel2d`: read, local measure into the pass's padded input, one
+pass back into the buffer read, zero frame.  A stream carries a list of
+cutoffs of one kernel quadrant, and the pass writes a layer for each: the
+local measure is the 1 x 1 identity at cutoff 0 (a copy), ``recover`` a
+kernel at its own zeta, and each stream of ``evaluate.comparison_table``
+every cutoff of one order.  The checked ``(len(cutoffs), height, width)``
+stacks come back in slide order from a ring, so a stream holds
+O(CPUs * cutoffs * height * width) values, however many slides there are,
+and ``depth.recover_depth`` pushes each layer into its peak search.
 """
 
 from __future__ import annotations
@@ -105,34 +105,32 @@ def _modified_laplacian_into(out: np.ndarray, f: np.ndarray, q: int,
     _zero_frame(out, q)
 
 
-# The kernel quadrant of the local measure: its pass is an exact copy.
+# The local measure's kernel quadrant: its pass, at cutoff 0, is a copy.
 _IDENTITY = np.ones((1, 1))
 
 
-def _focus_layer_into(out: np.ndarray, source: FocalStack | StackHeader,
-                      k: int, q: int, space: dict,
-                      kernel: Kernel | None = None,
-                      cutoffs: Sequence[int] | None = None) -> None:
-    """Read slide k of ``source`` and write its focus measure into ``out``.
+def _own_cutoffs(kernel: Kernel | None) -> tuple[int]:
+    """A one-layer stream's cutoffs: the kernel's zeta, or the identity's 0."""
+    return (0 if kernel is None else kernel.zeta,)
 
-    The local measure at step q, then, given a kernel, the nonlocal one;
-    the caller checks it (``check_focus_values``).  The slide is read into
-    ``out``, measured into the pass's padded input (``_pass_input``), and
-    the pass, without a kernel with ``_IDENTITY``, writes back into ``out``:
-    a worker holds two slide-sized buffers.  Given an ascending list of
-    ``cutoffs`` up to ``kernel.zeta``, ``out`` holds one layer per cutoff,
-    the slide is read into the first, and one pass writes them all
-    (``kernel2d._pass_into``).  A measure that overflows is left as inf for
-    the check to refuse, without a numpy warning.
+
+def _focus_layer_into(out: np.ndarray, source: FocalStack | StackHeader,
+                      k: int, q: int, space: dict, weights: np.ndarray,
+                      cutoffs: Sequence[int]) -> None:
+    """Read slide k of ``source`` and write its focus layers into ``out``,
+    ``(len(cutoffs), height, width)``: the local measure at step q passed
+    with the leading ``cutoff + 1`` block of the kernel quadrant ``weights``
+    (see :func:`focus_layers`); the caller checks them.  The slide is read
+    into the first layer, measured into the pass's padded input
+    (``_pass_input``), and one pass writes every layer
+    (``kernel2d._pass_into``): a worker holds its ring buffer and the
+    padded input.  A measure that overflows is left as inf for the check
+    to refuse, without a numpy warning.
     """
-    weights = (_IDENTITY if kernel is None
-               else kernel.weights[kernel.zeta:, kernel.zeta:])
-    slide = out if cutoffs is None else out[0]
-    source.read_slide(k, slide)
-    reach = weights.shape[0] - 1 if cutoffs is None else cutoffs[-1]
-    local = _pass_input(slide.shape, reach, space)
+    source.read_slide(k, out[0])
+    local = _pass_input(out.shape[1:], cutoffs[-1], space)
     with np.errstate(over="ignore"):
-        _modified_laplacian_into(local, slide, q, source.h, space)
+        _modified_laplacian_into(local, out[0], q, source.h, space)
         _pass_into(weights, out, space, cutoffs)
     _zero_frame(out, q)
 
@@ -149,47 +147,45 @@ def focus_layers(source: FocalStack | StackHeader, q: int,
                  kernel: Kernel | None = None,
                  cutoffs: Sequence[int] | None = None,
                  ) -> Iterator[np.ndarray]:
-    """Yield the focus measure of each slide of a source, in order.
+    """Yield the focus layers of each slide of a source, in order, as one
+    ``(len(cutoffs), height, width)`` stack a slide.
 
     The local measure at step q: each slide f gets |d2x| + |d2y| at stride
     q, interior pixels |f[j, i+q] - 2 f[j, i] + f[j, i-q]| / (q h)^2 plus
     the same expression along rows, and the frame of width q where the
-    stencil would leave the grid is exactly zero.  Given a kernel, each
-    layer is then the kernel pass over its local layer with the zero frame
-    re-imposed, so the nonlocal layers have the local ones' support (the
-    mirror pad would otherwise smear measure into the frame).  Each slide
-    is read, measured, passed and checked (``check_focus_values``) by one
-    worker of the slide pool (``kernel2d._slide_pool``), in buffers the
-    worker allocates once; the results come out of a ring of one buffer per
-    worker plus one, so memory stays O(CPUs * height * width) however many
-    slides there are; a worker's ring buffer first takes the slide it reads
-    (see :func:`_focus_layer_into`).  Given a strictly ascending list of
-    ``cutoffs`` from 1 to at most ``kernel.zeta``, each yield is a
-    ``(len(cutoffs), height, width)`` stack whose layer i is the slide's
-    layer with ``build_kernel(kernel.alpha, cutoffs[i])``, all from one
-    pass, and the ring holds O(CPUs * cutoffs * height * width) values.
-    The step, the slide shape, the spacing and the cutoffs are checked when
-    this is called, before any slide is read; a failing slide raises when
-    it is due, so the lowest-numbered one is named.  A yielded layer may
-    be overwritten once the next is requested; it does not depend on the
+    stencil would leave the grid is exactly zero.  Given a kernel, layer i
+    is then the pass of ``build_kernel(kernel.alpha, cutoffs[i])`` over
+    the local layer, all from one pass, with the zero frame re-imposed, so
+    the nonlocal layers have the local ones' support (the mirror pad would
+    otherwise smear measure into the frame).  ``cutoffs`` ascend strictly
+    from 1 to at most ``kernel.zeta``, which is the default; without a
+    kernel they are ``(0,)`` and each stack holds the local layer.  Each
+    slide is read, measured, passed and checked (``check_focus_values``)
+    by one worker of the slide pool (``kernel2d._slide_pool``), in buffers
+    the worker allocates once, and the stacks come out of a ring of one
+    buffer per worker plus one (see :func:`_focus_layer_into`).  The step,
+    the slide shape, the spacing and the cutoffs are checked when this is
+    called, before any slide is read; a failing slide raises when it is
+    due, so the lowest-numbered one is named.  A yielded stack may be
+    overwritten once the next is requested; it does not depend on the
     number of workers, bit for bit, as each step acts on its slide alone.
     """
     _check_step((source.height, source.width), q, source.h)
+    weights = (_IDENTITY if kernel is None
+               else kernel.weights[kernel.zeta:, kernel.zeta:])
+    reach = len(weights) - 1
+    cutoffs = tuple(cutoffs) if cutoffs is not None else _own_cutoffs(kernel)
+    # A kernel's cutoffs run from 1; the identity's one cutoff is 0.
+    if (not cutoffs or cutoffs[0] < min(reach, 1) or cutoffs[-1] > reach
+            or any(a >= b for a, b in zip(cutoffs, cutoffs[1:]))):
+        raise ValueError(f"cutoffs {cutoffs} must ascend strictly from 1 to "
+                         f"at most the kernel's zeta, or be (0,) without one")
     n = kernel2d._ring_length(source.n_slides)
-    if cutoffs is None:
-        ring = source.empty(n)
-    else:
-        cutoffs = tuple(cutoffs)
-        if (kernel is None or not cutoffs or cutoffs[0] < 1
-                or cutoffs[-1] > kernel.zeta
-                or any(a >= b for a, b in zip(cutoffs, cutoffs[1:]))):
-            raise ValueError(f"cutoffs {cutoffs} must ascend strictly from 1 "
-                             f"to at most the kernel's zeta")
-        ring = source.empty(n * len(cutoffs)).reshape(
-            n, len(cutoffs), source.height, source.width)
+    ring = source.empty(n * len(cutoffs)).reshape(
+        n, len(cutoffs), source.height, source.width)
 
     def work(k: int, out: np.ndarray, space: dict) -> None:
-        _focus_layer_into(out, source, k, q, space, kernel, cutoffs)
+        _focus_layer_into(out, source, k, q, space, weights, cutoffs)
         check_focus_values(out)
 
     return kernel2d._slide_pool(source.n_slides, work, ring)

@@ -37,14 +37,14 @@ Each kernel row's weighted sum of column pair sums is one ``np.einsum``
 call, so a strip takes 4 zeta + 2 numpy calls, which release the GIL while
 they compute, and the workers seldom wait for one another; the identity
 (the local measure's, or alpha = 0) takes none, as its pass is a copy.
-Since the weights nest, one pass can serve an ascending list of cutoffs of
-one order: the mirror pad and the pair sums are built once at the largest
-reach, and each row sum once, as a prefix over the taps that each
-cutoff's layer takes when the prefix reaches it.  A workspace keeps the
-scratch buffers of one pass; another kernel or shape replaces them.  The
-pass's input is the interior of its padded buffer (``_pass_input``): a
-caller that computes the slide writes it there, and the pass fills only
-the mirror margins before it runs (``_pass_into``).
+Since the weights nest, every pass writes a layer for each of an
+ascending list of cutoffs of one order (one, for ``recover``): the mirror
+pad and the pair sums are built once at the largest reach, and each row
+sum once, as a prefix over the taps that each cutoff's layer takes when
+the prefix reaches it.  A workspace keeps the scratch buffers of one
+pass; another kernel or shape replaces them.  The pass's input is the
+interior of its padded buffer (``_pass_input``), where a caller writes
+the slide; the pass fills only the mirror margins.
 """
 
 from __future__ import annotations
@@ -98,7 +98,8 @@ class Kernel:
             )
         if weights[self.zeta, self.zeta] != 1.0:
             raise ValueError("center weight must be exactly 1")
-        if np.any(weights < 0.0) or np.any(weights > 1.0):
+        # Written so that NaN fails it too.
+        if not np.all((weights >= 0.0) & (weights <= 1.0)):
             raise ValueError("weights must lie in [0, 1]")
         if (not np.array_equal(weights, weights.T)
                 or not np.array_equal(weights, weights[::-1, :])
@@ -125,11 +126,12 @@ def build_kernel(alpha: float, zeta: int) -> Kernel:
     pixel-offset cutoff, must be a positive integer.  alpha = 2 yields the
     exact all-ones kernel; below it each entry is the cell integral of
     r^(alpha-2) divided by the center-cell integral, which gives alpha = 0
-    the exact delta kernel, +0.0 off the center.
+    the exact delta kernel, +0.0 off the center.  An order of -0.0 is
+    taken as +0.0, so no weight and no ``alpha`` carries a sign bit.
     """
     if not 0.0 <= alpha <= 2.0:
         raise ValueError(f"2D fractional order must lie in [0, 2], got {alpha}")
-    alpha, zeta = float(alpha), _check_cutoff(zeta)
+    alpha, zeta = float(alpha) + 0.0, _check_cutoff(zeta)
     if alpha == 2.0:
         size = 2 * zeta + 1
         return Kernel(alpha=2.0, zeta=zeta, weights=np.ones((size, size)))
@@ -309,16 +311,15 @@ def _pass_input(shape: tuple[int, int], zeta: int,
 
 
 def _pass_into(weights: np.ndarray, out: np.ndarray, space: dict,
-               cutoffs: Sequence[int] | None = None) -> None:
+               cutoffs: Sequence[int]) -> None:
     """Run the pass with the kernel quadrant ``weights`` whose input
-    :func:`_pass_input` returned, into ``out``.
+    :func:`_pass_input` returned, into ``out``, one layer per cutoff.
 
-    Without ``cutoffs``, ``out`` is one layer and the reach that of
-    ``weights``.  With an ascending list of ``cutoffs``, ``out`` holds one
-    layer per cutoff, ``(len(cutoffs), height, width)``, and layer i is the
-    pass with the leading ``cutoffs[i] + 1`` square block of ``weights``:
-    the pass of ``build_kernel(alpha, cutoffs[i])``, whose quadrant is that
-    block bit for bit.  ``P`` must then have the reach of the last cutoff.
+    ``cutoffs`` ascend, ``out`` is ``(len(cutoffs), height, width)``, and
+    layer i is the pass with the leading ``cutoffs[i] + 1`` square block of
+    ``weights``: the pass of ``build_kernel(alpha, cutoffs[i])``, whose
+    quadrant is that block bit for bit, or with the 1 x 1 identity at
+    cutoff 0.  ``P`` must have the reach of the last cutoff.
 
     Samples beyond the border are mirrored, edge included (``d c b a |
     a b c d | d c b a``, as often as the reach needs): the pass fills the
@@ -345,7 +346,7 @@ def _pass_into(weights: np.ndarray, out: np.ndarray, space: dict,
     alpha so small that weights underflow gives :func:`build_kernel` a
     zero weight), both of which ``grids.check_focus_values`` refuses.
 
-    ``out`` may be a new buffer on each call, or the slide that was
+    ``out`` may be a new buffer on each call, or hold the slide that was
     written into ``P``; it must be C-contiguous, since ``D_0`` is written
     through a flat view of its rows.  With one cutoff a strip takes
     4 zeta + 2 calls: the copy of ``C_0``, zeta column pair sums, one
@@ -356,8 +357,6 @@ def _pass_into(weights: np.ndarray, out: np.ndarray, space: dict,
     """
     if not out.flags.c_contiguous:
         raise ValueError("the kernel pass needs a C-contiguous output")
-    if cutoffs is None:
-        cutoffs, out = (weights.shape[0] - 1,), out[np.newaxis]
     zeta = cutoffs[-1]
     weights = weights[:zeta + 1, :zeta + 1]
     height, width = out.shape[1:]

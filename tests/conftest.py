@@ -20,10 +20,11 @@ from fracfocus.synth import BlurSpec, SceneSpec, ground_truth, render_stack
 
 def collect_layers(source, q, kernel=None):
     """The focus layers of every slide of ``source`` as one
-    (n_slides, height, width) array: copies of what ``focus_layers``
-    yields, which may be overwritten once the next is requested."""
-    return np.array([layer.copy() for layer in focus_layers(source, q,
-                                                            kernel)])
+    (n_slides, height, width) array: copies of the one layer of each
+    stack ``focus_layers`` yields for the kernel's own cutoff (0 without a
+    kernel), which may be overwritten once the next is requested."""
+    return np.array([layers[0].copy() for layers in focus_layers(source, q,
+                                                                 kernel)])
 
 
 def search_depth(data, *, q=1, z_min=0.0, z_max=1.0, h=1.0, alpha=None,

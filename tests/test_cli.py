@@ -101,6 +101,15 @@ class TestKernelCommand:
         assert weights[2, 2] == 1.0
         assert weights.sum() == 1.0
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_negative_zero_order_prints_the_zero_order(self, capsys, fmt):
+        outputs = []
+        for alpha in ("--alpha=-0", "--alpha=0"):
+            assert main(["kernel", alpha, "--zeta", "4", "--format", fmt]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "-0" not in outputs[0]
+
     def test_alpha_out_of_range_fails(self, capsys):
         assert main(["kernel", "--alpha", "2.5"]) == 1
         assert "error" in capsys.readouterr().err
@@ -250,6 +259,20 @@ class TestRecoverCommand:
             == "nonlocal"
         assert json.loads(loc.with_suffix(".json").read_text())["method"] \
             == "local"
+
+    def test_negative_zero_order_writes_the_zero_order(self, plane_dir,
+                                                       tmp_path, capsys):
+        outputs = {}
+        for alpha in ("-0", "0"):
+            out = tmp_path / f"alpha{alpha}.csv"
+            assert main(["recover", "--stack", str(plane_dir), "--q", "2",
+                         f"--alpha={alpha}", "--out", str(out)]) == 0
+            outputs[alpha] = (out.read_bytes(),
+                              out.with_suffix(".json").read_bytes())
+        assert outputs["-0"] == outputs["0"]
+        assert "alpha=-0" not in capsys.readouterr().err
+        sidecar = json.loads(outputs["-0"][1])
+        assert sidecar["alpha"] == 0.0 and not np.signbit(sidecar["alpha"])
 
     def test_outputs_do_not_depend_on_worker_count(self, tmp_path,
                                                    monkeypatch):
@@ -768,6 +791,22 @@ class TestEvalCommand:
         assert "shape mismatch" in capsys.readouterr().err
         assert opened == []
         assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("grid, named", [
+        (["--zetas", "2,2,1"], "cutoff zeta 2"),
+        (["--zetas", "2,1", "--alphas", "0.5,0.5,0"], "order alpha 0.5"),
+        (["--zetas", "1", "--alphas=-0,1,0"], "order alpha 0")])
+    def test_table_refuses_a_repeated_parameter(self, plane_dir, depth_csv,
+                                                tmp_path, grid, named):
+        proc = _run_python(["-m", "fracfocus", "eval", "--depth",
+                            str(depth_csv), "--truth",
+                            str(plane_dir / "truth.csv"), "--report",
+                            "r.json", "--table", "t.csv", "--stack",
+                            str(plane_dir), "--q", "2", *grid], tmp_path)
+        _assert_clean_error(proc)
+        assert f"{named} is given more than once" in proc.stderr
+        assert not (tmp_path / "t.csv").exists()
+        assert not (tmp_path / "r.json").exists()
 
     def test_table_refuses_tiny_grid_spacing(self, tiny_spacing_dir,
                                              tmp_path):

@@ -296,14 +296,15 @@ _FEW = st.sampled_from([0.0, 0.25, 1.0, 1.0, 3.0])
               elements=_FEW, fill=st.nothing()),
        st.integers(1, 3),
        st.lists(st.sampled_from([0.0, 0.5, 1.5, 2.0]), min_size=1,
-                max_size=4),
-       st.lists(st.integers(1, 3), min_size=1, max_size=3),
+                max_size=4, unique=True),
+       st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True),
        st.none() | st.lists(st.integers(1, 3), min_size=1, max_size=3),
        st.integers(0, 2**32 - 1))
-# Repeated zetas, alpha 0 and 2, and strides without q.
+# Unsorted zetas, alpha 0 and 2, and strides without q (a repeated zeta or
+# alpha is refused: test_bad_parameters_fail_before_the_first_pass).
 @example(np.multiply.outer([0.25, 1.0, 3.0, 3.0, 1.0],
                            np.indices((8, 8)).sum(axis=0) % 2),
-         2, [0.0, 2.0, 0.5], [3, 1, 3], [1, 3], 0)
+         2, [0.0, 2.0, 0.5], [3, 1], [1, 3], 0)
 # The claims grid: unsorted cutoffs, alpha 0 and 1.9, and default strides
 # of which 12 leaves no pixel inside its frame.
 @example(np.multiply.outer([0.25, 1.0, 3.0, 3.0, 1.0, 0.25],
@@ -402,7 +403,10 @@ def test_table_holds_no_volume_per_cell(monkeypatch):
                                  {"alphas": (1.5, 3.0)},
                                  {"zetas": (2, 0)},
                                  {"truth": _map(np.zeros((5, 7)))},
-                                 {"alphas": (0.0, -0.5)}])
+                                 {"alphas": (0.0, -0.5)},
+                                 {"zetas": (2, 2, 1)},
+                                 {"alphas": (0.5, 0.5, 0.0)},
+                                 {"alphas": (0.0, 1.5, -0.0)}])
 def test_bad_parameters_fail_before_the_first_pass(monkeypatch, small_plane,
                                                     bad):
     # Every layer of the table goes through kernel2d._pass_into, the local
@@ -427,6 +431,18 @@ def test_bad_parameters_fail_before_the_first_pass(monkeypatch, small_plane,
     assert not passes
 
 
+def test_negative_zero_order_is_recorded_as_zero(small_plane):
+    table = comparison_table(small_plane.stack, small_plane.truth, q=2,
+                             alphas=(-0.0, 1.5), zetas=(1,))
+    assert not np.signbit(table.alphas).any()
+    assert not any(np.signbit(alpha) for _, alpha in table.grid)
+    assert not any(np.signbit(report.alpha) for report in table.grid.values())
+    assert table.format().startswith("zeta,alpha=0,alpha=1.5,")
+    assert table.grid == comparison_table(
+        small_plane.stack, small_plane.truth, q=2, alphas=(0.0, 1.5),
+        zetas=(1,)).grid
+
+
 def test_kernels_are_built_for_positive_orders_only(monkeypatch,
                                                      small_plane):
     """The alpha = 0 cells come from the local stream, which passes no
@@ -440,7 +456,7 @@ def test_kernels_are_built_for_positive_orders_only(monkeypatch,
 
     monkeypatch.setattr(evaluate, "build_kernel", counted)
     comparison_table(small_plane.stack, small_plane.truth, q=2,
-                     alphas=(0.0, 1.5, 0.0, 2.0), zetas=(3, 1))
+                     alphas=(0.0, 1.5, 2.0), zetas=(3, 1))
     assert built == [(1.5, 3), (2.0, 3)]
 
 

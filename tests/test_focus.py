@@ -17,6 +17,7 @@ from hypothesis.extra.numpy import arrays
 from fracfocus import kernel2d
 from fracfocus.depth import recover_depth
 from fracfocus.focus import (
+    _IDENTITY,
     _focus_layer_into,
     _modified_laplacian_into,
     _zero_frame,
@@ -271,9 +272,18 @@ def _pass_layers(volume, q, kernel):
     for layer, passed in zip(volume, out):
         kernel2d._pass_input(layer.shape, kernel.zeta, space)[...] = layer
         kernel2d._pass_into(kernel.weights[kernel.zeta:, kernel.zeta:],
-                            passed, space)
+                            passed[np.newaxis], space, (kernel.zeta,))
     _zero_frame(out, q)
     return out
+
+
+def _layer_chain(kernel):
+    """The kernel quadrant and cutoff list that ``focus_layers`` gives
+    ``_focus_layer_into`` for a stream of ``kernel`` alone (None: the local
+    measure)."""
+    if kernel is None:
+        return _IDENTITY, (0,)
+    return kernel.weights[kernel.zeta:, kernel.zeta:], (kernel.zeta,)
 
 
 def _slides(volume):
@@ -348,6 +358,20 @@ class TestFocusLayers:
                              lossless=True)
         with pytest.raises(ValueError, match="cutoffs"):
             focus_layers(header, 1, kernel, cutoffs)
+
+    @pytest.mark.parametrize("kernel, cutoffs, layers", [
+        (None, None, 1), (None, (0,), 1), (build_kernel(1.5, 3), None, 1),
+        (build_kernel(1.5, 3), (3,), 1), (build_kernel(1.5, 3), (1, 3), 2),
+        (build_kernel(0.0, 3), (1, 2, 3), 3)])
+    def test_every_stream_yields_one_layer_per_cutoff(self, kernel, cutoffs,
+                                                      layers):
+        # The local, single-kernel and cutoff-list streams have one shape:
+        # a (len(cutoffs), height, width) stack a slide.
+        stack = _random_stack(np.random.default_rng(6), n_slides=4,
+                              height=20, width=17)
+        shapes = [stacked.shape
+                  for stacked in focus_layers(stack, 2, kernel, cutoffs)]
+        assert shapes == [(layers, 20, 17)] * 4
 
     @pytest.mark.parametrize("cutoffs", [(1, 3), (2,), (1, 2, 4)])
     def test_several_cutoffs_give_each_cutoffs_layers(self, monkeypatch,
@@ -476,10 +500,12 @@ class TestFocusLayers:
         kernel = build_kernel(1.5, 3)
         space = {}
         for k, layer_kernel in enumerate([kernel, None, kernel]):
-            got = np.full((40, 36), np.nan)
-            _focus_layer_into(got, stack, k, 2, space, layer_kernel)
-            want = np.full((40, 36), np.nan)
-            _focus_layer_into(want, stack, k, 2, {}, layer_kernel)
+            got = np.full((1, 40, 36), np.nan)
+            _focus_layer_into(got, stack, k, 2, space,
+                              *_layer_chain(layer_kernel))
+            want = np.full((1, 40, 36), np.nan)
+            _focus_layer_into(want, stack, k, 2, {},
+                              *_layer_chain(layer_kernel))
             assert got.tobytes() == want.tobytes()
 
 
@@ -529,14 +555,14 @@ def test_workspace_keeps_scratch_for_one_kernel_only():
     stack = _random_stack(np.random.default_rng(22), n_slides=3, height=256,
                           width=256)
     kernels = [build_kernel(1.5, zeta) for zeta in (4, 1, 3, 2, 4)]
-    out = np.empty((256, 256))
+    out = np.empty((1, 256, 256))
     space = {}
     tracemalloc.start()
     try:
-        _focus_layer_into(out, stack, 0, 4, space, kernels[0])
+        _focus_layer_into(out, stack, 0, 4, space, *_layer_chain(kernels[0]))
         first = tracemalloc.get_traced_memory()[0]
         for kernel in kernels[1:]:
-            _focus_layer_into(out, stack, 0, 4, space, kernel)
+            _focus_layer_into(out, stack, 0, 4, space, *_layer_chain(kernel))
         last = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()

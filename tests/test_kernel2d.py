@@ -135,6 +135,22 @@ class TestKernelValidation:
         with pytest.raises(ValueError):
             Kernel(alpha=1.0, zeta=1, weights=weights)
 
+    def test_rejects_nan_weights_as_out_of_range(self):
+        # NaN fails every comparison, so a range check of the form
+        # "any(w < 0) or any(w > 1)" let it through to the symmetry check.
+        weights = np.zeros((3, 3))
+        weights[1, 1] = 1.0
+        weights[0, 0] = weights[0, 2] = weights[2, 0] = weights[2, 2] = np.nan
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            Kernel(alpha=1.0, zeta=1, weights=weights)
+
+    @pytest.mark.parametrize("zeta", [1, 2, 4])
+    def test_negative_zero_order_builds_the_positive_zero_kernel(self, zeta):
+        negative, positive = build_kernel(-0.0, zeta), build_kernel(0.0, zeta)
+        assert not np.signbit(negative.alpha)
+        assert not np.signbit(negative.weights).any()
+        assert negative.weights.tobytes() == positive.weights.tobytes()
+
     @pytest.mark.parametrize("alpha", [-0.5, 2.5])
     def test_build_rejects_order_outside_range(self, alpha):
         with pytest.raises(ValueError):
@@ -176,10 +192,11 @@ def _brute_force_apply(kernel, values):
 
 def _pass(weights, slide, out, space):
     """Write ``slide`` into the input of the pass with the kernel quadrant
-    ``weights`` and run that pass into ``out``, on the workspace
-    ``space``."""
-    kernel2d._pass_input(slide.shape, weights.shape[0] - 1, space)[...] = slide
-    kernel2d._pass_into(weights, out, space)
+    ``weights`` and run that pass, as a list of its one cutoff, into the
+    layer ``out``, on the workspace ``space``."""
+    zeta = weights.shape[0] - 1
+    kernel2d._pass_input(slide.shape, zeta, space)[...] = slide
+    kernel2d._pass_into(weights, out[np.newaxis], space, (zeta,))
 
 
 def _correlate(kernel, slide):
